@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import statistics
 import sys
 from fractions import Fraction
 from pathlib import Path

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DegenerateError, InsufficientDataError, RangeError
 from .growth import InverseFunction
 from .seqset import SequenceSet, count
-from .signals import Signal, autocorrelation_signal, convolve
+from .signals import Signal, autocorrelation_signal
 from .util import loglog_slope
 
 __all__ = [
@@ -170,6 +170,10 @@ class DecompositionReport:
     gn_lipschitz   max of N^2 |G_N(x+d) - G_N(x)| / d, d in {1,2,4,8},
                    both points beyond phi(N)
     mass           total autocorrelation mass (equals kernel mass squared)
+
+    The sups are the same per-scale values that verify_family_hypotheses
+    scales by D_n = 4N instead of N; G_N is put on the kernel's
+    normalization first.
     """
 
     scale_n: int
@@ -183,37 +187,44 @@ class DecompositionReport:
 _LIPSCHITZ_STEPS = (1, 2, 4, 8)
 
 
-def decomposition_report(k: Kernel, phi: InverseFunction) -> DecompositionReport:
+def _split_sups(k: Kernel, phi: InverseFunction) -> tuple:
+    """Unscaled sups of the split autocorr = point mass + G_N + E_N at one scale.
+
+    Returns (autocorr(0), max |autocorr| over 0 < |x| <= phi(N),
+    max |G_N| beyond phi(N), max |autocorr - G_N| beyond phi(N),
+    max |G_N(x+d) - G_N(x)| / d beyond phi(N), autocorrelation mass).
+    G_N is rescaled to the kernel's normalization when that is not phi(N).
+    """
     n = k.scale_n
     phin = float(phi.value(float(n)))
     cut = int(math.floor(phin))
-
     acorr = autocorrelation(k)
     gn = gn_profile(phi, n)
+    if k.normalization is not Normalization.PHI_APPROX:
+        gn = gn * (phin / k.norm_value) ** 2
 
-    half = max(acorr.support[1], gn.support[1], cut + 1)
-    xs = np.arange(0, half + 1)
+    xs = np.arange(max(acorr.support[1], gn.support[1], cut + 1) + 1)
     a = acorr(xs)
-    g = gn(xs)
-
+    tail = gn(xs)[cut + 1:]  # never empty: the lag grid reaches past the cut
     small = float(np.max(np.abs(a[1:cut + 1]))) if cut >= 1 else 0.0
-    large_a = a[cut + 1:]
-    large_g = g[cut + 1:]
-    en_sup = float(np.max(np.abs(large_a - large_g))) if large_a.size else 0.0
-    gn_sup = float(np.max(np.abs(large_g))) * n if large_g.size else 0.0
-
     lip = 0.0
-    tail = g[cut + 1:]
     for d in _LIPSCHITZ_STEPS:
         if tail.size > d:
             lip = max(lip, float(np.max(np.abs(tail[d:] - tail[:-d]))) / d)
+    return (float(a[0]), small, float(np.max(np.abs(tail))),
+            float(np.max(np.abs(a[cut + 1:] - tail))), lip, acorr.sum())
+
+
+def decomposition_report(k: Kernel, phi: InverseFunction) -> DecompositionReport:
+    n = k.scale_n
+    _, small, gn_sup, en_sup, lip, mass = _split_sups(k, phi)
     return DecompositionReport(
         scale_n=n,
         small_x_bound=n * small,
-        gn_sup=gn_sup,
+        gn_sup=gn_sup * n,
         en_sup=en_sup,
         gn_lipschitz=n * n * lip,
-        mass=acorr.sum(),
+        mass=mass,
     )
 
 

@@ -27,13 +27,12 @@ from .errors import (
     ValidationError,
 )
 from .growth import InverseFunction
-from .kernel import Kernel, Normalization, autocorrelation, build_kernel, gn_profile
+from .kernel import Normalization, _split_sups, build_kernel
 from .seqset import SequenceSet, count
 from .signals import Signal, convolve
 from .util import log_spaced, loglog_slope
 
 SPARSE_NNZ_LIMIT = 64   # shift-add convolution below this, transforms above
-_LIP_STEPS = (1, 2, 4, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -58,7 +57,6 @@ class ScaleFamily:
     big_d: tuple
     eps0: float
     growth_m: float
-    normalization: Normalization
 
     def scale_index(self, n: int) -> int:
         if not (self.n_lo <= n <= self.n_hi):
@@ -94,8 +92,7 @@ def build_scale_family(s: SequenceSet, phi: InverseFunction, n_lo: int, n_hi: in
             raise ValidationError(f"scale statistics not growing: M = {growth_m:.4f}")
     else:
         growth_m = float("inf")
-    return ScaleFamily(n_lo, n_hi, scales, kernels, d, big_d, eps0, growth_m,
-                       normalization)
+    return ScaleFamily(n_lo, n_hi, scales, kernels, d, big_d, eps0, growth_m)
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +344,9 @@ class FamilyHypothesesReport:
     f0_d_product      model(0) * support count          (capped by a constant)
     f_sup_times_d     sup_{x != 0} |model(x)| * D       (capped by a constant)
     lipschitz_ratio   sup D^2 |model(x+y) - model(x)| / y over the tail region
+
+    The sups are the same per-scale values that decomposition_report scales
+    by N instead of D_n = 4N; the model is put on the kernel's normalization.
     """
 
     scales: tuple
@@ -376,30 +376,12 @@ def verify_family_hypotheses(family: ScaleFamily,
     if len(family.scales) < 4:
         raise InsufficientDataError("need >= 4 scales to fit the decay exponent")
     res, f0d, fsup, lips = [], [], [], []
-    for i, k in enumerate(family.kernels):
-        sc = family.scales[i]
-        phin = float(phi.value(float(sc)))
-        cut = int(math.floor(phin))
-        acorr = autocorrelation(k)
-        gn = gn_profile(phi, sc)
-        if family.normalization is Normalization.COUNT_EXACT:
-            gn = gn * (phin / k.norm_value) ** 2
-        half = max(acorr.support[1], gn.support[1], cut + 1)
-        xs = np.arange(0, half + 1)
-        a = acorr(xs)
-        g = gn(xs)
-        tail_a, tail_g = a[cut + 1:], g[cut + 1:]
-        res.append(float(np.max(np.abs(tail_a - tail_g))) if tail_a.size else 0.0)
-        f0d.append(float(a[0]) * family.d[i])
-        sup_inner = float(np.max(np.abs(a[1:cut + 1]))) if cut >= 1 else 0.0
-        sup_tail = float(np.max(np.abs(tail_g))) if tail_g.size else 0.0
-        fsup.append(max(sup_inner, sup_tail) * family.big_d[i])
-        lip = 0.0
-        for dstep in _LIP_STEPS:
-            if tail_g.size > dstep:
-                lip = max(lip, float(np.max(np.abs(tail_g[dstep:] - tail_g[:-dstep])))
-                          / dstep)
-        lips.append(lip * family.big_d[i] ** 2)
+    for k, d_n, big_d_n in zip(family.kernels, family.d, family.big_d):
+        a0, small, gn_sup, en_sup, lip, _ = _split_sups(k, phi)
+        res.append(en_sup)
+        f0d.append(a0 * d_n)
+        fsup.append(max(small, gn_sup) * big_d_n)
+        lips.append(lip * big_d_n ** 2)
     eps1 = -loglog_slope(np.array(family.big_d, dtype=float),
                          np.array(res, dtype=float)) - 1.0
     return FamilyHypothesesReport(

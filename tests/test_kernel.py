@@ -210,6 +210,20 @@ def test_gn_smoothness_across_scales(s102_16, phi102):
     assert max(lips) / min(lips) < 4.0
 
 
+@pytest.mark.parametrize("k_exp", [10, 12])
+def test_report_puts_gn_on_the_kernel_normalization(s102_16, phi102, k_exp):
+    # a count-normalized kernel is the phi-normalized one times phi(N)/count,
+    # so every autocorrelation sup scales by the square of that ratio
+    n = 1 << k_exp
+    r_cnt = decomposition_report(
+        build_kernel(s102_16, phi102, n, Normalization.COUNT_EXACT), phi102)
+    r_phi = decomposition_report(
+        build_kernel(s102_16, phi102, n, Normalization.PHI_APPROX), phi102)
+    scale = (float(phi102.value(float(n))) / count(s102_16, n)) ** 2
+    assert r_cnt.en_sup == pytest.approx(r_phi.en_sup * scale, rel=1e-9)
+    assert r_cnt.gn_sup == pytest.approx(r_phi.gn_sup * scale, rel=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # decay-exponent fit
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from roughmax import (
     build_kernel,
     build_scale_family,
     cz_decompose,
+    decomposition_report,
     default_lambda_grid,
     maximal_function,
     refine_bad_part,
@@ -328,6 +329,19 @@ def test_family_hypotheses_residual_matches_manual(s102_16, phi102):
     assert rep.residual_sup[i] == pytest.approx(manual, rel=1e-12)
     # inside the cut the model equals the autocorrelation by construction,
     # so the residual is identically zero there and never enters the sup
+
+
+@pytest.mark.parametrize("norm", list(Normalization), ids=lambda m: m.name)
+def test_family_hypotheses_are_decomposition_report_rescaled(s102_16, phi102, norm):
+    # both reports view the same per-scale sups; at power-of-two scales the
+    # change from N- to D_n = 4N-scaling is exact
+    fam = build_scale_family(s102_16, phi102, 10, 13, norm)
+    rep = verify_family_hypotheses(fam, phi102)
+    for i, k in enumerate(fam.kernels):
+        r = decomposition_report(k, phi102)
+        assert rep.residual_sup[i] == r.en_sup
+        assert rep.lipschitz_ratio[i] == 16 * r.gn_lipschitz
+        assert rep.f_sup_times_d[i] == 4 * max(r.small_x_bound, r.gn_sup)
 
 
 def test_family_hypotheses_needs_scales(s102_16, phi102):
