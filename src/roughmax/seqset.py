@@ -25,6 +25,7 @@ from .growth import MP_DPS, GrowthFunction, InverseFunction
 from .util import chunked_sum
 
 N_MAX_CAP = 1 << 40
+M_COUNT_CAP = 1 << 26
 P_MIN_WINDOW = 1 << 16
 MP_ZERO_BAND = mpmath.mpf("1e-40")
 
@@ -128,31 +129,49 @@ def contains_via_inverse_batch(phi: InverseFunction, p: np.ndarray) -> np.ndarra
 
 @dataclass(frozen=True)
 class SequenceSet:
-    """Sorted floors of h over the integers, in [1, n_max], with O(1) membership.
+    """Sorted floors of h over the integers, in [1, n_max].
 
-    Immutable after generation; every query is pure.
+    Membership is a binary search on ``elements``, O(log n) per query; no
+    caller in the package queries it in a hot loop.  Immutable after
+    generation; every query is pure.
     """
 
     growth: GrowthFunction
     n_max: int
     elements: np.ndarray       # sorted distinct int64 in [1, n_max]
-    member_mask: np.ndarray    # bool, indexed 0..n_max
     p_min: int                 # inverse-test agreement threshold
 
     def contains(self, p: int) -> bool:
         if not (1 <= p <= self.n_max):
             raise RangeError(f"p = {p} outside [1, {self.n_max}]")
-        return bool(self.member_mask[p])
+        return bool(_member(self.elements, p))
 
     def contains_batch(self, p: np.ndarray) -> np.ndarray:
         p = np.asarray(p, dtype=np.int64)
         if p.size and (p.min() < 1 or p.max() > self.n_max):
             raise RangeError("query outside [1, n_max]")
-        return self.member_mask[p]
+        return _member(self.elements, p)
+
+
+def _member(elements: np.ndarray, p):
+    """Whether each p is in the sorted array ``elements``."""
+    if elements.size == 0:
+        return np.zeros(np.shape(p), dtype=bool)
+    # a p past the last element lands on it after the clip and compares unequal
+    i = np.minimum(np.searchsorted(elements, p), elements.size - 1)
+    return elements[i] == p
 
 
 def generate(g: GrowthFunction, n_max: int) -> SequenceSet:
-    """Enumerate {floor(h(m))} ∩ [1, n_max] with exact floors near integers."""
+    """Enumerate {floor(h(m))} ∩ [1, n_max] with exact floors near integers.
+
+    Time and memory scale with the number of enumerated m, about phi(n_max),
+    not with n_max: the peak is ~56 B per m.  A ValidationError refuses, before
+    any array is built, an n_max above N_MAX_CAP = 2^40 (from 2^53 on a float
+    h(m) can lie several integers from its floor, past what the 32-ulp band
+    settles) and a set needing more than M_COUNT_CAP = 2^26 values of m (the
+    identity needs exactly n_max).
+    """
     n_max = int(n_max)
     if n_max > N_MAX_CAP:
         raise ValidationError(f"n_max = {n_max} above the 2^40 cap")
@@ -165,6 +184,12 @@ def generate(g: GrowthFunction, n_max: int) -> SequenceSet:
     m_end = int(math.floor(x_end)) + 2
     if m_end < m_start:
         raise RangeError("empty enumeration range")
+    # the cap leaves out the two slack values of m past x_end, so that the
+    # identity still runs at n_max = 2^26
+    if m_end - 2 - m_start > M_COUNT_CAP:
+        raise ValidationError(
+            f"n_max = {n_max} needs {m_end - 2 - m_start} values of m, "
+            "above the 2^26 cap")
 
     m = np.arange(m_start, m_end + 1, dtype=np.int64)
     v = np.asarray(g.value(m.astype(float)), dtype=float)
@@ -183,23 +208,26 @@ def generate(g: GrowthFunction, n_max: int) -> SequenceSet:
             # h(m) >= ri exactly when s >= 0, so the floor is ri; else ri - 1
             floors[j] = ri if s >= 0 else ri - 1
 
-    keep = (floors >= 1) & (floors <= n_max)
-    elements = np.unique(floors[keep])
-    mask = np.zeros(n_max + 1, dtype=bool)
-    mask[elements] = True
+    # the sort is linear on the nondecreasing floors of an increasing h, and
+    # keeps the dedup right where a float floor breaks that order
+    f = np.sort(floors[(floors >= 1) & (floors <= n_max)], kind="stable")
+    new = np.empty(f.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(f[1:], f[:-1], out=new[1:])
+    elements = f[new]
 
-    p_min = _calibrate_p_min(g, phi, elements, mask, n_max, y0)
-    return SequenceSet(g, n_max, elements, mask, p_min)
+    p_min = _calibrate_p_min(phi, elements, n_max, y0)
+    return SequenceSet(g, n_max, elements, p_min)
 
 
-def _calibrate_p_min(g, phi, elements, mask, n_max, y0) -> int:
+def _calibrate_p_min(phi, elements, n_max, y0) -> int:
     """Smallest p >= 16 past which the two membership tests agree on a window."""
     lo = max(16, int(math.ceil(y0 - 1e-9)))
     hi = min(n_max - 1, P_MIN_WINDOW)
     if hi <= lo:
         return lo
     p = np.arange(lo, hi + 1, dtype=np.int64)
-    agree = contains_via_inverse_batch(phi, p) == mask[p]
+    agree = contains_via_inverse_batch(phi, p) == _member(elements, p)
     if not agree[-1] or not agree[-min(16, agree.size):].all():
         raise ValidationError(
             "membership tests disagree through the calibration window")
@@ -222,7 +250,7 @@ def verify_membership_equivalence(s: SequenceSet, phi: InverseFunction,
     if hi > s.n_max - 1:
         raise RangeError("hi beyond n_max - 1")
     p = np.arange(lo, hi + 1, dtype=np.int64)
-    agree = contains_via_inverse_batch(phi, p) == s.member_mask[p]
+    agree = contains_via_inverse_batch(phi, p) == _member(s.elements, p)
     return int(np.count_nonzero(~agree))
 
 

@@ -145,6 +145,18 @@ def test_exit_code_validation(tmp_path):
                    "--out", str(tmp_path / "x.csv")) == EXIT_VALIDATION
 
 
+def test_exit_code_for_a_set_above_the_cap(tmp_path, capsys):
+    assert run_cli("seqset", "--h", "pure:1.02:1.0", "--nmax", str(1 << 40),
+                   "--out", str(tmp_path / "x.csv")) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "2^26 cap" in err and "Traceback" not in err
+    # few values of m, but n_max past the range where float floors are exact
+    assert run_cli("seqset", "--h", "pure:1.9:64", "--nmax", str(1 << 54),
+                   "--out", str(tmp_path / "y.csv")) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "2^40 cap" in err and "Traceback" not in err
+
+
 def test_exit_code_unknown_subcommand():
     with pytest.raises(SystemExit) as exc:
         run_cli("no-such-command")

@@ -101,7 +101,7 @@ def test_kernel_nonnegative_and_support_in_set(s102_16, phi102):
     k = build_kernel(s102_16, phi102, 1 << 10)
     assert np.all(k.signal.values >= 0.0)
     nz = np.nonzero(k.signal.values)[0] + k.signal.offset
-    assert np.all(s102_16.member_mask[nz])
+    assert np.all(s102_16.contains_batch(nz))
 
 
 def test_kernel_range_and_degenerate_errors(s102_16, phi102):

@@ -6,6 +6,7 @@ against something that shares none of its code.
 """
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -15,6 +16,7 @@ from roughmax import (
     DomainError,
     FloorAmbiguityError,
     RangeError,
+    ValidationError,
     contains_via_inverse,
     contains_via_inverse_batch,
     count,
@@ -25,6 +27,8 @@ from roughmax import (
     verify_membership_equivalence,
     weighted_exp_sum,
 )
+from roughmax import seqset
+from roughmax.seqset import _sign_at_integer
 
 
 def enumeration_oracle(c, n_max, m_start=1):
@@ -84,6 +88,88 @@ def test_generate_range_checks(g15):
         generate(g15, 1 << 41)
 
 
+def test_generate_caps_the_enumerated_m(g102):
+    # about 6.4e11 values of m: refused before any array is allocated
+    with pytest.raises(ValidationError, match="2\\^26 cap"):
+        generate(g102, 1 << 40)
+    # only 4e7 values of m, but near 2^54 a float h(m) is 4 integers wide
+    with pytest.raises(ValidationError, match="2\\^40 cap"):
+        generate(make_growth("pure", 1.9, 64.0), 1 << 54)
+    # refused from the int, before it is turned into a float
+    with pytest.raises(ValidationError, match="2\\^40 cap"):
+        generate(g102, 10 ** 400)
+
+
+def test_m_count_cap_leaves_out_the_slack(monkeypatch, gident):
+    # the identity needs exactly n_max values of m, so n_max = cap still runs
+    monkeypatch.setattr(seqset, "M_COUNT_CAP", 1 << 10)
+    assert np.array_equal(generate(gident, 1 << 10).elements,
+                          np.arange(1, (1 << 10) + 1))
+    with pytest.raises(ValidationError, match="needs 1025 values of m"):
+        generate(gident, (1 << 10) + 1)
+
+
+def test_generate_memory_scales_with_enumerated_m():
+    # 117k values of m up to n_max = 2^32, whose dense mask alone would be 4 GB
+    tracemalloc.start()
+    try:
+        s = generate(make_growth("pure", 1.9), 1 << 32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert s.elements.size > 100_000
+    assert peak < 32 * 2 ** 20
+
+
+def guarded_floors(g, n_max):
+    """floor(h(m)) in [1, n_max] for every m up to phi(n_max + 1) + 2, with each
+    value within 1e-9 relative of an integer settled by the exact sign test."""
+    m = np.arange(math.ceil(g.x0 - 1e-12),
+                  int(g.inverse().value(n_max + 1.0)) + 3, dtype=np.int64)
+    v = np.asarray(g.value(m.astype(float)), dtype=float)
+    f = np.floor(v).astype(np.int64)
+    r = np.rint(v)
+    for j in np.nonzero(np.abs(v - r) <= 1e-9 * np.abs(v))[0]:
+        ri = int(r[j])
+        f[j] = ri if _sign_at_integer(g, int(m[j]), ri) >= 0 else ri - 1
+    return f[(f >= 1) & (f <= n_max)]
+
+
+def assert_membership_matches_dense_mask(s, expected):
+    mask = np.zeros(s.n_max + 1, dtype=bool)
+    mask[expected] = True
+    ps = np.arange(1, s.n_max + 1)
+    assert np.array_equal(s.contains_batch(ps), mask[1:])
+    for p in (1, s.n_max):
+        assert s.contains(p) is bool(mask[p])
+
+
+@pytest.mark.parametrize("variant,c,params", [
+    ("pure", 1.02, {}),
+    ("powerlog", 1.02, {"a": 1.0}),
+    ("poweriterlog", 1.02, {"m": 2}),
+    ("powerexplog", 1.05, {"a": 1.0, "b": 0.5}),
+])
+def test_generate_dedup_and_membership_oracle(variant, c, params):
+    g = make_growth(variant, c, **params)
+    n_max = 1 << 18
+    s = generate(g, n_max)
+    expected = np.unique(guarded_floors(g, n_max))
+    assert np.array_equal(s.elements, expected)
+    assert np.any(np.diff(expected) > 1)
+    assert_membership_matches_dense_mask(s, expected)
+
+
+def test_membership_past_the_last_element_and_on_an_empty_set(g15):
+    s = generate(g15, 13)
+    assert list(s.elements) == [1, 2, 5, 8, 11]
+    assert_membership_matches_dense_mask(s, s.elements)
+    # h(3) = 3^1.9 > 5 is the first value past x0 = 2.1, so nothing is <= 5
+    empty = generate(make_growth("pure", 1.9, x0=2.1), 5)
+    assert empty.elements.size == 0
+    assert_membership_matches_dense_mask(empty, empty.elements)
+
+
 # ---------------------------------------------------------------------------
 # membership via the inverse function
 # ---------------------------------------------------------------------------
@@ -121,8 +207,7 @@ def test_membership_domain_error(philog):
 def test_batch_equivalence_with_scalar(phi15, s15_1m):
     ps = np.arange(16, 4000)
     batch = contains_via_inverse_batch(phi15, ps)
-    mask = s15_1m.member_mask[ps]
-    assert np.array_equal(batch, mask)
+    assert np.array_equal(batch, s15_1m.contains_batch(ps))
 
 
 def test_equivalence_checker(s105_20, phi105):
