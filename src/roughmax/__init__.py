@@ -12,7 +12,6 @@ from .errors import (
     DegenerateError,
     DomainError,
     EmptyRangeError,
-    FloorAmbiguityError,
     InsufficientDataError,
     PreconditionError,
     RangeError,

@@ -1,7 +1,8 @@
 """Exception types shared across the toolkit.
 
 Validation / domain problems map to CLI exit code 2, numeric failures
-(ambiguous floors, non-convergence, vanishing denominators) to exit code 3.
+(non-convergence, vanishing denominators) to exit code 3.  Floors near an
+integer are settled by a high-precision sign test, so none is undecidable.
 """
 
 
@@ -57,13 +58,4 @@ class ConvergenceError(RoughMaxError):
         self.bracket = bracket
 
 
-class FloorAmbiguityError(RoughMaxError):
-    """A floor is numerically undecidable at the working precision."""
-
-    def __init__(self, message, value=None, nearest=None):
-        super().__init__(message)
-        self.value = value
-        self.nearest = nearest
-
-
-NUMERIC_ERRORS = (SingularityError, ConvergenceError, FloorAmbiguityError)
+NUMERIC_ERRORS = (SingularityError, ConvergenceError)

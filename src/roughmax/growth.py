@@ -44,6 +44,8 @@ DENOM_GUARD = 1e-8          # recursion denominators below this raise
 VALIDATION_SPAN = 2 ** 20   # h', h'' sampled on [x0, x0 * VALIDATION_SPAN]
 VALIDATION_POINTS = 64
 MP_DPS = 60                 # working precision of the high-precision path
+INVERSE_TOL = 1e-12         # phi(y) stops at |h(x) - y| <= INVERSE_TOL * y
+INVERSE_MAX_ITER = 100      # Newton steps before the inversion gives up
 
 
 class Variant(enum.Enum):
@@ -261,9 +263,9 @@ class GrowthFunction:
 
     # -- high-precision path ---------------------------------------------------
 
-    def value_mp(self, x, dps: int = MP_DPS) -> mpmath.mpf:
-        """h(x) in arbitrary precision; used to settle floors near integers."""
-        with mpmath.workdps(dps):
+    def value_mp(self, x) -> mpmath.mpf:
+        """h(x) at MP_DPS digits; used to settle floors near integers."""
+        with mpmath.workdps(MP_DPS):
             xv = mpmath.mpf(x)
             lam = mpmath.mpf(0)
             if self._lam:
@@ -283,9 +285,8 @@ class GrowthFunction:
 
     # -- inverse ---------------------------------------------------------------
 
-    def inverse(self, tol: float = 1e-12, max_iter: int = 100) -> "InverseFunction":
-        return InverseFunction(self, 1.0 / self.c, float(self.value(self.x0)),
-                               tol, max_iter)
+    def inverse(self) -> "InverseFunction":
+        return InverseFunction(self, 1.0 / self.c, float(self.value(self.x0)))
 
 
 def _default_x0(variant: Variant, a, m) -> float:
@@ -405,8 +406,6 @@ class InverseFunction:
     source: GrowthFunction
     gamma: float
     y0: float
-    tol: float = 1e-12
-    max_iter: int = 100
 
     @property
     def c(self) -> float:
@@ -419,12 +418,11 @@ class InverseFunction:
                 f"inversion at y < y0 = {self.y0} (min requested: {y.min()})")
         return y
 
-    def value(self, y, tol: float | None = None) -> FloatLike:
-        """phi(y): the x >= x0 with |h(x) - y| <= tol * y."""
+    def value(self, y) -> FloatLike:
+        """phi(y): the x >= x0 with |h(x) - y| <= INVERSE_TOL * y."""
         y = self._check_domain(y)
         scalar = y.ndim == 0
         y = np.atleast_1d(y)
-        tol = self.tol if tol is None else tol
         g = self.source
         x0 = g.x0
 
@@ -442,11 +440,11 @@ class InverseFunction:
 
         x = np.clip(x, lo, hi)
         done = np.zeros(y.shape, dtype=bool)
-        for _ in range(self.max_iter):
+        for _ in range(INVERSE_MAX_ITER):
             fx = g.value(x) - y
             # a bracket collapsed to adjacent floats is the correctly rounded
-            # root; tolerances below what double precision admits stop there
-            done = (np.abs(fx) <= tol * y) | (hi - lo <= 4.0 * np.spacing(hi))
+            # root; stop there even if the residual test still fails
+            done = (np.abs(fx) <= INVERSE_TOL * y) | (hi - lo <= 4.0 * np.spacing(hi))
             if done.all():
                 break
             above = fx > 0
@@ -459,7 +457,7 @@ class InverseFunction:
             x = np.where(done, x, xn)
         else:
             raise ConvergenceError(
-                f"inversion did not converge in {self.max_iter} iterations",
+                f"inversion did not converge in {INVERSE_MAX_ITER} iterations",
                 bracket=(float(lo[~done].min()), float(hi[~done].max())))
         x = np.maximum(x, x0)
         return float(x[0]) if scalar else x

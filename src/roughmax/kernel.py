@@ -113,9 +113,9 @@ def build_kernel(s: SequenceSet, phi: InverseFunction, n: int,
     return k
 
 
-def autocorrelation(k: Kernel, method: str = "fast") -> Signal:
-    """K correlated with its reflection; exactly even by construction."""
-    return autocorrelation_signal(k.signal, method)
+def autocorrelation(k: Kernel) -> Signal:
+    """K correlated with its reflection, by FFT; exactly even by construction."""
+    return autocorrelation_signal(k.signal, "fast")
 
 
 # ---------------------------------------------------------------------------

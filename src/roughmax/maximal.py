@@ -33,6 +33,7 @@ from .signals import Signal, convolve
 from .util import log_spaced, loglog_slope
 
 SPARSE_NNZ_LIMIT = 64   # shift-add convolution below this, transforms above
+LAMBDA_GRID_POINTS = 64  # heights in the default weak-type grid
 
 
 # ---------------------------------------------------------------------------
@@ -125,11 +126,11 @@ def maximal_function(family: ScaleFamily, f: Signal) -> Signal:
     return Signal(lo, acc)
 
 
-def default_lambda_grid(family: ScaleFamily, f: Signal, points: int = 64) -> np.ndarray:
-    """Log-spaced heights spanning [l1 / (4 max D_n), 2 linf]."""
+def default_lambda_grid(family: ScaleFamily, f: Signal) -> np.ndarray:
+    """LAMBDA_GRID_POINTS log-spaced heights spanning [l1 / (4 max D_n), 2 linf]."""
     lo = f.l1() / (4.0 * max(family.big_d))
     hi = 2.0 * f.linf()
-    return log_spaced(lo, hi, points)
+    return log_spaced(lo, hi, LAMBDA_GRID_POINTS)
 
 
 def weak_type_profile(family: ScaleFamily, f: Signal, lambdas) -> list:
@@ -162,9 +163,6 @@ class CZAtom:
 
     def l1(self):
         return sum(abs(v) for v in self.values.values())
-
-    def to_signal(self) -> Signal:
-        return Signal.from_dict({x: float(v) for x, v in self.values.items()})
 
 
 @dataclass(frozen=True)

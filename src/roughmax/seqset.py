@@ -1,9 +1,9 @@
 """The integer set {floor(h(m)) : m integer} with dual membership tests.
 
-Floors are never trusted to plain float arithmetic: any value landing within
-a few ulps (or within the inversion tolerance band) of an integer is settled
-by a high-precision sign test of h(r) - y at the nearest integer r, so the
-enumeration path and the inverse-function path stay exactly consistent.
+Floors are never trusted to plain float arithmetic.  Enumeration settles any
+h(m) within 32 ulps of an integer, and the inverse test any phi(p) within
+max(10 * INVERSE_TOL * |phi(p)|, 8 ulp) of one, by a high-precision sign test
+of h(r) - y at the nearest integer r; neither path has a second stage.
 """
 
 from __future__ import annotations
@@ -16,12 +16,11 @@ import numpy as np
 
 from .errors import (
     DomainError,
-    FloorAmbiguityError,
     RangeError,
     SequenceOverflowError,
     ValidationError,
 )
-from .growth import MP_DPS, GrowthFunction, InverseFunction
+from .growth import INVERSE_TOL, MP_DPS, GrowthFunction, InverseFunction
 from .util import chunked_sum
 
 N_MAX_CAP = 1 << 40
@@ -43,84 +42,48 @@ def _sign_at_integer(g: GrowthFunction, r: int, y: int) -> int:
         return 1 if s > 0 else -1
 
 
-def floor_neg_phi(phi: InverseFunction, p: int, tol: float | None = None,
-                  resolve: bool = True) -> int:
-    """floor(-phi(p)) with the floor decided, never guessed.
-
-    If phi(p) falls within 10 * tol * |phi(p)| of an integer the float floor is
-    undecidable; with ``resolve`` the value is settled by a high-precision sign
-    test at the nearest integer, otherwise a FloorAmbiguityError is raised so
-    the caller can retry at higher precision.
-    """
-    tol = phi.tol if tol is None else tol
-    x = float(phi.value(float(p), tol=tol))
-    r = round(x)
-    band = max(10.0 * tol * abs(x), 8.0 * math.ulp(x))
-    if abs(x - r) > band:
-        return -math.ceil(x)
-    if not resolve:
-        raise FloorAmbiguityError(
-            f"phi({p}) = {x!r} is within {band:.3e} of integer {r}",
-            value=x, nearest=r)
-    s = _sign_at_integer(phi.source, r, p)
-    # s < 0: h(r) < p so phi(p) > r and ceil = r + 1; otherwise ceil = r
-    return -(r + 1) if s < 0 else -r
-
-
-def contains_via_inverse(phi: InverseFunction, p: int) -> bool:
-    """Inverse-function membership test: floor(-phi(p)) - floor(-phi(p+1)) == 1.
-
-    Valid for p at and above the empirical threshold of the generated set;
-    ambiguous floors are retried at a 1000x tighter tolerance before the
-    high-precision resolution kicks in.
-    """
-    if p < phi.y0 * (1.0 - 1e-12):
-        raise DomainError(f"p = {p} below the inverse domain start {phi.y0}")
-    floors = []
-    for q in (p, p + 1):
-        try:
-            floors.append(floor_neg_phi(phi, q, resolve=False))
-        except FloorAmbiguityError:
-            try:
-                floors.append(floor_neg_phi(phi, q, tol=phi.tol * 1e-3,
-                                            resolve=False))
-            except FloorAmbiguityError:
-                floors.append(floor_neg_phi(phi, q, tol=phi.tol * 1e-3))
-    return floors[0] - floors[1] == 1
-
-
 def _floor_neg_phi_batch(phi: InverseFunction, p: np.ndarray) -> np.ndarray:
-    """Vectorized floor(-phi(p)) with escalation on the ambiguous stragglers."""
+    """floor(-phi(p)) for each p, with the floor decided, never guessed.
+
+    phi is inverted once; a value x within max(10 * INVERSE_TOL * |x|, 8 ulp)
+    of an integer r is settled by the high-precision sign test of h(r) - p.
+    """
     x = np.asarray(phi.value(p.astype(float)), dtype=float)
     r = np.rint(x)
-    band = np.maximum(10.0 * phi.tol * np.abs(x), 8.0 * np.spacing(np.abs(x)))
-    near = np.abs(x - r) <= band
+    band = np.maximum(10.0 * INVERSE_TOL * np.abs(x), 8.0 * np.spacing(np.abs(x)))
     out = -np.ceil(x).astype(np.int64)
-    idx = np.nonzero(near)[0]
-    if idx.size:
-        xt = np.asarray(phi.value(p[idx].astype(float), tol=phi.tol * 1e-3),
-                        dtype=float)
-        rt = np.rint(xt)
-        band_t = np.maximum(1e-2 * phi.tol * np.abs(xt),
-                            8.0 * np.spacing(np.abs(xt)))
-        still = np.abs(xt - rt) <= band_t
-        out[idx[~still]] = -np.ceil(xt[~still]).astype(np.int64)
-        for k in np.nonzero(still)[0]:
-            j = idx[k]
-            s = _sign_at_integer(phi.source, int(rt[k]), int(p[j]))
-            out[j] = -(int(rt[k]) + 1) if s < 0 else -int(rt[k])
+    for j in np.nonzero(np.abs(x - r) <= band)[0]:
+        rj = int(r[j])
+        # s < 0: h(r) < p so phi(p) > r and ceil = r + 1; otherwise ceil = r
+        s = _sign_at_integer(phi.source, rj, int(p[j]))
+        out[j] = -(rj + 1) if s < 0 else -rj
     return out
 
 
+def floor_neg_phi(phi: InverseFunction, p: int) -> int:
+    """floor(-phi(p)), decided as in the batch path."""
+    return int(_floor_neg_phi_batch(phi, np.array([p], dtype=np.int64))[0])
+
+
 def contains_via_inverse_batch(phi: InverseFunction, p: np.ndarray) -> np.ndarray:
+    """Inverse-function membership test: floor(-phi(p)) - floor(-phi(p+1)) == 1.
+
+    Valid for p at and above the empirical threshold of the generated set.
+    """
     p = np.asarray(p, dtype=np.int64)
     if p.size == 0:
         return np.zeros(0, dtype=bool)
     if p.min() < phi.y0 * (1.0 - 1e-12):
-        raise DomainError(f"p below the inverse domain start {phi.y0}")
+        raise DomainError(
+            f"p = {p.min()} below the inverse domain start {phi.y0}")
     lo = _floor_neg_phi_batch(phi, p)
     hi = _floor_neg_phi_batch(phi, p + 1)
     return (lo - hi) == 1
+
+
+def contains_via_inverse(phi: InverseFunction, p: int) -> bool:
+    """The batch membership test at one p."""
+    return bool(contains_via_inverse_batch(phi, np.array([p]))[0])
 
 
 # ---------------------------------------------------------------------------

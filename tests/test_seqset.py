@@ -14,7 +14,6 @@ import pytest
 
 from roughmax import (
     DomainError,
-    FloorAmbiguityError,
     RangeError,
     ValidationError,
     contains_via_inverse,
@@ -194,14 +193,48 @@ def test_membership_identity_always_true(phident):
         assert contains_via_inverse(phident, p) is True
 
 
-def test_floor_ambiguity_error_without_resolution(phi15):
-    with pytest.raises(FloorAmbiguityError):
-        floor_neg_phi(phi15, 8, resolve=False)
-
-
 def test_membership_domain_error(philog):
     with pytest.raises(DomainError):
         contains_via_inverse(philog, 1)
+
+
+def test_inverse_floor_matches_integer_oracle(phi15):
+    # phi(p) = p^(2/3), so floor(-phi(p)) = -min{r : r^3 >= p^2}; the range
+    # holds the cubes 3^3..40^3, where phi(p) is an integer
+    ps = np.arange(16, (1 << 16) + 1, dtype=np.int64)
+    oracle, cubes = [], 0
+    for p in range(16, (1 << 16) + 1):
+        r = round(p ** (2.0 / 3.0))
+        while r ** 3 < p * p:
+            r += 1
+        while (r - 1) ** 3 >= p * p:
+            r -= 1
+        oracle.append(-r)
+        cubes += r ** 3 == p * p
+    assert cubes == 38
+    assert np.array_equal(seqset._floor_neg_phi_batch(phi15, ps), np.array(oracle))
+
+
+# (m, floor of h(m) by 60-digit arithmetic, floor of the float h(m)) for
+# powerexplog:1.05:1.0:1.0:0.5: each float h(m) lies 35-38 ulps from an
+# integer, on the wrong side of it and outside enumeration's 32-ulp band
+EXPLOG_FLOORS = [
+    (46216980, 7456523190, 7456523189),
+    (46909845, 7587363853, 7587363854),
+    (49593453, 8097133833, 8097133834),
+]
+
+
+def test_inverse_test_pins_the_explog_floors():
+    phi = make_growth("powerexplog", 1.05, 1.0, a=1.0, b=0.5).inverse()
+    exact = np.array([e for _, e, _ in EXPLOG_FLOORS], dtype=np.int64)
+    wrong = np.array([w for _, _, w in EXPLOG_FLOORS], dtype=np.int64)
+    assert contains_via_inverse_batch(phi, exact).all()
+    assert not contains_via_inverse_batch(phi, wrong).any()
+    for m, e, w in EXPLOG_FLOORS:
+        assert contains_via_inverse(phi, e) is True
+        assert contains_via_inverse(phi, w) is False
+        assert floor_neg_phi(phi, e) == -m
 
 
 def test_batch_equivalence_with_scalar(phi15, s15_1m):
