@@ -237,12 +237,13 @@ def _cmd_expsum(args) -> int:
             rows.append([int(math.log2(r.params["N"])), r.params["N"],
                          r.actual_abs, r.bound, r.ratio])
     else:
+        trunc = params.get("trunc", "sqrt")
+        fixed_terms = None if trunc == "sqrt" else int(trunc)
+        x = int(params.get("x", 0))
         for k in range(args.kmin, args.kmax + 1):
             n = 1 << k
-            trunc = params.get("trunc", "sqrt")
-            m_terms = int(math.isqrt(n)) if trunc == "sqrt" else int(trunc)
-            actual, bound = min_norm_sum(phi, n, int(params.get("x", 0)),
-                                         max(2, m_terms), 0, 0)
+            m_terms = int(math.isqrt(n)) if fixed_terms is None else fixed_terms
+            actual, bound = min_norm_sum(phi, n, x, max(2, m_terms), 0, 0)
             rows.append([k, n, actual, bound, actual / bound])
     write_table(args.out, _meta(args, "expsum", bound=args.bound,
                                 kmin=args.kmin, kmax=args.kmax,

@@ -101,7 +101,8 @@ def indicator(sys_size: int, state: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _orbit_terms(sys: FiniteSystem, s: SequenceSet, fv: np.ndarray, x: int,
-                 n: int) -> np.ndarray:
+                 n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(f(T^j x), j) over the set elements j <= n."""
     k = int(np.searchsorted(s.elements, n, side="right"))
     els = s.elements[:k]
     return fv[sys.iterate(x, els)], els

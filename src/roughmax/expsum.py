@@ -2,9 +2,10 @@
 
 Every operation returns both the exactly computed sum and the bound the
 van der Corput machinery predicts for it, so sweeps over dyadic scales can
-check that the ratio stays trend-bounded.  The slowly varying factor that
-would appear in the c = 1 regime is constantly 1 for c > 1, which is the only
-regime wired into the bounds here.
+check that the ratio stays trend-bounded.  A phase's phi terms are built once
+per window, and every alpha probe and weight sums those.  The slowly varying
+factor of the c = 1 regime is constantly 1 for c > 1, the only regime wired
+into the bounds here.
 """
 
 from __future__ import annotations
@@ -105,15 +106,8 @@ def _window(n: int, x: int) -> tuple[float, float]:
     return n1, n2
 
 
-def _range_points(n1: float, n_prime: float) -> np.ndarray:
-    lo = int(math.floor(n1)) + 1
-    hi = int(math.floor(n_prime))
-    if hi < lo:
-        raise EmptyRangeError(f"empty summation range ({n1}, {n_prime}]")
-    return np.arange(lo, hi + 1, dtype=float)
-
-
 def _validate_window(n: int, x: int, n_prime: float | None) -> tuple[np.ndarray, float]:
+    """The integer points of (N_1, N'] and N' (default N_2)."""
     n1, n2 = _window(n, x)
     if n1 >= n2:
         raise EmptyRangeError(f"window ({n1}, {n2}] is empty for N={n}, x={x}")
@@ -121,7 +115,63 @@ def _validate_window(n: int, x: int, n_prime: float | None) -> tuple[np.ndarray,
         n_prime = n2
     if not (n1 < n_prime <= n2):
         raise ValidationError(f"N' = {n_prime} outside ({n1}, {n2}]")
-    return _range_points(n1, n_prime), n_prime
+    lo = int(math.floor(n1)) + 1
+    hi = int(math.floor(n_prime))
+    if hi < lo:
+        raise EmptyRangeError(f"empty summation range ({n1}, {n_prime}]")
+    return np.arange(lo, hi + 1, dtype=float), n_prime
+
+
+def _single_setup(phi: InverseFunction, n: int, x: int, m: int, p: int, q: int,
+                  n_prime: float | None) -> tuple:
+    if m == 0:
+        raise ValidationError("phase multiplier m must be nonzero")
+    if p not in (0, 1) or q not in (0, 1):
+        raise ValidationError("shift selectors p, q must lie in {0, 1}")
+    ns, n_prime = _validate_window(n, x, n_prime)
+    term = m * np.asarray(phi.value(ns + p * x + q), dtype=float)
+    bound = math.sqrt(abs(m)) * n / math.sqrt(float(phi.value(float(n))))
+    return ns, (term,), bound, dict(N=n, x=x, alpha=None, l=None, m=m, p=p, q=q,
+                                    N_prime=n_prime)
+
+
+def _two_setup(phi: InverseFunction, n: int, x: int, m1: int, m2: int, kappa: float,
+               n_prime: float | None, phin: float | None = None) -> tuple:
+    if m1 == 0 or m2 == 0:
+        raise ValidationError("phase multipliers m1, m2 must be nonzero")
+    if not (0.0 <= kappa <= 1.0):
+        raise ValidationError(f"kappa = {kappa} outside [0, 1]")
+    if phin is None:    # ratio_sweep passes the phi(N) it already has
+        phin = float(phi.value(float(n)))
+    if x < phin ** kappa:
+        raise PreconditionError(
+            f"separation x = {x} below phi(N)^kappa = {phin ** kappa:.6g}; "
+            "the two-point bound does not apply")
+    ns, n_prime = _validate_window(n, x, n_prime)
+    terms = (m1 * np.asarray(phi.value(ns), dtype=float),
+             m2 * np.asarray(phi.value(ns + x), dtype=float))
+    m = max(abs(m1), abs(m2))
+    bound = m ** (2.0 / 3.0) * n ** (4.0 / 3.0) * phin ** (-(1.0 + kappa) / 3.0)
+    return ns, terms, bound, dict(N=n, x=x, alpha=None, l=None, m1=m1, m2=m2,
+                                  kappa=kappa, N_prime=n_prime)
+
+
+def _phase_sum(setup: tuple, alpha: float, l: int,
+               weight: np.ndarray | None = None) -> ExpSumResult:
+    """Sum of e^{2 pi i (alpha l n + phi terms)} times the weight over a setup
+    (window ns, phi terms, cap, params with alpha and l unset).  The phi terms
+    are added one by one: pre-adding them would change the last bits.
+    """
+    if l < 1:
+        raise ValidationError(f"linear multiplier l = {l} must be >= 1")
+    ns, terms, bound, params = setup
+    phase = alpha * l * ns
+    for t in terms:
+        phase += t
+    z = np.exp(2j * np.pi * phase)
+    actual = complex(chunked_sum(z if weight is None else z * weight))
+    return ExpSumResult(actual, abs(actual), bound, abs(actual) / bound,
+                        dict(params, alpha=alpha, l=l))
 
 
 def single_phase_sum(phi: InverseFunction, n: int, x: int, alpha: float,
@@ -133,20 +183,7 @@ def single_phase_sum(phi: InverseFunction, n: int, x: int, alpha: float,
     estimate applied to the phase, whose curvature is controlled by the
     product identity for y^2 phi''(y).
     """
-    if m == 0:
-        raise ValidationError("phase multiplier m must be nonzero")
-    if p not in (0, 1) or q not in (0, 1):
-        raise ValidationError("shift selectors p, q must lie in {0, 1}")
-    if l < 1:
-        raise ValidationError(f"linear multiplier l = {l} must be >= 1")
-    ns, n_prime = _validate_window(n, x, n_prime)
-    args = ns + p * x + q
-    phase = alpha * l * ns + m * np.asarray(phi.value(args), dtype=float)
-    actual = complex(chunked_sum(np.exp(2j * np.pi * phase)))
-    bound = math.sqrt(abs(m)) * n / math.sqrt(float(phi.value(float(n))))
-    return ExpSumResult(actual, abs(actual), bound, abs(actual) / bound,
-                        dict(N=n, x=x, alpha=alpha, l=l, m=m, p=p, q=q,
-                             N_prime=n_prime))
+    return _phase_sum(_single_setup(phi, n, x, m, p, q, n_prime), alpha, l)
 
 
 def two_phase_sum(phi: InverseFunction, n: int, x: int, alpha: float, l: int,
@@ -157,27 +194,7 @@ def two_phase_sum(phi: InverseFunction, n: int, x: int, alpha: float, l: int,
     Requires the separation x >= phi(N)^kappa; the cap is
     m^(2/3) N^(4/3) phi(N)^(-(1+kappa)/3) with m = max(|m1|, |m2|).
     """
-    if m1 == 0 or m2 == 0:
-        raise ValidationError("phase multipliers m1, m2 must be nonzero")
-    if not (0.0 <= kappa <= 1.0):
-        raise ValidationError(f"kappa = {kappa} outside [0, 1]")
-    if l < 1:
-        raise ValidationError(f"linear multiplier l = {l} must be >= 1")
-    phin = float(phi.value(float(n)))
-    if x < phin ** kappa:
-        raise PreconditionError(
-            f"separation x = {x} below phi(N)^kappa = {phin ** kappa:.6g}; "
-            "the two-point bound does not apply")
-    ns, n_prime = _validate_window(n, x, n_prime)
-    phase = (alpha * l * ns
-             + m1 * np.asarray(phi.value(ns), dtype=float)
-             + m2 * np.asarray(phi.value(ns + x), dtype=float))
-    actual = complex(chunked_sum(np.exp(2j * np.pi * phase)))
-    m = max(abs(m1), abs(m2))
-    bound = m ** (2.0 / 3.0) * n ** (4.0 / 3.0) * phin ** (-(1.0 + kappa) / 3.0)
-    return ExpSumResult(actual, abs(actual), bound, abs(actual) / bound,
-                        dict(N=n, x=x, alpha=alpha, l=l, m1=m1, m2=m2,
-                             kappa=kappa, N_prime=n_prime))
+    return _phase_sum(_two_setup(phi, n, x, m1, m2, kappa, n_prime), alpha, l)
 
 
 def weighted_sum_bound_check(phi: InverseFunction, n: int, x: int, alpha: float,
@@ -185,35 +202,22 @@ def weighted_sum_bound_check(phi: InverseFunction, n: int, x: int, alpha: float,
                              mode: str, m: int = 1, m1: int = 1, m2: int = 1,
                              kappa: float = 1.0, p: int = 0, q: int = 0,
                              n_prime: float | None = None) -> ExpSumResult:
-    """Phase sum carrying an arithmetic weight, with the summed-by-parts cap.
-
-    The cap multiplies the unweighted bound by sup|F| + N sup|F(n+1) - F(n)|,
-    both taken over the realized range.
+    """Phase sum of ``single_phase_sum`` or ``two_phase_sum`` carrying an
+    arithmetic weight F, built and summed once, with the summed-by-parts cap:
+    their cap times sup|F| + N sup|F(n+1) - F(n)| over the realized range.
     """
     if mode not in ("single", "two"):
         raise ValidationError(f"mode {mode!r} not in {{single, two}}")
-    if mode == "single":
-        base = single_phase_sum(phi, n, x, alpha, l, m, p, q, n_prime)
-    else:
-        base = two_phase_sum(phi, n, x, alpha, l, m1, m2, kappa, n_prime)
-    n1, _ = _window(n, x)
-    ns = _range_points(n1, base.params["N_prime"])
+    s = (_single_setup(phi, n, x, m, p, q, n_prime) if mode == "single"
+         else _two_setup(phi, n, x, m1, m2, kappa, n_prime))
+    ns, terms, bound, params = s
     f_here = np.asarray(weight(ns), dtype=float)
     f_next = np.asarray(weight(ns + 1.0), dtype=float)
     sup_f = float(np.max(np.abs(f_here)))
     sup_df = float(np.max(np.abs(f_next - f_here)))
-    if mode == "single":
-        args = ns + p * x + q
-        phase = alpha * l * ns + m * np.asarray(phi.value(args), dtype=float)
-    else:
-        phase = (alpha * l * ns
-                 + m1 * np.asarray(phi.value(ns), dtype=float)
-                 + m2 * np.asarray(phi.value(ns + x), dtype=float))
-    actual = complex(chunked_sum(np.exp(2j * np.pi * phase) * f_here))
-    bound = base.bound * (sup_f + n * sup_df)
-    params = dict(base.params)
-    params.update(mode=mode, sup_weight=sup_f, sup_weight_diff=sup_df)
-    return ExpSumResult(actual, abs(actual), bound, abs(actual) / bound, params)
+    r = _phase_sum((ns, terms, bound * (sup_f + n * sup_df), params), alpha, l, f_here)
+    r.params.update(mode=mode, sup_weight=sup_f, sup_weight_diff=sup_df)
+    return r
 
 
 def min_norm_sum(phi: InverseFunction, n: int, x: int, m_terms: int,
@@ -230,7 +234,7 @@ def min_norm_sum(phi: InverseFunction, n: int, x: int, m_terms: int,
     n1, n2 = _window(n, x)
     if n1 >= n2:
         return 0.0, _min_norm_bound(phi, n, m_terms)
-    ns = _range_points(n1, n2)
+    ns, _ = _validate_window(n, x, None)
     vals = np.asarray(phi.value(ns + p * x + q), dtype=float)
     norms = dist_to_nearest_int(vals)
     with np.errstate(divide="ignore"):
@@ -273,29 +277,24 @@ def ratio_sweep(phi: InverseFunction, mode: str, m: int, k_lo: int, k_hi: int,
                 kappa: float = 1.0) -> list[ExpSumResult]:
     """Worst-ratio-per-scale sweep for the phase-sum bounds.
 
-    For each dyadic N = 2^k the ratio is maximized over a fixed probe set of
-    linear coefficients alpha (zero, the slope-cancelling value, 1/4, and the
-    golden ratio); the returned per-scale results are what trend-boundedness
-    assertions run on.
+    For each dyadic N = 2^k the phase of ``single_phase_sum`` (x = 0) or
+    ``two_phase_sum`` (x = ceil(phi(N)^kappa)) is built once, and the ratio is
+    maximized over a fixed probe set of linear coefficients alpha (zero, the
+    slope-cancelling value, 1/4, and the golden ratio); the returned per-scale
+    results are what trend-boundedness assertions run on.
     """
     if mode not in ("single", "two"):
         raise ValidationError(f"mode {mode!r} not in {{single, two}}")
     out = []
     for k in range(k_lo, k_hi + 1):
         n = 1 << k
-        best: ExpSumResult | None = None
         if mode == "single":
-            probes = _alpha_probes(phi, n, m)
-            for al in probes:
-                r = single_phase_sum(phi, n, 0, al, 1, m, 0, 0)
-                if best is None or r.ratio > best.ratio:
-                    best = r
+            s, slope = _single_setup(phi, n, 0, m, 0, 0, None), m
         else:
-            x = int(math.ceil(float(phi.value(float(n))) ** kappa))
-            probes = _alpha_probes(phi, n, 2 * m)
-            for al in probes:
-                r = two_phase_sum(phi, n, x, al, 1, m, m, kappa)
-                if best is None or r.ratio > best.ratio:
-                    best = r
-        out.append(best)
+            phin = float(phi.value(float(n)))
+            x = int(math.ceil(phin ** kappa))
+            s, slope = _two_setup(phi, n, x, m, m, kappa, None, phin), 2 * m
+        # max keeps the first of equal ratios, as a strict > scan does
+        out.append(max((_phase_sum(s, al, 1) for al in _alpha_probes(phi, n, slope)),
+                       key=lambda r: r.ratio))
     return out

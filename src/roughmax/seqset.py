@@ -1,9 +1,10 @@
 """The integer set {floor(h(m)) : m integer} with dual membership tests.
 
 Floors are never trusted to plain float arithmetic.  Enumeration settles any
-h(m) within 32 ulps of an integer, and the inverse test any phi(p) within
-max(10 * INVERSE_TOL * |phi(p)|, 8 ulp) of one, by a high-precision sign test
-of h(r) - y at the nearest integer r; neither path has a second stage.
+h(m) within its error bound, 4 (1 + |c log m| + |lam(m)|) ulps, of an integer,
+and the inverse test any phi(p) within max(10 * INVERSE_TOL * |phi(p)|, 8 ulp)
+of one, by a high-precision sign test of h(r) - y at the nearest integer r;
+neither path has a second stage.
 """
 
 from __future__ import annotations
@@ -125,15 +126,57 @@ def _member(elements: np.ndarray, p):
     return elements[i] == p
 
 
+def _floors(g: GrowthFunction, m: np.ndarray) -> np.ndarray:
+    """floor(h(m)) for each integer m, with the floor decided, never guessed.
+
+    The float h(m) = C_h exp(c log m + lam(m)) takes these rounding steps,
+    each within u = 2^-53 of its result: log m and the scale by c (2u |c log m|
+    together), lam(m) (a coefficient times powers of iterated logs, within
+    u (1 + 3 |lam|)), the add (u (|c log m| + |lam|)), then exp, which turns
+    that absolute error into a relative one and adds u, and the scale by C_h
+    (u).  The relative error of h(m) is thus below
+    u (3 + 3 |c log m| + 4 |lam|) <= K u (1 + |c log m| + |lam|) with K = 4,
+    and u |h| < spacing(h).  So a float h(m) farther than K (1 + |c log m| +
+    |lam(m)|) ulps from every integer has the exact floor, and one within that
+    band is settled by the high-precision sign test of h(m) against the
+    nearest integer.
+    """
+    mf = m.astype(float)
+    v = np.asarray(g.value(mf), dtype=float)
+    if not np.all(np.isfinite(v)) or v.max() >= float(1 << 62):
+        raise SequenceOverflowError("h(m) exceeds the 64-bit integer range")
+    if g.variant.value == "pure" and g.c == 1.0 and g.c_h == 1.0:
+        return m.copy()
+    floors = np.floor(v).astype(np.int64)
+    r = np.rint(v)
+    dist, ulp = np.abs(v - r), np.spacing(v)
+    # lam = log(h/C_h) - c log m puts the band below K (1 + 2 |c| log m +
+    # |log(h/C_h)|), whose maximum over all m is one scalar; only the values
+    # inside that wider band pay for the per-m logs
+    t_max = np.abs(np.log(np.array([v.min(), v.max()]) / g.c_h)).max()
+    wide = 4.0 * (1.0 + 2.0 * abs(g.c) * math.log(m.max()) + t_max)
+    cand = np.nonzero(dist <= wide * ulp)[0]
+    c_log_m = g.c * np.log(mf[cand])
+    lam = np.log(v[cand] / g.c_h) - c_log_m
+    band = 4.0 * (1.0 + np.abs(c_log_m) + np.abs(lam)) * ulp[cand]
+    for j in cand[dist[cand] <= band]:
+        ri = int(r[j])
+        s = _sign_at_integer(g, int(m[j]), ri)
+        # h(m) >= ri exactly when s >= 0, so the floor is ri; else ri - 1
+        floors[j] = ri if s >= 0 else ri - 1
+    return floors
+
+
 def generate(g: GrowthFunction, n_max: int) -> SequenceSet:
     """Enumerate {floor(h(m))} ∩ [1, n_max] with exact floors near integers.
 
     Time and memory scale with the number of enumerated m, about phi(n_max),
     not with n_max: the peak is ~56 B per m.  A ValidationError refuses, before
     any array is built, an n_max above N_MAX_CAP = 2^40 (from 2^53 on a float
-    h(m) can lie several integers from its floor, past what the 32-ulp band
-    settles) and a set needing more than M_COUNT_CAP = 2^26 values of m (the
-    identity needs exactly n_max).
+    h(m) can lie several integers from its floor, and the error band of
+    ``_floors`` only chooses between the nearest integer and the one below)
+    and a set needing more than M_COUNT_CAP = 2^26 values of m (the identity
+    needs exactly n_max).  Floors come from ``_floors``.
     """
     n_max = int(n_max)
     if n_max > N_MAX_CAP:
@@ -154,22 +197,7 @@ def generate(g: GrowthFunction, n_max: int) -> SequenceSet:
             f"n_max = {n_max} needs {m_end - 2 - m_start} values of m, "
             "above the 2^26 cap")
 
-    m = np.arange(m_start, m_end + 1, dtype=np.int64)
-    v = np.asarray(g.value(m.astype(float)), dtype=float)
-    if not np.all(np.isfinite(v)) or v.max() >= float(1 << 62):
-        raise SequenceOverflowError("h(m) exceeds the 64-bit integer range")
-
-    if g.variant.value == "pure" and g.c == 1.0 and g.c_h == 1.0:
-        floors = m.copy()
-    else:
-        floors = np.floor(v).astype(np.int64)
-        r = np.rint(v)
-        near = np.abs(v - r) <= 32.0 * np.spacing(np.abs(v))
-        for j in np.nonzero(near)[0]:
-            ri = int(r[j])
-            s = _sign_at_integer(g, int(m[j]), ri)
-            # h(m) >= ri exactly when s >= 0, so the floor is ri; else ri - 1
-            floors[j] = ri if s >= 0 else ri - 1
+    floors = _floors(g, np.arange(m_start, m_end + 1, dtype=np.int64))
 
     # the sort is linear on the nondecreasing floors of an increasing h, and
     # keeps the dedup right where a float floor breaks that order

@@ -1,6 +1,7 @@
 """Command-line behavior: grammar, outputs, determinism, exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -78,6 +79,26 @@ def test_byte_identical_reruns_and_worker_independence(tmp_path):
         assert code == 0
         outs.append(p.read_bytes())
     assert outs[0] == outs[1] == outs[2]
+
+
+# the three expsum tables of the benchmark's phase workload and the reference
+# tables it checks them against, kept under perfbench/reference
+REFERENCE_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
+PHASE_TABLES = {
+    "expsum-single": ("--h", "pure:1.05:1.0", "--bound", "single",
+                      "--kmin", "12", "--kmax", "18", "--params", "m=2"),
+    "expsum-two": ("--h", "powerlog:1.05:1.0:1.0", "--bound", "two",
+                   "--kmin", "12", "--kmax", "16", "--params", "m=2,kappa=1.0"),
+    "expsum-minnorm": ("--h", "pure:1.05:1.0", "--bound", "minnorm",
+                       "--kmin", "12", "--kmax", "18"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(PHASE_TABLES))
+def test_phase_tables_match_the_reference_bytes(tmp_path, label):
+    out = tmp_path / f"{label}.csv"
+    assert run_cli("expsum", *PHASE_TABLES[label], "--out", str(out)) == 0
+    assert out.read_bytes() == (REFERENCE_DIR / f"{label}.csv").read_bytes()
 
 
 def test_config_round_trip_from_emitted_meta(tmp_path):

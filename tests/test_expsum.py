@@ -22,6 +22,8 @@ from roughmax import (
     two_phase_sum,
     weighted_sum_bound_check,
 )
+from roughmax.expsum import _alpha_probes
+from roughmax.growth import InverseFunction
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +202,8 @@ def test_weighted_unit_weight_reduces(phi105):
     base = single_phase_sum(phi105, n, 0, 0.2, 1, 1, 0, 0)
     w = weighted_sum_bound_check(phi105, n, 0, 0.2, 1, lambda t: np.ones_like(t),
                                  "single", m=1)
-    assert w.actual == pytest.approx(base.actual, abs=1e-9)
-    assert w.bound == pytest.approx(base.bound, rel=1e-12)
+    assert w.actual == base.actual
+    assert w.bound == base.bound
 
 
 def test_weighted_linear_weight_bound(phi105):
@@ -270,3 +272,50 @@ def test_ratio_sweep_smoke(phi105):
 def test_ratio_sweep_validation(phi105):
     with pytest.raises(ValidationError):
         ratio_sweep(phi105, "triple", 1, 10, 12)
+
+
+@pytest.mark.parametrize("mode", ["single", "two"])
+@pytest.mark.parametrize("m", [1, 2])
+def test_ratio_sweep_is_the_best_phase_sum_per_scale(phi105, mode, m):
+    res = ratio_sweep(phi105, mode, m, 10, 12)
+    assert [r.params["N"] for r in res] == [1 << 10, 1 << 11, 1 << 12]
+    for r in res:
+        n = r.params["N"]
+        if mode == "single":
+            sums = [single_phase_sum(phi105, n, 0, al, 1, m, 0, 0)
+                    for al in _alpha_probes(phi105, n, m)]
+        else:
+            x = int(math.ceil(float(phi105.value(float(n)))))
+            sums = [two_phase_sum(phi105, n, x, al, 1, m, m, 1.0)
+                    for al in _alpha_probes(phi105, n, 2 * m)]
+        best = sums[0]
+        for s in sums[1:]:
+            if s.ratio > best.ratio:
+                best = s
+        assert (r.actual, r.bound, r.ratio) == (best.actual, best.bound, best.ratio)
+        assert r.params == best.params
+
+
+def test_each_window_is_inverted_once(phi105, monkeypatch):
+    n = 1 << 12
+    x = int(math.ceil(float(phi105.value(float(n)))))
+    single_window = 4 * n - n // 2          # the integers of (N/2, 4N]
+    two_window = 4 * n - x - n // 2         # the integers of (N/2, 4N - x]
+    sizes = []
+    value = InverseFunction.value
+
+    def counting(self, y):
+        sizes.append(np.size(y))
+        return value(self, y)
+
+    monkeypatch.setattr(InverseFunction, "value", counting)
+    # beyond the window only O(1) scalars: phi(N) and the resonant probe
+    ratio_sweep(phi105, "single", 1, 12, 12)
+    assert single_window <= sum(sizes) <= single_window + 4
+    sizes.clear()
+    ratio_sweep(phi105, "two", 1, 12, 12)
+    assert 2 * two_window <= sum(sizes) <= 2 * two_window + 4
+    sizes.clear()
+    weighted_sum_bound_check(phi105, n, 0, 0.2, 1, lambda t: np.ones_like(t),
+                             "single", m=1)
+    assert single_window <= sum(sizes) <= single_window + 4

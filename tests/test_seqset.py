@@ -217,7 +217,8 @@ def test_inverse_floor_matches_integer_oracle(phi15):
 
 # (m, floor of h(m) by 60-digit arithmetic, floor of the float h(m)) for
 # powerexplog:1.05:1.0:1.0:0.5: each float h(m) lies 35-38 ulps from an
-# integer, on the wrong side of it and outside enumeration's 32-ulp band
+# integer, on the wrong side of it; its error is 37.3-38.5 ulps, within the
+# enumeration band 4 (1 + |c log m| + |lam(m)|) ~ 95 ulps
 EXPLOG_FLOORS = [
     (46216980, 7456523190, 7456523189),
     (46909845, 7587363853, 7587363854),
@@ -235,6 +236,15 @@ def test_inverse_test_pins_the_explog_floors():
         assert contains_via_inverse(phi, e) is True
         assert contains_via_inverse(phi, w) is False
         assert floor_neg_phi(phi, e) == -m
+
+
+def test_enumeration_floors_pin_the_explog_floors():
+    g = make_growth("powerexplog", 1.05, 1.0, a=1.0, b=0.5)
+    m = np.array([m for m, _, _ in EXPLOG_FLOORS], dtype=np.int64)
+    exact = [e for _, e, _ in EXPLOG_FLOORS]
+    wrong = [w for _, _, w in EXPLOG_FLOORS]
+    assert np.floor(g.value(m.astype(float))).astype(np.int64).tolist() == wrong
+    assert seqset._floors(g, m).tolist() == exact
 
 
 def test_batch_equivalence_with_scalar(phi15, s15_1m):
