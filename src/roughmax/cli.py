@@ -178,10 +178,11 @@ def _cmd_growth_table(args) -> int:
     rows = []
     for y in ys:
         u = float(phi.value(y))
-        row = [y, u] + [float(phi.theta(y, i)) for i in (1, 2, 3)] \
+        row = [y, u] + [float(phi.correction(u, f"theta{i}")) for i in (1, 2, 3)] \
             + [float(g.vartheta(u, i)) for i in (1, 2, 3)]
         if g.c == 1.0:
-            row += [float(phi.sigma(y)), float(phi.tau(y)), float(g.varrho(u))]
+            row += [float(phi.correction(u, "sigma")), float(phi.correction(u, "tau")),
+                    float(g.varrho(u))]
         rows.append(row)
     write_table(args.out, _meta(args, "growth-table", kmin=args.kmin,
                                 kmax=args.kmax), columns, rows, args.format)

@@ -148,8 +148,12 @@ def _two_setup(phi: InverseFunction, n: int, x: int, m1: int, m2: int, kappa: fl
             f"separation x = {x} below phi(N)^kappa = {phin ** kappa:.6g}; "
             "the two-point bound does not apply")
     ns, n_prime = _validate_window(n, x, n_prime)
-    terms = (m1 * np.asarray(phi.value(ns), dtype=float),
-             m2 * np.asarray(phi.value(ns + x), dtype=float))
+    if not float(x).is_integer():
+        raise ValidationError(f"separation x = {x} must be an integer")
+    # ns and ns + x share all but x points: invert their union once
+    x, k = int(x), ns.size
+    u = np.asarray(phi.value(np.arange(ns[0], ns[-1] + x + 1)), dtype=float)
+    terms = (m1 * u[:k], m2 * u[x:x + k])
     m = max(abs(m1), abs(m2))
     bound = m ** (2.0 / 3.0) * n ** (4.0 / 3.0) * phin ** (-(1.0 + kappa) / 3.0)
     return ns, terms, bound, dict(N=n, x=x, alpha=None, l=None, m1=m1, m2=m2,

@@ -37,6 +37,7 @@ from .errors import (
     SingularityError,
     ValidationError,
 )
+from .util import CHUNK
 
 FloatLike = float | np.ndarray
 
@@ -399,8 +400,12 @@ class InverseFunction:
     """Numeric inverse phi of a growth function, phi(h(x)) = x.
 
     Inversion is a safeguarded Newton iteration inside a doubling-expanded
-    bracket, seeded at (y / C_h)^gamma; for the pure power the seed is already
-    exact.  Immutable and concurrency-safe like its source.
+    bracket, seeded at (y / C_h)^gamma.  Arrays are solved in blocks of
+    ``util.CHUNK`` points; in each block h is evaluated once at the seed, and
+    only the points whose seed fails the residual test go on to the bracket
+    and Newton steps, which touch only the points not yet converged.  For the
+    pure power the seed is already exact, so one h evaluation per point is
+    the whole cost.  Immutable and concurrency-safe like its source.
     """
 
     source: GrowthFunction
@@ -419,48 +424,68 @@ class InverseFunction:
         return y
 
     def value(self, y) -> FloatLike:
-        """phi(y): the x >= x0 with |h(x) - y| <= INVERSE_TOL * y."""
+        """phi(y): the x >= x0 with |h(x) - y| <= INVERSE_TOL * y.
+
+        Each point follows its own Newton path, so a point's bits do not
+        depend on the array it came in, its position or its block.
+        """
         y = self._check_domain(y)
-        scalar = y.ndim == 0
-        y = np.atleast_1d(y)
+        flat = y.ravel()
+        x = np.empty_like(flat)
+        for i in range(0, flat.size, CHUNK):
+            x[i:i + CHUNK] = self._solve(flat[i:i + CHUNK])
+        return float(x[0]) if y.ndim == 0 else x.reshape(y.shape)
+
+    def _solve(self, y: np.ndarray) -> np.ndarray:
+        """phi on one block: the seed where it passes, Newton elsewhere."""
         g = self.source
         x0 = g.x0
-
         x = np.maximum((y / g.c_h) ** self.gamma, x0)
-        lo = np.full_like(y, x0)
-        hi = np.maximum(x, x0)
-        # expand hi until h(hi) >= y everywhere
+        hx = g.value(x)
+        fx = hx - y
+        pos = np.flatnonzero(~(np.abs(fx) <= INVERSE_TOL * y))
+        if pos.size == 0:
+            return x
+        # the rest start from a bracket [x0, hi] with h(hi) >= y, hi from the
+        # seed by doubling, and take Newton steps from the seed, whose
+        # residual is already known
+        ya, xa, fa = y[pos], x[pos], fx[pos]
+        lo = np.full_like(ya, x0)
+        hi = xa.copy()
+        below = hx[pos] < ya
         for _ in range(200):
-            mask = g.value(hi) < y
-            if not mask.any():
+            j = np.flatnonzero(below)
+            if j.size == 0:
                 break
-            hi = np.where(mask, hi * 2.0, hi)
+            hi[j] *= 2.0
+            below[j] = g.value(hi[j]) < ya[j]
         else:
-            raise ConvergenceError("bracket expansion failed", bracket=(lo, hi))
+            raise ConvergenceError("bracket expansion failed",
+                                   bracket=(float(lo.min()), float(hi[below].max())))
 
-        x = np.clip(x, lo, hi)
-        done = np.zeros(y.shape, dtype=bool)
-        for _ in range(INVERSE_MAX_ITER):
-            fx = g.value(x) - y
+        for it in range(INVERSE_MAX_ITER):
+            if it:
+                fa = g.value(xa) - ya
             # a bracket collapsed to adjacent floats is the correctly rounded
             # root; stop there even if the residual test still fails
-            done = (np.abs(fx) <= INVERSE_TOL * y) | (hi - lo <= 4.0 * np.spacing(hi))
-            if done.all():
-                break
-            above = fx > 0
-            hi = np.where(above & ~done, x, hi)
-            lo = np.where(~above & ~done, x, lo)
-            step = fx / g.deriv(x, 1)
-            xn = x - step
+            done = (np.abs(fa) <= INVERSE_TOL * ya) | (hi - lo <= 4.0 * np.spacing(hi))
+            if done.any():
+                x[pos[done]] = xa[done]
+                keep = ~done
+                pos, ya, xa, fa, lo, hi = (a[keep] for a in (pos, ya, xa, fa, lo, hi))
+                if pos.size == 0:
+                    break
+            above = fa > 0
+            hi = np.where(above, xa, hi)
+            lo = np.where(above, lo, xa)
+            xn = xa - fa / g.deriv(xa, 1)
             bad = ~np.isfinite(xn) | (xn <= lo) | (xn >= hi)
-            xn = np.where(bad, 0.5 * (lo + hi), xn)
-            x = np.where(done, x, xn)
+            xa = np.where(bad, 0.5 * (lo + hi), xn)
         else:
             raise ConvergenceError(
                 f"inversion did not converge in {INVERSE_MAX_ITER} iterations",
-                bracket=(float(lo[~done].min()), float(hi[~done].max())))
-        x = np.maximum(x, x0)
-        return float(x[0]) if scalar else x
+                bracket=(float(lo.min()), float(hi.max())))
+        return x
 
     __call__ = value
 
@@ -477,63 +502,65 @@ class InverseFunction:
         return float(out) if np.asarray(out).ndim == 0 else out
 
     def theta(self, y, i: int) -> FloatLike:
-        """theta_i(y) in the identity y phi^(i) = phi^(i-1) (beta_i + theta_i).
-
-        Evaluated through the closed forms in the source correction: with
-        u = phi(y) and d = c + vartheta(u),
-
-            theta_1 = 1/d - gamma
-            theta_2 = 1/d - gamma - vartheta'(u) u / d^2
-            theta_3 = theta_2 - (vartheta'' u^2 + 2 vartheta' u) / (d^2 - d^3 - vartheta' u d)
-                              + 2 vartheta'^2 u^2 / (d^3 - d^4 - vartheta' u d^2)
-        """
+        """theta_i(y) in the identity y phi^(i) = phi^(i-1) (beta_i + theta_i)."""
         if i not in (1, 2, 3):
             raise ValidationError(f"theta level {i} not in 1..3")
-        y = self._check_domain(y)
-        u = np.asarray(self.value(y), dtype=float)
-        g = self.source
-        vt = np.asarray(g.vartheta_raw(u, 0), dtype=float)
-        d = g.c + vt
-        GrowthFunction._guard(d, "c + vartheta(phi)")
-        if i == 1:
-            out = 1.0 / d - self.gamma
-        else:
-            vtp = np.asarray(g.vartheta_raw(u, 1), dtype=float)
-            th2 = 1.0 / d - self.gamma - vtp * u / d ** 2
-            if i == 2:
-                out = th2
-            else:
-                vtpp = np.asarray(g.vartheta_raw(u, 2), dtype=float)
-                den1 = d ** 2 - d ** 3 - vtp * u * d
-                den2 = d ** 3 - d ** 4 - vtp * u * d ** 2
-                GrowthFunction._guard(den1, "theta_3 denominator")
-                GrowthFunction._guard(den2, "theta_3 denominator")
-                out = th2 - (vtpp * u * u + 2.0 * vtp * u) / den1 \
-                    + 2.0 * vtp * vtp * u * u / den2
-        return float(out) if np.asarray(out).ndim == 0 else out
+        return self.correction(self.value(y), f"theta{i}")
 
     # -- c = 1 regime -----------------------------------------------------------
 
     def sigma(self, y) -> FloatLike:
         """sigma(y) = vartheta(phi(y)); the c = 1 factorization of y phi''."""
-        if self.c != 1.0:
-            raise ValidationError("sigma is defined only for c = 1")
-        u = self.value(y)
-        return self.source.vartheta_raw(u, 0)
+        return self.correction(self.value(y), "sigma")
 
     def tau(self, y) -> FloatLike:
         """tau(y) in y phi''(y) = phi'(y) sigma(y) tau(y) for c = 1."""
-        if self.c != 1.0:
-            raise ValidationError("tau is defined only for c = 1")
-        u = np.asarray(self.value(y), dtype=float)
+        return self.correction(self.value(y), "tau")
+
+    def correction(self, u, name: str) -> FloatLike:
+        """theta1, theta2, theta3, sigma or tau of y, given u = phi(y).
+
+        ``theta``, ``sigma`` and ``tau`` invert y and call this; a caller that
+        needs several of them at one y inverts once and passes u.  Evaluated
+        through the closed forms in the source correction, with
+        d = c + vartheta(u):
+
+            theta_1 = 1/d - gamma
+            theta_2 = 1/d - gamma - vartheta'(u) u / d^2
+            theta_3 = theta_2 - (vartheta'' u^2 + 2 vartheta' u) / (d^2 - d^3 - vartheta' u d)
+                              + 2 vartheta'^2 u^2 / (d^3 - d^4 - vartheta' u d^2)
+            sigma   = vartheta(u)                                   (c = 1 only)
+            tau     = -(1/d + vartheta'(u) u / (vartheta(u) d^2))   (c = 1 only)
+        """
+        if name not in ("theta1", "theta2", "theta3", "sigma", "tau"):
+            raise ValidationError(f"correction {name!r} not theta1..3, sigma or tau")
+        if name in ("sigma", "tau") and self.c != 1.0:
+            raise ValidationError(f"{name} is defined only for c = 1")
+        u = np.asarray(u, dtype=float)
         g = self.source
         vt = np.asarray(g.vartheta_raw(u, 0), dtype=float)
-        vtp = np.asarray(g.vartheta_raw(u, 1), dtype=float)
-        GrowthFunction._guard(vt, "vartheta(phi)")
-        d = 1.0 + vt
-        GrowthFunction._guard(d, "1 + vartheta(phi)")
-        out = -(1.0 / d + vtp * u / (vt * d * d))
-        return float(out) if out.ndim == 0 else out
+        if name == "sigma":
+            return float(vt) if vt.ndim == 0 else vt
+        d = g.c + vt
+        vtp = None if name == "theta1" else np.asarray(g.vartheta_raw(u, 1), dtype=float)
+        if name == "tau":
+            GrowthFunction._guard(vt, "vartheta(phi)")
+            GrowthFunction._guard(d, "1 + vartheta(phi)")
+            out = -(1.0 / d + vtp * u / (vt * d * d))
+        else:
+            GrowthFunction._guard(d, "c + vartheta(phi)")
+            out = 1.0 / d - self.gamma
+            if name != "theta1":
+                out = out - vtp * u / d ** 2
+            if name == "theta3":
+                vtpp = np.asarray(g.vartheta_raw(u, 2), dtype=float)
+                den1 = d ** 2 - d ** 3 - vtp * u * d
+                den2 = d ** 3 - d ** 4 - vtp * u * d ** 2
+                GrowthFunction._guard(den1, "theta_3 denominator")
+                GrowthFunction._guard(den2, "theta_3 denominator")
+                out = out - (vtpp * u * u + 2.0 * vtp * u) / den1 \
+                    + 2.0 * vtp * vtp * u * u / den2
+        return float(out) if np.asarray(out).ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -577,10 +604,11 @@ def build_aux_report(phi: InverseFunction, grid) -> AuxFunctionReport:
     g = phi.source
     u = np.asarray(phi.value(grid), dtype=float)
     vt = tuple(np.asarray(g.vartheta(u, i), dtype=float) for i in (1, 2, 3))
-    th = tuple(np.asarray(phi.theta(grid, i), dtype=float) for i in (1, 2, 3))
+    th = tuple(np.asarray(phi.correction(u, f"theta{i}"), dtype=float)
+               for i in (1, 2, 3))
     if g.c == 1.0:
-        sig = np.asarray(phi.sigma(grid), dtype=float)
-        tau = np.asarray(phi.tau(grid), dtype=float)
+        sig = np.asarray(phi.correction(u, "sigma"), dtype=float)
+        tau = np.asarray(phi.correction(u, "tau"), dtype=float)
         rho = np.asarray(g.varrho(u), dtype=float)
     else:
         sig = np.empty(0)

@@ -129,17 +129,26 @@ def _member(elements: np.ndarray, p):
 def _floors(g: GrowthFunction, m: np.ndarray) -> np.ndarray:
     """floor(h(m)) for each integer m, with the floor decided, never guessed.
 
-    The float h(m) = C_h exp(c log m + lam(m)) takes these rounding steps,
-    each within u = 2^-53 of its result: log m and the scale by c (2u |c log m|
-    together), lam(m) (a coefficient times powers of iterated logs, within
-    u (1 + 3 |lam|)), the add (u (|c log m| + |lam|)), then exp, which turns
-    that absolute error into a relative one and adds u, and the scale by C_h
-    (u).  The relative error of h(m) is thus below
-    u (3 + 3 |c log m| + 4 |lam|) <= K u (1 + |c log m| + |lam|) with K = 4,
-    and u |h| < spacing(h).  So a float h(m) farther than K (1 + |c log m| +
-    |lam(m)|) ulps from every integer has the exact floor, and one within that
-    band is settled by the high-precision sign test of h(m) against the
-    nearest integer.
+    The float h(m) = C_h exp(c log m + lam(m)) takes these rounding steps.
+    Each product and sum lands within u = 2^-53 of its result, and each libm
+    log, exp and pow within e u, where e is twice its worst error in ulps:
+    e = 1 if correctly rounded, but numpy's reach 0.60, 0.70 and 0.69 ulp
+    (e_log = 1.2, e_exp = 1.4, e_pow = 1.4; ``tests/test_seqset.py::
+    test_libm_error_fits_the_floor_band`` measures them on the running
+    machine).  log m and the scale by c put (e_log + 1) u |c log m| into the
+    exponent; lam(m) puts in u (alpha + beta |lam|), with (alpha, beta) =
+    (|a| e_log, e_log + 1) for powerlog, (0, b e_log + e_pow + 1) for
+    powerexplog and (k e_log, e_log) for k nested logs (iterated logs are
+    >= 1 on the domain); the add puts in u (|c log m| + |lam|).  exp turns
+    that absolute error into a relative one and adds e_exp u, and the scale
+    by C_h adds u.  The relative error of h(m) is thus below
+    u ((1 + e_exp + alpha) + (e_log + 2) |c log m| + (beta + 1) |lam|), at
+    most 3.75 u (1 + |c log m| + |lam|) for the measured e on the growths of
+    the test, so below K u (1 + |c log m| + |lam|) with K = 4; and u |h| <
+    spacing(h).  So a float h(m) farther than K (1 + |c log m| + |lam(m)|)
+    ulps from every integer has the exact floor, and one within that band is
+    settled by the high-precision sign test of h(m) against the nearest
+    integer.
     """
     mf = m.astype(float)
     v = np.asarray(g.value(mf), dtype=float)

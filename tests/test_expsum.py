@@ -22,7 +22,7 @@ from roughmax import (
     two_phase_sum,
     weighted_sum_bound_check,
 )
-from roughmax.expsum import _alpha_probes
+from roughmax.expsum import _alpha_probes, _two_setup
 from roughmax.growth import InverseFunction
 
 
@@ -176,6 +176,16 @@ def test_two_phase_precondition(phi105):
         two_phase_sum(phi105, n, 1, 0.0, 1, 1, 1, 1.0)
 
 
+def test_two_phase_terms_are_slices_of_one_inversion(philog):
+    n = 1 << 12
+    x = int(math.ceil(float(philog.value(float(n)))))
+    ns, (t1, t2), _, _ = _two_setup(philog, n, x, 2, -3, 1.0, None)
+    assert np.array_equal(t1, 2 * philog.value(ns))
+    assert np.array_equal(t2, -3 * philog.value(ns + x))
+    with pytest.raises(ValidationError, match="must be an integer"):
+        two_phase_sum(philog, n, x + 0.5, 0.0, 1, 1, 1, 1.0)
+
+
 def test_two_phase_kappa_bound_factor(phi105):
     n = 1 << 12
     phin = float(phi105.value(float(n)))
@@ -298,9 +308,7 @@ def test_ratio_sweep_is_the_best_phase_sum_per_scale(phi105, mode, m):
 
 def test_each_window_is_inverted_once(phi105, monkeypatch):
     n = 1 << 12
-    x = int(math.ceil(float(phi105.value(float(n)))))
     single_window = 4 * n - n // 2          # the integers of (N/2, 4N]
-    two_window = 4 * n - x - n // 2         # the integers of (N/2, 4N - x]
     sizes = []
     value = InverseFunction.value
 
@@ -313,8 +321,10 @@ def test_each_window_is_inverted_once(phi105, monkeypatch):
     ratio_sweep(phi105, "single", 1, 12, 12)
     assert single_window <= sum(sizes) <= single_window + 4
     sizes.clear()
+    # the two-point phase reads phi on (N/2, 4N - x] and on that shifted by
+    # x, whose union is the single window, inverted once
     ratio_sweep(phi105, "two", 1, 12, 12)
-    assert 2 * two_window <= sum(sizes) <= 2 * two_window + 4
+    assert single_window <= sum(sizes) <= single_window + 4
     sizes.clear()
     weighted_sum_bound_check(phi105, n, 0, 0.2, 1, lambda t: np.ones_like(t),
                              "single", m=1)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from roughmax import (
+    ConvergenceError,
     DomainError,
     SingularityError,
     ValidationError,
@@ -19,6 +20,9 @@ from roughmax import (
     identity_growth,
     make_growth,
 )
+from roughmax import growth
+from roughmax.growth import INVERSE_MAX_ITER, INVERSE_TOL, GrowthFunction
+from roughmax.util import CHUNK
 
 
 def bisect_inverse(g, y, tol=1e-14, lo=None, hi=None):
@@ -40,6 +44,34 @@ def bisect_inverse(g, y, tol=1e-14, lo=None, hi=None):
 
 def central_diff(fn, x, h):
     return (fn(x + h) - fn(x - h)) / (2.0 * h)
+
+
+def whole_array_inverse(phi, y):
+    """Reference inverse: the same Newton path per point, but every bracket
+    and Newton step evaluated on the whole array, done points included."""
+    g = phi.source
+    x0 = g.x0
+    x = np.maximum((y / g.c_h) ** phi.gamma, x0)
+    lo = np.full_like(y, x0)
+    hi = np.maximum(x, x0)
+    while True:
+        mask = g.value(hi) < y
+        if not mask.any():
+            break
+        hi = np.where(mask, hi * 2.0, hi)
+    x = np.clip(x, lo, hi)
+    for _ in range(INVERSE_MAX_ITER):
+        fx = g.value(x) - y
+        done = (np.abs(fx) <= INVERSE_TOL * y) | (hi - lo <= 4.0 * np.spacing(hi))
+        if done.all():
+            return np.maximum(x, x0)
+        above = fx > 0
+        hi = np.where(above & ~done, x, hi)
+        lo = np.where(~above & ~done, x, lo)
+        xn = x - fx / g.deriv(x, 1)
+        bad = ~np.isfinite(xn) | (xn <= lo) | (xn >= hi)
+        x = np.where(done, x, np.where(bad, 0.5 * (lo + hi), xn))
+    raise AssertionError("reference inverse did not converge")
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +219,68 @@ def test_roundtrip_tight_over_wide_grid(glog, philog):
     xs = np.asarray(philog.value(ys))
     assert np.max(np.abs(np.asarray(glog.value(xs)) - ys) / ys) <= 1e-10
     assert np.all(np.diff(xs) > 0)
+
+
+INVERSE_SPECS = {
+    "pure": ("pure", 1.5, {}),
+    "powerlog": ("powerlog", 1.02, dict(a=1.0)),
+    "powerexplog": ("powerexplog", 1.05, dict(a=1.0, b=0.5)),
+    "poweriterlog": ("poweriterlog", 1.02, dict(m=2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INVERSE_SPECS))
+def test_blocked_inverse_is_bit_identical_per_point(name):
+    variant, c, kw = INVERSE_SPECS[name]
+    phi = make_growth(variant, c, 1.0, **kw).inverse()
+    # two blocks, from y0 (where the bracket collapses) to 2^40
+    y = np.geomspace(phi.y0, 2.0 ** 40, CHUNK + 37)
+    x = phi.value(y)
+    assert np.array_equal(x.view(np.int64), whole_array_inverse(phi, y).view(np.int64))
+    idx = np.unique(np.r_[0:8, CHUNK - 16:CHUNK + 37, 0:y.size:251])
+    scalar = np.array([phi.value(float(t)) for t in y[idx]])
+    assert np.array_equal(scalar.view(np.int64), x[idx].view(np.int64))
+    assert np.array_equal(phi.value(y.reshape(-1, 1)).ravel().view(np.int64),
+                          x.view(np.int64))
+
+
+def test_pure_inverse_takes_one_h_point_per_y(phi15, monkeypatch):
+    calls = {"value": 0, "deriv": 0}
+    value, deriv = GrowthFunction.value, GrowthFunction.deriv
+
+    def counting_value(self, x):
+        calls["value"] += np.size(x)
+        return value(self, x)
+
+    def counting_deriv(self, x, order):
+        calls["deriv"] += 1
+        return deriv(self, x, order)
+
+    monkeypatch.setattr(GrowthFunction, "value", counting_value)
+    monkeypatch.setattr(GrowthFunction, "deriv", counting_deriv)
+    y = np.geomspace(1.0, 2.0 ** 50, CHUNK + 37)
+    phi15.value(y)
+    phi15.value(1.0)
+    assert calls == {"value": y.size + 1, "deriv": 0}
+
+
+def test_convergence_error_brackets_only_the_unconverged(monkeypatch):
+    # h = x^1.5 / log x: at y0 the seed falls below x0 = e^2, so phi(y0) = x0
+    # passes the residual test at once; at 1e6 h(seed) < y, so one Newton
+    # step leaves that point with lo = seed > x0
+    g = make_growth("powerlog", 1.5, 1.0, a=-1.0)
+    phi = g.inverse()
+    far = 1e6
+    seed = (far / g.c_h) ** phi.gamma
+    assert g.value(seed) < far
+    monkeypatch.setattr(growth, "INVERSE_MAX_ITER", 1)
+    assert phi.value(phi.y0) == g.x0
+    with pytest.raises(ConvergenceError, match="did not converge in 1 iterations") as alone:
+        phi.value(np.array([far]))
+    with pytest.raises(ConvergenceError) as mixed:
+        phi.value(np.array([phi.y0, far, phi.y0]))
+    assert alone.value.bracket[0] == seed
+    assert mixed.value.bracket == alone.value.bracket
 
 
 # ---------------------------------------------------------------------------

@@ -247,6 +247,47 @@ def test_enumeration_floors_pin_the_explog_floors():
     assert seqset._floors(g, m).tolist() == exact
 
 
+def _worst_ulps(got, ref):
+    """Worst distance of float64 results from long-double references, in ulps."""
+    err = np.abs(got.astype(np.longdouble) - ref) / np.spacing(np.abs(got))
+    return float(err.max())
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant <= np.finfo(float).nmant,
+                    reason="long double is no wider than float64 here")
+def test_libm_error_fits_the_floor_band():
+    rng = np.random.default_rng(2013)
+    n = 1_000_000
+    # the arguments _floors meets: exp up to h = 2^62, log of m and of the
+    # iterated logs, pow of log m by an exponent in (0, 1)
+    t = rng.uniform(0.0, 44.0, n)
+    v = np.exp2(rng.uniform(0.0, 62.0, n))
+    lv, b = rng.uniform(1.0, 44.0, n), rng.uniform(0.0, 1.0, n)
+    e_exp = 2.0 * _worst_ulps(np.exp(t), np.exp(t.astype(np.longdouble)))
+    e_log = 2.0 * _worst_ulps(np.log(v), np.log(v.astype(np.longdouble)))
+    e_pow = 2.0 * _worst_ulps(np.power(lv, b), np.power(lv.astype(np.longdouble),
+                                                          b.astype(np.longdouble)))
+    assert max(e_exp, e_log, e_pow) <= 2.0      # each within one ulp
+    specs = [("pure", 1.02, {}), ("pure", 1.5, {}), ("powerlog", 1.02, dict(a=1.0)),
+             ("powerlog", 1.3, dict(a=1.0)), ("poweriterlog", 1.02, dict(m=2)),
+             ("poweriterlog", 1.02, dict(m=3)),
+             ("powerexplog", 1.05, dict(a=1.0, b=0.5)),
+             ("powerexplog", 1.05, dict(a=1.0, b=0.95))]
+    for variant, c, kw in specs:
+        g = make_growth(variant, c, 1.0, **kw)
+        m = np.geomspace(g.x0, 2.0 ** 40, 512)
+        c_log_m = np.abs(g.c * np.log(m))
+        lam = np.abs(np.log(g.value(m) / g.c_h) - g.c * np.log(m))
+        # lam's error u (alpha + beta |lam|) and the K = 4 band, as derived
+        # in the seqset._floors docstring
+        alpha, beta = {"pure": (0.0, 0.0),
+                       "powerlog": (abs(kw.get("a", 0.0)) * e_log, e_log + 1.0),
+                       "powerexplog": (0.0, kw.get("b", 0.0) * e_log + e_pow + 1.0),
+                       "poweriterlog": (kw.get("m", 0) * e_log, e_log)}[variant]
+        err = (1.0 + e_exp + alpha) + (e_log + 2.0) * c_log_m + (beta + 1.0) * lam
+        assert np.all(err <= 4.0 * (1.0 + c_log_m + lam)), (variant, kw)
+
+
 def test_batch_equivalence_with_scalar(phi15, s15_1m):
     ps = np.arange(16, 4000)
     batch = contains_via_inverse_batch(phi15, ps)
