@@ -284,13 +284,26 @@ def _cmd_weaktype(args) -> int:
 
 
 def _read_input_signal(path: str) -> dict:
+    """``x,value`` rows as {x: exact value}; a repeated x sums its values."""
     values: dict = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    for lineno, line in enumerate(lines, 1):
         line = line.strip()
         if not line or line.startswith("#") or line.lower().startswith("x,"):
             continue
-        x_str, v_str = line.split(",", 1)
-        values[int(x_str)] = values.get(int(x_str), 0) + Fraction(v_str)
+        x_str, comma, v_str = line.partition(",")
+        try:
+            if not comma:
+                raise ValueError("no comma")
+            x, v = int(x_str), Fraction(v_str)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValidationError(
+                f"{path}, line {lineno}: {line!r} is not an x,value row ({exc})"
+            ) from None
+        if x in values:
+            values[x] += v
+        else:
+            values[x] = v
     return values
 
 

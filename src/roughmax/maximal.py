@@ -168,7 +168,11 @@ class CZAtom:
 @dataclass(frozen=True)
 class CZDecomposition:
     """Splitting at a height: good part bounded by twice the height, plus
-    atoms on pairwise disjoint dyadic cubes carrying the heavy mass."""
+    atoms on pairwise disjoint dyadic cubes carrying the heavy mass.
+
+    ``good`` lists positions in ascending order.  ``atoms`` come in the order
+    the tree walk selects them: scale descending, then cube index ascending.
+    """
 
     height: object
     good: dict
@@ -205,6 +209,17 @@ def cz_decompose(f, height) -> CZDecomposition:
     the height are selected.  Atoms keep the raw restriction of f (no mean is
     subtracted); the good part is f off the selected cubes.  Selected-cube
     averages lie in (height, 2 * height], the usual dyadic factor.
+
+    The tree is walked one dyadic level at a time, from the root scale down
+    to scale 0.  At each level one search over the sorted positions splits
+    every surviving cube at its midpoint, the children's sums are differences
+    of prefix sums, and one comparison with height * 2^scale picks the
+    children that become atoms; the others descend.  When the height and
+    every value are ints or Fractions, all of them are first multiplied by D,
+    the lcm of their denominators, so prefix sums and thresholds are exact
+    Python ints of any size.  With any float, D = 1 and the prefix sums add
+    the values left to right in their own arithmetic.  Positions must lie in
+    [-2^63, 2^63).
     """
     values = _as_value_map(f)
     if not values:
@@ -214,52 +229,59 @@ def cz_decompose(f, height) -> CZDecomposition:
     lam = height
     if lam <= 0:
         raise ValidationError(f"height {lam} must be positive")
+    keys = sorted(values)
+    if keys[0] < -(1 << 63) or keys[-1] >= 1 << 63:
+        raise ValidationError(
+            f"positions must lie in [-2^63, 2^63), got {keys[0]}..{keys[-1]}")
 
-    xs = np.array(sorted(values), dtype=np.int64)
-    vals = [values[int(x)] for x in xs]
-    total = sum(vals)
-    # prefix[i] = sum of vals[:i]; exact for ints/Fractions, float for floats
-    prefix = [0]
-    for v in vals:
-        prefix.append(prefix[-1] + v)
-
-    def range_sum(i, j):
-        return prefix[j] - prefix[i]
+    n = len(keys)
+    xs = np.array(keys, dtype=np.int64)
+    vals = [values[x] for x in keys]
+    if all(isinstance(v, (int, Fraction)) for v in (lam, *vals)):
+        d = math.lcm(lam.denominator, *{v.denominator for v in vals})
+        scaled = [v.numerator * (d // v.denominator) for v in vals]
+        lam_d = lam.numerator * (d // lam.denominator)
+    else:
+        scaled, lam_d = vals, lam
+    # prefix[i] = D * sum of vals[:i], added left to right
+    prefix = np.empty(n + 1, dtype=object)
+    prefix[0] = 0
+    np.cumsum(np.array(scaled, dtype=object), out=prefix[1:])
 
     # Root cubes: dyadic cubes anchored at 0 never straddle it, so a support
     # touching both sides needs one root per side.  The scale is grown until
     # every root average is at most the height and each side fits one cube.
     s = 0
-    while (total > lam * (1 << s)
-           or (int(xs[0]) >> s) < -1 or (int(xs[-1]) >> s) > 0):
+    while (prefix[n] > lam_d * (1 << s)
+           or (keys[0] >> s) < -1 or (keys[-1] >> s) > 0):
         s += 1
-    split = int(np.searchsorted(xs, 0, side="left"))
+    split = int(np.searchsorted(xs, 0))
+    # an empty root only has empty children, which the walk drops
+    j, lo, hi = np.array([-1, 0]), np.array([0, split]), np.array([split, n])
     atoms = []
-    stack = []
-    if split > 0:
-        stack.append((s, -1, 0, split))
-    if split < len(xs):
-        stack.append((s, 0, split, len(xs)))
-    while stack:
-        s, j, i0, i1 = stack.pop()
-        if s == 0:
-            continue  # a singleton below threshold stays good
-        sc = s - 1
-        mid = (2 * j + 1) << sc
-        im = i0 + int(np.searchsorted(xs[i0:i1], mid, side="left"))
-        for cj, a, b in ((2 * j, i0, im), (2 * j + 1, im, i1)):
-            if a == b:
-                continue
-            if range_sum(a, b) > lam * (1 << sc):
-                atoms.append(CZAtom(sc, cj,
-                                    {int(xs[t]): vals[t] for t in range(a, b)}))
-            else:
-                stack.append((sc, cj, a, b))
+    bad = np.zeros(n, dtype=bool)
+    while s > 0 and j.size:
+        s -= 1
+        if s < 63:
+            mid = np.searchsorted(xs, (2 * j + 1) << s)
+        else:
+            # +-2^s lies beyond every int64 position (or at -2^63), so cube 0
+            # keeps all of its points on the left and cube -1 on the right
+            mid = np.where(j < 0, lo, hi)
+        j = np.stack((2 * j, 2 * j + 1), axis=1).ravel()
+        lo = np.stack((lo, mid), axis=1).ravel()
+        hi = np.stack((mid, hi), axis=1).ravel()
+        keep = lo < hi
+        j, lo, hi = j[keep], lo[keep], hi[keep]
+        heavy = prefix[hi] - prefix[lo] > lam_d * (1 << s)
+        for c, a, b in zip(j[heavy].tolist(), lo[heavy].tolist(),
+                           hi[heavy].tolist()):
+            atoms.append(CZAtom(s, c, dict(zip(keys[a:b], vals[a:b]))))
+            bad[a:b] = True
+        light = ~heavy
+        j, lo, hi = j[light], lo[light], hi[light]
 
-    covered = set()
-    for atom in atoms:
-        covered.update(atom.values)
-    good = {int(x): values[int(x)] for x in xs if int(x) not in covered}
+    good = {keys[t]: vals[t] for t in np.flatnonzero(~bad).tolist()}
     return CZDecomposition(lam, good, tuple(atoms),
                            frozenset((a.scale, a.index) for a in atoms))
 

@@ -1,6 +1,9 @@
 """Command-line behavior: grammar, outputs, determinism, exit codes."""
 
+import hashlib
 import json
+import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -140,6 +143,65 @@ def test_cz_command_with_atoms(tmp_path):
     assert row["reconstruction_exact"] == "1"
     assert row["n_atoms"] == "1"
     assert (atoms / "atom_2_0.csv").read_text() == "0,8\n"
+
+
+# a seeded 2,000-row exact-rational input on both sides of 0 at height 3/2;
+# the expected table and atom files were written by the stack-walk procedure
+CZ_PINNED_TABLE = (
+    "# command=cz\n# format=csv\n# height=3/2\n# input={input}\n# seed=0\n"
+    "# version=0.1.0\n"
+    "lambda,n_atoms,l1,sum_cube_sizes,good_linf,reconstruction_exact\n"
+    "3/2,1270,448951687/27720,7956,3/2,1\n")
+CZ_PINNED_ATOMS = (1270, "1d1f0c7c709e46511e87e6071db1dd98274d8947b7fc7c66379ddb0ff621cdaf")
+
+
+def test_cz_table_and_atom_bytes_are_pinned(tmp_path):
+    rng = random.Random(1305)
+    xs = sorted(rng.sample(range(-(1 << 14), 1 << 14), 2000))
+    f = tmp_path / "f.csv"
+    f.write_text("x,value\n" + "".join(
+        f"{x},{Fraction(rng.randint(1, 60), rng.randint(1, 12))}\n" for x in xs),
+        encoding="utf-8")
+    atoms = tmp_path / "atoms"
+    out = tmp_path / "cz.csv"
+    assert run_cli("cz", "--input", str(f), "--height", "3/2", "--out", str(out),
+                   "--emit-atoms", str(atoms)) == 0
+    assert out.read_text() == CZ_PINNED_TABLE.format(input=f)
+    digest = hashlib.sha256()
+    names = sorted(p.name for p in atoms.iterdir())
+    for name in names:
+        digest.update(name.encode() + b"\n" + (atoms / name).read_bytes())
+    assert (len(names), digest.hexdigest()) == CZ_PINNED_ATOMS
+
+
+def test_cz_refuses_a_position_past_int64(tmp_path, capsys):
+    f = tmp_path / "f.csv"
+    f.write_text("x,value\n9223372036854775808,3/2\n", encoding="utf-8")
+    assert run_cli("cz", "--input", str(f), "--height", "1",
+                   "--out", str(tmp_path / "cz.csv")) == EXIT_VALIDATION
+    assert "2^63" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row", ["5", "5;1/2", "five,1/2", "5,half", "5,1/0"])
+def test_cz_names_the_line_of_a_bad_row(tmp_path, capsys, row):
+    f = tmp_path / "f.csv"
+    f.write_text(f"x,value\n0,1\n{row}\n", encoding="utf-8")
+    assert run_cli("cz", "--input", str(f), "--height", "1",
+                   "--out", str(tmp_path / "cz.csv")) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"{f}, line 3" in err and repr(row) in err
+
+
+def test_cz_sums_a_repeated_position(tmp_path):
+    f = tmp_path / "f.csv"
+    f.write_text("x,value\n4,1/2\n-1,1\n4,1/3\n", encoding="utf-8")
+    out = tmp_path / "cz.csv"
+    atoms = tmp_path / "atoms"
+    assert run_cli("cz", "--input", str(f), "--height", "1/4", "--out", str(out),
+                   "--emit-atoms", str(atoms)) == 0
+    row = out.read_text().splitlines()[-1].split(",")
+    assert row[2] == "11/6"
+    assert "4,5/6\n" in [p.read_text() for p in atoms.iterdir()]
 
 
 def test_expsum_command(tmp_path):

@@ -219,6 +219,138 @@ def test_cz_validation():
         cz_decompose({0: -1}, 1)
     with pytest.raises(ValidationError):
         cz_decompose({0: 1}, 0)
+    for x in (1 << 63, -(1 << 63) - 1):
+        with pytest.raises(ValidationError, match="2\\^63"):
+            cz_decompose({0: 1, x: 1}, 1)
+
+
+def stack_reference(values, lam):
+    """The stopping time as one Python stack walk on unscaled prefix sums,
+    kept verbatim as the reference for the level-by-level walk."""
+    xs = np.array(sorted(values), dtype=np.int64)
+    vals = [values[int(x)] for x in xs]
+    total = sum(vals)
+    # prefix[i] = sum of vals[:i]; exact for ints/Fractions, float for floats
+    prefix = [0]
+    for v in vals:
+        prefix.append(prefix[-1] + v)
+
+    def range_sum(i, j):
+        return prefix[j] - prefix[i]
+
+    # Root cubes: dyadic cubes anchored at 0 never straddle it, so a support
+    # touching both sides needs one root per side.  The scale is grown until
+    # every root average is at most the height and each side fits one cube.
+    s = 0
+    while (total > lam * (1 << s)
+           or (int(xs[0]) >> s) < -1 or (int(xs[-1]) >> s) > 0):
+        s += 1
+    split = int(np.searchsorted(xs, 0, side="left"))
+    atoms = []
+    stack = []
+    if split > 0:
+        stack.append((s, -1, 0, split))
+    if split < len(xs):
+        stack.append((s, 0, split, len(xs)))
+    while stack:
+        s, j, i0, i1 = stack.pop()
+        if s == 0:
+            continue  # a singleton below threshold stays good
+        sc = s - 1
+        mid = (2 * j + 1) << sc
+        im = i0 + int(np.searchsorted(xs[i0:i1], mid, side="left"))
+        for cj, a, b in ((2 * j, i0, im), (2 * j + 1, im, i1)):
+            if a == b:
+                continue
+            if range_sum(a, b) > lam * (1 << sc):
+                atoms.append((sc, cj, {int(xs[t]): vals[t] for t in range(a, b)}))
+            else:
+                stack.append((sc, cj, a, b))
+
+    covered = set()
+    for _, _, atom_values in atoms:
+        covered.update(atom_values)
+    good = {int(x): values[int(x)] for x in xs if int(x) not in covered}
+    return atoms, good
+
+
+# large primes: denominators drawn from them are pairwise coprime, so a
+# handful of values already puts the lcm past 2^63
+PRIMES = (2**61 - 1, 2**31 - 1, 10**9 + 7, 10**9 + 9, 998244353, 2**89 - 1)
+
+
+def reference_case(rng, kind):
+    span = 1 << int(rng.integers(0, 21))
+    n = 1 if kind == "single" else int(rng.integers(1, 60))
+    xs = {int(x) for x in rng.integers(-span, span + 1, n)}
+    if kind == "extremes":
+        xs |= {-(1 << 63), (1 << 63) - 1}
+    f = {}
+    for x in sorted(xs):
+        if kind == "coprime":
+            p = PRIMES[int(rng.integers(0, len(PRIMES)))]
+            f[x] = Fraction((int(rng.integers(1, 1 << 34)) * p >> 30) + 1, p)
+        elif kind in ("ints", "single", "extremes"):
+            f[x] = int(rng.integers(1, 5))
+        elif kind == "floats":
+            f[x] = float(rng.uniform(0.05, 9.0))
+        else:  # mixed
+            f[x] = (float(rng.uniform(0.05, 9.0)) if rng.random() < 0.5
+                    else Fraction(int(rng.integers(1, 120)), int(rng.integers(1, 24))))
+    if kind == "coprime":
+        p = PRIMES[int(rng.integers(0, len(PRIMES)))]
+        lam = Fraction((int(rng.integers(1 << 28, 1 << 32)) * p >> 30) + 1, p)
+    elif kind == "floats":
+        lam = float(rng.uniform(0.1, 4.0))
+    elif kind == "mixed":
+        lam = (Fraction(int(rng.integers(1, 40)), int(rng.integers(1, 12)))
+               if rng.random() < 0.5 else float(rng.uniform(0.1, 4.0)))
+    else:
+        lam = int(rng.integers(1, 4))
+    return f, lam
+
+
+@pytest.mark.parametrize("kind", ["coprime", "ints", "floats", "mixed",
+                                  "single", "extremes"])
+def test_cz_matches_the_stack_reference(kind):
+    rng = np.random.default_rng(sum(map(ord, kind)))
+    atom_count = big_lcm = 0
+    for _ in range(60):
+        f, lam = reference_case(rng, kind)
+        cz = cz_decompose(f, lam)
+        ref_atoms, ref_good = stack_reference(f, lam)
+        assert sorted((a.scale, a.index, sorted(a.values.items())) for a in cz.atoms) \
+            == sorted((s, j, sorted(v.items())) for s, j, v in ref_atoms)
+        assert cz.good == ref_good
+        assert cz.index_set == {(s, j) for s, j, _ in ref_atoms}
+        # atoms come level by level: scale descending, then index ascending
+        order = [(-a.scale, a.index) for a in cz.atoms]
+        assert order == sorted(order)
+        atom_count += len(cz.atoms)
+        if kind == "coprime":
+            big_lcm += math.lcm(*(Fraction(v).denominator
+                                  for v in (lam, *f.values()))) >= 1 << 63
+    assert atom_count > 0
+    if kind == "coprime":
+        assert big_lcm >= 30
+
+
+def test_cz_root_scale_above_63():
+    # the total pushes the root scale to 71 on both sides of 0, so the walk
+    # splits cubes whose midpoints +-2^s are past the int64 range; the
+    # positive cube stays light down to scale 62
+    f = {-3: 2**70, 0: 1, 5: 2**62}
+    cz = cz_decompose(f, 1)
+    assert {(a.scale, a.index): a.values for a in cz.atoms} \
+        == {(62, 0): {0: 1, 5: 2**62}, (69, -1): {-3: 2**70}}
+    assert cz.good == {}
+    # the same at both ends of the int64 range
+    f = {-(1 << 63): 2**80, (1 << 63) - 1: 2**80 + 1, 7: 1}
+    cz = cz_decompose(f, 1)
+    assert {(a.scale, a.index): a.values for a in cz.atoms} \
+        == {(80, 0): {7: 1, (1 << 63) - 1: 2**80 + 1}, (79, -1): {-(1 << 63): 2**80}}
+    assert cz.good == {}
+    assert cz.reconstruction() == f
 
 
 # ---------------------------------------------------------------------------
