@@ -22,7 +22,7 @@ from . import __version__
 from .errors import NUMERIC_ERRORS, RoughMaxError, ValidationError
 from .ergodic import cyclic_shift, ergodic_average, indicator, weighted_average
 from .expsum import min_norm_sum, ratio_sweep
-from .growth import GrowthFunction, Variant, make_growth
+from .growth import GrowthFunction, Variant, build_aux_report, make_growth
 from .kernel import Normalization, build_kernel, decomposition_report
 from .maximal import (
     build_scale_family,
@@ -170,22 +170,15 @@ def _cmd_growth_table(args) -> int:
         np.exp(np.linspace(math.log(max(phi.y0, 2.0 ** k)),
                            math.log(2.0 ** (k + 1)), 9))[:-1]
         for k in range(args.kmin, args.kmax)]))
-    ys = ys[ys >= phi.y0]
+    rep = build_aux_report(phi, ys[ys >= phi.y0])
     columns = ["y", "phi", "theta1", "theta2", "theta3",
                "vartheta1", "vartheta2", "vartheta3"]
+    values = [rep.grid, rep.phi_values, *rep.theta_values, *rep.vartheta_values]
     if g.c == 1.0:
         columns += ["sigma", "tau", "varrho"]
-    rows = []
-    for y in ys:
-        u = float(phi.value(y))
-        row = [y, u] + [float(phi.correction(u, f"theta{i}")) for i in (1, 2, 3)] \
-            + [float(g.vartheta(u, i)) for i in (1, 2, 3)]
-        if g.c == 1.0:
-            row += [float(phi.correction(u, "sigma")), float(phi.correction(u, "tau")),
-                    float(g.varrho(u))]
-        rows.append(row)
-    write_table(args.out, _meta(args, "growth-table", kmin=args.kmin,
-                                kmax=args.kmax), columns, rows, args.format)
+        values += [rep.sigma_values, rep.tau_values, rep.varrho_values]
+    write_table(args.out, _meta(args, "growth-table", kmin=args.kmin, kmax=args.kmax),
+                columns, np.column_stack(values).tolist(), args.format)
     return EXIT_OK
 
 
@@ -196,16 +189,13 @@ def _cmd_seqset(args) -> int:
     if args.emit:
         Path(args.emit).write_text(
             "\n".join(str(int(e)) for e in s.elements) + "\n", encoding="utf-8")
-    rows = []
-    k = 1
-    while (1 << k) <= s.n_max:
-        n = 1 << k
-        cnt = count(s, n)
-        phin = float(phi.value(float(n))) if n >= phi.y0 else float("nan")
-        rows.append([n, cnt, phin, cnt / phin if phin > 0 else float("nan")])
-        k += 1
+    ns = 1 << np.arange(1, s.n_max.bit_length(), dtype=np.int64)
+    counts = count(s, ns)
+    phis = np.full(ns.size, np.nan)
+    phis[ns >= phi.y0] = phi.value(ns[ns >= phi.y0].astype(float))
+    rows = zip(ns.tolist(), counts.tolist(), phis.tolist(), (counts / phis).tolist())
     write_table(args.out, _meta(args, "seqset", nmax=args.nmax, p_min=s.p_min),
-                ["N", "count", "phi_N", "ratio"], rows, args.format)
+                ["N", "count", "phi_N", "ratio"], list(rows), args.format)
     return EXIT_OK
 
 
@@ -274,9 +264,7 @@ def _cmd_weaktype(args) -> int:
     phi = g.inverse()
     family = build_scale_family(s, phi, args.nlo, args.nhi)
     f = _parse_corpus(args.corpus)
-    profile = weak_type_profile(family, f, default_lambda_grid(family, f))
-    mf_l1 = f.l1()
-    rows = [[lam, int(round(ratio * mf_l1 / lam)), ratio] for lam, ratio in profile]
+    rows = weak_type_profile(family, f, default_lambda_grid(family, f))
     write_table(args.out, _meta(args, "weaktype", nlo=args.nlo, nhi=args.nhi,
                                 corpus=args.corpus),
                 ["lambda", "superlevel_count", "ratio"], rows, args.format)
@@ -309,7 +297,10 @@ def _read_input_signal(path: str) -> dict:
 
 def _cmd_cz(args) -> int:
     values = _read_input_signal(args.input)
-    lam = Fraction(args.height)
+    try:
+        lam = Fraction(args.height)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValidationError(f"--height {args.height!r}: {exc}") from None
     cz = cz_decompose(values, lam)
     if args.emit_atoms:
         outdir = Path(args.emit_atoms)

@@ -26,13 +26,12 @@ class FiniteSystem:
 
     size: int
     mapping: np.ndarray
-    tag: str = ""
     _cycles: tuple = field(repr=False, default=())
     _cycle_id: np.ndarray = field(repr=False, default=None)
     _cycle_pos: np.ndarray = field(repr=False, default=None)
 
     @staticmethod
-    def from_mapping(mapping, tag: str = "") -> "FiniteSystem":
+    def from_mapping(mapping) -> "FiniteSystem":
         mapping = np.asarray(mapping, dtype=np.int64)
         m = mapping.size
         if m == 0:
@@ -53,7 +52,7 @@ class FiniteSystem:
                 cyc.append(x)
                 x = int(mapping[x])
             cycles.append(np.array(cyc, dtype=np.int64))
-        return FiniteSystem(m, mapping, tag, tuple(cycles), cid, cpos)
+        return FiniteSystem(m, mapping, tuple(cycles), cid, cpos)
 
     def iterate(self, x: int, n) -> np.ndarray | int:
         """T^n x via the cycle of x; n may be a scalar or an array."""
@@ -67,23 +66,19 @@ class FiniteSystem:
 
 
 def cyclic_shift(m: int, step: int = 1) -> FiniteSystem:
-    return FiniteSystem.from_mapping((np.arange(m) + step) % m,
-                                     tag=f"shift:{m}:{step}")
+    return FiniteSystem.from_mapping((np.arange(m) + step) % m)
 
 
 def identity_system(m: int) -> FiniteSystem:
-    return FiniteSystem.from_mapping(np.arange(m), tag=f"identity:{m}")
+    return FiniteSystem.from_mapping(np.arange(m))
 
 
 def random_permutation(m: int, seed: int) -> FiniteSystem:
     rng = np.random.default_rng(seed)
-    return FiniteSystem.from_mapping(rng.permutation(m),
-                                     tag=f"random:{m}:{seed}")
+    return FiniteSystem.from_mapping(rng.permutation(m))
 
 
 def _f_values(sys: FiniteSystem, f) -> np.ndarray:
-    if callable(f):
-        return np.array([float(f(x)) for x in range(sys.size)])
     v = np.asarray(f, dtype=float)
     if v.size != sys.size:
         raise ValidationError(f"observable has {v.size} values, system has {sys.size}")

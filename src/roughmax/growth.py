@@ -183,7 +183,10 @@ class GrowthFunction:
         return float(out) if out.ndim == 0 else out
 
     def deriv(self, x, order: int) -> FloatLike:
-        """h^(order)(x) for order in {0, 1, 2, 3}, in closed form."""
+        """h^(order)(x) for order in {0, 1, 2, 3}, in closed form.
+
+        Integer powers are products: a scalar ``**`` is libm ``pow`` and an
+        array ``**`` a SIMD loop, so only products give the same bits."""
         if order not in (0, 1, 2, 3):
             raise ValidationError(f"derivative order {order} not in 0..3")
         x = self._check_domain(x)
@@ -196,12 +199,13 @@ class GrowthFunction:
             if order == 1:
                 out = h * u1
             else:
-                u2 = -self.c / x ** 2 + self._lam_value(x, logs, 2)
+                x2 = x * x
+                u2 = -self.c / x2 + self._lam_value(x, logs, 2)
                 if order == 2:
                     out = h * (u1 * u1 + u2)
                 else:
-                    u3 = 2.0 * self.c / x ** 3 + self._lam_value(x, logs, 3)
-                    out = h * (u1 ** 3 + 3.0 * u1 * u2 + u3)
+                    u3 = 2.0 * self.c / (x2 * x) + self._lam_value(x, logs, 3)
+                    out = h * (u1 * u1 * u1 + 3.0 * u1 * u2 + u3)
         return float(out) if out.ndim == 0 else out
 
     def vartheta_raw(self, x, k: int) -> FloatLike:
@@ -494,11 +498,11 @@ class InverseFunction:
         if order not in (1, 2):
             raise ValidationError(f"inverse derivative order {order} not in 1..2")
         u = self.value(y)
-        h1 = self.source.deriv(u, 1)
+        h1 = np.asarray(self.source.deriv(u, 1), dtype=float)
         if order == 1:
-            out = 1.0 / np.asarray(h1, dtype=float)
+            out = 1.0 / h1
         else:
-            out = -np.asarray(self.source.deriv(u, 2)) / np.asarray(h1) ** 3
+            out = -np.asarray(self.source.deriv(u, 2)) / (h1 * h1 * h1)
         return float(out) if np.asarray(out).ndim == 0 else out
 
     def theta(self, y, i: int) -> FloatLike:
@@ -523,7 +527,8 @@ class InverseFunction:
         ``theta``, ``sigma`` and ``tau`` invert y and call this; a caller that
         needs several of them at one y inverts once and passes u.  Evaluated
         through the closed forms in the source correction, with
-        d = c + vartheta(u):
+        d = c + vartheta(u) and its powers taken as products (see ``deriv``),
+        so a scalar u gives the bits of the matching array element:
 
             theta_1 = 1/d - gamma
             theta_2 = 1/d - gamma - vartheta'(u) u / d^2
@@ -549,13 +554,15 @@ class InverseFunction:
             out = -(1.0 / d + vtp * u / (vt * d * d))
         else:
             GrowthFunction._guard(d, "c + vartheta(phi)")
+            d2 = d * d
             out = 1.0 / d - self.gamma
             if name != "theta1":
-                out = out - vtp * u / d ** 2
+                out = out - vtp * u / d2
             if name == "theta3":
                 vtpp = np.asarray(g.vartheta_raw(u, 2), dtype=float)
-                den1 = d ** 2 - d ** 3 - vtp * u * d
-                den2 = d ** 3 - d ** 4 - vtp * u * d ** 2
+                d3 = d2 * d
+                den1 = d2 - d3 - vtp * u * d
+                den2 = d3 - d3 * d - vtp * u * d2
                 GrowthFunction._guard(den1, "theta_3 denominator")
                 GrowthFunction._guard(den2, "theta_3 denominator")
                 out = out - (vtpp * u * u + 2.0 * vtp * u) / den1 \
@@ -571,12 +578,14 @@ class InverseFunction:
 class AuxFunctionReport:
     """Correction functions tabulated on a grid, for decay diagnostics.
 
-    ``grid`` carries y-values; vartheta columns are evaluated at x = phi(y)
+    ``grid`` carries y-values and ``phi_values`` their inverses x = phi(y),
+    found by one inversion of the grid; vartheta columns are evaluated at x
     so that both families share one abscissa.  sigma/tau/varrho are filled
     only in the c = 1 regime and empty otherwise.
     """
 
     grid: np.ndarray
+    phi_values: np.ndarray
     vartheta_values: tuple  # (vt1, vt2, vt3) arrays
     theta_values: tuple     # (th1, th2, th3) arrays
     sigma_values: np.ndarray
@@ -614,4 +623,4 @@ def build_aux_report(phi: InverseFunction, grid) -> AuxFunctionReport:
         sig = np.empty(0)
         tau = np.empty(0)
         rho = np.empty(0)
-    return AuxFunctionReport(grid, vt, th, sig, tau, rho)
+    return AuxFunctionReport(grid, u, vt, th, sig, tau, rho)

@@ -134,16 +134,14 @@ def default_lambda_grid(family: ScaleFamily, f: Signal) -> np.ndarray:
 
 
 def weak_type_profile(family: ScaleFamily, f: Signal, lambdas) -> list:
-    """(height, height * superlevel count / l1) for each requested height."""
+    """(height, count of M f > height, height * count / l1) for each height."""
     if f.is_zero:
         raise DegenerateError("weak-type profile needs a nonzero input")
-    mf = maximal_function(family, f)
-    l1 = f.l1()
-    out = []
-    for lam in np.asarray(lambdas, dtype=float):
-        cnt = int(np.count_nonzero(mf.values > lam))
-        out.append((float(lam), float(lam) * cnt / l1))
-    return out
+    mf = np.sort(maximal_function(family, f).values)
+    lams = np.asarray(lambdas, dtype=float)
+    counts = mf.size - np.searchsorted(mf, lams, side="right")
+    return list(zip(lams.tolist(), counts.tolist(),
+                    (lams * counts / f.l1()).tolist()))
 
 
 # ---------------------------------------------------------------------------

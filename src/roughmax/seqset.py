@@ -235,11 +235,14 @@ def _calibrate_p_min(phi, elements, n_max, y0) -> int:
     return int(p[bad[-1]] + 1) if bad.size else lo
 
 
-def count(s: SequenceSet, n: int) -> int:
-    """|elements ∩ [1, n]| by binary search."""
-    if not (1 <= n <= s.n_max):
-        raise RangeError(f"N = {n} outside [1, {s.n_max}]")
-    return int(np.searchsorted(s.elements, n, side="right"))
+def count(s: SequenceSet, n) -> int | np.ndarray:
+    """|elements ∩ [1, n]| by binary search; n may be a scalar or an array."""
+    ns = np.asarray(n)
+    bad = (ns < 1) | (ns > s.n_max)
+    if np.any(bad):
+        raise RangeError(f"N = {ns[bad][0]} outside [1, {s.n_max}]")
+    out = np.searchsorted(s.elements, ns, side="right")
+    return int(out) if out.ndim == 0 else out
 
 
 def verify_membership_equivalence(s: SequenceSet, phi: InverseFunction,

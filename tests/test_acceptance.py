@@ -243,9 +243,9 @@ def test_criterion_10_weak_type_trend(s102_22, phi102):
         corpus.append(Signal.from_dict(d))
     worst = 0.0
     for f in corpus:
-        r14 = max(r for _, r in weak_type_profile(
+        r14 = max(r for _, _, r in weak_type_profile(
             fam14, f, default_lambda_grid(fam14, f)))
-        r18 = max(r for _, r in weak_type_profile(
+        r18 = max(r for _, _, r in weak_type_profile(
             fam18, f, default_lambda_grid(fam18, f)))
         worst = max(worst, r18 / r14)
     elapsed = time.monotonic() - t0

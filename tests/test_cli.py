@@ -2,13 +2,15 @@
 
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from roughmax import ValidationError, Variant
+from roughmax import ValidationError, Variant, build_aux_report
 from roughmax.cli import (
     EXIT_NUMERIC,
     EXIT_VALIDATION,
@@ -84,23 +86,27 @@ def test_byte_identical_reruns_and_worker_independence(tmp_path):
     assert outs[0] == outs[1] == outs[2]
 
 
-# the three expsum tables of the benchmark's phase workload and the reference
-# tables it checks them against, kept under perfbench/reference
+# the benchmark's seqset and expsum tables and the reference tables it checks
+# them against, kept under perfbench/reference
 REFERENCE_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
-PHASE_TABLES = {
-    "expsum-single": ("--h", "pure:1.05:1.0", "--bound", "single",
+REFERENCE_TABLES = {
+    "seqset-pure102": ("seqset", "--h", "pure:1.02:1.0", "--nmax", str(1 << 20)),
+    "seqset-iterlog": ("seqset", "--h", "poweriterlog:1.02:1.0:2",
+                       "--nmax", str(1 << 22)),
+    "seqset-pure15": ("seqset", "--h", "pure:1.5:1.0", "--nmax", str(1 << 28)),
+    "expsum-single": ("expsum", "--h", "pure:1.05:1.0", "--bound", "single",
                       "--kmin", "12", "--kmax", "18", "--params", "m=2"),
-    "expsum-two": ("--h", "powerlog:1.05:1.0:1.0", "--bound", "two",
+    "expsum-two": ("expsum", "--h", "powerlog:1.05:1.0:1.0", "--bound", "two",
                    "--kmin", "12", "--kmax", "16", "--params", "m=2,kappa=1.0"),
-    "expsum-minnorm": ("--h", "pure:1.05:1.0", "--bound", "minnorm",
+    "expsum-minnorm": ("expsum", "--h", "pure:1.05:1.0", "--bound", "minnorm",
                        "--kmin", "12", "--kmax", "18"),
 }
 
 
-@pytest.mark.parametrize("label", sorted(PHASE_TABLES))
+@pytest.mark.parametrize("label", sorted(REFERENCE_TABLES))
 def test_phase_tables_match_the_reference_bytes(tmp_path, label):
     out = tmp_path / f"{label}.csv"
-    assert run_cli("expsum", *PHASE_TABLES[label], "--out", str(out)) == 0
+    assert run_cli(*REFERENCE_TABLES[label], "--out", str(out)) == 0
     assert out.read_bytes() == (REFERENCE_DIR / f"{label}.csv").read_bytes()
 
 
@@ -192,6 +198,15 @@ def test_cz_names_the_line_of_a_bad_row(tmp_path, capsys, row):
     assert f"{f}, line 3" in err and repr(row) in err
 
 
+def test_cz_names_a_height_that_is_not_a_rational(tmp_path, capsys):
+    f = tmp_path / "f.csv"
+    f.write_text("x,value\n0,1\n", encoding="utf-8")
+    assert run_cli("cz", "--input", str(f), "--height", "1/0",
+                   "--out", str(tmp_path / "cz.csv")) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "--height '1/0'" in err and "Traceback" not in err
+
+
 def test_cz_sums_a_repeated_position(tmp_path):
     f = tmp_path / "f.csv"
     f.write_text("x,value\n4,1/2\n-1,1\n4,1/3\n", encoding="utf-8")
@@ -221,6 +236,45 @@ def test_growth_table_c1_extra_columns(tmp_path):
     assert code == 0
     header = [l for l in p.read_text().splitlines() if not l.startswith("#")][0]
     assert header.endswith("sigma,tau,varrho")
+
+
+# (growth spec, kmin, kmax): c > 1, c = 1, and a grid whose first octaves lie
+# below y0, where the table drops those rows
+GROWTH_TABLES = {
+    "c-above-1": ("powerlog:1.02:1.0:1.0", 4, 12),
+    "c-equals-1": ("powerlog:1.0:1.0:1.0", 4, 12),
+    "below-y0": ("powerlog:1.3:1.0:1.0", 2, 6),
+}
+
+
+@pytest.mark.parametrize("label", sorted(GROWTH_TABLES))
+def test_growth_table_rows_are_the_aux_report_bits(tmp_path, label):
+    spec, kmin, kmax = GROWTH_TABLES[label]
+    out = tmp_path / "g.csv"
+    assert run_cli("growth-table", "--h", spec, "--kmin", str(kmin),
+                   "--kmax", str(kmax), "--out", str(out)) == 0
+    lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+    table = np.array([[float(v) for v in l.split(",")] for l in lines[1:]])
+    g = parse_growth_spec(spec)
+    phi = g.inverse()
+    grid = np.unique(np.concatenate([
+        np.exp(np.linspace(math.log(max(phi.y0, 2.0 ** k)),
+                           math.log(2.0 ** (k + 1)), 9))[:-1]
+        for k in range(kmin, kmax)]))
+    kept = grid[grid >= phi.y0]
+    assert (kept.size < grid.size) == (label == "below-y0")
+    rep = build_aux_report(phi, kept)
+    expected = {"y": rep.grid, "phi": rep.phi_values}
+    expected.update({f"theta{i}": rep.theta_values[i - 1] for i in (1, 2, 3)})
+    expected.update({f"vartheta{i}": rep.vartheta_values[i - 1] for i in (1, 2, 3)})
+    if g.c == 1.0:
+        expected.update(sigma=rep.sigma_values, tau=rep.tau_values,
+                        varrho=rep.varrho_values)
+        assert np.array_equal(rep.varrho_values, g.varrho(rep.phi_values))
+    assert lines[0].split(",") == list(expected)
+    for j, name in enumerate(expected):
+        assert np.array_equal(table[:, j].view(np.int64),
+                              expected[name].view(np.int64)), name
 
 
 def test_exit_code_validation(tmp_path):

@@ -21,6 +21,7 @@ from roughmax import (
     make_growth,
 )
 from roughmax import growth
+from roughmax.cli import parse_growth_spec
 from roughmax.growth import INVERSE_MAX_ITER, INVERSE_TOL, GrowthFunction
 from roughmax.util import CHUNK
 
@@ -242,6 +243,32 @@ def test_blocked_inverse_is_bit_identical_per_point(name):
     assert np.array_equal(scalar.view(np.int64), x[idx].view(np.int64))
     assert np.array_equal(phi.value(y.reshape(-1, 1)).ravel().view(np.int64),
                           x.view(np.int64))
+
+
+SHAPE_SPECS = ("pure:1.5:1.0", "powerlog:1.02:1.0:1.0", "powerlog:1.0:1.0:1.0",
+               "powerexplog:1.05:1.0:1.0:0.5", "poweriterlog:1.02:1.0:2")
+
+
+@pytest.mark.parametrize("spec", SHAPE_SPECS)
+def test_a_scalar_call_gives_the_bits_of_its_array_element(spec):
+    g = parse_growth_spec(spec)
+    phi = g.inverse()
+    y = np.geomspace(phi.y0, 2.0 ** 40, 160)
+    u = phi.value(y)
+    names = ("theta1", "theta2", "theta3") + (("sigma", "tau") if g.c == 1.0 else ())
+    # (evaluation, its abscissa): the corrections and h take u = phi(y), phi' takes y
+    evaluations = {name: (lambda x, n=name: phi.correction(x, n), u) for name in names}
+    evaluations.update({f"vartheta{i}": (lambda x, i=i: g.vartheta(x, i), u)
+                        for i in (1, 2, 3)})
+    evaluations.update({f"h^({k})": (lambda x, k=k: g.deriv(x, k), u)
+                        for k in (0, 1, 2, 3)})
+    evaluations.update({f"phi^({k})": (lambda t, k=k: phi.deriv(t, k), y)
+                        for k in (1, 2)})
+    for label, (f, xs) in evaluations.items():
+        whole = np.asarray(f(xs), dtype=float)
+        each = np.array([f(float(x)) for x in xs])
+        moved = np.flatnonzero(whole.view(np.int64) != each.view(np.int64))
+        assert moved.size == 0, (label, moved)
 
 
 def test_pure_inverse_takes_one_h_point_per_y(phi15, monkeypatch):

@@ -149,18 +149,29 @@ def test_weak_type_profile_empty_superlevel(fam102):
     mf = maximal_function(fam102, Signal.delta(0))
     lam = 2.0 * mf.linf()
     profile = weak_type_profile(fam102, Signal.delta(0), [lam])
-    assert profile[0][1] == 0.0
+    assert profile == [(lam, 0, 0.0)]
+
+
+def test_weak_type_rows_carry_the_superlevel_count(fam102):
+    f = Signal.from_dict({0: 1.0, 37: 2.0, 500: 1.0})
+    mf = maximal_function(fam102, f)
+    lams = default_lambda_grid(fam102, f)
+    rows = weak_type_profile(fam102, f, lams)
+    assert [lam for lam, _, _ in rows] == lams.tolist()
+    for lam, cnt, ratio in rows:
+        assert cnt == np.count_nonzero(mf.values > lam)
+        assert ratio == lam * cnt / f.l1()
 
 
 def test_weak_type_quasi_additivity(fam102, rng):
-    single = max(r for _, r in weak_type_profile(
+    single = max(r for _, _, r in weak_type_profile(
         fam102, Signal.delta(0), default_lambda_grid(fam102, Signal.delta(0))))
     sites = rng.integers(0, 1 << 12, 1 << 8)
     d = {}
     for p in sites:
         d[int(p)] = d.get(int(p), 0.0) + 1.0
     f = Signal.from_dict(d)
-    many = max(r for _, r in weak_type_profile(
+    many = max(r for _, _, r in weak_type_profile(
         fam102, f, default_lambda_grid(fam102, f)))
     assert many <= 4.0 * single
 

@@ -82,6 +82,15 @@ def test_counting_tracks_inverse_from_sixteenth(s102_16, phi102):
         assert 0.9 <= r <= 1.1
 
 
+def test_count_of_an_array_is_the_scalar_counts(s102_16):
+    ns = np.array([1, 2, 1000, s102_16.n_max // 3, s102_16.n_max])
+    counts = count(s102_16, ns)
+    assert counts.tolist() == [count(s102_16, int(n)) for n in ns]
+    for bad in ([0, 5], [5, s102_16.n_max + 1]):
+        with pytest.raises(RangeError, match=f"N = {bad[bad[0] != 0]} outside"):
+            count(s102_16, np.array(bad))
+
+
 def test_generate_range_checks(g15):
     with pytest.raises(Exception):
         generate(g15, 1 << 41)
