@@ -164,6 +164,8 @@ def _parse_record(text: str) -> dict:
 # ---------------------------------------------------------------------------
 
 def _cmd_growth_table(args) -> int:
+    if args.kmin >= args.kmax:
+        raise ValidationError(f"--kmin {args.kmin} must be below --kmax {args.kmax}")
     g = parse_growth_spec(args.h)
     phi = g.inverse()
     ys = np.unique(np.concatenate([
@@ -342,15 +344,14 @@ def _cmd_ergodic(args) -> int:
     phi = g.inverse()
     system = _parse_system(args.system)
     f = _parse_observable(args.f, system.size)
-    rows = []
-    for k in range(args.kmin, args.kmax + 1):
-        n = 1 << k
-        rows.append([k, n,
-                     ergodic_average(system, s, f, args.x, n),
-                     weighted_average(system, s, phi, f, args.x, n)])
+    ks = range(args.kmin, args.kmax + 1)
+    ns = np.array([1 << k for k in ks], dtype=np.int64)
+    rows = zip(ks, ns.tolist(),
+               ergodic_average(system, s, f, args.x, ns).tolist(),
+               weighted_average(system, s, phi, f, args.x, ns).tolist())
     write_table(args.out, _meta(args, "ergodic", system=args.system, f=args.f,
                                 x=args.x, kmin=args.kmin, kmax=args.kmax),
-                ["k", "N", "average", "weighted_average"], rows, args.format)
+                ["k", "N", "average", "weighted_average"], list(rows), args.format)
     return EXIT_OK
 
 

@@ -616,7 +616,7 @@ def build_aux_report(phi: InverseFunction, grid) -> AuxFunctionReport:
     th = tuple(np.asarray(phi.correction(u, f"theta{i}"), dtype=float)
                for i in (1, 2, 3))
     if g.c == 1.0:
-        sig = np.asarray(phi.correction(u, "sigma"), dtype=float)
+        sig = vt[0]     # correction "sigma" is vartheta_raw(u, 0) = vartheta(u, 1)
         tau = np.asarray(phi.correction(u, "tau"), dtype=float)
         rho = np.asarray(g.varrho(u), dtype=float)
     else:

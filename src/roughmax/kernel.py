@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateError, InsufficientDataError, RangeError
+from . import signals
+from .errors import DegenerateError, InsufficientDataError, RangeError, SignalSizeError
 from .growth import InverseFunction
 from .seqset import SequenceSet, count
 from .signals import Signal, autocorrelation_signal
@@ -104,7 +105,10 @@ def build_kernel(s: SequenceSet, phi: InverseFunction, n: int,
     vals = np.asarray(eta(els / float(n)), dtype=float) / norm
     if els.size == 0:
         raise DegenerateError(f"no set elements in the support window of N = {n}")
-    dense = np.zeros(int(els[-1] - els[0] + 1))
+    width = int(els[-1] - els[0] + 1)
+    if width > signals.MAX_SUPPORT:
+        raise SignalSizeError(f"kernel support {width} at N = {n} exceeds 2^30")
+    dense = np.zeros(width)
     dense[els - els[0]] = vals
     k = Kernel(n, normalization, norm, Signal(int(els[0]), dense))
     total = k.mass()

@@ -265,11 +265,9 @@ def weighted_exp_sum(s: SequenceSet, phi: InverseFunction, alpha: float,
     h'(phi(n')) * e^{2 pi i alpha n'} and R is the distance of S_w from the
     plain full-range sum over all integers 1..n.
     """
-    if not (1 <= n <= s.n_max):
-        raise RangeError(f"N = {n} outside [1, {s.n_max}]")
+    k = count(s, n)
     if not (0.0 <= alpha <= 1.0):
         raise ValidationError(f"alpha = {alpha} outside [0, 1]")
-    k = int(np.searchsorted(s.elements, n, side="right"))
     els = s.elements[:k].astype(float)
     u = np.asarray(phi.value(els), dtype=float)
     w = np.asarray(s.growth.deriv(u, 1), dtype=float)

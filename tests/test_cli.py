@@ -3,13 +3,18 @@
 import hashlib
 import json
 import math
+import os
 import random
+import resource
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import roughmax
 from roughmax import ValidationError, Variant, build_aux_report
 from roughmax.cli import (
     EXIT_NUMERIC,
@@ -100,6 +105,8 @@ REFERENCE_TABLES = {
                    "--kmin", "12", "--kmax", "16", "--params", "m=2,kappa=1.0"),
     "expsum-minnorm": ("expsum", "--h", "pure:1.05:1.0", "--bound", "minnorm",
                        "--kmin", "12", "--kmax", "18"),
+    "ergodic": ("ergodic", "--h", "pure:1.02:1.0", "--system", "shift:97:5",
+                "--f", "indicator:3", "--kmin", "10", "--kmax", "19"),
 }
 
 
@@ -236,6 +243,40 @@ def test_growth_table_c1_extra_columns(tmp_path):
     assert code == 0
     header = [l for l in p.read_text().splitlines() if not l.startswith("#")][0]
     assert header.endswith("sigma,tau,varrho")
+
+
+@pytest.mark.parametrize("kmax", ["5", "4"])
+def test_growth_table_refuses_an_empty_octave_range(tmp_path, capsys, kmax):
+    assert run_cli("growth-table", "--h", "pure:1.5:1.0", "--kmin", "5",
+                   "--kmax", kmax, "--out", str(tmp_path / "g.csv")) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "--kmin 5" in err and f"--kmax {kmax}" in err and "Traceback" not in err
+
+
+def test_ergodic_empty_range_writes_the_header_only(tmp_path):
+    p = tmp_path / "e.csv"
+    assert run_cli("ergodic", "--h", "pure:1.02:1.0", "--system", "shift:7:3",
+                   "--f", "indicator:2", "--kmin", "9", "--kmax", "8",
+                   "--out", str(p)) == 0
+    body = [l for l in p.read_text().splitlines() if not l.startswith("#")]
+    assert body == ["k,N,average,weighted_average"]
+
+
+def test_kernel_decomp_refuses_an_oversized_kernel(tmp_path):
+    # scale 2^29 on pure:1.9 would need a 14 GiB dense kernel; the child runs
+    # under a 3 GiB address-space limit, so a regression fails with a
+    # MemoryError instead of exhausting the machine
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(roughmax.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "roughmax.cli", "kernel-decomp", "--h", "pure:1.9:1.0",
+         "--kmin", "29", "--kmax", "29", "--out", str(tmp_path / "k.csv")],
+        capture_output=True, text=True, timeout=120, preexec_fn=limit, env=env)
+    assert proc.returncode == EXIT_VALIDATION, proc.stderr
+    assert "exceeds 2^30" in proc.stderr and "Traceback" not in proc.stderr
 
 
 # (growth spec, kmin, kmax): c > 1, c = 1, and a grid whose first octaves lie

@@ -127,6 +127,46 @@ def test_empty_count_error(phi102):
         ergodic_average(sys, late, indicator(7, 0), 0, 4)
 
 
+@pytest.mark.parametrize("weighted", [False, True])
+def test_array_call_is_the_scalar_calls_bit_for_bit(s102_22, phi102, rng, weighted):
+    sys = cyclic_shift(13, 4)
+    f = rng.normal(size=13)
+    # a repeated N, N out of order, and N past the 2^20 fsum threshold
+    ns = np.array([1 << 21, 1, 77, 77, 1 << 12, (1 << 22) - 3, 5000])
+
+    def avg(n):
+        if weighted:
+            return weighted_average(sys, s102_22, phi102, f, 2, n)
+        return ergodic_average(sys, s102_22, f, 2, n)
+
+    got = avg(ns)
+    assert isinstance(got, np.ndarray) and got.shape == ns.shape
+    assert got.tolist() == [avg(int(n)) for n in ns]
+    assert avg(ns[:0]).shape == (0,)
+
+
+def test_array_call_names_the_first_bad_n(s102_16, phi102):
+    sys = cyclic_shift(7, 1)
+    f = indicator(7, 0)
+    bad = s102_16.n_max + 1
+    with pytest.raises(RangeError, match=f"N = {bad} outside"):
+        ergodic_average(sys, s102_16, f, 0, [10, bad, 0])
+    with pytest.raises(RangeError, match="N = 0 outside"):
+        weighted_average(sys, s102_16, phi102, f, 0, np.array([10, 0, bad]))
+
+
+def test_array_call_names_an_n_with_no_elements():
+    from roughmax import generate, make_growth
+    g = make_growth("powerlog", 1.02, 1.0, a=1.0)
+    late = generate(g, 4096)        # elements start near 17
+    sys = cyclic_shift(7, 1)
+    with pytest.raises(DegenerateError, match=r"\[1, 4\]"):
+        ergodic_average(sys, late, indicator(7, 0), 0, np.array([1024, 4, 2]))
+    # the weighted average is normalized by N, so an empty prefix averages to 0
+    w = weighted_average(sys, late, g.inverse(), indicator(7, 0), 0, np.array([4, 1024]))
+    assert w[0] == 0.0 and w[1] > 0.0
+
+
 # ---------------------------------------------------------------------------
 # oscillation diagnostic
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from roughmax import (
     InsufficientDataError,
     Normalization,
     RangeError,
+    SignalSizeError,
     autocorrelation,
     build_kernel,
     compute_gn,
@@ -114,6 +115,14 @@ def test_kernel_range_and_degenerate_errors(s102_16, phi102):
     assert int(late.elements[0]) > 4
     with pytest.raises(DegenerateError):
         build_kernel(late, g.inverse(), 4)
+
+
+def test_kernel_support_cap(s102_16, phi102, monkeypatch):
+    # the window of scale 2^10 spans ~3.5 * 2^10 integers, far above a cap of 64
+    import roughmax.signals as sig
+    monkeypatch.setattr(sig, "MAX_SUPPORT", 64)
+    with pytest.raises(SignalSizeError, match="kernel support"):
+        build_kernel(s102_16, phi102, 1 << 10)
 
 
 # ---------------------------------------------------------------------------
