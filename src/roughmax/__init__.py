@@ -49,6 +49,7 @@ from .kernel import (
     build_kernel,
     compute_gn,
     decomposition_report,
+    decomposition_reports,
     estimate_chi,
     eta,
     gn_profile,

@@ -4,7 +4,9 @@ Every command writes a table (CSV with a ``#``-prefixed metadata header, or a
 JSON mirror) whose bytes depend only on the configuration: floats print with
 17 significant digits, metadata keys are sorted, and the worker-count flag is
 deliberately excluded from the output so results are reproducible across
-parallelism settings.  All reductions are ordered and single-threaded.
+parallelism settings.  ``kernel-decomp`` and ``verify-family`` run their
+scales on ``--workers`` threads and collect the rows in scale order; every
+other command is sequential.  All reductions are ordered.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .errors import NUMERIC_ERRORS, RoughMaxError, ValidationError
 from .ergodic import cyclic_shift, ergodic_average, indicator, weighted_average
 from .expsum import min_norm_sum, ratio_sweep
 from .growth import GrowthFunction, Variant, build_aux_report, make_growth
-from .kernel import Normalization, build_kernel, decomposition_report
+from .kernel import Normalization, decomposition_reports
 from .maximal import (
     build_scale_family,
     cz_decompose,
@@ -205,12 +207,11 @@ def _cmd_kernel_decomp(args) -> int:
     g = parse_growth_spec(args.h)
     s = generate(g, 4 * (1 << args.kmax))
     phi = g.inverse()
-    rows = []
-    for k in range(args.kmin, args.kmax + 1):
-        ker = build_kernel(s, phi, 1 << k, Normalization.PHI_APPROX)
-        r = decomposition_report(ker, phi)
-        rows.append([k, r.scale_n, r.small_x_bound, r.gn_sup, r.en_sup,
-                     r.gn_lipschitz, r.mass])
+    ks = range(args.kmin, args.kmax + 1)
+    reports = decomposition_reports(s, phi, [1 << k for k in ks],
+                                    Normalization.PHI_APPROX, args.workers)
+    rows = [[k, r.scale_n, r.small_x_bound, r.gn_sup, r.en_sup, r.gn_lipschitz,
+             r.mass] for k, r in zip(ks, reports)]
     write_table(args.out, _meta(args, "kernel-decomp", kmin=args.kmin,
                                 kmax=args.kmax),
                 ["k", "N", "small_x_bound", "gn_sup", "en_sup",
@@ -361,7 +362,7 @@ def _cmd_verify_family(args) -> int:
     phi = g.inverse()
     family = build_scale_family(s, phi, args.nlo, args.nhi,
                                 Normalization.PHI_APPROX)
-    rep = verify_family_hypotheses(family, phi)
+    rep = verify_family_hypotheses(family, phi, args.workers)
     rows = []
     for i, sc in enumerate(rep.scales):
         rows.append([int(math.log2(sc)), sc, rep.d[i], rep.big_d[i],
@@ -385,8 +386,9 @@ def _add_common(p, with_h=True):
         p.add_argument("--h", required=True, help="growth spec variant:c:C_h[:A[:B|:m]]")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1,
-                   help="accepted for interface compatibility; execution is "
-                        "sequential and output never depends on it")
+                   help="threads for the scales of kernel-decomp and "
+                        "verify-family; every other command is sequential, "
+                        "and output never depends on it")
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 

@@ -27,7 +27,7 @@ from .errors import (
     ValidationError,
 )
 from .growth import InverseFunction
-from .kernel import Normalization, _split_sups, build_kernel
+from .kernel import Normalization, _map_scales, _split_sups, build_kernel
 from .seqset import SequenceSet, count
 from .signals import Signal, convolve
 from .util import log_spaced, loglog_slope
@@ -380,22 +380,25 @@ class FamilyHypothesesReport:
     growth_m: float
 
 
-def verify_family_hypotheses(family: ScaleFamily,
-                             phi: InverseFunction) -> FamilyHypothesesReport:
+def verify_family_hypotheses(family: ScaleFamily, phi: InverseFunction,
+                             workers: int = 1) -> FamilyHypothesesReport:
     """Measure the kernel-family hypotheses across scales and fit exponents.
 
     The smoothness region is |x|, |x+y| beyond the inverse-function value of
     the scale (where the model is the slowly varying tail), matching the
     separation exponent eps2 = 1 up to the constant absorbed by the fit.
+    The per-scale splits run on up to ``workers`` threads, largest scale
+    first; the report does not depend on the thread count.
     """
     if not (1.0 < phi.c < 30.0 / 29.0):
         raise PreconditionError(
             f"model-family measurements need 1 < c < 30/29, got c = {phi.c}")
     if len(family.scales) < 4:
         raise InsufficientDataError("need >= 4 scales to fit the decay exponent")
+    sups = _map_scales(lambda k: _split_sups(k, phi), family.kernels, workers)
     res, f0d, fsup, lips = [], [], [], []
-    for k, d_n, big_d_n in zip(family.kernels, family.d, family.big_d):
-        a0, small, gn_sup, en_sup, lip, _ = _split_sups(k, phi)
+    for (a0, small, gn_sup, en_sup, lip, _), d_n, big_d_n in zip(
+            sups, family.d, family.big_d):
         res.append(en_sup)
         f0d.append(a0 * d_n)
         fsup.append(max(small, gn_sup) * big_d_n)

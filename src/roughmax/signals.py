@@ -145,26 +145,65 @@ def convolve(a: Signal, b: Signal, method: str = "direct") -> Signal:
     return Signal(a.offset + b.offset, v)
 
 
+def _last_nonzero(v: np.ndarray) -> int:
+    """Index of the last nonzero entry of a nonempty v; -1 if there is none."""
+    i = v.size - 1 - int(np.argmax(v[::-1] != 0))
+    return i if v[i] != 0 else -1
+
+
+def _even_autocorrelation(v: np.ndarray, method: str = "fast", mass: bool = False):
+    """The even autocorrelation of v at lags 0..L-1 (L = v.size).
+
+    With c the correlation of v with its reflection, entry j is
+    0.5 * (c[j] + c[-j]): read straight from the inverse-transform buffer
+    (c[-j] sits at n - j) or from the direct convolution.  With ``mass`` the
+    total over all lags -(L-1)..L-1 comes back as well, as the pairwise sum of
+    the zero-trimmed full even array, mirrored in place into that buffer.
+    The transform length is the power of two n >= 2L - 1; a length above
+    MAX_SUPPORT is refused before anything is allocated.
+    """
+    size = v.size
+    out_len = 2 * size - 1
+    if out_len > MAX_SUPPORT:
+        raise SignalSizeError(f"autocorrelation support {out_len} exceeds 2^30")
+    half = np.empty(size)
+    if method == "direct":
+        buf = np.convolve(v, v[::-1])
+        np.add(buf[size - 1:], buf[size - 1::-1], out=half)
+    else:
+        n = 1 << (out_len - 1).bit_length()
+        f = np.fft.rfft(v, n)
+        power = f * f.conj()
+        del f
+        buf = np.fft.irfft(power, n)
+        del power
+        half[0] = buf[0] + buf[0]
+        np.add(buf[1:size], buf[:n - size:-1], out=half[1:])
+    half *= 0.5
+    if not mass:
+        return half
+    t = _last_nonzero(half)
+    if t < 0:
+        return half, 0.0
+    buf[:t] = half[t:0:-1]
+    buf[t:2 * t + 1] = half[:t + 1]
+    return half, float(buf[:2 * t + 1].sum())
+
+
+def _even_signal(half: np.ndarray) -> Signal:
+    """The even signal whose values at lags 0, 1, ... are ``half``."""
+    return Signal(1 - half.size, np.concatenate((half[:0:-1], half)))
+
+
 def autocorrelation_signal(s: Signal, method: str = "fast") -> Signal:
     """s correlated with its reflection, symmetrized to be exactly even.
 
-    Built on the full lag window [-(L-1), L-1] before any trimming so the
-    symmetrization never misaligns, then averaged with its own reversal,
-    which makes value(x) == value(-x) exact.
+    A view of the half-lag autocorrelation: the value at x and at -x is
+    0.5 * (c[x] + c[-x]) for the raw correlation c, so value(x) == value(-x)
+    holds exactly.
     """
     if method not in ("direct", "fast"):
         raise ValueError(f"unknown autocorrelation method {method!r}")
     if s.is_zero:
         return s
-    out_len = 2 * s.values.size - 1
-    if out_len > MAX_SUPPORT:
-        raise SignalSizeError(f"autocorrelation support {out_len} exceeds 2^30")
-    if method == "direct":
-        v = np.convolve(s.values, s.values[::-1])
-    else:
-        n = 1 << (out_len - 1).bit_length()
-        f = np.fft.rfft(s.values, n)
-        v = np.fft.irfft(f * f.conj(), n)
-        v = np.roll(v, s.values.size - 1)[:out_len]
-    v = 0.5 * (v + v[::-1])
-    return Signal(-(s.values.size - 1), v)
+    return _even_signal(_even_autocorrelation(s.values, method))

@@ -91,8 +91,8 @@ def test_byte_identical_reruns_and_worker_independence(tmp_path):
     assert outs[0] == outs[1] == outs[2]
 
 
-# the benchmark's seqset and expsum tables and the reference tables it checks
-# them against, kept under perfbench/reference
+# the benchmark's tables and the reference tables it checks them against,
+# kept under perfbench/reference; the decomposition tables run on two threads
 REFERENCE_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
 REFERENCE_TABLES = {
     "seqset-pure102": ("seqset", "--h", "pure:1.02:1.0", "--nmax", str(1 << 20)),
@@ -107,6 +107,10 @@ REFERENCE_TABLES = {
                        "--kmin", "12", "--kmax", "18"),
     "ergodic": ("ergodic", "--h", "pure:1.02:1.0", "--system", "shift:97:5",
                 "--f", "indicator:3", "--kmin", "10", "--kmax", "19"),
+    "kernel-decomp": ("kernel-decomp", "--h", "pure:1.02:1.0", "--kmin", "12",
+                      "--kmax", "18", "--workers", "2"),
+    "verify-family": ("verify-family", "--h", "pure:1.02:1.0", "--nlo", "12",
+                      "--nhi", "18", "--workers", "2"),
 }
 
 
@@ -115,6 +119,29 @@ def test_phase_tables_match_the_reference_bytes(tmp_path, label):
     out = tmp_path / f"{label}.csv"
     assert run_cli(*REFERENCE_TABLES[label], "--out", str(out)) == 0
     assert out.read_bytes() == (REFERENCE_DIR / f"{label}.csv").read_bytes()
+
+
+def test_workers_never_start_more_threads_than_scales(tmp_path, monkeypatch):
+    # the pool is sized min(--workers, #scales); the recording executor only
+    # notes the size it is asked for, and at most one thread per task starts
+    import concurrent.futures
+    sizes = []
+
+    class Recording(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+    for cmd, lo, hi in (("kernel-decomp", "--kmin", "--kmax"),
+                        ("verify-family", "--nlo", "--nhi")):
+        for workers in ("64", "1"):
+            assert run_cli(cmd, "--h", "pure:1.02:1.0", lo, "8", hi, "11",
+                           "--workers", workers,
+                           "--out", str(tmp_path / f"{cmd}-{workers}.csv")) == 0
+        assert (tmp_path / f"{cmd}-64.csv").read_bytes() \
+            == (tmp_path / f"{cmd}-1.csv").read_bytes()
+    assert sizes == [4, 4]
 
 
 def test_config_round_trip_from_emitted_meta(tmp_path):

@@ -1,10 +1,17 @@
 """Cutoff, kernels, autocorrelation decomposition, and the decay-exponent fit."""
 
 import math
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import roughmax
+import roughmax.signals as sig
 from roughmax import (
     DegenerateError,
     InsufficientDataError,
@@ -16,8 +23,10 @@ from roughmax import (
     compute_gn,
     count,
     decomposition_report,
+    decomposition_reports,
     estimate_chi,
     eta,
+    generate,
     gn_profile,
 )
 from roughmax.kernel import DecompositionReport
@@ -231,6 +240,101 @@ def test_report_puts_gn_on_the_kernel_normalization(s102_16, phi102, k_exp):
     scale = (float(phi102.value(float(n))) / count(s102_16, n)) ** 2
     assert r_cnt.en_sup == pytest.approx(r_phi.en_sup * scale, rel=1e-9)
     assert r_cnt.gn_sup == pytest.approx(r_phi.gn_sup * scale, rel=1e-9)
+
+
+def test_gn_window_cap(phi102, monkeypatch):
+    # the window of scale 2^10 spans ~3.5 * 2^10 integers, far above a cap of 64
+    monkeypatch.setattr(sig, "MAX_SUPPORT", 64)
+    with pytest.raises(SignalSizeError, match="G_N window"):
+        gn_profile(phi102, 1 << 10)
+    with pytest.raises(SignalSizeError, match="G_N window"):
+        compute_gn(phi102, 1 << 10, 3)
+
+
+def test_gn_profile_refuses_an_oversized_window():
+    # scale 2^29 on pure:1.9: the density window spans ~1.9e9 integers (14 GiB
+    # as floats); the child runs under a 3 GiB address-space limit, so a
+    # regression fails with a MemoryError instead of exhausting the machine
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+    code = ("import roughmax\n"
+            "phi = roughmax.make_growth('pure', 1.9).inverse()\n"
+            "for probe in (lambda: roughmax.gn_profile(phi, 1 << 29),\n"
+            "              lambda: roughmax.compute_gn(phi, 1 << 29, 5)):\n"
+            "    try:\n"
+            "        probe()\n"
+            "    except roughmax.SignalSizeError as exc:\n"
+            "        print(exc)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(roughmax.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, preexec_fn=limit, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("exceeds 2^30") == 2, proc.stdout
+
+
+def full_grid_split_sups(k, phi):
+    """The oracle for _split_sups: both profiles as even signals, read on the
+    integer lag grid 0..max(last support lag of either, cut + 1)."""
+    n = k.scale_n
+    phin = float(phi.value(float(n)))
+    cut = int(math.floor(phin))
+    acorr = autocorrelation(k)
+    gn = gn_profile(phi, n)
+    if k.normalization is not Normalization.PHI_APPROX:
+        gn = gn * (phin / k.norm_value) ** 2
+    xs = np.arange(max(acorr.support[1], gn.support[1], cut + 1) + 1)
+    a = acorr(xs)
+    tail = gn(xs)[cut + 1:]
+    small = float(np.max(np.abs(a[1:cut + 1]))) if cut >= 1 else 0.0
+    lip = 0.0
+    for d in (1, 2, 4, 8):
+        if tail.size > d:
+            lip = max(lip, float(np.max(np.abs(tail[d:] - tail[:-d]))) / d)
+    return (float(a[0]), small, float(np.max(np.abs(tail))),
+            float(np.max(np.abs(a[cut + 1:] - tail))), lip, acorr.sum())
+
+
+@pytest.mark.parametrize("norm", list(Normalization), ids=lambda m: m.name)
+def test_split_sups_are_the_full_grid_bits(s102_16, phi102, glog, philog,
+                                           sident, phident, norm):
+    from roughmax.kernel import _split_sups
+    s_log = generate(glog, 1 << 14)
+    cases = [(s102_16, phi102, k) for k in (4, 8, 12, 14)]
+    cases += [(s_log, philog, k) for k in (6, 12)] + [(sident, phident, 6)]
+    for s, phi, k_exp in cases:
+        k = build_kernel(s, phi, 1 << k_exp, norm)
+        assert _split_sups(k, phi) == full_grid_split_sups(k, phi), k_exp
+
+
+def test_decomposition_reports_do_not_depend_on_workers(s102_16, phi102, glog, philog):
+    # more threads than cores, switching as often as the interpreter allows
+    s_log = generate(glog, 1 << 16)
+    scales = [1 << k for k in range(10, 15)]
+    cases = ((s102_16, phi102, Normalization.PHI_APPROX),
+             (s_log, philog, Normalization.COUNT_EXACT))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runs = [[decomposition_reports(s, phi, scales, norm, workers)
+                 for workers in (1, 2, 3)] for s, phi, norm in cases]
+    finally:
+        sys.setswitchinterval(interval)
+    for (s, phi, norm), reps in zip(cases, runs):
+        assert reps[0] == reps[1] == reps[2]
+        assert reps[0] == [decomposition_report(build_kernel(s, phi, n, norm), phi)
+                           for n in scales]
+
+
+def test_decomposition_reports_raise_the_first_failing_scale(s102_16, phi102):
+    # 2^15 and 2^16 both need n_max >= 4N > 2^16; the smaller one is reported
+    # whichever thread finishes first
+    scales = [1 << 10, 1 << 15, 1 << 16]
+    for workers in (1, 3):
+        with pytest.raises(RangeError, match="N = 32768"):
+            decomposition_reports(s102_16, phi102, scales, workers=workers)
+    assert decomposition_reports(s102_16, phi102, [], workers=4) == []
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from roughmax import (
     cz_decompose,
     decomposition_report,
     default_lambda_grid,
+    generate,
     maximal_function,
     refine_bad_part,
     verify_family_hypotheses,
@@ -485,6 +486,15 @@ def test_family_hypotheses_are_decomposition_report_rescaled(s102_16, phi102, no
         assert rep.residual_sup[i] == r.en_sup
         assert rep.lipschitz_ratio[i] == 16 * r.gn_lipschitz
         assert rep.f_sup_times_d[i] == 4 * max(r.small_x_bound, r.gn_sup)
+
+
+def test_family_hypotheses_do_not_depend_on_workers(s102_16, phi102, glog, philog):
+    s_log = generate(glog, 1 << 16)
+    for s, phi, norm in ((s102_16, phi102, Normalization.PHI_APPROX),
+                         (s_log, philog, Normalization.COUNT_EXACT)):
+        fam = build_scale_family(s, phi, 10, 14, norm)
+        reps = [verify_family_hypotheses(fam, phi, workers) for workers in (1, 2, 3)]
+        assert reps[0] == reps[1] == reps[2]
 
 
 def test_family_hypotheses_needs_scales(s102_16, phi102):

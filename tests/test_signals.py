@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import roughmax.signals as sig
-from roughmax import Signal, SignalSizeError, autocorrelation_signal, convolve
+from roughmax import Signal, SignalSizeError, autocorrelation_signal, convolve, eta
 
 
 def random_sparse(rng, n=100, span=500):
@@ -83,3 +83,73 @@ def test_autocorrelation_mass_identity(rng):
     f = random_sparse(rng, n=40)
     ac = autocorrelation_signal(f)
     assert ac.sum() == pytest.approx(f.sum() ** 2, rel=1e-9, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the half-lag autocorrelation against the full-window one
+# ---------------------------------------------------------------------------
+
+def full_window_autocorrelation(v, method):
+    """The oracle: the correlation over the full lag window -(L-1)..L-1
+    (rolled into place from the transform), averaged with its reversal."""
+    out_len = 2 * v.size - 1
+    if method == "direct":
+        full = np.convolve(v, v[::-1])
+    else:
+        n = 1 << (out_len - 1).bit_length()
+        f = np.fft.rfft(v, n)
+        full = np.fft.irfft(f * f.conj(), n)
+        full = np.roll(full, v.size - 1)[:out_len]
+    return 0.5 * (full + full[::-1])
+
+
+def autocorrelation_inputs():
+    rng = np.random.default_rng(11)
+    out = {f"random-{n}": rng.normal(size=n) for n in (1, 2, 3, 5, 64, 1000, 4097)}
+    out["positive-3000"] = rng.random(3000)
+    # exact zeros at the far lags (direct path): the mass must be summed over
+    # the trimmed window, whose pairwise grouping differs from the full one
+    out["zero-padded-205"] = np.concatenate([rng.normal(size=200), np.zeros(5)])
+    # the cutoff over a scale window: exp(-1/u) underflows to exact zeros at
+    # both ends, and in between the values span ~300 orders of magnitude
+    n = 1 << 12
+    out["eta-window"] = eta(np.arange(n // 2 + 1, 4 * n) / n)
+    out["zero-ends"] = np.array([0.0, 0.0, 1.0, -2.0, 0.5, 0.0])
+    out["all-zero"] = np.zeros(3)
+    return out
+
+
+@pytest.mark.parametrize("method", ["fast", "direct"])
+@pytest.mark.parametrize("label", sorted(autocorrelation_inputs()))
+def test_half_lag_autocorrelation_is_the_full_window_bits(method, label):
+    v = autocorrelation_inputs()[label]
+    full = full_window_autocorrelation(v, method)
+    half, mass = sig._even_autocorrelation(v, method, mass=True)
+    assert np.array_equal(half, full[v.size - 1:])
+    assert np.array_equal(sig._even_autocorrelation(v, method), half)
+    # the mass is the pairwise sum of the zero-trimmed full window
+    assert mass == Signal(0, full).sum()
+
+    s = Signal(0, v)
+    got = autocorrelation_signal(s, method)
+    want = (Signal(1 - s.values.size, full_window_autocorrelation(s.values, method))
+            if not s.is_zero else s)
+    assert got.offset == want.offset
+    assert np.array_equal(got.values, want.values)
+
+
+def test_eta_window_ends_underflow():
+    # the premise of the eta-window input above
+    v = autocorrelation_inputs()["eta-window"]
+    assert v[0] == 0.0 and v[-1] == 0.0 and Signal(0, v).values.size < v.size
+
+
+def test_half_lag_autocorrelation_size_cap(monkeypatch):
+    # 2 * 9 - 1 = 17 lags need a transform of 32 > 16; 8 values need 15 -> 16
+    monkeypatch.setattr(sig, "MAX_SUPPORT", 16)
+    for method in ("fast", "direct"):
+        with pytest.raises(SignalSizeError, match="exceeds"):
+            sig._even_autocorrelation(np.ones(9), method)
+        assert sig._even_autocorrelation(np.ones(8), method).size == 8
+    with pytest.raises(SignalSizeError):
+        autocorrelation_signal(Signal(0, np.ones(9)))
