@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import SignalSizeError
+from .util import CHUNK
 
 MAX_SUPPORT = 1 << 30
 
@@ -143,6 +146,40 @@ def convolve(a: Signal, b: Signal, method: str = "direct") -> Signal:
         fb = np.fft.rfft(b.values, n)
         v = np.fft.irfft(fa * fb, n)[:out_len]
     return Signal(a.offset + b.offset, v)
+
+
+def _overlap_save(f: Signal, kernels: Iterable[Signal]
+                  ) -> Iterator[tuple[int, np.ndarray]]:
+    """f * k for each k in ``kernels``, as ``(position, block)`` pairs; f != 0.
+
+    ``block[i]`` is the convolution at ``position + i``; the blocks of one
+    kernel tile its output support left to right.  f is transformed once, at
+    the power of two L >= 4 * width(f).  Each kernel is cut into length-L
+    segments with step B = L - width(f) + 1, whose circular convolutions with
+    f each hold B linear outputs.  Segments go through the transform
+    ``max(1, CHUNK // L)`` at a time, so besides the transform of f only one
+    batch of about max(CHUNK, L) points is held, never a kernel-sized buffer.
+    """
+    w = f.values.size
+    n = 1 << (4 * w - 1).bit_length()
+    step = n - w + 1
+    rows = max(1, CHUNK // n)
+    ff = np.fft.rfft(f.values, n)
+    for k in kernels:
+        kv = k.values
+        out_len = w + kv.size - 1
+        for first in range(0, out_len, rows * step):
+            count = min(rows, -(-(out_len - first) // step))
+            # the segments cover kernel indices [lo, hi), zero outside kv
+            lo = first - (w - 1)
+            hi = lo + (count - 1) * step + n
+            chunk = np.zeros(hi - lo)
+            a, b = max(lo, 0), min(hi, kv.size)
+            chunk[a - lo:b - lo] = kv[a:b]
+            segs = sliding_window_view(chunk, n)[::step]
+            y = np.fft.irfft(np.fft.rfft(segs, axis=1) * ff, n, axis=1)
+            block = y[:, w - 1:].reshape(-1)[:out_len - first]
+            yield f.offset + k.offset + first, block
 
 
 def _last_nonzero(v: np.ndarray) -> int:

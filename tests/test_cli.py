@@ -362,6 +362,18 @@ def test_exit_code_for_a_set_above_the_cap(tmp_path, capsys):
     assert "2^40 cap" in err and "Traceback" not in err
 
 
+def test_exit_code_for_a_maximal_accumulator_above_the_cap(tmp_path, capsys,
+                                                           monkeypatch):
+    # every kernel up to 2^10 is under 3.5 * 2^10 wide and fits; the
+    # accumulator also spans the corpus's 2^14 sites and does not
+    monkeypatch.setattr(roughmax.signals, "MAX_SUPPORT", 4096)
+    assert run_cli("weaktype", "--h", "pure:1.02:1.0", "--nlo", "8", "--nhi", "10",
+                   "--corpus", "random:16:7",
+                   "--out", str(tmp_path / "x.csv")) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "maximal-function support" in err and "Traceback" not in err
+
+
 def test_exit_code_unknown_subcommand():
     with pytest.raises(SystemExit) as exc:
         run_cli("no-such-command")

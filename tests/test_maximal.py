@@ -5,6 +5,7 @@ asserted with equality; the float path is exercised separately at 1e-12.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -16,18 +17,24 @@ from roughmax import (
     Normalization,
     RangeError,
     Signal,
+    SignalSizeError,
     ValidationError,
     build_kernel,
     build_scale_family,
+    convolve,
     cz_decompose,
     decomposition_report,
     default_lambda_grid,
     generate,
+    make_growth,
     maximal_function,
     refine_bad_part,
     verify_family_hypotheses,
     weak_type_profile,
 )
+from roughmax import signals
+from roughmax.cli import _parse_corpus
+from roughmax.maximal import SPARSE_NNZ_LIMIT, _convolve_signal
 
 
 @pytest.fixture(scope="module")
@@ -175,6 +182,83 @@ def test_weak_type_quasi_additivity(fam102, rng):
     many = max(r for _, _, r in weak_type_profile(
         fam102, f, default_lambda_grid(fam102, f)))
     assert many <= 4.0 * single
+
+
+def _sites_signal(rng, lo, hi, nnz):
+    """nnz distinct positions in [lo, hi) with both ends taken, values in [1, 5)."""
+    inner = rng.choice(np.arange(lo + 1, hi - 1), nnz - 2, replace=False)
+    pos = np.concatenate(([lo, hi - 1], inner))
+    return Signal.from_dict({int(p): float(v) for p, v in
+                             zip(pos, rng.uniform(1.0, 5.0, nnz))})
+
+
+def _direct_maximal(family, f, lo, hi):
+    xs = np.arange(lo, hi + 1)
+    oracle = np.zeros(xs.size)
+    for k in family.kernels:
+        oracle = np.maximum(oracle, np.abs(convolve(f, k.signal, "direct")(xs)))
+    return oracle
+
+
+@pytest.mark.parametrize("lo,hi,nnz", [
+    (0, 100, SPARSE_NNZ_LIMIT + 1),   # short f: many segments per batch
+    (-3001, 2000, 700),               # negative offset, width 5001
+    (-50, 9000, 2000),                # one segment per batch
+])
+def test_transform_path_matches_direct_oracle(s102_16, phi102, rng, monkeypatch,
+                                              lo, hi, nnz):
+    fam = build_scale_family(s102_16, phi102, 8, 14)
+    f = _sites_signal(rng, lo, hi, nnz)
+    assert np.count_nonzero(f.values) == nnz and f.support == (lo, hi - 1)
+    blocks = []
+    real = signals._overlap_save
+
+    def recording(f, kernels):
+        for start, block in real(f, kernels):
+            blocks.append((start, block.size))
+            yield start, block
+
+    monkeypatch.setattr(signals, "_overlap_save", recording)
+    mf = maximal_function(fam, f)
+    top = fam.kernels[-1].signal
+    top_blocks = [b for b in blocks if b[0] >= f.offset + top.offset]
+    assert len(top_blocks) >= 2                     # the top kernel spans blocks
+    assert fam.kernels[0].signal.values.size < max(n for _, n in blocks)
+    oracle = _direct_maximal(fam, f, *mf.support)
+    assert np.max(np.abs(mf.values - oracle)) <= 1e-12
+    lams = default_lambda_grid(fam, f)
+    counts = [c for _, c, _ in weak_type_profile(fam, f, lams)]
+    assert counts == [int(np.count_nonzero(oracle > lam)) for lam in lams]
+
+
+def test_maximal_refuses_a_wide_accumulator(fam102, monkeypatch):
+    f = Signal.from_dict({0: 1.0, 900: 1.0})
+    hi = 900 + fam102.kernels[-1].signal.support[1]
+    width = hi - fam102.kernels[0].signal.offset + 1
+    monkeypatch.setattr(signals, "MAX_SUPPORT", width)
+    assert maximal_function(fam102, f).support[1] == hi
+    monkeypatch.setattr(signals, "MAX_SUPPORT", width - 1)
+    with pytest.raises(SignalSizeError, match="maximal-function support"):
+        maximal_function(fam102, f)
+    monkeypatch.setattr(signals, "MAX_SUPPORT", 22)
+    with pytest.raises(SignalSizeError, match="shift-add output support 23"):
+        _convolve_signal(Signal(0, np.ones(12)), Signal(0, np.ones(12)))
+
+
+def test_maximal_function_memory_is_a_few_accumulators():
+    g = make_growth("pure", 1.5)
+    fam = build_scale_family(generate(g, 4 << 19), g.inverse(), 8, 19)
+    f = _parse_corpus("random:2048:1")
+    assert np.count_nonzero(f.values) > SPARSE_NNZ_LIMIT
+    tracemalloc.start()
+    try:
+        maximal_function(fam, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    acc_bytes = 8 * (f.support[1] + fam.kernels[-1].signal.support[1]
+                     - min(f.offset + k.signal.offset for k in fam.kernels) + 1)
+    assert peak <= 4 * acc_bytes
 
 
 # ---------------------------------------------------------------------------
