@@ -99,8 +99,10 @@ def _set_sums(sys: FiniteSystem, s: SequenceSet, phi: InverseFunction | None,
               f, x: int, n) -> tuple[np.ndarray, np.ndarray]:
     """(sum of f(T^j x) over set elements j <= N, their count), shaped like n.
 
-    With ``phi`` each term is weighted by h'(phi(j)).  The terms are built
-    once, up to the largest N, and each N sums its prefix with
+    With ``phi`` each term is weighted by h'(phi(max(j, y0))), where
+    y0 = h(x0) starts phi's domain: an element j below y0 gets the weight
+    h'(phi(y0)), which is h'(x0) up to the inverse's rounding.  The terms are
+    built once, up to the largest N, and each N sums its prefix with
     ``chunked_sum``: a prefix holds the same values as a fresh array up to N,
     so every sum has the bits of a one-N call.
     """
@@ -109,8 +111,8 @@ def _set_sums(sys: FiniteSystem, s: SequenceSet, phi: InverseFunction | None,
     els = s.elements[:cnt.max(initial=0)]
     terms = fv[sys.iterate(x, els)]
     if phi is not None:
-        terms = np.asarray(s.growth.deriv(np.asarray(phi.value(els.astype(float))), 1),
-                           dtype=float) * terms
+        u = np.asarray(phi.value(np.maximum(els, phi.y0)))
+        terms = np.asarray(s.growth.deriv(u, 1), dtype=float) * terms
     sums = np.array([chunked_sum(terms[:k]) for k in cnt.ravel()], dtype=float)
     return sums.reshape(cnt.shape), cnt
 
@@ -133,7 +135,8 @@ def weighted_average(sys: FiniteSystem, s: SequenceSet, phi: InverseFunction,
     """Density-weighted mean: sum of h'(phi(j)) f(T^j x) over elements, over N.
 
     The weight h'(phi(j)) compensates for the thinning of the set, so the
-    N-normalized sum tracks the count-normalized average in the limit.
+    N-normalized sum tracks the count-normalized average in the limit; an
+    element j below y0 is weighted at phi(y0), as ``_set_sums`` says.
     ``n`` is one N or an array of them; an array gives one average per N.
     """
     out = _set_sums(sys, s, phi, f, x, n)[0] / np.asarray(n)

@@ -7,10 +7,9 @@ input into a bounded good part plus atoms on disjoint dyadic cubes, refined
 per scale into an over-threshold piece, a mean-zero piece, and cube means.
 
 M f is one accumulator over the union of the output supports, and every
-scale is folded into it as it is computed.  An input with at most
-SPARSE_NNZ_LIMIT nonzeros is convolved by shift-add; a denser one goes
-through ``signals._overlap_save``, which transforms f once and streams each
-kernel through the transform in fixed-size overlap-save batches, so no
+scale is folded into it as it is computed.  Every input, sparse or dense,
+goes through ``signals._overlap_save``, which transforms f once and streams
+each kernel through the transform in fixed-size overlap-save batches, so no
 scale holds a kernel-sized buffer of its own.
 
 Decomposition arithmetic runs on whatever number type the input carries:
@@ -41,9 +40,6 @@ from .seqset import SequenceSet, count
 from .signals import Signal
 from .util import log_spaced, loglog_slope
 
-# At most this many nonzeros in f: one shifted copy of each kernel per
-# nonzero.  Above it: overlap-save blocks against one transform of f.
-SPARSE_NNZ_LIMIT = 64
 LAMBDA_GRID_POINTS = 64  # heights in the default weak-type grid
 
 
@@ -111,18 +107,6 @@ def build_scale_family(s: SequenceSet, phi: InverseFunction, n_lo: int, n_hi: in
 # the maximal operator
 # ---------------------------------------------------------------------------
 
-def _convolve_signal(f: Signal, k: Signal) -> Signal:
-    """f * k by one shifted copy of k per nonzero of f."""
-    out_len = f.values.size + k.values.size - 1
-    if out_len > signals.MAX_SUPPORT:
-        raise SignalSizeError(
-            f"shift-add output support {out_len} exceeds {signals.MAX_SUPPORT}")
-    out = np.zeros(out_len)
-    for i in np.nonzero(f.values)[0]:
-        out[i:i + k.values.size] += f.values[i] * k.values
-    return Signal(f.offset + k.offset, out)
-
-
 def maximal_function(family: ScaleFamily, f: Signal) -> Signal:
     """Pointwise max over the family scales of |K_n * f|, for nonnegative f.
 
@@ -139,12 +123,7 @@ def maximal_function(family: ScaleFamily, f: Signal) -> Signal:
         raise SignalSizeError(
             f"maximal-function support {hi - lo + 1} exceeds {signals.MAX_SUPPORT}")
     acc = np.zeros(hi - lo + 1)
-    if np.count_nonzero(f.values) <= SPARSE_NNZ_LIMIT:
-        convs = (_convolve_signal(f, k.signal) for k in family.kernels)
-        blocks = ((c.offset, c.values) for c in convs)
-    else:
-        blocks = signals._overlap_save(f, (k.signal for k in family.kernels))
-    for start, block in blocks:
+    for start, block in signals._overlap_save(f, (k.signal for k in family.kernels)):
         seg = acc[start - lo:start - lo + block.size]
         np.maximum(seg, np.abs(block), out=seg)
     return Signal(lo, acc)

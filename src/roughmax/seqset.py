@@ -263,13 +263,15 @@ def weighted_exp_sum(s: SequenceSet, phi: InverseFunction, alpha: float,
 
     Returns (S_w, R) where S_w = sum over set elements n' <= n of
     h'(phi(n')) * e^{2 pi i alpha n'} and R is the distance of S_w from the
-    plain full-range sum over all integers 1..n.
+    plain full-range sum over all integers 1..n.  phi is evaluated at
+    max(n', y0), where y0 = h(x0) starts its domain: an element below y0
+    gets the weight h'(phi(y0)), which is h'(x0) up to the inverse's rounding.
     """
     k = count(s, n)
     if not (0.0 <= alpha <= 1.0):
         raise ValidationError(f"alpha = {alpha} outside [0, 1]")
     els = s.elements[:k].astype(float)
-    u = np.asarray(phi.value(els), dtype=float)
+    u = np.asarray(phi.value(np.maximum(els, phi.y0)), dtype=float)
     w = np.asarray(s.growth.deriv(u, 1), dtype=float)
     s_w = chunked_sum(w * np.exp(2j * np.pi * alpha * els))
     full = chunked_sum(np.exp(2j * np.pi * alpha * np.arange(1, n + 1, dtype=float)))

@@ -289,6 +289,19 @@ def test_ergodic_empty_range_writes_the_header_only(tmp_path):
     assert body == ["k,N,average,weighted_average"]
 
 
+@pytest.mark.parametrize("h", ["pure:1.5:2.5", "powerexplog:1.1:1.0:1.0:0.5"])
+def test_ergodic_runs_when_the_first_element_lies_below_y0(tmp_path, h):
+    # floor(h(ceil x0)) < h(x0) = y0 on both; the weighted average used to
+    # ask phi below its domain and exit 2
+    p = tmp_path / "e.csv"
+    assert run_cli("ergodic", "--h", h, "--system", "shift:7:1",
+                   "--f", "indicator:0", "--kmin", "8", "--kmax", "10",
+                   "--out", str(p)) == 0
+    body = [l for l in p.read_text().splitlines() if not l.startswith("#")]
+    assert len(body) == 4
+    assert all(0.0 < float(row.split(",")[3]) < 1.0 for row in body[1:])
+
+
 def test_kernel_decomp_refuses_an_oversized_kernel(tmp_path):
     # scale 2^29 on pure:1.9 would need a 14 GiB dense kernel; the child runs
     # under a 3 GiB address-space limit, so a regression fails with a

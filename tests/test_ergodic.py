@@ -9,8 +9,10 @@ from roughmax import (
     ValidationError,
     cyclic_shift,
     ergodic_average,
+    generate,
     identity_system,
     indicator,
+    make_growth,
     oscillation_diagnostic,
     random_permutation,
     weighted_average,
@@ -108,6 +110,21 @@ def test_weighted_tracks_plain(s102_16, phi102):
     a = ergodic_average(sys, s102_16, f, 0, n)
     w = weighted_average(sys, s102_16, phi102, f, 0, n)
     assert abs(a - w) < 0.05
+
+
+@pytest.mark.parametrize("variant,c,c_h,params", [
+    ("pure", 1.5, 2.5, {}),
+    ("powerexplog", 1.1, 1.0, {"a": 1.0, "b": 0.5}),
+], ids=["pure", "powerexplog"])
+def test_an_element_below_y0_is_weighted_at_x0(variant, c, c_h, params):
+    # the first element floor(h(ceil x0)) lies below y0 = h(x0), where phi
+    # starts; it is weighted by h'(x0)
+    g = make_growth(variant, c, c_h, **params)
+    s, phi = generate(g, 1 << 8), g.inverse()
+    first = int(s.elements[0])
+    assert first < phi.y0
+    avg = weighted_average(identity_system(1), s, phi, [1.0], 0, first)
+    assert avg * first == pytest.approx(float(g.deriv(g.x0, 1)), rel=1e-14)
 
 
 def test_average_validation(s102_16):

@@ -1,5 +1,6 @@
-"""Tooling guards: no module of the package imports a name it never uses, and
-every exception type the package defines is raised somewhere in it."""
+"""Tooling guards: no module of the package imports a name it never uses,
+every exception type the package defines is raised somewhere in it, and every
+module-level private function is used somewhere outside its own body."""
 
 import ast
 from pathlib import Path
@@ -77,3 +78,49 @@ def test_every_error_type_is_raised():
     sources = [p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")]
     errors = (PACKAGE / "errors.py").read_text(encoding="utf-8")
     assert unraised_errors(errors, sources) == []
+
+
+def _names_read(node) -> set:
+    """Names, attributes and imported names anywhere inside ``node``."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.add(n.name)
+    return out
+
+
+def dead_private_functions(sources) -> list:
+    """Module-level ``_private`` functions that no top-level statement in
+    ``sources`` names, their own ``def`` aside."""
+    private, statements = [], []
+    for source in sources:
+        for node in ast.parse(source).body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")):
+                private.append(node)
+            statements.append((node, _names_read(node)))
+    return sorted(d.name for d in private
+                  if not any(d.name in names for node, names in statements
+                             if node is not d))
+
+
+def test_guard_flags_a_dead_private_function():
+    users = ["def _dead(n):\n    return _dead(n - 1) if n else 0\n"
+             "def _local():\n    return 1\n"
+             "def _imported():\n    return 2\n"
+             "def _called():\n    return 3\n"
+             "def public():\n    return _local()\n",
+             "from .a import _imported\n"
+             "from . import a\n"
+             "x = a._called()\n"]
+    assert dead_private_functions(users) == ["_dead"]
+    assert dead_private_functions(users[:1]) == ["_called", "_dead", "_imported"]
+
+
+def test_every_private_function_is_used():
+    sources = [p.read_text(encoding="utf-8") for p in PACKAGE.parent.rglob("*.py")]
+    assert dead_private_functions(sources) == []

@@ -34,7 +34,6 @@ from roughmax import (
 )
 from roughmax import signals
 from roughmax.cli import _parse_corpus
-from roughmax.maximal import SPARSE_NNZ_LIMIT, _convolve_signal
 
 
 @pytest.fixture(scope="module")
@@ -186,8 +185,9 @@ def test_weak_type_quasi_additivity(fam102, rng):
 
 def _sites_signal(rng, lo, hi, nnz):
     """nnz distinct positions in [lo, hi) with both ends taken, values in [1, 5)."""
-    inner = rng.choice(np.arange(lo + 1, hi - 1), nnz - 2, replace=False)
-    pos = np.concatenate(([lo, hi - 1], inner))
+    ends = np.unique([lo, hi - 1])
+    inner = rng.choice(np.arange(lo + 1, hi - 1), nnz - ends.size, replace=False)
+    pos = np.concatenate((ends, inner))
     return Signal.from_dict({int(p): float(v) for p, v in
                              zip(pos, rng.uniform(1.0, 5.0, nnz))})
 
@@ -201,9 +201,12 @@ def _direct_maximal(family, f, lo, hi):
 
 
 @pytest.mark.parametrize("lo,hi,nnz", [
-    (0, 100, SPARSE_NNZ_LIMIT + 1),   # short f: many segments per batch
+    (0, 100, 65),                     # short f: many segments per batch
     (-3001, 2000, 700),               # negative offset, width 5001
     (-50, 9000, 2000),                # one segment per batch
+    (9000, 9001, 1),                  # one site: one block per kernel
+    (0, 1 << 14, 2),                  # sparse and wide, as the random corpora
+    (0, 1 << 14, 48),
 ])
 def test_transform_path_matches_direct_oracle(s102_16, phi102, rng, monkeypatch,
                                               lo, hi, nnz):
@@ -222,7 +225,8 @@ def test_transform_path_matches_direct_oracle(s102_16, phi102, rng, monkeypatch,
     mf = maximal_function(fam, f)
     top = fam.kernels[-1].signal
     top_blocks = [b for b in blocks if b[0] >= f.offset + top.offset]
-    assert len(top_blocks) >= 2                     # the top kernel spans blocks
+    if nnz > 1:                                     # one site: one batch
+        assert len(top_blocks) >= 2                 # the top kernel spans blocks
     assert fam.kernels[0].signal.values.size < max(n for _, n in blocks)
     oracle = _direct_maximal(fam, f, *mf.support)
     assert np.max(np.abs(mf.values - oracle)) <= 1e-12
@@ -240,16 +244,26 @@ def test_maximal_refuses_a_wide_accumulator(fam102, monkeypatch):
     monkeypatch.setattr(signals, "MAX_SUPPORT", width - 1)
     with pytest.raises(SignalSizeError, match="maximal-function support"):
         maximal_function(fam102, f)
-    monkeypatch.setattr(signals, "MAX_SUPPORT", 22)
-    with pytest.raises(SignalSizeError, match="shift-add output support 23"):
-        _convolve_signal(Signal(0, np.ones(12)), Signal(0, np.ones(12)))
+
+
+def test_maximal_refuses_a_long_transform(fam102, monkeypatch):
+    # f spans 2^14 sites, so its transform length is 2^16: longer than the
+    # accumulator, which the largest kernel (ending by 2^15) keeps below 2^16
+    f = Signal.from_dict({0: 1.0, (1 << 14) - 1: 1.0})
+    hi = (1 << 14) - 1 + fam102.kernels[-1].signal.support[1]
+    width = hi - fam102.kernels[0].signal.offset + 1
+    assert width < 1 << 16
+    monkeypatch.setattr(signals, "MAX_SUPPORT", 1 << 16)
+    assert maximal_function(fam102, f).support[1] == hi
+    monkeypatch.setattr(signals, "MAX_SUPPORT", width)
+    with pytest.raises(SignalSizeError, match="transform length 65536"):
+        maximal_function(fam102, f)
 
 
 def test_maximal_function_memory_is_a_few_accumulators():
     g = make_growth("pure", 1.5)
     fam = build_scale_family(generate(g, 4 << 19), g.inverse(), 8, 19)
     f = _parse_corpus("random:2048:1")
-    assert np.count_nonzero(f.values) > SPARSE_NNZ_LIMIT
     tracemalloc.start()
     try:
         maximal_function(fam, f)

@@ -369,6 +369,15 @@ def test_weighted_sum_nonzero_frequency(s105_20, phi105):
     assert s_w == pytest.approx(complex(oracle), abs=1e-9)
 
 
+def test_weighted_sum_weights_an_element_below_y0_at_x0():
+    # h = 2.5 x^1.5 on [1, oo): y0 = 2.5, and the first element floor(h(1)) = 2
+    g = make_growth("pure", 1.5, 2.5)
+    s, phi = generate(g, 64), g.inverse()
+    assert s.elements[0] == 2 < phi.y0
+    s_w, _ = weighted_exp_sum(s, phi, 0.0, 2)
+    assert s_w == pytest.approx(float(g.deriv(g.x0, 1)), rel=1e-14)
+
+
 def test_weighted_sum_range_error(sident, phident):
     with pytest.raises(RangeError):
         weighted_exp_sum(sident, phident, 0.0, sident.n_max + 1)

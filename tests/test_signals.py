@@ -53,6 +53,15 @@ def test_convolution_direct_is_the_oracle_for_fast(rng):
         a = random_sparse(rng)
         b = random_sparse(rng)
         assert convolve(a, b, "direct").allclose(convolve(a, b, "fast"), atol=1e-9)
+    # unequal widths, b much narrower than a: either order puts b in the
+    # transform, and a is cut into several segments
+    for _ in range(10):
+        a = random_sparse(rng, n=300, span=3000)
+        b = random_sparse(rng, n=8, span=40)
+        assert b.values.size < a.values.size
+        direct = convolve(a, b, "direct")
+        assert direct.allclose(convolve(a, b, "fast"), atol=1e-9)
+        assert direct.allclose(convolve(b, a, "fast"), atol=1e-9)
 
 
 def test_convolution_method_validation(rng):
