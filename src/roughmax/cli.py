@@ -362,7 +362,7 @@ def _cmd_verify_family(args) -> int:
     phi = g.inverse()
     family = build_scale_family(s, phi, args.nlo, args.nhi,
                                 Normalization.PHI_APPROX)
-    rep = verify_family_hypotheses(family, phi, args.workers)
+    rep = verify_family_hypotheses(family, args.workers)
     rows = []
     for i, sc in enumerate(rep.scales):
         rows.append([int(math.log2(sc)), sc, rep.d[i], rep.big_d[i],

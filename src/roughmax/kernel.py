@@ -29,6 +29,7 @@ from .signals import (
     _even_autocorrelation,
     _even_signal,
     _last_nonzero,
+    _nonzero_ends,
     autocorrelation_signal,
 )
 from .util import loglog_slope
@@ -79,6 +80,11 @@ class Normalization(enum.Enum):
 # kernels
 # ---------------------------------------------------------------------------
 
+def _support_window(n: int) -> tuple[int, int]:
+    """Closed integer range [N//2 + 1, 4N - 1] of the m with eta(m/N) != 0."""
+    return n // 2 + 1, 4 * n - 1
+
+
 @dataclass(frozen=True)
 class Kernel:
     """Nonnegative averaging kernel at scale N; immutable."""
@@ -105,9 +111,9 @@ def build_kernel(s: SequenceSet, phi: InverseFunction, n: int,
         norm = float(cnt)
     else:
         norm = float(phi.value(float(n)))
-    lo = int(np.searchsorted(s.elements, n // 2, side="right"))
-    hi = int(np.searchsorted(s.elements, 4 * n, side="left"))
-    els = s.elements[lo:hi]
+    first, last = _support_window(n)
+    els = s.elements[np.searchsorted(s.elements, first, side="left"):
+                     np.searchsorted(s.elements, last, side="right")]
     vals = np.asarray(eta(els / float(n)), dtype=float) / norm
     if els.size == 0:
         raise DegenerateError(f"no set elements in the support window of N = {n}")
@@ -132,24 +138,23 @@ def autocorrelation(k: Kernel) -> Signal:
 # the slowly varying profile G_N
 # ---------------------------------------------------------------------------
 
-def _density_window(phi: InverseFunction, n: int) -> tuple[int, np.ndarray]:
-    """(first index, phi'(m) * eta(m/N)) over the cutoff support window.
+def _density_window(phi: InverseFunction, n: int) -> np.ndarray:
+    """phi'(m) * eta(m/N) at each m of the support window of N.
 
     A window wider than ``signals.MAX_SUPPORT`` is refused before it is built.
     """
-    lo = n // 2 + 1
-    hi = 4 * n - 1
+    lo, hi = _support_window(n)
     if hi - lo + 1 > signals.MAX_SUPPORT:
         raise SignalSizeError(f"G_N window {hi - lo + 1} at N = {n} exceeds 2^30")
     m = np.arange(lo, hi + 1, dtype=float)
     w = np.asarray(phi.deriv(m, 1), dtype=float) * np.asarray(eta(m / n), dtype=float)
-    return lo, w
+    return w
 
 
 def compute_gn(phi: InverseFunction, n: int, x: int) -> float:
     """G_N(x) by direct summation; the reference path for single points."""
     ax = abs(int(x))
-    lo, w = _density_window(phi, n)
+    w = _density_window(phi, n)
     if ax >= w.size:
         return 0.0
     phin = float(phi.value(float(n)))
@@ -161,8 +166,9 @@ def compute_gn(phi: InverseFunction, n: int, x: int) -> float:
 def _gn_lags(phi: InverseFunction, n: int, phin: float) -> np.ndarray:
     """G_N at lags 0, 1, ...: the half-lag autocorrelation of the density
     window, trimmed of the zeros eta leaves at its ends, over phi(N)^2."""
-    lo, w = _density_window(phi, n)
-    g = _even_autocorrelation(Signal(lo, w).values, "fast")
+    w = _density_window(phi, n)
+    lo, hi = _nonzero_ends(w)
+    g = _even_autocorrelation(w[lo:hi], "fast")
     g *= 1.0 / phin ** 2
     return g
 
@@ -186,6 +192,7 @@ def gn_profile(phi: InverseFunction, n: int) -> Signal:
 class DecompositionReport:
     """Scale-N measurements of the autocorrelation decomposition.
 
+    point_mass     autocorr(0), unscaled
     small_x_bound  max of N * |autocorr(x)| over 0 < |x| <= phi(N)
     gn_sup         max of N * |G_N(x)| over |x| > phi(N)
     en_sup         max of |autocorr(x) - G_N(x)| over |x| > phi(N)
@@ -193,12 +200,12 @@ class DecompositionReport:
                    both points beyond phi(N)
     mass           total autocorrelation mass (equals kernel mass squared)
 
-    The sups are the same per-scale values that verify_family_hypotheses
-    scales by D_n = 4N instead of N; G_N is put on the kernel's
-    normalization first.
+    G_N is put on the kernel's normalization first.  verify_family_hypotheses
+    is a view of these reports, rescaled from N to D_n = 4N.
     """
 
     scale_n: int
+    point_mass: float
     small_x_bound: float
     gn_sup: float
     en_sup: float
@@ -218,15 +225,12 @@ def _on_lags(h: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
-def _split_sups(k: Kernel, phi: InverseFunction) -> tuple:
-    """Unscaled sups of the split autocorr = point mass + G_N + E_N at one scale.
+def decomposition_report(k: Kernel, phi: InverseFunction) -> DecompositionReport:
+    """The split autocorr = point mass + G_N + E_N at the kernel's scale.
 
-    Returns (autocorr(0), max |autocorr| over 0 < |x| <= phi(N),
-    max |G_N| beyond phi(N), max |autocorr - G_N| beyond phi(N),
-    max |G_N(x+d) - G_N(x)| / d beyond phi(N), autocorrelation mass).
-    G_N is rescaled to the kernel's normalization when that is not phi(N).
     Both profiles are even, so only their half-lag arrays are read: on lags
-    0..X, where X is the last nonzero lag of either, or cut + 1 if larger.
+    0..X, where X is the last nonzero lag of either, or cut + 1 if larger,
+    with cut = floor(phi(N)).
     """
     n = k.scale_n
     phin = float(phi.value(float(n)))
@@ -244,43 +248,12 @@ def _split_sups(k: Kernel, phi: InverseFunction) -> tuple:
     for d in _LIPSCHITZ_STEPS:
         if tail.size > d:
             lip = max(lip, float(np.max(np.abs(tail[d:] - tail[:-d]))) / d)
-    return (float(a[0]), small, float(np.max(np.abs(tail))),
-            float(np.max(np.abs(a[cut + 1:] - tail))), lip, mass)
-
-
-def _map_scales(task, items, workers: int = 1) -> list:
-    """[task(x) for x in items], for items in ascending scale order.
-
-    With workers > 1 each item is one task on a pool of min(workers, #items)
-    threads (the transforms release the GIL), submitted largest scale first:
-    the top scale costs about as much as all the smaller ones together, so it
-    starts at once and the rest fill the other threads.  Results come back in
-    item order and the first failing item raises, as in the sequential loop,
-    so nothing depends on the thread count.  A task must not touch mpmath,
-    whose working precision is process-global.
-    """
-    workers = min(workers, len(items))
-    if workers <= 1:
-        return [task(x) for x in items]
-    # imported here, so commands that start no pool do not pay for it
-    # (0.5 to 1.4 MB of peak RSS on the commands of the other workloads)
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(workers) as pool:
-        futures = [pool.submit(task, x) for x in reversed(items)][::-1]
-        try:
-            return [f.result() for f in futures]
-        finally:
-            pool.shutdown(cancel_futures=True)
-
-
-def decomposition_report(k: Kernel, phi: InverseFunction) -> DecompositionReport:
-    n = k.scale_n
-    _, small, gn_sup, en_sup, lip, mass = _split_sups(k, phi)
     return DecompositionReport(
         scale_n=n,
+        point_mass=float(a[0]),
         small_x_bound=n * small,
-        gn_sup=gn_sup * n,
-        en_sup=en_sup,
+        gn_sup=float(np.max(np.abs(tail))) * n,
+        en_sup=float(np.max(np.abs(a[cut + 1:] - tail))),
         gn_lipschitz=n * n * lip,
         mass=mass,
     )
@@ -291,12 +264,28 @@ def decomposition_reports(s: SequenceSet, phi: InverseFunction, scales,
                           workers: int = 1) -> list[DecompositionReport]:
     """decomposition_report at each scale, in the order given (ascending).
 
-    Each scale's kernel is built inside its own task, so with workers > 1 at
-    most that many kernels are alive at once; see _map_scales.
+    Each scale is one task that builds its own kernel.  With workers > 1 the
+    tasks run on min(workers, #scales) threads (the transforms release the
+    GIL), largest scale first, as it costs about as much as the rest.
+    Reports come back in scale order and the first failing scale raises, so
+    nothing depends on the thread count.  A task must not touch mpmath,
+    whose working precision is process-global.
     """
-    return _map_scales(
-        lambda n: decomposition_report(build_kernel(s, phi, n, normalization), phi),
-        scales, workers)
+    def task(n):
+        return decomposition_report(build_kernel(s, phi, n, normalization), phi)
+
+    workers = min(workers, len(scales))
+    if workers <= 1:
+        return [task(n) for n in scales]
+    # imported here, so commands that start no pool do not pay for it
+    # (0.5 to 1.4 MB of peak RSS on the commands of the other workloads)
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(workers) as pool:
+        futures = [pool.submit(task, n) for n in reversed(scales)][::-1]
+        try:
+            return [f.result() for f in futures]
+        finally:
+            pool.shutdown(cancel_futures=True)
 
 
 def estimate_chi(reports: list[DecompositionReport]) -> float:

@@ -6,11 +6,11 @@ superlevel-set ratios, and structurally through the classical splitting of an
 input into a bounded good part plus atoms on disjoint dyadic cubes, refined
 per scale into an over-threshold piece, a mean-zero piece, and cube means.
 
-M f is one accumulator over the union of the output supports, and every
-scale is folded into it as it is computed.  Every input, sparse or dense,
-goes through ``signals._overlap_save``, which transforms f once and streams
-each kernel through the transform in fixed-size overlap-save batches, so no
-scale holds a kernel-sized buffer of its own.
+M f is one accumulator over supp f plus the scale windows, and each scale's
+kernel is built when its turn comes and folded into it.  Every input goes
+through ``signals._overlap_save``, which transforms f once and streams each
+kernel through in fixed-size batches, so besides the accumulator only the
+transform, one batch and one scale's kernel are held.
 
 Decomposition arithmetic runs on whatever number type the input carries:
 exact Fractions (or ints) stay exact end to end, floats stay floats.
@@ -35,7 +35,7 @@ from .errors import (
     ValidationError,
 )
 from .growth import InverseFunction
-from .kernel import Normalization, _map_scales, _split_sups, build_kernel
+from .kernel import Normalization, _support_window, build_kernel, decomposition_reports
 from .seqset import SequenceSet, count
 from .signals import Signal
 from .util import log_spaced, loglog_slope
@@ -49,18 +49,21 @@ LAMBDA_GRID_POINTS = 64  # heights in the default weak-type grid
 
 @dataclass(frozen=True)
 class ScaleFamily:
-    """Kernels at dyadic scales 2^n for n in [n_lo, n_hi], with support stats.
+    """Dyadic scales 2^n for n in [n_lo, n_hi] on a set, with support stats.
 
-    d[i] counts set elements in the support window of scale n_lo + i;
-    big_d[i] = 4 * 2^(n_lo+i) is the right edge of that window.  eps0 is the
-    fitted support-sparsity exponent (must stay below 1) and growth_m the
-    fitted geometric-growth constant (must exceed 1).
+    It holds what the kernels are built from, never a kernel: each is built
+    where it is read, one scale at a time.  d[i] counts set elements in the
+    support window of scale n_lo + i; big_d[i] = 4 * 2^(n_lo+i) is the right
+    edge of that window.  eps0 is the fitted support-sparsity exponent (must
+    stay below 1) and growth_m the fitted geometric-growth constant (> 1).
     """
 
     n_lo: int
     n_hi: int
     scales: tuple
-    kernels: tuple
+    s: SequenceSet
+    phi: InverseFunction
+    normalization: Normalization
     d: tuple
     big_d: tuple
     eps0: float
@@ -85,7 +88,6 @@ def build_scale_family(s: SequenceSet, phi: InverseFunction, n_lo: int, n_hi: in
     if 4 * (1 << n_hi) > s.n_max:
         raise RangeError(f"largest kernel needs n_max >= {4 * (1 << n_hi)}")
     scales = tuple(1 << n for n in range(n_lo, n_hi + 1))
-    kernels = tuple(build_kernel(s, phi, sc, normalization) for sc in scales)
     d = tuple(count(s, 4 * sc) - count(s, sc // 2) for sc in scales)
     big_d = tuple(4 * sc for sc in scales)
     if min(d) < 1:
@@ -100,7 +102,8 @@ def build_scale_family(s: SequenceSet, phi: InverseFunction, n_lo: int, n_hi: in
             raise ValidationError(f"scale statistics not growing: M = {growth_m:.4f}")
     else:
         growth_m = float("inf")
-    return ScaleFamily(n_lo, n_hi, scales, kernels, d, big_d, eps0, growth_m)
+    return ScaleFamily(n_lo, n_hi, scales, s, phi, normalization, d, big_d,
+                       eps0, growth_m)
 
 
 # ---------------------------------------------------------------------------
@@ -110,20 +113,23 @@ def build_scale_family(s: SequenceSet, phi: InverseFunction, n_lo: int, n_hi: in
 def maximal_function(family: ScaleFamily, f: Signal) -> Signal:
     """Pointwise max over the family scales of |K_n * f|, for nonnegative f.
 
-    The max runs in one accumulator over the union of the output supports,
-    refused before it is allocated when wider than ``signals.MAX_SUPPORT``.
+    The max runs in one accumulator over supp f plus the scale windows,
+    refused before any kernel is built when wider than ``signals.MAX_SUPPORT``.
+    Cells no kernel output reaches stay zero and are trimmed away.
     """
     if f.is_zero:
         return Signal.zero()
     if np.any(f.values < 0):
         raise ValidationError("the maximal operator is probed on nonnegative input")
-    lo = min(f.offset + k.signal.offset for k in family.kernels)
-    hi = max(f.support[1] + k.signal.support[1] for k in family.kernels)
+    lo = f.offset + _support_window(family.scales[0])[0]
+    hi = f.support[1] + _support_window(family.scales[-1])[1]
     if hi - lo + 1 > signals.MAX_SUPPORT:
         raise SignalSizeError(
             f"maximal-function support {hi - lo + 1} exceeds {signals.MAX_SUPPORT}")
     acc = np.zeros(hi - lo + 1)
-    for start, block in signals._overlap_save(f, (k.signal for k in family.kernels)):
+    kernels = (build_kernel(family.s, family.phi, n, family.normalization).signal
+               for n in family.scales)
+    for start, block in signals._overlap_save(f, kernels):
         seg = acc[start - lo:start - lo + block.size]
         np.maximum(seg, np.abs(block), out=seg)
     return Signal(lo, acc)
@@ -366,8 +372,9 @@ class FamilyHypothesesReport:
     f_sup_times_d     sup_{x != 0} |model(x)| * D       (capped by a constant)
     lipschitz_ratio   sup D^2 |model(x+y) - model(x)| / y over the tail region
 
-    The sups are the same per-scale values that decomposition_report scales
-    by N instead of D_n = 4N; the model is put on the kernel's normalization.
+    The columns are the family's decomposition reports rescaled, exactly,
+    from N to D_n = 4N: en_sup, point_mass * d_n,
+    4 * max(small_x_bound, gn_sup) and 16 * gn_lipschitz.
     """
 
     scales: tuple
@@ -383,34 +390,31 @@ class FamilyHypothesesReport:
     growth_m: float
 
 
-def verify_family_hypotheses(family: ScaleFamily, phi: InverseFunction,
+def verify_family_hypotheses(family: ScaleFamily,
                              workers: int = 1) -> FamilyHypothesesReport:
     """Measure the kernel-family hypotheses across scales and fit exponents.
 
     The smoothness region is |x|, |x+y| beyond the inverse-function value of
     the scale (where the model is the slowly varying tail), matching the
     separation exponent eps2 = 1 up to the constant absorbed by the fit.
-    The per-scale splits run on up to ``workers`` threads, largest scale
-    first; the report does not depend on the thread count.
+    The scales run through ``decomposition_reports`` on up to ``workers``
+    threads; the report does not depend on the thread count.
     """
-    if not (1.0 < phi.c < 30.0 / 29.0):
+    if not (1.0 < family.phi.c < 30.0 / 29.0):
         raise PreconditionError(
-            f"model-family measurements need 1 < c < 30/29, got c = {phi.c}")
+            f"model-family measurements need 1 < c < 30/29, got c = {family.phi.c}")
     if len(family.scales) < 4:
         raise InsufficientDataError("need >= 4 scales to fit the decay exponent")
-    sups = _map_scales(lambda k: _split_sups(k, phi), family.kernels, workers)
-    res, f0d, fsup, lips = [], [], [], []
-    for (a0, small, gn_sup, en_sup, lip, _), d_n, big_d_n in zip(
-            sups, family.d, family.big_d):
-        res.append(en_sup)
-        f0d.append(a0 * d_n)
-        fsup.append(max(small, gn_sup) * big_d_n)
-        lips.append(lip * big_d_n ** 2)
+    reps = decomposition_reports(family.s, family.phi, family.scales,
+                                 family.normalization, workers)
+    res = tuple(r.en_sup for r in reps)
     eps1 = -loglog_slope(np.array(family.big_d, dtype=float),
                          np.array(res, dtype=float)) - 1.0
     return FamilyHypothesesReport(
         scales=family.scales, d=family.d, big_d=family.big_d,
-        residual_sup=tuple(res), f0_d_product=tuple(f0d),
-        f_sup_times_d=tuple(fsup), lipschitz_ratio=tuple(lips),
+        residual_sup=res,
+        f0_d_product=tuple(r.point_mass * d_n for r, d_n in zip(reps, family.d)),
+        f_sup_times_d=tuple(4 * max(r.small_x_bound, r.gn_sup) for r in reps),
+        lipschitz_ratio=tuple(16 * r.gn_lipschitz for r in reps),
         eps0=family.eps0, eps1=float(eps1), eps2=1.0,
         growth_m=family.growth_m)

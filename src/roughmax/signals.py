@@ -27,13 +27,8 @@ class Signal:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        nz = np.nonzero(v)[0]
-        if nz.size == 0:
-            object.__setattr__(self, "offset", 0)
-            object.__setattr__(self, "values", np.zeros(0))
-            return
-        lo, hi = int(nz[0]), int(nz[-1]) + 1
-        object.__setattr__(self, "offset", int(self.offset) + lo)
+        lo, hi = _nonzero_ends(v)
+        object.__setattr__(self, "offset", int(self.offset) + lo if hi else 0)
         v = v[lo:hi].copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
@@ -157,8 +152,9 @@ def _overlap_save(f: Signal, kernels: Iterable[Signal]
     segments with step B = L - width(f) + 1, whose circular convolutions with
     f each hold B linear outputs.  Segments go through the transform
     ``max(1, CHUNK // L)`` at a time, so besides the transform of f only one
-    batch of about max(CHUNK, L) points is held, never a kernel-sized buffer.
-    An L above MAX_SUPPORT is refused before anything is allocated.
+    batch of about max(CHUNK, L) points is held, never a kernel-sized buffer,
+    and each kernel is let go before the next is read.  An L above
+    MAX_SUPPORT is refused before anything is allocated.
     """
     w = f.values.size
     n = 1 << (4 * w - 1).bit_length()
@@ -183,12 +179,19 @@ def _overlap_save(f: Signal, kernels: Iterable[Signal]
             y = np.fft.irfft(np.fft.rfft(segs, axis=1) * ff, n, axis=1)
             block = y[:, w - 1:].reshape(-1)[:out_len - first]
             yield f.offset + k.offset + first, block
+        del k, kv  # a lazily built next kernel is never alive beside this one
 
 
 def _last_nonzero(v: np.ndarray) -> int:
     """Index of the last nonzero entry of a nonempty v; -1 if there is none."""
     i = v.size - 1 - int(np.argmax(v[::-1] != 0))
     return i if v[i] != 0 else -1
+
+
+def _nonzero_ends(v: np.ndarray) -> tuple[int, int]:
+    """(first nonzero index, last nonzero index + 1) of v; (0, 0) if none."""
+    hi = _last_nonzero(v) + 1 if v.size else 0
+    return (int(np.argmax(v != 0)) if hi else 0), hi
 
 
 def _even_autocorrelation(v: np.ndarray, method: str = "fast", mass: bool = False):

@@ -256,7 +256,7 @@ def test_criterion_10_weak_type_trend(s102_22, phi102):
 
 def test_criterion_11_family_hypotheses(s102_22, phi102):
     fam = build_scale_family(s102_22, phi102, 12, 20, Normalization.PHI_APPROX)
-    rep = verify_family_hypotheses(fam, phi102)
+    rep = verify_family_hypotheses(fam)
     prods = rep.f0_d_product
     spread = max(prods) / min(prods)
     ok = spread <= 4.0 and rep.eps1 > 0.0

@@ -121,6 +121,46 @@ def test_phase_tables_match_the_reference_bytes(tmp_path, label):
     assert out.read_bytes() == (REFERENCE_DIR / f"{label}.csv").read_bytes()
 
 
+# sha256 of weaktype tables: a wide corpus of 2048 sites on pure:1.5, a
+# 48-site corpus on the dense pure:1.02, and one site on the sparse pure:1.9
+WEAKTYPE_PINNED = {
+    ("pure:1.5:1.0", "8", "19", "random:2048:7"):
+        "4c611a546b8d3993b2583bb7bff782f43cde3fce971183619f8743fa4d1c35b5",
+    ("pure:1.02:1.0", "8", "17", "random:48:7"):
+        "71d5cbdab400191feb510b03a8286d7da6d2efcf8585ed6a68e0614a4fc18776",
+    ("pure:1.9:1.0", "10", "16", "delta"):
+        "130698b4c0f7bbb6740fc936608955326a3a5db0439fd3dc0a1deb2378126874",
+}
+
+
+@pytest.mark.parametrize("config", sorted(WEAKTYPE_PINNED), ids="-".join)
+def test_weaktype_tables_are_pinned(tmp_path, config):
+    h, nlo, nhi, corpus = config
+    out = tmp_path / "w.csv"
+    assert run_cli("weaktype", "--h", h, "--nlo", nlo, "--nhi", nhi,
+                   "--corpus", corpus, "--out", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == WEAKTYPE_PINNED[config]
+
+
+def test_kernel_errors_exit_2_from_the_first_use_of_the_family(tmp_path, capsys,
+                                                               monkeypatch):
+    # the family holds no kernel, so a kernel that cannot be built fails the
+    # command where the scale is first read, with build_kernel's own error:
+    # pure:1.9:64 has no element in [1, 32] ...
+    assert run_cli("weaktype", "--h", "pure:1.9:64", "--nlo", "5", "--nhi", "5",
+                   "--corpus", "delta",
+                   "--out", str(tmp_path / "w.csv")) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "no set elements in [1, 32]" in err and "Traceback" not in err
+    # ... and under a cap of 4096 the kernel at 2^10 fits but its 7059-lag
+    # autocorrelation does not, so the first scale to read it fails
+    monkeypatch.setattr(roughmax.signals, "MAX_SUPPORT", 4096)
+    assert run_cli("verify-family", "--h", "pure:1.02:1.0", "--nlo", "8",
+                   "--nhi", "11", "--out", str(tmp_path / "v.csv")) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "autocorrelation support 7059 exceeds" in err and "Traceback" not in err
+
+
 def test_workers_never_start_more_threads_than_scales(tmp_path, monkeypatch):
     # the pool is sized min(--workers, #scales); the recording executor only
     # notes the size it is asked for, and at most one thread per task starts

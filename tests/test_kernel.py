@@ -275,8 +275,9 @@ def test_gn_profile_refuses_an_oversized_window():
 
 
 def full_grid_split_sups(k, phi):
-    """The oracle for _split_sups: both profiles as even signals, read on the
-    integer lag grid 0..max(last support lag of either, cut + 1)."""
+    """The oracle for decomposition_report's unscaled sups: both profiles as
+    even signals, read on the integer lag grid 0..max(last support lag of
+    either, cut + 1)."""
     n = k.scale_n
     phin = float(phi.value(float(n)))
     cut = int(math.floor(phin))
@@ -299,13 +300,17 @@ def full_grid_split_sups(k, phi):
 @pytest.mark.parametrize("norm", list(Normalization), ids=lambda m: m.name)
 def test_split_sups_are_the_full_grid_bits(s102_16, phi102, glog, philog,
                                            sident, phident, norm):
-    from roughmax.kernel import _split_sups
     s_log = generate(glog, 1 << 14)
     cases = [(s102_16, phi102, k) for k in (4, 8, 12, 14)]
     cases += [(s_log, philog, k) for k in (6, 12)] + [(sident, phident, 6)]
     for s, phi, k_exp in cases:
         k = build_kernel(s, phi, 1 << k_exp, norm)
-        assert _split_sups(k, phi) == full_grid_split_sups(k, phi), k_exp
+        n = k.scale_n
+        a0, small, gn_sup, en_sup, lip, mass = full_grid_split_sups(k, phi)
+        r = decomposition_report(k, phi)
+        assert (r.scale_n, r.point_mass, r.small_x_bound, r.gn_sup, r.en_sup,
+                r.gn_lipschitz, r.mass) == (n, a0, n * small, gn_sup * n, en_sup,
+                                            n * n * lip, mass), k_exp
 
 
 def test_decomposition_reports_do_not_depend_on_workers(s102_16, phi102, glog, philog):
@@ -342,7 +347,8 @@ def test_decomposition_reports_raise_the_first_failing_scale(s102_16, phi102):
 # ---------------------------------------------------------------------------
 
 def _fake_report(n, en):
-    return DecompositionReport(n, 1.0, 1.0, en, 1.0, 1.0)
+    return DecompositionReport(scale_n=n, point_mass=1.0, small_x_bound=1.0,
+                               gn_sup=1.0, en_sup=en, gn_lipschitz=1.0, mass=1.0)
 
 
 def test_estimate_chi_exact_power_laws():

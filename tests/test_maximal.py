@@ -6,6 +6,7 @@ asserted with equality; the float path is exercised separately at 1e-12.
 
 import math
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -32,13 +33,28 @@ from roughmax import (
     verify_family_hypotheses,
     weak_type_profile,
 )
-from roughmax import signals
-from roughmax.cli import _parse_corpus
+from roughmax import maximal, signals
+from roughmax.cli import _parse_corpus, parse_growth_spec
 
 
 @pytest.fixture(scope="module")
 def fam102(s102_16, phi102):
     return build_scale_family(s102_16, phi102, 8, 13)
+
+
+def family_kernels(fam):
+    """The family's kernels, built here: the family itself holds none."""
+    return [build_kernel(fam.s, fam.phi, n, fam.normalization) for n in fam.scales]
+
+
+def same_signal(a, b):
+    return a.offset == b.offset and np.array_equal(a.values, b.values)
+
+
+def window_bounds(fam, f):
+    """[lo, hi] of the M f accumulator: supp f plus the scale windows (N/2, 4N)."""
+    return (f.offset + fam.scales[0] // 2 + 1,
+            f.support[1] + 4 * fam.scales[-1] - 1)
 
 
 def random_rational_signal(rng, allow_negative_positions=True):
@@ -102,9 +118,10 @@ def test_maximal_zero_input(fam102):
 def test_maximal_of_delta_is_kernel_sup(fam102):
     # direct per-scale evaluation oracle
     mf = maximal_function(fam102, Signal.delta(0))
-    xs = np.arange(0, max(k.signal.support[1] for k in fam102.kernels) + 1)
+    kernels = family_kernels(fam102)
+    xs = np.arange(0, max(k.signal.support[1] for k in kernels) + 1)
     oracle = np.zeros(xs.size)
-    for k in fam102.kernels:
+    for k in kernels:
         oracle = np.maximum(oracle, np.abs(k.signal(xs)))
     assert np.allclose(mf(xs), oracle, rtol=0, atol=1e-15)
 
@@ -143,7 +160,7 @@ def test_maximal_linf_bound(fam102, rng):
     f = Signal.from_dict({int(p): float(v) for p, v in
                           zip(rng.integers(0, 400, 30), rng.uniform(0, 3, 30))})
     mf = maximal_function(fam102, f)
-    cap = f.linf() * max(k.mass() for k in fam102.kernels)
+    cap = f.linf() * max(k.mass() for k in family_kernels(fam102))
     assert mf.linf() <= cap + 1e-12
 
 
@@ -195,7 +212,7 @@ def _sites_signal(rng, lo, hi, nnz):
 def _direct_maximal(family, f, lo, hi):
     xs = np.arange(lo, hi + 1)
     oracle = np.zeros(xs.size)
-    for k in family.kernels:
+    for k in family_kernels(family):
         oracle = np.maximum(oracle, np.abs(convolve(f, k.signal, "direct")(xs)))
     return oracle
 
@@ -223,11 +240,12 @@ def test_transform_path_matches_direct_oracle(s102_16, phi102, rng, monkeypatch,
 
     monkeypatch.setattr(signals, "_overlap_save", recording)
     mf = maximal_function(fam, f)
-    top = fam.kernels[-1].signal
+    kernels = family_kernels(fam)
+    top = kernels[-1].signal
     top_blocks = [b for b in blocks if b[0] >= f.offset + top.offset]
     if nnz > 1:                                     # one site: one batch
         assert len(top_blocks) >= 2                 # the top kernel spans blocks
-    assert fam.kernels[0].signal.values.size < max(n for _, n in blocks)
+    assert kernels[0].signal.values.size < max(n for _, n in blocks)
     oracle = _direct_maximal(fam, f, *mf.support)
     assert np.max(np.abs(mf.values - oracle)) <= 1e-12
     lams = default_lambda_grid(fam, f)
@@ -237,10 +255,12 @@ def test_transform_path_matches_direct_oracle(s102_16, phi102, rng, monkeypatch,
 
 def test_maximal_refuses_a_wide_accumulator(fam102, monkeypatch):
     f = Signal.from_dict({0: 1.0, 900: 1.0})
-    hi = 900 + fam102.kernels[-1].signal.support[1]
-    width = hi - fam102.kernels[0].signal.offset + 1
+    mf = maximal_function(fam102, f)
+    lo, hi = window_bounds(fam102, f)
+    assert lo <= mf.support[0] and mf.support[1] <= hi
+    width = hi - lo + 1
     monkeypatch.setattr(signals, "MAX_SUPPORT", width)
-    assert maximal_function(fam102, f).support[1] == hi
+    assert same_signal(maximal_function(fam102, f), mf)
     monkeypatch.setattr(signals, "MAX_SUPPORT", width - 1)
     with pytest.raises(SignalSizeError, match="maximal-function support"):
         maximal_function(fam102, f)
@@ -248,13 +268,14 @@ def test_maximal_refuses_a_wide_accumulator(fam102, monkeypatch):
 
 def test_maximal_refuses_a_long_transform(fam102, monkeypatch):
     # f spans 2^14 sites, so its transform length is 2^16: longer than the
-    # accumulator, which the largest kernel (ending by 2^15) keeps below 2^16
+    # accumulator, which the largest window (ending by 2^15) keeps below 2^16
     f = Signal.from_dict({0: 1.0, (1 << 14) - 1: 1.0})
-    hi = (1 << 14) - 1 + fam102.kernels[-1].signal.support[1]
-    width = hi - fam102.kernels[0].signal.offset + 1
+    mf = maximal_function(fam102, f)
+    lo, hi = window_bounds(fam102, f)
+    width = hi - lo + 1
     assert width < 1 << 16
     monkeypatch.setattr(signals, "MAX_SUPPORT", 1 << 16)
-    assert maximal_function(fam102, f).support[1] == hi
+    assert same_signal(maximal_function(fam102, f), mf)
     monkeypatch.setattr(signals, "MAX_SUPPORT", width)
     with pytest.raises(SignalSizeError, match="transform length 65536"):
         maximal_function(fam102, f)
@@ -270,9 +291,50 @@ def test_maximal_function_memory_is_a_few_accumulators():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    acc_bytes = 8 * (f.support[1] + fam.kernels[-1].signal.support[1]
-                     - min(f.offset + k.signal.offset for k in fam.kernels) + 1)
-    assert peak <= 4 * acc_bytes
+    lo, hi = window_bounds(fam, f)
+    assert peak <= 4 * 8 * (hi - lo + 1)
+
+
+def test_the_family_builds_no_kernel(s102_16, phi102, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("build_scale_family built a kernel")
+
+    monkeypatch.setattr(maximal, "build_kernel", refuse)
+    fam = build_scale_family(s102_16, phi102, 8, 13)
+    assert fam.scales == tuple(1 << n for n in range(8, 14))
+
+
+def test_maximal_function_holds_one_kernel_at_a_time(fam102, monkeypatch):
+    # a kernel counts as live until its values array is freed
+    live, most = [0], [0]
+    real = maximal.build_kernel
+
+    def counting(*args):
+        k = real(*args)
+        live[0] += 1
+        most[0] = max(most[0], live[0])
+        weakref.finalize(k.signal.values, lambda: live.__setitem__(0, live[0] - 1))
+        return k
+
+    monkeypatch.setattr(maximal, "build_kernel", counting)
+    f = Signal.from_dict({0: 1.0, 37: 2.0, 5000: 1.0})
+    mf = maximal_function(fam102, f)
+    assert most[0] == 1 and live[0] == 0
+    monkeypatch.setattr(maximal, "build_kernel", real)
+    assert same_signal(maximal_function(fam102, f), mf)
+
+
+def test_kernel_errors_come_from_the_first_use_of_the_family():
+    # pure:1.9:64 starts at 64: the window (16, 128) of N = 32 holds it, but
+    # [1, 32] holds nothing, so the family is built and its kernel is not
+    g = parse_growth_spec("pure:1.9:64")
+    s, phi = generate(g, 128), g.inverse()
+    fam = build_scale_family(s, phi, 5, 5)
+    with pytest.raises(DegenerateError) as direct:
+        build_kernel(s, phi, 32)
+    with pytest.raises(DegenerateError) as used:
+        maximal_function(fam, Signal.delta(0))
+    assert str(used.value) == str(direct.value) == "no set elements in [1, 32]"
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +605,7 @@ def test_refinement_threshold_and_cube_exponent(fam102):
 
 def test_family_hypotheses_report(s102_16, phi102):
     fam = build_scale_family(s102_16, phi102, 10, 13, Normalization.PHI_APPROX)
-    rep = verify_family_hypotheses(fam, phi102)
+    rep = verify_family_hypotheses(fam)
     assert rep.eps1 > 0.0
     assert 0.0 < rep.eps0 < 1.0
     assert rep.eps2 == 1.0
@@ -559,11 +621,11 @@ def test_family_hypotheses_report(s102_16, phi102):
 def test_family_hypotheses_residual_matches_manual(s102_16, phi102):
     from roughmax import autocorrelation, gn_profile
     fam = build_scale_family(s102_16, phi102, 10, 13, Normalization.PHI_APPROX)
-    rep = verify_family_hypotheses(fam, phi102)
+    rep = verify_family_hypotheses(fam)
     i = 0
     sc = fam.scales[i]
     cut = int(math.floor(float(phi102.value(float(sc)))))
-    a = autocorrelation(fam.kernels[i])
+    a = autocorrelation(family_kernels(fam)[i])
     g = gn_profile(phi102, sc)
     hi = max(a.support[1], g.support[1])
     xs = np.arange(cut + 1, hi + 1)
@@ -578,10 +640,11 @@ def test_family_hypotheses_are_decomposition_report_rescaled(s102_16, phi102, no
     # both reports view the same per-scale sups; at power-of-two scales the
     # change from N- to D_n = 4N-scaling is exact
     fam = build_scale_family(s102_16, phi102, 10, 13, norm)
-    rep = verify_family_hypotheses(fam, phi102)
-    for i, k in enumerate(fam.kernels):
+    rep = verify_family_hypotheses(fam)
+    for i, k in enumerate(family_kernels(fam)):
         r = decomposition_report(k, phi102)
         assert rep.residual_sup[i] == r.en_sup
+        assert rep.f0_d_product[i] == r.point_mass * fam.d[i]
         assert rep.lipschitz_ratio[i] == 16 * r.gn_lipschitz
         assert rep.f_sup_times_d[i] == 4 * max(r.small_x_bound, r.gn_sup)
 
@@ -591,11 +654,11 @@ def test_family_hypotheses_do_not_depend_on_workers(s102_16, phi102, glog, philo
     for s, phi, norm in ((s102_16, phi102, Normalization.PHI_APPROX),
                          (s_log, philog, Normalization.COUNT_EXACT)):
         fam = build_scale_family(s, phi, 10, 14, norm)
-        reps = [verify_family_hypotheses(fam, phi, workers) for workers in (1, 2, 3)]
+        reps = [verify_family_hypotheses(fam, workers) for workers in (1, 2, 3)]
         assert reps[0] == reps[1] == reps[2]
 
 
 def test_family_hypotheses_needs_scales(s102_16, phi102):
     fam = build_scale_family(s102_16, phi102, 10, 12, Normalization.PHI_APPROX)
     with pytest.raises(InsufficientDataError):
-        verify_family_hypotheses(fam, phi102)
+        verify_family_hypotheses(fam)

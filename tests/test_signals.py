@@ -21,6 +21,17 @@ def test_trim_and_zero():
     assert s.offset == 5
     assert list(s.values) == [1.0, 2.0]
     assert Signal(0, np.zeros(4)).is_zero
+    z = Signal(7, np.zeros(3))
+    assert (z.offset, z.values.size) == (0, 0) and z.is_zero
+    assert Signal(7, np.zeros(0)).support == (0, -1)
+    one = Signal(-4, np.array([0.0, 0.0, -3.0, 0.0]))
+    assert (one.offset, list(one.values)) == (-2, [-3.0])
+    assert Signal(0, np.array([5.0])).to_dict() == {0: 5.0}
+    # zeros at both ends and inside: only the ends are trimmed
+    ends = Signal(10, np.array([0.0, 1.0, 0.0, 0.0, 2.0, 0.0, 0.0]))
+    assert (ends.offset, list(ends.values)) == (11, [1.0, 0.0, 0.0, 2.0])
+    nonzero_ends = Signal(1, np.array([4.0, 0.0, 5.0]))
+    assert (nonzero_ends.offset, list(nonzero_ends.values)) == (1, [4.0, 0.0, 5.0])
 
 
 def test_call_and_support():
