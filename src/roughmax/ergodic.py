@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DegenerateError, RangeError, ValidationError
 from .growth import InverseFunction
-from .seqset import SequenceSet, count
+from .seqset import SequenceSet, _density_weights, count
 from .util import chunked_sum
 
 
@@ -99,20 +99,18 @@ def _set_sums(sys: FiniteSystem, s: SequenceSet, phi: InverseFunction | None,
               f, x: int, n) -> tuple[np.ndarray, np.ndarray]:
     """(sum of f(T^j x) over set elements j <= N, their count), shaped like n.
 
-    With ``phi`` each term is weighted by h'(phi(max(j, y0))), where
-    y0 = h(x0) starts phi's domain: an element j below y0 gets the weight
-    h'(phi(y0)), which is h'(x0) up to the inverse's rounding.  The terms are
-    built once, up to the largest N, and each N sums its prefix with
-    ``chunked_sum``: a prefix holds the same values as a fresh array up to N,
-    so every sum has the bits of a one-N call.
+    With ``phi`` each term is weighted by h'(phi(max(j, y0))), from
+    ``seqset._density_weights``.  The terms are built once, up to the largest
+    N, and each N sums its prefix with ``chunked_sum``: a prefix holds the
+    same values as a fresh array up to N, so every sum has the bits of a
+    one-N call.
     """
     cnt = np.asarray(count(s, n))
     fv = _f_values(sys, f)
     els = s.elements[:cnt.max(initial=0)]
     terms = fv[sys.iterate(x, els)]
     if phi is not None:
-        u = np.asarray(phi.value(np.maximum(els, phi.y0)))
-        terms = np.asarray(s.growth.deriv(u, 1), dtype=float) * terms
+        terms = _density_weights(s, phi, els) * terms
     sums = np.array([chunked_sum(terms[:k]) for k in cnt.ravel()], dtype=float)
     return sums.reshape(cnt.shape), cnt
 

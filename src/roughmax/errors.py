@@ -43,7 +43,8 @@ class SequenceOverflowError(RoughMaxError):
 
 
 class SignalSizeError(RoughMaxError):
-    """Convolution output support would exceed the hard cap."""
+    """A dense array (kernel, window, transform, convolution or accumulator)
+    would exceed the hard cap ``signals.MAX_SUPPORT``."""
 
 
 class SingularityError(RoughMaxError):

@@ -20,6 +20,9 @@ The logarithmic-derivative corrections
 
 and their higher-order analogues vartheta_i / theta_i drive every identity
 check in the toolkit:  x h^(i)(x) = h^(i-1)(x) (c - i + 1 + vartheta_i(x)).
+
+Every correction tabulated (vartheta_1..3, varrho, theta_1..3, sigma, tau) is
+a closed form in vartheta, vartheta' and vartheta'', each evaluated once per call.
 """
 
 from __future__ import annotations
@@ -94,6 +97,14 @@ def _iterated_logs(x, depth: int):
     return logs
 
 
+def _check_domain(v, start: float, what: str) -> np.ndarray:
+    """v as a float array; refused where below start (less 1e-12) or not finite."""
+    v = np.asarray(v, dtype=float)
+    if np.any(v < start * (1.0 - 1e-12)) or not np.all(np.isfinite(v)):
+        raise DomainError(f"{what} = {start} (min requested: {v.min()})")
+    return v
+
+
 def _eval_terms(terms: Terms, x, logs) -> np.ndarray:
     total = np.zeros_like(np.asarray(x, dtype=float))
     for coef, xpow, lexp in terms:
@@ -158,13 +169,6 @@ class GrowthFunction:
 
     # -- evaluation -----------------------------------------------------------
 
-    def _check_domain(self, x):
-        x = np.asarray(x, dtype=float)
-        if np.any(x < self.x0 * (1.0 - 1e-12)) or not np.all(np.isfinite(x)):
-            raise DomainError(
-                f"evaluation at x < x0 = {self.x0} (min requested: {x.min()})")
-        return x
-
     def _logs(self, x):
         return _iterated_logs(x, self._depth)
 
@@ -175,11 +179,15 @@ class GrowthFunction:
             return np.zeros_like(np.asarray(x, dtype=float))
         return _eval_terms(terms, x, logs)
 
+    def _h(self, x, logs):
+        """h(x) = C_h * exp(c log x + lam(x)) at a checked x."""
+        return self.c_h * np.exp(self.c * np.log(x) + self._lam_value(x, logs, 0))
+
     def value(self, x) -> FloatLike:
         """h(x) = C_h * exp(c log x + lam(x))."""
-        x = self._check_domain(x)
+        x = _check_domain(x, self.x0, "evaluation at x < x0")
         logs = self._logs(x)
-        out = self.c_h * np.exp(self.c * np.log(x) + self._lam_value(x, logs, 0))
+        out = self._h(x, logs)
         return float(out) if out.ndim == 0 else out
 
     def deriv(self, x, order: int) -> FloatLike:
@@ -189,9 +197,9 @@ class GrowthFunction:
         array ``**`` a SIMD loop, so only products give the same bits."""
         if order not in (0, 1, 2, 3):
             raise ValidationError(f"derivative order {order} not in 0..3")
-        x = self._check_domain(x)
+        x = _check_domain(x, self.x0, "evaluation at x < x0")
         logs = self._logs(x)
-        h = self.c_h * np.exp(self.c * np.log(x) + self._lam_value(x, logs, 0))
+        h = self._h(x, logs)
         if order == 0:
             out = h
         else:
@@ -208,58 +216,56 @@ class GrowthFunction:
                     out = h * (u1 * u1 * u1 + 3.0 * u1 * u2 + u3)
         return float(out) if out.ndim == 0 else out
 
-    def vartheta_raw(self, x, k: int) -> FloatLike:
-        """k-th derivative of the correction vartheta(x) = x h'(x)/h(x) - c.
+    def _vartheta_derivs(self, x, k: int) -> list:
+        """[vartheta, vartheta', vartheta''][:k + 1] at x, k = 0..2.
 
-        vartheta = x lam', so vartheta^(k) = k lam^(k) + x lam^(k+1); k = 0..3.
+        vartheta = x h'(x)/h(x) - c = x lam', so vartheta^(j) = j lam^(j)
+        + x lam^(j+1); the domain is checked and the log chain built once.
         """
-        if k not in (0, 1, 2, 3):
-            raise ValidationError(f"vartheta derivative order {k} not in 0..3")
-        x = self._check_domain(x)
+        x = _check_domain(x, self.x0, "evaluation at x < x0")
         logs = self._logs(x)
-        out = k * self._lam_value(x, logs, k) + x * self._lam_value(x, logs, k + 1)
-        return float(out) if out.ndim == 0 else out
+        lam = [self._lam_value(x, logs, j) for j in range(1, k + 2)]
+        return [x * lam[0]] + [j * lam[j - 1] + x * lam[j] for j in range(1, k + 1)]
 
-    def vartheta(self, x, i: int) -> FloatLike:
-        """vartheta_i(x) in the identity x h^(i) = h^(i-1) (alpha_i + vartheta_i).
+    def _vartheta_levels(self, x, dv):
+        """Yields vartheta_1..vartheta_i at x, from dv = ``_vartheta_derivs(x, i - 1)``.
 
         vartheta_1 = vartheta; each next level adds x * vartheta'_{prev} over
-        the previous denominator alpha_{prev} + vartheta_{prev}.
+        the previous denominator alpha_{prev} + vartheta_{prev}, which is
+        guarded only once that level is asked for.
         """
-        if i not in (1, 2, 3):
-            raise ValidationError(f"vartheta level {i} not in 1..3")
-        x = self._check_domain(x)
-        logs = self._logs(x)
-        t0 = x * self._lam_value(x, logs, 1)
-        if i == 1:
-            out = t0
-        else:
-            t0p = self._lam_value(x, logs, 1) + x * self._lam_value(x, logs, 2)
-            a1 = self.c
-            den1 = a1 + t0
+        t0 = dv[0]
+        yield t0
+        if len(dv) > 1:
+            t0p = dv[1]
+            den1 = self.c + t0
             self._guard(den1, "alpha_1 + vartheta_1")
             t1 = t0 + x * t0p / den1
-            if i == 2:
-                out = t1
-            else:
-                t0pp = 2.0 * self._lam_value(x, logs, 2) + x * self._lam_value(x, logs, 3)
-                # d/dx of vartheta_2 = vartheta' + (vartheta' + x vartheta'')/den1
-                #                      - x vartheta'^2 / den1^2
-                t1p = t0p + (t0p + x * t0pp) / den1 - x * t0p * t0p / (den1 * den1)
-                a2 = self.c - 1.0
-                den2 = a2 + t1
-                self._guard(den2, "alpha_2 + vartheta_2")
-                out = t1 + x * t1p / den2
+            yield t1
+        if len(dv) > 2:
+            # d/dx of vartheta_2 = vartheta' + (vartheta' + x vartheta'')/den1
+            #                      - x vartheta'^2 / den1^2
+            t1p = t0p + (t0p + x * dv[2]) / den1 - x * t0p * t0p / (den1 * den1)
+            den2 = (self.c - 1.0) + t1
+            self._guard(den2, "alpha_2 + vartheta_2")
+            yield t1 + x * t1p / den2
+
+    def vartheta(self, x, i: int) -> FloatLike:
+        """vartheta_i(x) in the identity x h^(i) = h^(i-1) (alpha_i + vartheta_i)."""
+        if i not in (1, 2, 3):
+            raise ValidationError(f"vartheta level {i} not in 1..3")
+        *_, out = self._vartheta_levels(x, self._vartheta_derivs(x, i - 1))
         return float(out) if np.asarray(out).ndim == 0 else out
 
     def varrho(self, x) -> FloatLike:
         """vartheta_2 / vartheta, the bounded factor in the c = 1 regime."""
         if self.c != 1.0:
             raise ValidationError("varrho is defined only for c = 1")
-        v1 = np.asarray(self.vartheta(x, 1), dtype=float)
+        levels = self._vartheta_levels(x, self._vartheta_derivs(x, 1))
+        v1 = next(levels)
         self._guard(v1, "vartheta")
-        out = np.asarray(self.vartheta(x, 2), dtype=float) / v1
-        return float(out) if out.ndim == 0 else out
+        out = next(levels) / v1
+        return float(out) if np.asarray(out).ndim == 0 else out
 
     @staticmethod
     def _guard(den, name: str):
@@ -362,15 +368,16 @@ def make_growth(variant, c: float, c_h: float = 1.0, *,
         h0 = g.value(grid)
         h1 = g.deriv(grid, 1)
         h2 = g.deriv(grid, 2)
-        for i in (1, 2, 3):
-            vi = np.asarray(g.vartheta(grid, i))
+        dv = g._vartheta_derivs(grid, 2)
+        for i, vi in enumerate(g._vartheta_levels(grid, dv), 1):
             if not np.all(np.isfinite(vi)):
                 raise ValidationError(
                     f"vartheta_{i} not finite on the validation grid")
     except (DomainError, SingularityError, FloatingPointError) as exc:
         raise ValidationError(f"validation grid evaluation failed: {exc}") from exc
-    if g.value(x0) < 1.0 - 1e-12:
-        raise ValidationError(f"h(x0) = {g.value(x0)} < 1; raise x0")
+    hx0 = g.value(x0)
+    if hx0 < 1.0 - 1e-12:
+        raise ValidationError(f"h(x0) = {hx0} < 1; raise x0")
     if not np.all(np.isfinite(h0)):
         raise ValidationError("h overflows on [x0, x0 * 2^20]; shrink the domain")
     if np.any(h1 <= 0):
@@ -378,7 +385,7 @@ def make_growth(variant, c: float, c_h: float = 1.0, *,
     if np.any(h2 <= 0):
         raise ValidationError("sampled h'' not positive on [x0, x0 * 2^20]")
     if c == 1.0:
-        vt = np.asarray(g.vartheta(grid, 1))
+        vt = dv[0]      # vartheta_1 = vartheta
         if np.any(vt <= 0) or np.any(np.diff(vt) > 0):
             raise ValidationError(
                 "c = 1 requires a positive, nonincreasing correction vartheta "
@@ -420,20 +427,13 @@ class InverseFunction:
     def c(self) -> float:
         return self.source.c
 
-    def _check_domain(self, y):
-        y = np.asarray(y, dtype=float)
-        if np.any(y < self.y0 * (1.0 - 1e-12)) or not np.all(np.isfinite(y)):
-            raise DomainError(
-                f"inversion at y < y0 = {self.y0} (min requested: {y.min()})")
-        return y
-
     def value(self, y) -> FloatLike:
         """phi(y): the x >= x0 with |h(x) - y| <= INVERSE_TOL * y.
 
         Each point follows its own Newton path, so a point's bits do not
         depend on the array it came in, its position or its block.
         """
-        y = self._check_domain(y)
+        y = _check_domain(y, self.y0, "inversion at y < y0")
         flat = y.ravel()
         x = np.empty_like(flat)
         for i in range(0, flat.size, CHUNK):
@@ -509,65 +509,64 @@ class InverseFunction:
         """theta_i(y) in the identity y phi^(i) = phi^(i-1) (beta_i + theta_i)."""
         if i not in (1, 2, 3):
             raise ValidationError(f"theta level {i} not in 1..3")
-        return self.correction(self.value(y), f"theta{i}")
+        u = self.value(y)
+        *_, out = self._thetas(u, self.source._vartheta_derivs(u, i - 1))
+        return float(out) if np.asarray(out).ndim == 0 else out
+
+    def _thetas(self, u, dv) -> list:
+        """[theta_1..theta_i] at y from u = phi(y), dv = ``_vartheta_derivs(u, i - 1)``.
+
+        Closed forms in d = c + vartheta(u), with powers taken as products
+        (see ``GrowthFunction.deriv``), so a scalar u gives the bits of the
+        matching array element; only the levels asked for are guarded:
+
+            theta_1 = 1/d - gamma
+            theta_2 = theta_1 - vartheta'(u) u / d^2
+            theta_3 = theta_2 - (vartheta'' u^2 + 2 vartheta' u) / (d^2 - d^3 - vartheta' u d)
+                              + 2 vartheta'^2 u^2 / (d^3 - d^4 - vartheta' u d^2)
+        """
+        d = self.c + dv[0]
+        GrowthFunction._guard(d, "c + vartheta(phi)")
+        d2 = d * d
+        out = [1.0 / d - self.gamma]
+        if len(dv) > 1:
+            vtp = dv[1]
+            out.append(out[0] - vtp * u / d2)
+        if len(dv) > 2:
+            d3 = d2 * d
+            den1 = d2 - d3 - vtp * u * d
+            den2 = d3 - d3 * d - vtp * u * d2
+            GrowthFunction._guard(den1, "theta_3 denominator")
+            GrowthFunction._guard(den2, "theta_3 denominator")
+            out.append(out[1] - (dv[2] * u * u + 2.0 * vtp * u) / den1
+                       + 2.0 * vtp * vtp * u * u / den2)
+        return out
 
     # -- c = 1 regime -----------------------------------------------------------
 
     def sigma(self, y) -> FloatLike:
         """sigma(y) = vartheta(phi(y)); the c = 1 factorization of y phi''."""
-        return self.correction(self.value(y), "sigma")
+        u = self.value(y)
+        if self.c != 1.0:
+            raise ValidationError("sigma is defined only for c = 1")
+        return self.source.vartheta(u, 1)
 
     def tau(self, y) -> FloatLike:
         """tau(y) in y phi''(y) = phi'(y) sigma(y) tau(y) for c = 1."""
-        return self.correction(self.value(y), "tau")
-
-    def correction(self, u, name: str) -> FloatLike:
-        """theta1, theta2, theta3, sigma or tau of y, given u = phi(y).
-
-        ``theta``, ``sigma`` and ``tau`` invert y and call this; a caller that
-        needs several of them at one y inverts once and passes u.  Evaluated
-        through the closed forms in the source correction, with
-        d = c + vartheta(u) and its powers taken as products (see ``deriv``),
-        so a scalar u gives the bits of the matching array element:
-
-            theta_1 = 1/d - gamma
-            theta_2 = 1/d - gamma - vartheta'(u) u / d^2
-            theta_3 = theta_2 - (vartheta'' u^2 + 2 vartheta' u) / (d^2 - d^3 - vartheta' u d)
-                              + 2 vartheta'^2 u^2 / (d^3 - d^4 - vartheta' u d^2)
-            sigma   = vartheta(u)                                   (c = 1 only)
-            tau     = -(1/d + vartheta'(u) u / (vartheta(u) d^2))   (c = 1 only)
-        """
-        if name not in ("theta1", "theta2", "theta3", "sigma", "tau"):
-            raise ValidationError(f"correction {name!r} not theta1..3, sigma or tau")
-        if name in ("sigma", "tau") and self.c != 1.0:
-            raise ValidationError(f"{name} is defined only for c = 1")
-        u = np.asarray(u, dtype=float)
-        g = self.source
-        vt = np.asarray(g.vartheta_raw(u, 0), dtype=float)
-        if name == "sigma":
-            return float(vt) if vt.ndim == 0 else vt
-        d = g.c + vt
-        vtp = None if name == "theta1" else np.asarray(g.vartheta_raw(u, 1), dtype=float)
-        if name == "tau":
-            GrowthFunction._guard(vt, "vartheta(phi)")
-            GrowthFunction._guard(d, "1 + vartheta(phi)")
-            out = -(1.0 / d + vtp * u / (vt * d * d))
-        else:
-            GrowthFunction._guard(d, "c + vartheta(phi)")
-            d2 = d * d
-            out = 1.0 / d - self.gamma
-            if name != "theta1":
-                out = out - vtp * u / d2
-            if name == "theta3":
-                vtpp = np.asarray(g.vartheta_raw(u, 2), dtype=float)
-                d3 = d2 * d
-                den1 = d2 - d3 - vtp * u * d
-                den2 = d3 - d3 * d - vtp * u * d2
-                GrowthFunction._guard(den1, "theta_3 denominator")
-                GrowthFunction._guard(den2, "theta_3 denominator")
-                out = out - (vtpp * u * u + 2.0 * vtp * u) / den1 \
-                    + 2.0 * vtp * vtp * u * u / den2
+        u = self.value(y)
+        if self.c != 1.0:
+            raise ValidationError("tau is defined only for c = 1")
+        out = self._tau(u, self.source._vartheta_derivs(u, 1))
         return float(out) if np.asarray(out).ndim == 0 else out
+
+    def _tau(self, u, dv):
+        """tau at y from u = phi(y) and dv = [vartheta(u), vartheta'(u), ...]:
+        -(1/d + vartheta'(u) u / (vartheta(u) d^2)) with d = 1 + vartheta(u)."""
+        vt, vtp = dv[0], dv[1]
+        GrowthFunction._guard(vt, "vartheta(phi)")
+        d = self.c + vt
+        GrowthFunction._guard(d, "1 + vartheta(phi)")
+        return -(1.0 / d + vtp * u / (vt * d * d))
 
 
 # ---------------------------------------------------------------------------
@@ -612,12 +611,12 @@ def build_aux_report(phi: InverseFunction, grid) -> AuxFunctionReport:
         raise ValidationError("report grid must be strictly increasing")
     g = phi.source
     u = np.asarray(phi.value(grid), dtype=float)
-    vt = tuple(np.asarray(g.vartheta(u, i), dtype=float) for i in (1, 2, 3))
-    th = tuple(np.asarray(phi.correction(u, f"theta{i}"), dtype=float)
-               for i in (1, 2, 3))
+    dv = g._vartheta_derivs(u, 2)
+    vt = tuple(g._vartheta_levels(u, dv))
+    th = tuple(phi._thetas(u, dv))
     if g.c == 1.0:
-        sig = vt[0]     # correction "sigma" is vartheta_raw(u, 0) = vartheta(u, 1)
-        tau = np.asarray(phi.correction(u, "tau"), dtype=float)
+        sig = vt[0]     # sigma(y) = vartheta(phi(y), 1)
+        tau = phi._tau(u, dv)
         rho = np.asarray(g.varrho(u), dtype=float)
     else:
         sig = np.empty(0)

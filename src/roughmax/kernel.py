@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import signals
-from .errors import DegenerateError, InsufficientDataError, RangeError, SignalSizeError
+from .errors import DegenerateError, InsufficientDataError, RangeError
 from .growth import InverseFunction
 from .seqset import SequenceSet, count
 from .signals import (
@@ -118,8 +118,7 @@ def build_kernel(s: SequenceSet, phi: InverseFunction, n: int,
     if els.size == 0:
         raise DegenerateError(f"no set elements in the support window of N = {n}")
     width = int(els[-1] - els[0] + 1)
-    if width > signals.MAX_SUPPORT:
-        raise SignalSizeError(f"kernel support {width} at N = {n} exceeds 2^30")
+    signals._check_size(width, f"kernel support {width} at N = {n}")
     dense = np.zeros(width)
     dense[els - els[0]] = vals
     k = Kernel(n, normalization, norm, Signal(int(els[0]), dense))
@@ -144,8 +143,7 @@ def _density_window(phi: InverseFunction, n: int) -> np.ndarray:
     A window wider than ``signals.MAX_SUPPORT`` is refused before it is built.
     """
     lo, hi = _support_window(n)
-    if hi - lo + 1 > signals.MAX_SUPPORT:
-        raise SignalSizeError(f"G_N window {hi - lo + 1} at N = {n} exceeds 2^30")
+    signals._check_size(hi - lo + 1, f"G_N window {hi - lo + 1} at N = {n}")
     m = np.arange(lo, hi + 1, dtype=float)
     w = np.asarray(phi.deriv(m, 1), dtype=float) * np.asarray(eta(m / n), dtype=float)
     return w

@@ -31,7 +31,6 @@ from .errors import (
     InsufficientDataError,
     PreconditionError,
     RangeError,
-    SignalSizeError,
     ValidationError,
 )
 from .growth import InverseFunction
@@ -123,9 +122,7 @@ def maximal_function(family: ScaleFamily, f: Signal) -> Signal:
         raise ValidationError("the maximal operator is probed on nonnegative input")
     lo = f.offset + _support_window(family.scales[0])[0]
     hi = f.support[1] + _support_window(family.scales[-1])[1]
-    if hi - lo + 1 > signals.MAX_SUPPORT:
-        raise SignalSizeError(
-            f"maximal-function support {hi - lo + 1} exceeds {signals.MAX_SUPPORT}")
+    signals._check_size(hi - lo + 1, f"maximal-function support {hi - lo + 1}")
     acc = np.zeros(hi - lo + 1)
     kernels = (build_kernel(family.s, family.phi, n, family.normalization).signal
                for n in family.scales)

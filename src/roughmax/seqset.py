@@ -257,22 +257,27 @@ def verify_membership_equivalence(s: SequenceSet, phi: InverseFunction,
     return int(np.count_nonzero(~agree))
 
 
+def _density_weights(s: SequenceSet, phi: InverseFunction, els) -> np.ndarray:
+    """h'(phi(max(j, y0))) at each element j of ``els``: phi's domain starts at
+    y0 = h(x0), so an element below y0 is weighted by h'(phi(y0)) ~ h'(x0)."""
+    u = np.asarray(phi.value(np.maximum(els, phi.y0)), dtype=float)
+    return np.asarray(s.growth.deriv(u, 1), dtype=float)
+
+
 def weighted_exp_sum(s: SequenceSet, phi: InverseFunction, alpha: float,
                      n: int) -> tuple[complex, float]:
     """Density-weighted exponential sum over the set, and its residual.
 
     Returns (S_w, R) where S_w = sum over set elements n' <= n of
     h'(phi(n')) * e^{2 pi i alpha n'} and R is the distance of S_w from the
-    plain full-range sum over all integers 1..n.  phi is evaluated at
-    max(n', y0), where y0 = h(x0) starts its domain: an element below y0
-    gets the weight h'(phi(y0)), which is h'(x0) up to the inverse's rounding.
+    plain full-range sum over all integers 1..n; the weights come from
+    ``_density_weights``.
     """
     k = count(s, n)
     if not (0.0 <= alpha <= 1.0):
         raise ValidationError(f"alpha = {alpha} outside [0, 1]")
     els = s.elements[:k].astype(float)
-    u = np.asarray(phi.value(np.maximum(els, phi.y0)), dtype=float)
-    w = np.asarray(s.growth.deriv(u, 1), dtype=float)
+    w = _density_weights(s, phi, els)
     s_w = chunked_sum(w * np.exp(2j * np.pi * alpha * els))
     full = chunked_sum(np.exp(2j * np.pi * alpha * np.arange(1, n + 1, dtype=float)))
     return complex(s_w), abs(complex(s_w) - complex(full))

@@ -14,6 +14,12 @@ from .util import CHUNK
 MAX_SUPPORT = 1 << 30
 
 
+def _check_size(size: int, what: str) -> None:
+    """Refuse ``what``, a description that names its size, above MAX_SUPPORT."""
+    if size > MAX_SUPPORT:
+        raise SignalSizeError(f"{what} exceeds MAX_SUPPORT = {MAX_SUPPORT}")
+
+
 @dataclass(frozen=True)
 class Signal:
     """Dense values over a contiguous index window starting at ``offset``.
@@ -132,8 +138,7 @@ def convolve(a: Signal, b: Signal, method: str = "direct") -> Signal:
     if a.is_zero or b.is_zero:
         return Signal.zero()
     out_len = a.values.size + b.values.size - 1
-    if out_len > MAX_SUPPORT:
-        raise SignalSizeError(f"convolution output support {out_len} exceeds 2^30")
+    _check_size(out_len, f"convolution output support {out_len}")
     if method == "direct":
         v = np.convolve(a.values, b.values)
     else:
@@ -158,9 +163,7 @@ def _overlap_save(f: Signal, kernels: Iterable[Signal]
     """
     w = f.values.size
     n = 1 << (4 * w - 1).bit_length()
-    if n > MAX_SUPPORT:
-        raise SignalSizeError(
-            f"overlap-save transform length {n} exceeds {MAX_SUPPORT}")
+    _check_size(n, f"overlap-save transform length {n}")
     step = n - w + 1
     rows = max(1, CHUNK // n)
     ff = np.fft.rfft(f.values, n)
@@ -207,8 +210,7 @@ def _even_autocorrelation(v: np.ndarray, method: str = "fast", mass: bool = Fals
     """
     size = v.size
     out_len = 2 * size - 1
-    if out_len > MAX_SUPPORT:
-        raise SignalSizeError(f"autocorrelation support {out_len} exceeds 2^30")
+    _check_size(out_len, f"autocorrelation support {out_len}")
     half = np.empty(size)
     if method == "direct":
         buf = np.convolve(v, v[::-1])

@@ -142,6 +142,31 @@ def test_weaktype_tables_are_pinned(tmp_path, config):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == WEAKTYPE_PINNED[config]
 
 
+# sha256 of growth-table tables over octaves 4..24: the benchmark's powerlog
+# spec, its c = 1 twin (which adds the sigma, tau and varrho columns), and the
+# other three shapes
+GROWTH_TABLE_PINNED = {
+    "powerlog:1.02:1.0:1.0":
+        "c72cd4729384eae16fe79f0d5056587386662a034cefce036f58fc019c5951d5",
+    "powerlog:1.0:1.0:1.0":
+        "3783cf4e07062dddc9ac92f206342c3a91178cb9fdedda3f06abe3e6754cb968",
+    "powerexplog:1.05:1.0:1.0:0.5":
+        "3a3de5778340c003607c5084c64a4394774cb97de78c4befaf97342876087c1d",
+    "poweriterlog:1.02:1.0:2":
+        "744bdbe104772cb56ca5d0b933ff57849bf117f17a630988cb269f7c8eb66f25",
+    "pure:1.5:1.0":
+        "5fe4fa16ac171daa693391bde0604306a0165a007e015ba25446561780d5a93b",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(GROWTH_TABLE_PINNED))
+def test_growth_tables_are_pinned(tmp_path, spec):
+    out = tmp_path / "g.csv"
+    assert run_cli("growth-table", "--h", spec, "--kmin", "4", "--kmax", "24",
+                   "--out", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GROWTH_TABLE_PINNED[spec]
+
+
 def test_kernel_errors_exit_2_from_the_first_use_of_the_family(tmp_path, capsys,
                                                                monkeypatch):
     # the family holds no kernel, so a kernel that cannot be built fails the
@@ -356,7 +381,8 @@ def test_kernel_decomp_refuses_an_oversized_kernel(tmp_path):
          "--kmin", "29", "--kmax", "29", "--out", str(tmp_path / "k.csv")],
         capture_output=True, text=True, timeout=120, preexec_fn=limit, env=env)
     assert proc.returncode == EXIT_VALIDATION, proc.stderr
-    assert "exceeds 2^30" in proc.stderr and "Traceback" not in proc.stderr
+    assert f"exceeds MAX_SUPPORT = {1 << 30}" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 # (growth spec, kmin, kmax): c > 1, c = 1, and a grid whose first octaves lie
@@ -388,10 +414,17 @@ def test_growth_table_rows_are_the_aux_report_bits(tmp_path, label):
     expected = {"y": rep.grid, "phi": rep.phi_values}
     expected.update({f"theta{i}": rep.theta_values[i - 1] for i in (1, 2, 3)})
     expected.update({f"vartheta{i}": rep.vartheta_values[i - 1] for i in (1, 2, 3)})
+    # each report column has the bits of the public call on the whole grid
+    public = {f"theta{i}": phi.theta(kept, i) for i in (1, 2, 3)}
+    public.update({f"vartheta{i}": g.vartheta(rep.phi_values, i) for i in (1, 2, 3)})
     if g.c == 1.0:
         expected.update(sigma=rep.sigma_values, tau=rep.tau_values,
                         varrho=rep.varrho_values)
-        assert np.array_equal(rep.varrho_values, g.varrho(rep.phi_values))
+        public.update(sigma=phi.sigma(kept), tau=phi.tau(kept),
+                      varrho=g.varrho(rep.phi_values))
+    for name, values in public.items():
+        assert np.array_equal(expected[name].view(np.int64),
+                              np.asarray(values).view(np.int64)), name
     assert lines[0].split(",") == list(expected)
     for j, name in enumerate(expected):
         assert np.array_equal(table[:, j].view(np.int64),

@@ -187,8 +187,12 @@ def test_vartheta_recursion_identity(glog):
 def test_vartheta_fd_consistency(glog):
     # the closed-form derivative of the correction matches finite differences
     for x in (30.0, 1e3, 1e7):
-        fd = central_diff(lambda t: glog.vartheta_raw(t, 0), x, x * 1e-6)
-        assert glog.vartheta_raw(x, 1) == pytest.approx(fd, rel=1e-7)
+        vt, vtp, vtpp = glog._vartheta_derivs(x, 2)
+        fd = central_diff(lambda t: glog._vartheta_derivs(t, 0)[0], x, x * 1e-6)
+        assert vtp == pytest.approx(fd, rel=1e-7)
+        fd2 = central_diff(lambda t: glog._vartheta_derivs(t, 1)[1], x, x * 1e-6)
+        assert vtpp == pytest.approx(fd2, rel=1e-6)
+        assert vt == glog.vartheta(x, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -255,9 +259,10 @@ def test_a_scalar_call_gives_the_bits_of_its_array_element(spec):
     phi = g.inverse()
     y = np.geomspace(phi.y0, 2.0 ** 40, 160)
     u = phi.value(y)
-    names = ("theta1", "theta2", "theta3") + (("sigma", "tau") if g.c == 1.0 else ())
-    # (evaluation, its abscissa): the corrections and h take u = phi(y), phi' takes y
-    evaluations = {name: (lambda x, n=name: phi.correction(x, n), u) for name in names}
+    # (evaluation, its abscissa): vartheta and h take u = phi(y), theta and phi' take y
+    evaluations = {f"theta{i}": (lambda t, i=i: phi.theta(t, i), y) for i in (1, 2, 3)}
+    if g.c == 1.0:
+        evaluations.update(sigma=(phi.sigma, y), tau=(phi.tau, y))
     evaluations.update({f"vartheta{i}": (lambda x, i=i: g.vartheta(x, i), u)
                         for i in (1, 2, 3)})
     evaluations.update({f"h^({k})": (lambda x, k=k: g.deriv(x, k), u)
@@ -335,7 +340,7 @@ def test_theta1_symbolic_cross_check(glog, philog):
     # theta = -vartheta(phi) / (c (c + vartheta(phi)))
     y = 1e6
     u = philog.value(y)
-    vt = glog.vartheta_raw(u, 0)
+    vt = glog.vartheta(u, 1)
     expect = -vt / (1.02 * (1.02 + vt))
     assert philog.theta(y, 1) == pytest.approx(expect, rel=1e-10)
 

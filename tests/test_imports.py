@@ -1,8 +1,12 @@
 """Tooling guards: no module of the package imports a name it never uses,
-every exception type the package defines is raised somewhere in it, and every
-module-level private function is used somewhere outside its own body."""
+every exception type the package defines is raised somewhere in it, every
+module-level private function is used somewhere outside its own body, and the
+benchmark's span tracer still installs on the package."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -124,3 +128,17 @@ def test_guard_flags_a_dead_private_function():
 def test_every_private_function_is_used():
     sources = [p.read_text(encoding="utf-8") for p in PACKAGE.parent.rglob("*.py")]
     assert dead_private_functions(sources) == []
+
+
+def test_the_benchmark_tracer_installs():
+    # perfbench/spans.py raises TraceError when a function it reports on is
+    # gone, or when a public function is held where no wrapper can reach it
+    # (in a container or as a default argument); install wraps the package in
+    # place, so it runs in a fresh interpreter
+    perfbench = PACKAGE.parents[1] / "perfbench"
+    code = (f"import sys\nsys.path.insert(0, {str(perfbench)!r})\n"
+            "import roughmax.cli\nimport spans\nspans.Tracer().install()\n")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr

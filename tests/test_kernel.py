@@ -271,7 +271,7 @@ def test_gn_profile_refuses_an_oversized_window():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120, preexec_fn=limit, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.count("exceeds 2^30") == 2, proc.stdout
+    assert proc.stdout.count(f"exceeds MAX_SUPPORT = {1 << 30}") == 2, proc.stdout
 
 
 def full_grid_split_sups(k, phi):

@@ -20,6 +20,7 @@ from roughmax import (
     Signal,
     SignalSizeError,
     ValidationError,
+    autocorrelation_signal,
     build_kernel,
     build_scale_family,
     convolve,
@@ -27,6 +28,7 @@ from roughmax import (
     decomposition_report,
     default_lambda_grid,
     generate,
+    gn_profile,
     make_growth,
     maximal_function,
     refine_bad_part,
@@ -279,6 +281,25 @@ def test_maximal_refuses_a_long_transform(fam102, monkeypatch):
     monkeypatch.setattr(signals, "MAX_SUPPORT", width)
     with pytest.raises(SignalSizeError, match="transform length 65536"):
         maximal_function(fam102, f)
+
+
+def test_every_size_refusal_names_the_cap_it_checks(fam102, s102_16, phi102,
+                                                    monkeypatch):
+    # each of the six size checks, under a cap of 64 that every probe exceeds
+    monkeypatch.setattr(signals, "MAX_SUPPORT", 64)
+    wide, narrow = Signal(0, np.ones(40)), Signal(0, np.ones(17))
+    probes = {
+        "convolution output support 79": lambda: convolve(wide, wide),
+        "overlap-save transform length 128": lambda: convolve(narrow, narrow, "fast"),
+        "autocorrelation support 79": lambda: autocorrelation_signal(wide),
+        "kernel support": lambda: build_kernel(s102_16, phi102, 1 << 10),
+        "G_N window": lambda: gn_profile(phi102, 1 << 10),
+        "maximal-function support": lambda: maximal_function(fam102, Signal.delta(0)),
+    }
+    for lead, probe in probes.items():
+        with pytest.raises(SignalSizeError, match=lead) as exc:
+            probe()
+        assert str(exc.value).endswith(" exceeds MAX_SUPPORT = 64"), str(exc.value)
 
 
 def test_maximal_function_memory_is_a_few_accumulators():
