@@ -123,13 +123,17 @@ def write_table(path: str, meta: dict, columns: list, rows: list, fmt: str) -> N
     Path(path).write_text(text, encoding="utf-8")
 
 
-def _meta(args, command: str, **extra) -> dict:
-    meta = {"command": command, "version": __version__, "format": args.format}
-    if getattr(args, "h", None):
-        meta["h"] = args.h
-    if getattr(args, "seed", None) is not None:
-        meta["seed"] = args.seed
-    meta.update(extra)
+# parsed options that never change a table's bytes: the handler, the thread
+# count and where the output goes
+_NOT_IN_HEADER = ("func", "workers", "out", "emit", "emit_atoms")
+
+
+def _meta(args, results: dict) -> dict:
+    """Every parsed option that shapes the output, the package version, and
+    the command's own results."""
+    meta = {k: v for k, v in vars(args).items() if k not in _NOT_IN_HEADER}
+    meta["version"] = __version__
+    meta.update(results)
     return meta
 
 
@@ -162,10 +166,10 @@ def _parse_record(text: str) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each returns (columns, rows, results), and ``run`` writes the table
 # ---------------------------------------------------------------------------
 
-def _cmd_growth_table(args) -> int:
+def _cmd_growth_table(args):
     if args.kmin >= args.kmax:
         raise ValidationError(f"--kmin {args.kmin} must be below --kmax {args.kmax}")
     g = parse_growth_spec(args.h)
@@ -181,48 +185,50 @@ def _cmd_growth_table(args) -> int:
     if g.c == 1.0:
         columns += ["sigma", "tau", "varrho"]
         values += [rep.sigma_values, rep.tau_values, rep.varrho_values]
-    write_table(args.out, _meta(args, "growth-table", kmin=args.kmin, kmax=args.kmax),
-                columns, np.column_stack(values).tolist(), args.format)
-    return EXIT_OK
+    return columns, np.column_stack(values).tolist(), {}
 
 
-def _cmd_seqset(args) -> int:
+def _cmd_seqset(args):
     g = parse_growth_spec(args.h)
     s = generate(g, args.nmax)
-    phi = g.inverse()
+    phi = s.phi
     if args.emit:
         Path(args.emit).write_text(
-            "\n".join(str(int(e)) for e in s.elements) + "\n", encoding="utf-8")
+            "\n".join(map(str, s.elements.tolist())) + "\n", encoding="utf-8")
     ns = 1 << np.arange(1, s.n_max.bit_length(), dtype=np.int64)
     counts = count(s, ns)
     phis = np.full(ns.size, np.nan)
     phis[ns >= phi.y0] = phi.value(ns[ns >= phi.y0].astype(float))
     rows = zip(ns.tolist(), counts.tolist(), phis.tolist(), (counts / phis).tolist())
-    write_table(args.out, _meta(args, "seqset", nmax=args.nmax, p_min=s.p_min),
-                ["N", "count", "phi_N", "ratio"], list(rows), args.format)
-    return EXIT_OK
+    return ["N", "count", "phi_N", "ratio"], list(rows), {"p_min": s.p_min}
 
 
-def _cmd_kernel_decomp(args) -> int:
+def _cmd_kernel_decomp(args):
     g = parse_growth_spec(args.h)
     s = generate(g, 4 * (1 << args.kmax))
-    phi = g.inverse()
     ks = range(args.kmin, args.kmax + 1)
-    reports = decomposition_reports(s, phi, [1 << k for k in ks],
+    reports = decomposition_reports(s, [1 << k for k in ks],
                                     Normalization.PHI_APPROX, args.workers)
     rows = [[k, r.scale_n, r.small_x_bound, r.gn_sup, r.en_sup, r.gn_lipschitz,
              r.mass] for k, r in zip(ks, reports)]
-    write_table(args.out, _meta(args, "kernel-decomp", kmin=args.kmin,
-                                kmax=args.kmax),
-                ["k", "N", "small_x_bound", "gn_sup", "en_sup",
-                 "gn_lipschitz", "mass"], rows, args.format)
-    return EXIT_OK
+    return (["k", "N", "small_x_bound", "gn_sup", "en_sup", "gn_lipschitz", "mass"],
+            rows, {})
 
 
-def _cmd_expsum(args) -> int:
+# the --params keys each --bound reads
+_BOUND_PARAMS = {"single": ("m",), "two": ("m", "kappa"), "minnorm": ("trunc", "x")}
+
+
+def _cmd_expsum(args):
     g = parse_growth_spec(args.h)
     phi = g.inverse()
     params = _parse_record(args.params)
+    reads = _BOUND_PARAMS[args.bound]
+    for k in params:
+        if k not in reads:
+            raise ValidationError(
+                f"--params key {k!r} is not read by --bound {args.bound}, "
+                f"which reads {', '.join(reads)}")
     m = int(params.get("m", 1))
     kappa = float(params.get("kappa", 1.0))
     rows = []
@@ -239,11 +245,7 @@ def _cmd_expsum(args) -> int:
             m_terms = int(math.isqrt(n)) if fixed_terms is None else fixed_terms
             actual, bound = min_norm_sum(phi, n, x, max(2, m_terms), 0, 0)
             rows.append([k, n, actual, bound, actual / bound])
-    write_table(args.out, _meta(args, "expsum", bound=args.bound,
-                                kmin=args.kmin, kmax=args.kmax,
-                                params=args.params),
-                ["k", "N", "actual_abs", "bound", "ratio"], rows, args.format)
-    return EXIT_OK
+    return ["k", "N", "actual_abs", "bound", "ratio"], rows, {}
 
 
 def _parse_corpus(spec: str) -> Signal:
@@ -261,17 +263,13 @@ def _parse_corpus(spec: str) -> Signal:
     raise ValidationError(f"corpus spec {spec!r} is not delta or random:K:seed")
 
 
-def _cmd_weaktype(args) -> int:
+def _cmd_weaktype(args):
     g = parse_growth_spec(args.h)
     s = generate(g, 4 * (1 << args.nhi))
-    phi = g.inverse()
-    family = build_scale_family(s, phi, args.nlo, args.nhi)
+    family = build_scale_family(s, args.nlo, args.nhi)
     f = _parse_corpus(args.corpus)
     rows = weak_type_profile(family, f, default_lambda_grid(family, f))
-    write_table(args.out, _meta(args, "weaktype", nlo=args.nlo, nhi=args.nhi,
-                                corpus=args.corpus),
-                ["lambda", "superlevel_count", "ratio"], rows, args.format)
-    return EXIT_OK
+    return ["lambda", "superlevel_count", "ratio"], rows, {}
 
 
 def _read_input_signal(path: str) -> dict:
@@ -298,7 +296,7 @@ def _read_input_signal(path: str) -> dict:
     return values
 
 
-def _cmd_cz(args) -> int:
+def _cmd_cz(args):
     values = _read_input_signal(args.input)
     try:
         lam = Fraction(args.height)
@@ -316,10 +314,8 @@ def _cmd_cz(args) -> int:
     recon_ok = cz.reconstruction() == {x: v for x, v in values.items() if v != 0}
     good_linf = max(cz.good.values()) if cz.good else Fraction(0)
     rows = [[lam, len(cz.atoms), l1, cz.total_cube_size(), good_linf, recon_ok]]
-    write_table(args.out, _meta(args, "cz", input=args.input, height=args.height),
-                ["lambda", "n_atoms", "l1", "sum_cube_sizes", "good_linf",
-                 "reconstruction_exact"], rows, args.format)
-    return EXIT_OK
+    return (["lambda", "n_atoms", "l1", "sum_cube_sizes", "good_linf",
+             "reconstruction_exact"], rows, {})
 
 
 def _parse_system(spec: str):
@@ -339,28 +335,23 @@ def _parse_observable(spec: str, size: int):
     raise ValidationError(f"observable spec {spec!r} is not indicator:k")
 
 
-def _cmd_ergodic(args) -> int:
+def _cmd_ergodic(args):
     g = parse_growth_spec(args.h)
     s = generate(g, 1 << args.kmax)
-    phi = g.inverse()
     system = _parse_system(args.system)
     f = _parse_observable(args.f, system.size)
     ks = range(args.kmin, args.kmax + 1)
     ns = np.array([1 << k for k in ks], dtype=np.int64)
     rows = zip(ks, ns.tolist(),
                ergodic_average(system, s, f, args.x, ns).tolist(),
-               weighted_average(system, s, phi, f, args.x, ns).tolist())
-    write_table(args.out, _meta(args, "ergodic", system=args.system, f=args.f,
-                                x=args.x, kmin=args.kmin, kmax=args.kmax),
-                ["k", "N", "average", "weighted_average"], list(rows), args.format)
-    return EXIT_OK
+               weighted_average(system, s, f, args.x, ns).tolist())
+    return ["k", "N", "average", "weighted_average"], list(rows), {}
 
 
-def _cmd_verify_family(args) -> int:
+def _cmd_verify_family(args):
     g = parse_growth_spec(args.h)
     s = generate(g, 4 * (1 << args.nhi))
-    phi = g.inverse()
-    family = build_scale_family(s, phi, args.nlo, args.nhi,
+    family = build_scale_family(s, args.nlo, args.nhi,
                                 Normalization.PHI_APPROX)
     rep = verify_family_hypotheses(family, args.workers)
     rows = []
@@ -368,13 +359,9 @@ def _cmd_verify_family(args) -> int:
         rows.append([int(math.log2(sc)), sc, rep.d[i], rep.big_d[i],
                      rep.residual_sup[i], rep.f0_d_product[i],
                      rep.f_sup_times_d[i], rep.lipschitz_ratio[i]])
-    write_table(args.out,
-                _meta(args, "verify-family", nlo=args.nlo, nhi=args.nhi,
-                      eps0=_fmt(rep.eps0), eps1=_fmt(rep.eps1),
-                      eps2=_fmt(rep.eps2), growth_m=_fmt(rep.growth_m)),
-                ["n", "N", "d_n", "D_n", "residual_sup", "f0_d_product",
-                 "f_sup_times_d", "lipschitz_ratio"], rows, args.format)
-    return EXIT_OK
+    results = {k: _fmt(getattr(rep, k)) for k in ("eps0", "eps1", "eps2", "growth_m")}
+    return (["n", "N", "d_n", "D_n", "residual_sup", "f0_d_product",
+             "f_sup_times_d", "lipschitz_ratio"], rows, results)
 
 
 # ---------------------------------------------------------------------------
@@ -458,11 +445,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if args.workers < 1:
         raise ValidationError(f"--workers {args.workers} must be >= 1")
-    return args.func(args)
+    columns, rows, results = args.func(args)
+    write_table(args.out, _meta(args, results), columns, rows, args.format)
+    return EXIT_OK
 
 
 def main(argv=None) -> int:

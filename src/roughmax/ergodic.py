@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateError, RangeError, ValidationError
-from .growth import InverseFunction
 from .seqset import SequenceSet, _density_weights, count
 from .util import chunked_sum
 
@@ -95,11 +94,11 @@ def indicator(sys_size: int, state: int) -> np.ndarray:
 # averages
 # ---------------------------------------------------------------------------
 
-def _set_sums(sys: FiniteSystem, s: SequenceSet, phi: InverseFunction | None,
+def _set_sums(sys: FiniteSystem, s: SequenceSet, weighted: bool,
               f, x: int, n) -> tuple[np.ndarray, np.ndarray]:
     """(sum of f(T^j x) over set elements j <= N, their count), shaped like n.
 
-    With ``phi`` each term is weighted by h'(phi(max(j, y0))), from
+    When ``weighted`` each term is weighted by h'(phi(max(j, y0))), from
     ``seqset._density_weights``.  The terms are built once, up to the largest
     N, and each N sums its prefix with ``chunked_sum``: a prefix holds the
     same values as a fresh array up to N, so every sum has the bits of a
@@ -109,8 +108,8 @@ def _set_sums(sys: FiniteSystem, s: SequenceSet, phi: InverseFunction | None,
     fv = _f_values(sys, f)
     els = s.elements[:cnt.max(initial=0)]
     terms = fv[sys.iterate(x, els)]
-    if phi is not None:
-        terms = _density_weights(s, phi, els) * terms
+    if weighted:
+        terms = _density_weights(s, els) * terms
     sums = np.array([chunked_sum(terms[:k]) for k in cnt.ravel()], dtype=float)
     return sums.reshape(cnt.shape), cnt
 
@@ -121,29 +120,29 @@ def ergodic_average(sys: FiniteSystem, s: SequenceSet, f, x: int,
 
     ``n`` is one N or an array of them; an array gives one average per N.
     """
-    sums, cnt = _set_sums(sys, s, None, f, x, n)
+    sums, cnt = _set_sums(sys, s, False, f, x, n)
     if np.any(cnt == 0):
         raise DegenerateError(f"no set elements in [1, {np.asarray(n)[cnt == 0][0]}]")
     out = sums / cnt
     return float(out) if out.ndim == 0 else out
 
 
-def weighted_average(sys: FiniteSystem, s: SequenceSet, phi: InverseFunction,
-                     f, x: int, n) -> float | np.ndarray:
+def weighted_average(sys: FiniteSystem, s: SequenceSet, f, x: int,
+                     n) -> float | np.ndarray:
     """Density-weighted mean: sum of h'(phi(j)) f(T^j x) over elements, over N.
 
-    The weight h'(phi(j)) compensates for the thinning of the set, so the
-    N-normalized sum tracks the count-normalized average in the limit; an
-    element j below y0 is weighted at phi(y0), as ``_set_sums`` says.
+    phi is the set's own inverse ``s.phi``.  The weight h'(phi(j))
+    compensates for the thinning of the set, so the N-normalized sum tracks
+    the count-normalized average in the limit; an element j below y0 is
+    weighted at phi(y0), as ``_set_sums`` says.
     ``n`` is one N or an array of them; an array gives one average per N.
     """
-    out = _set_sums(sys, s, phi, f, x, n)[0] / np.asarray(n)
+    out = _set_sums(sys, s, True, f, x, n)[0] / np.asarray(n)
     return float(out) if out.ndim == 0 else out
 
 
-def oscillation_diagnostic(sys: FiniteSystem, s: SequenceSet,
-                           phi: InverseFunction, f, x: int, eps: float,
-                           breakpoints) -> float:
+def oscillation_diagnostic(sys: FiniteSystem, s: SequenceSet, f, x: int,
+                           eps: float, breakpoints) -> float:
     """Sum over blocks of the largest weighted-average jump inside the block.
 
     Scales are restricted to the lacunary set {floor((1+eps)^k)}; blocks are
@@ -176,7 +175,7 @@ def oscillation_diagnostic(sys: FiniteSystem, s: SequenceSet,
             lac.append(n)
     lac = np.array(lac, dtype=np.int64)
 
-    avg = weighted_average(sys, s, phi, f, x, np.concatenate([bp, lac]))
+    avg = weighted_average(sys, s, f, x, np.concatenate([bp, lac]))
     base, at = avg[:len(bp)], avg[len(bp):]
     total = 0.0
     for i, (a, b) in enumerate(zip(bp[:-1], bp[1:])):

@@ -243,7 +243,9 @@ def min_norm_sum(phi: InverseFunction, n: int, x: int, m_terms: int,
     norms = dist_to_nearest_int(vals)
     with np.errstate(divide="ignore"):
         caps = np.minimum(1.0, 1.0 / (m_terms * norms))
-    w = np.asarray(eta(ns / n), dtype=float) * np.asarray(eta((ns + x) / n), dtype=float)
+    e = np.asarray(eta(ns / n), dtype=float)
+    # at x = 0 the shifted cutoff is the same array
+    w = e * (e if x == 0 else np.asarray(eta((ns + x) / n), dtype=float))
     actual = float(chunked_sum(caps * w))
     return actual, _min_norm_bound(phi, n, m_terms)
 

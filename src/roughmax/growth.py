@@ -136,7 +136,7 @@ class GrowthFunction:
     m: int | None
     x0: float
     # closed-form data derived once: log-correction lam = log l(x) and its
-    # first four derivatives as term tuples
+    # first three derivatives as term tuples
     _lam: Terms = field(repr=False, default=())
     _lam_d: tuple = field(repr=False, default=())
     _depth: int = field(repr=False, default=0)
@@ -155,7 +155,7 @@ class GrowthFunction:
             lam = ((1.0, 0, tuple([0.0] * m + [1.0])),)
         derivs = []
         t = lam
-        for _ in range(4):
+        for _ in range(3):
             t = _differentiate(t)
             derivs.append(t)
         depth = 0
@@ -173,7 +173,7 @@ class GrowthFunction:
         return _iterated_logs(x, self._depth)
 
     def _lam_value(self, x, logs, k: int):
-        """lam^(k)(x) where lam = log l(x); k = 0..4."""
+        """lam^(k)(x) where lam = log l(x); k = 0..3."""
         terms = self._lam if k == 0 else self._lam_d[k - 1]
         if not terms:
             return np.zeros_like(np.asarray(x, dtype=float))

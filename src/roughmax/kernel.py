@@ -98,9 +98,10 @@ class Kernel:
         return self.signal.sum()
 
 
-def build_kernel(s: SequenceSet, phi: InverseFunction, n: int,
+def build_kernel(s: SequenceSet, n: int,
                  normalization: Normalization = Normalization.COUNT_EXACT) -> Kernel:
-    """Kernel value eta(m/N)/norm at every set element m with eta(m/N) != 0."""
+    """Kernel value eta(m/N)/norm at every set element m with eta(m/N) != 0;
+    norm is the count of elements up to N or ``s.phi`` at N."""
     n = int(n)
     if 4 * n > s.n_max:
         raise RangeError(f"kernel at N = {n} needs n_max >= 4N, have {s.n_max}")
@@ -110,7 +111,7 @@ def build_kernel(s: SequenceSet, phi: InverseFunction, n: int,
     if normalization is Normalization.COUNT_EXACT:
         norm = float(cnt)
     else:
-        norm = float(phi.value(float(n)))
+        norm = float(s.phi.value(float(n)))
     first, last = _support_window(n)
     els = s.elements[np.searchsorted(s.elements, first, side="left"):
                      np.searchsorted(s.elements, last, side="right")]
@@ -257,7 +258,7 @@ def decomposition_report(k: Kernel, phi: InverseFunction) -> DecompositionReport
     )
 
 
-def decomposition_reports(s: SequenceSet, phi: InverseFunction, scales,
+def decomposition_reports(s: SequenceSet, scales,
                           normalization: Normalization = Normalization.COUNT_EXACT,
                           workers: int = 1) -> list[DecompositionReport]:
     """decomposition_report at each scale, in the order given (ascending).
@@ -269,8 +270,10 @@ def decomposition_reports(s: SequenceSet, phi: InverseFunction, scales,
     nothing depends on the thread count.  A task must not touch mpmath,
     whose working precision is process-global.
     """
+    phi = s.phi
+
     def task(n):
-        return decomposition_report(build_kernel(s, phi, n, normalization), phi)
+        return decomposition_report(build_kernel(s, n, normalization), phi)
 
     workers = min(workers, len(scales))
     if workers <= 1:

@@ -33,7 +33,6 @@ from .errors import (
     RangeError,
     ValidationError,
 )
-from .growth import InverseFunction
 from .kernel import Normalization, _support_window, build_kernel, decomposition_reports
 from .seqset import SequenceSet, count
 from .signals import Signal
@@ -50,8 +49,9 @@ LAMBDA_GRID_POINTS = 64  # heights in the default weak-type grid
 class ScaleFamily:
     """Dyadic scales 2^n for n in [n_lo, n_hi] on a set, with support stats.
 
-    It holds what the kernels are built from, never a kernel: each is built
-    where it is read, one scale at a time.  d[i] counts set elements in the
+    It holds what the kernels are built from, the set ``s`` (which carries
+    its inverse as ``s.phi``) and the normalization, never a kernel: each is
+    built where it is read, one scale at a time.  d[i] counts set elements in the
     support window of scale n_lo + i; big_d[i] = 4 * 2^(n_lo+i) is the right
     edge of that window.  eps0 is the fitted support-sparsity exponent (must
     stay below 1) and growth_m the fitted geometric-growth constant (> 1).
@@ -61,7 +61,6 @@ class ScaleFamily:
     n_hi: int
     scales: tuple
     s: SequenceSet
-    phi: InverseFunction
     normalization: Normalization
     d: tuple
     big_d: tuple
@@ -79,7 +78,7 @@ class ScaleFamily:
         return int(math.ceil(math.log2(d_n)))
 
 
-def build_scale_family(s: SequenceSet, phi: InverseFunction, n_lo: int, n_hi: int,
+def build_scale_family(s: SequenceSet, n_lo: int, n_hi: int,
                        normalization: Normalization = Normalization.COUNT_EXACT,
                        ) -> ScaleFamily:
     if n_hi < n_lo:
@@ -101,7 +100,7 @@ def build_scale_family(s: SequenceSet, phi: InverseFunction, n_lo: int, n_hi: in
             raise ValidationError(f"scale statistics not growing: M = {growth_m:.4f}")
     else:
         growth_m = float("inf")
-    return ScaleFamily(n_lo, n_hi, scales, s, phi, normalization, d, big_d,
+    return ScaleFamily(n_lo, n_hi, scales, s, normalization, d, big_d,
                        eps0, growth_m)
 
 
@@ -124,7 +123,7 @@ def maximal_function(family: ScaleFamily, f: Signal) -> Signal:
     hi = f.support[1] + _support_window(family.scales[-1])[1]
     signals._check_size(hi - lo + 1, f"maximal-function support {hi - lo + 1}")
     acc = np.zeros(hi - lo + 1)
-    kernels = (build_kernel(family.s, family.phi, n, family.normalization).signal
+    kernels = (build_kernel(family.s, n, family.normalization).signal
                for n in family.scales)
     for start, block in signals._overlap_save(f, kernels):
         seg = acc[start - lo:start - lo + block.size]
@@ -397,12 +396,13 @@ def verify_family_hypotheses(family: ScaleFamily,
     The scales run through ``decomposition_reports`` on up to ``workers``
     threads; the report does not depend on the thread count.
     """
-    if not (1.0 < family.phi.c < 30.0 / 29.0):
+    c = family.s.growth.c
+    if not (1.0 < c < 30.0 / 29.0):
         raise PreconditionError(
-            f"model-family measurements need 1 < c < 30/29, got c = {family.phi.c}")
+            f"model-family measurements need 1 < c < 30/29, got c = {c}")
     if len(family.scales) < 4:
         raise InsufficientDataError("need >= 4 scales to fit the decay exponent")
-    reps = decomposition_reports(family.s, family.phi, family.scales,
+    reps = decomposition_reports(family.s, family.scales,
                                  family.normalization, workers)
     res = tuple(r.en_sup for r in reps)
     eps1 = -loglog_slope(np.array(family.big_d, dtype=float),

@@ -105,6 +105,12 @@ class SequenceSet:
     elements: np.ndarray       # sorted distinct int64 in [1, n_max]
     p_min: int                 # inverse-test agreement threshold
 
+    @property
+    def phi(self) -> InverseFunction:
+        """The inverse of ``growth``, derived on each access (one h(x0)), so
+        it can never disagree with the set."""
+        return self.growth.inverse()
+
     def contains(self, p: int) -> bool:
         if not (1 <= p <= self.n_max):
             raise RangeError(f"p = {p} outside [1, {self.n_max}]")
@@ -245,27 +251,26 @@ def count(s: SequenceSet, n) -> int | np.ndarray:
     return int(out) if out.ndim == 0 else out
 
 
-def verify_membership_equivalence(s: SequenceSet, phi: InverseFunction,
-                                  lo: int, hi: int) -> int:
+def verify_membership_equivalence(s: SequenceSet, lo: int, hi: int) -> int:
     """Number of p in [lo, hi] where the two membership tests disagree."""
     if lo < s.p_min:
         raise RangeError(f"lo = {lo} below the agreement threshold {s.p_min}")
     if hi > s.n_max - 1:
         raise RangeError("hi beyond n_max - 1")
     p = np.arange(lo, hi + 1, dtype=np.int64)
-    agree = contains_via_inverse_batch(phi, p) == _member(s.elements, p)
+    agree = contains_via_inverse_batch(s.phi, p) == _member(s.elements, p)
     return int(np.count_nonzero(~agree))
 
 
-def _density_weights(s: SequenceSet, phi: InverseFunction, els) -> np.ndarray:
+def _density_weights(s: SequenceSet, els) -> np.ndarray:
     """h'(phi(max(j, y0))) at each element j of ``els``: phi's domain starts at
     y0 = h(x0), so an element below y0 is weighted by h'(phi(y0)) ~ h'(x0)."""
+    phi = s.phi
     u = np.asarray(phi.value(np.maximum(els, phi.y0)), dtype=float)
     return np.asarray(s.growth.deriv(u, 1), dtype=float)
 
 
-def weighted_exp_sum(s: SequenceSet, phi: InverseFunction, alpha: float,
-                     n: int) -> tuple[complex, float]:
+def weighted_exp_sum(s: SequenceSet, alpha: float, n: int) -> tuple[complex, float]:
     """Density-weighted exponential sum over the set, and its residual.
 
     Returns (S_w, R) where S_w = sum over set elements n' <= n of
@@ -277,7 +282,7 @@ def weighted_exp_sum(s: SequenceSet, phi: InverseFunction, alpha: float,
     if not (0.0 <= alpha <= 1.0):
         raise ValidationError(f"alpha = {alpha} outside [0, 1]")
     els = s.elements[:k].astype(float)
-    w = _density_weights(s, phi, els)
+    w = _density_weights(s, els)
     s_w = chunked_sum(w * np.exp(2j * np.pi * alpha * els))
     full = chunked_sum(np.exp(2j * np.pi * alpha * np.arange(1, n + 1, dtype=float)))
     return complex(s_w), abs(complex(s_w) - complex(full))

@@ -67,7 +67,7 @@ def sweep_reports(s102_22, phi102):
     t0 = time.monotonic()
     reports = []
     for k in range(12, 21):
-        ker = build_kernel(s102_22, phi102, 1 << k, Normalization.PHI_APPROX)
+        ker = build_kernel(s102_22, 1 << k, Normalization.PHI_APPROX)
         reports.append(decomposition_report(ker, phi102))
     return reports, time.monotonic() - t0
 
@@ -105,10 +105,10 @@ def test_criterion_02_identity_suite(nine_families):
                     f"product identity {worst_prod:.2e} both <= 1e-8")
 
 
-def test_criterion_03_membership_equivalence(s15_1m, phi15, g105, s105_20, phi105):
+def test_criterion_03_membership_equivalence(s15_1m, g105, s105_20):
     t0 = time.monotonic()
-    mism = verify_membership_equivalence(s15_1m, phi15, s15_1m.p_min, 10 ** 6)
-    mism += verify_membership_equivalence(s105_20, phi105, s105_20.p_min, 10 ** 6)
+    mism = verify_membership_equivalence(s15_1m, s15_1m.p_min, 10 ** 6)
+    mism += verify_membership_equivalence(s105_20, s105_20.p_min, 10 ** 6)
     elapsed = time.monotonic() - t0
     report("3", mism == 0 and elapsed < 10.0,
            f"enumeration vs inverse-test membership: {mism} disagreements on "
@@ -188,9 +188,9 @@ def test_criterion_08_sawtooth_truncation():
            f"<= 1 on 10^4 points, M in {{100, 1000}}")
 
 
-def test_criterion_09_decomposition_invariants(s102_16, phi102):
+def test_criterion_09_decomposition_invariants(s102_16):
     t0 = time.monotonic()
-    fam = build_scale_family(s102_16, phi102, 8, 13)
+    fam = build_scale_family(s102_16, 8, 13)
     rng = np.random.default_rng(0x5EED)
     cases = checked = 0
     for _ in range(64):
@@ -230,10 +230,10 @@ def test_criterion_09_decomposition_invariants(s102_16, phi102):
            f"and {checked} refinement splits all exact in {elapsed:.1f}s < 60s")
 
 
-def test_criterion_10_weak_type_trend(s102_22, phi102):
+def test_criterion_10_weak_type_trend(s102_22):
     t0 = time.monotonic()
-    fam14 = build_scale_family(s102_22, phi102, 8, 14)
-    fam18 = build_scale_family(s102_22, phi102, 8, 18)
+    fam14 = build_scale_family(s102_22, 8, 14)
+    fam18 = build_scale_family(s102_22, 8, 18)
     corpus = [Signal.delta(0)]
     rng = np.random.default_rng(20250808)
     for _ in range(8):
@@ -254,8 +254,8 @@ def test_criterion_10_weak_type_trend(s102_22, phi102):
            f"sparse inputs: max factor {worst:.4f} <= 1.25 in {elapsed:.1f}s")
 
 
-def test_criterion_11_family_hypotheses(s102_22, phi102):
-    fam = build_scale_family(s102_22, phi102, 12, 20, Normalization.PHI_APPROX)
+def test_criterion_11_family_hypotheses(s102_22):
+    fam = build_scale_family(s102_22, 12, 20, Normalization.PHI_APPROX)
     rep = verify_family_hypotheses(fam)
     prods = rep.f0_d_product
     spread = max(prods) / min(prods)
@@ -265,7 +265,7 @@ def test_criterion_11_family_hypotheses(s102_22, phi102):
                      f"across scales 2^12..2^20")
 
 
-def test_criterion_12_ergodic_convergence(s102_22, phi102):
+def test_criterion_12_ergodic_convergence(s102_22):
     sys97 = cyclic_shift(97, 5)
     f = indicator(97, 3)
     a = ergodic_average(sys97, s102_22, f, 0, 1 << 20)
@@ -273,7 +273,7 @@ def test_criterion_12_ergodic_convergence(s102_22, phi102):
     osc = {}
     for j_count in (4, 8):
         bps = [4 ** j for j in range(1, j_count + 2)]
-        osc[j_count] = oscillation_diagnostic(sys97, s102_22, phi102, f, 0,
+        osc[j_count] = oscillation_diagnostic(sys97, s102_22, f, 0,
                                               0.25, bps) / j_count
     ok = dev < 0.05 and osc[8] <= osc[4]
     report("12", ok, f"|average - 1/97| = {dev:.2e} < 0.05 at 2^20; "

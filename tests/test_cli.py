@@ -209,17 +209,53 @@ def test_workers_never_start_more_threads_than_scales(tmp_path, monkeypatch):
     assert sizes == [4, 4]
 
 
+# header keys that are not options: the command, the version and the
+# results a command records beside its table
+HEADER_RESULTS = {"seqset": {"p_min"},
+                  "verify-family": {"eps0", "eps1", "eps2", "growth_m"}}
+
+
 def test_config_round_trip_from_emitted_meta(tmp_path):
-    # the emitted header is a complete config: reconstructing the command
-    # from it reproduces the output byte for byte
-    first = tmp_path / "a.csv"
-    run_cli("seqset", "--h", "pure:1.5:1.0", "--nmax", "512", "--out", str(first))
-    meta = parse_meta(first.read_text())
-    assert meta["command"] == "seqset" and "workers" not in meta
-    second = tmp_path / "b.csv"
-    run_cli(meta["command"], "--h", meta["h"], "--nmax", meta["nmax"],
-            "--seed", meta["seed"], "--out", str(second))
-    assert first.read_bytes() == second.read_bytes()
+    # every command's header is a complete config: rebuilding the argv from
+    # its option keys reproduces the output byte for byte.  Each config sets
+    # options away from their defaults, so a key missing from the header
+    # shows as a different rerun.
+    f = tmp_path / "f.csv"
+    f.write_text("x,value\n0,8\n20,1/2\n", encoding="utf-8")
+    configs = [
+        ("growth-table", "--h", "powerlog:1.02:1.0:1.0", "--kmin", "5", "--kmax", "8",
+         "--seed", "3"),
+        ("seqset", "--h", "pure:1.5:1.0", "--nmax", "512",
+         "--emit", str(tmp_path / "els.txt")),
+        ("kernel-decomp", "--h", "pure:1.02:1.0", "--kmin", "8", "--kmax", "10",
+         "--workers", "2"),
+        ("expsum", "--h", "pure:1.05:1.0", "--bound", "two", "--kmin", "8",
+         "--kmax", "9", "--params", "m=2,kappa=0.5"),
+        ("weaktype", "--h", "pure:1.02:1.0", "--nlo", "6", "--nhi", "8",
+         "--corpus", "random:16:3"),
+        ("cz", "--input", str(f), "--height", "1/2",
+         "--emit-atoms", str(tmp_path / "atoms")),
+        ("ergodic", "--h", "pure:1.05:1.0", "--system", "shift:7:3",
+         "--f", "indicator:2", "--x", "1", "--kmin", "6", "--kmax", "8"),
+        ("verify-family", "--h", "pure:1.02:1.0", "--nlo", "8", "--nhi", "11",
+         "--workers", "2"),
+    ]
+    assert len({argv[0] for argv in configs}) == 8
+    for i, argv in enumerate(configs):
+        first, second = tmp_path / f"a{i}.csv", tmp_path / f"b{i}.csv"
+        assert run_cli(*argv, "--out", str(first)) == 0
+        meta = parse_meta(first.read_text())
+        command = meta.pop("command")
+        assert command == argv[0]
+        results = HEADER_RESULTS.get(command, set())
+        assert results <= set(meta) and meta.pop("version") == roughmax.__version__
+        assert not {"workers", "out", "emit", "emit_atoms"} & set(meta)
+        rebuilt = [command]
+        for k, v in meta.items():
+            if k not in results:
+                rebuilt += [f"--{k}", v]
+        assert run_cli(*rebuilt, "--out", str(second)) == 0
+        assert first.read_bytes() == second.read_bytes(), command
 
 
 def test_json_mirror(tmp_path):
@@ -326,6 +362,23 @@ def test_expsum_command(tmp_path):
     assert code == 0
     rows = [l for l in p.read_text().splitlines() if not l.startswith("#")][1:]
     assert len(rows) == 2
+
+
+@pytest.mark.parametrize("bound,params,reads", [
+    ("two", "m=2,kapa=0.5", "m, kappa"),
+    ("minnorm", "m=7", "trunc, x"),
+    ("single", "m=2,kappa=1.0", "m"),
+])
+def test_expsum_refuses_a_params_key_its_bound_does_not_read(tmp_path, capsys,
+                                                             bound, params, reads):
+    out = tmp_path / "r.csv"
+    assert run_cli("expsum", "--h", "pure:1.05:1.0", "--bound", bound,
+                   "--kmin", "10", "--kmax", "11", "--params", params,
+                   "--out", str(out)) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    key = params.split(",")[-1].split("=")[0]
+    assert f"--params key {key!r}" in err and f"reads {reads}" in err
+    assert "Traceback" not in err and not out.exists()
 
 
 def test_growth_table_c1_extra_columns(tmp_path):

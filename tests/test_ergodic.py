@@ -97,18 +97,18 @@ def test_shift_equidistribution(s102_16):
     assert abs(a - 1.0 / 97.0) < 0.05
 
 
-def test_weighted_average_identity_system(sident, phident):
+def test_weighted_average_identity_system(sident):
     sys = cyclic_shift(5, 2)
     # weight is identically 1 and the set is all integers: average of ones
-    assert weighted_average(sys, sident, phident, np.ones(5), 0, 1000) == pytest.approx(1.0)
+    assert weighted_average(sys, sident, np.ones(5), 0, 1000) == pytest.approx(1.0)
 
 
-def test_weighted_tracks_plain(s102_16, phi102):
+def test_weighted_tracks_plain(s102_16):
     sys = cyclic_shift(97, 5)
     f = indicator(97, 3)
     n = 1 << 16
     a = ergodic_average(sys, s102_16, f, 0, n)
-    w = weighted_average(sys, s102_16, phi102, f, 0, n)
+    w = weighted_average(sys, s102_16, f, 0, n)
     assert abs(a - w) < 0.05
 
 
@@ -123,7 +123,7 @@ def test_an_element_below_y0_is_weighted_at_x0(variant, c, c_h, params):
     s, phi = generate(g, 1 << 8), g.inverse()
     first = int(s.elements[0])
     assert first < phi.y0
-    avg = weighted_average(identity_system(1), s, phi, [1.0], 0, first)
+    avg = weighted_average(identity_system(1), s, [1.0], 0, first)
     assert avg * first == pytest.approx(float(g.deriv(g.x0, 1)), rel=1e-14)
 
 
@@ -135,7 +135,7 @@ def test_average_validation(s102_16):
         ergodic_average(sys, s102_16, np.ones(8), 0, 100)
 
 
-def test_empty_count_error(phi102):
+def test_empty_count_error():
     from roughmax import generate, make_growth
     g = make_growth("powerlog", 1.02, 1.0, a=1.0)
     late = generate(g, 4096)        # elements start near 17
@@ -145,7 +145,7 @@ def test_empty_count_error(phi102):
 
 
 @pytest.mark.parametrize("weighted", [False, True])
-def test_array_call_is_the_scalar_calls_bit_for_bit(s102_22, phi102, rng, weighted):
+def test_array_call_is_the_scalar_calls_bit_for_bit(s102_22, rng, weighted):
     sys = cyclic_shift(13, 4)
     f = rng.normal(size=13)
     # a repeated N, N out of order, and N past the 2^20 fsum threshold
@@ -153,7 +153,7 @@ def test_array_call_is_the_scalar_calls_bit_for_bit(s102_22, phi102, rng, weight
 
     def avg(n):
         if weighted:
-            return weighted_average(sys, s102_22, phi102, f, 2, n)
+            return weighted_average(sys, s102_22, f, 2, n)
         return ergodic_average(sys, s102_22, f, 2, n)
 
     got = avg(ns)
@@ -162,14 +162,14 @@ def test_array_call_is_the_scalar_calls_bit_for_bit(s102_22, phi102, rng, weight
     assert avg(ns[:0]).shape == (0,)
 
 
-def test_array_call_names_the_first_bad_n(s102_16, phi102):
+def test_array_call_names_the_first_bad_n(s102_16):
     sys = cyclic_shift(7, 1)
     f = indicator(7, 0)
     bad = s102_16.n_max + 1
     with pytest.raises(RangeError, match=f"N = {bad} outside"):
         ergodic_average(sys, s102_16, f, 0, [10, bad, 0])
     with pytest.raises(RangeError, match="N = 0 outside"):
-        weighted_average(sys, s102_16, phi102, f, 0, np.array([10, 0, bad]))
+        weighted_average(sys, s102_16, f, 0, np.array([10, 0, bad]))
 
 
 def test_array_call_names_an_n_with_no_elements():
@@ -180,7 +180,7 @@ def test_array_call_names_an_n_with_no_elements():
     with pytest.raises(DegenerateError, match=r"\[1, 4\]"):
         ergodic_average(sys, late, indicator(7, 0), 0, np.array([1024, 4, 2]))
     # the weighted average is normalized by N, so an empty prefix averages to 0
-    w = weighted_average(sys, late, g.inverse(), indicator(7, 0), 0, np.array([4, 1024]))
+    w = weighted_average(sys, late, indicator(7, 0), 0, np.array([4, 1024]))
     assert w[0] == 0.0 and w[1] > 0.0
 
 
@@ -188,9 +188,9 @@ def test_array_call_names_an_n_with_no_elements():
 # oscillation diagnostic
 # ---------------------------------------------------------------------------
 
-def test_oscillation_zero_observable(s102_16, phi102):
+def test_oscillation_zero_observable(s102_16):
     sys = cyclic_shift(97, 5)
-    assert oscillation_diagnostic(sys, s102_16, phi102, np.zeros(97), 0, 0.25,
+    assert oscillation_diagnostic(sys, s102_16, np.zeros(97), 0, 0.25,
                                   [4, 16, 64, 256]) == 0.0
 
 
@@ -200,7 +200,7 @@ def test_oscillation_identity_matches_direct_oracle(s102_16, phi102, g102):
     import math
     sys = identity_system(5)
     bps = [4 ** j for j in range(1, 6)]
-    got = oscillation_diagnostic(sys, s102_16, phi102, indicator(5, 2), 2, 0.25, bps)
+    got = oscillation_diagnostic(sys, s102_16, indicator(5, 2), 2, 0.25, bps)
     els = s102_16.elements[s102_16.elements <= bps[-1]].astype(float)
     w = np.asarray(g102.deriv(np.asarray(phi102.value(els)), 1))
     pref = np.concatenate([[0.0], np.cumsum(w)])
@@ -225,24 +225,24 @@ def test_oscillation_identity_matches_direct_oracle(s102_16, phi102, g102):
     assert got == pytest.approx(total, rel=1e-12)
 
 
-def test_oscillation_per_block_average_shrinks(s102_22, phi102):
+def test_oscillation_per_block_average_shrinks(s102_22):
     sys = cyclic_shift(97, 5)
     f = indicator(97, 3)
     vals = {}
     for j_count in (4, 8):
         bps = [4 ** j for j in range(1, j_count + 2)]
-        vals[j_count] = oscillation_diagnostic(sys, s102_22, phi102, f, 0,
+        vals[j_count] = oscillation_diagnostic(sys, s102_22, f, 0,
                                                0.25, bps) / j_count
     assert vals[8] <= vals[4]
 
 
-def test_oscillation_breakpoint_validation(s102_16, phi102):
+def test_oscillation_breakpoint_validation(s102_16):
     sys = cyclic_shift(7, 1)
     f = indicator(7, 0)
     with pytest.raises(ValidationError):
-        oscillation_diagnostic(sys, s102_16, phi102, f, 0, 0.25, [4, 7])
+        oscillation_diagnostic(sys, s102_16, f, 0, 0.25, [4, 7])
     with pytest.raises(ValidationError):
-        oscillation_diagnostic(sys, s102_16, phi102, f, 0, -0.1, [4, 16])
+        oscillation_diagnostic(sys, s102_16, f, 0, -0.1, [4, 16])
     with pytest.raises(RangeError):
-        oscillation_diagnostic(sys, s102_16, phi102, f, 0, 0.25,
+        oscillation_diagnostic(sys, s102_16, f, 0, 0.25,
                                [4, s102_16.n_max * 2])

@@ -22,6 +22,7 @@ from roughmax import (
     two_phase_sum,
     weighted_sum_bound_check,
 )
+from roughmax import expsum
 from roughmax.expsum import _alpha_probes, _two_setup
 from roughmax.growth import InverseFunction
 
@@ -261,6 +262,25 @@ def test_min_norm_within_bound_sweep(phi105):
         n = 1 << k
         actual, bound = min_norm_sum(phi105, n, 0, max(2, int(math.isqrt(n))), 0, 0)
         assert actual <= bound
+
+
+def test_min_norm_reads_the_cutoff_once_per_point_at_x_0(phi105, monkeypatch):
+    # at x = 0 eta(n/N) and eta((n + x)/N) are one array; a shift reads both
+    n = 1 << 10
+    window = 4 * n - n // 2                 # the integers of (N/2, 4N]
+    sizes = []
+    real = expsum.eta
+
+    def counting(t):
+        sizes.append(np.size(t))
+        return real(t)
+
+    monkeypatch.setattr(expsum, "eta", counting)
+    min_norm_sum(phi105, n, 0, 32, 0, 0)
+    assert sizes == [window]
+    sizes.clear()
+    min_norm_sum(phi105, n, 3, 32, 0, 0)
+    assert sizes == [window - 3] * 2
 
 
 def test_min_norm_validation(phi105):

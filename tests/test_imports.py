@@ -1,6 +1,7 @@
 """Tooling guards: no module of the package imports a name it never uses,
 every exception type the package defines is raised somewhere in it, every
-module-level private function is used somewhere outside its own body, and the
+module-level private function is used somewhere outside its own body, no
+function takes a set beside an inverse that must match it, and the
 benchmark's span tracer still installs on the package."""
 
 import ast
@@ -128,6 +129,39 @@ def test_guard_flags_a_dead_private_function():
 def test_every_private_function_is_used():
     sources = [p.read_text(encoding="utf-8") for p in PACKAGE.parent.rglob("*.py")]
     assert dead_private_functions(sources) == []
+
+
+def set_and_inverse_params(source: str) -> list:
+    """Functions with a parameter annotated ``SequenceSet`` and another
+    annotated ``InverseFunction`` (``| None`` and the like included): the set
+    carries its own inverse as ``s.phi``, so the second can only disagree."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            names = set()
+            for arg in a.posonlyargs + a.args + a.kwonlyargs:
+                if arg.annotation is not None:
+                    names |= _names_read(arg.annotation)
+            if {"SequenceSet", "InverseFunction"} <= names:
+                out.append(node.name)
+    return sorted(out)
+
+
+def test_guard_flags_a_set_beside_its_inverse():
+    src = ("def both(s: SequenceSet, phi: InverseFunction, n: int): pass\n"
+           "def maybe(s: SequenceSet, phi: InverseFunction | None = None): pass\n"
+           "def qualified(s: seqset.SequenceSet, *, phi: growth.InverseFunction): pass\n"
+           "def set_only(s: SequenceSet, n: int): pass\n"
+           "def inverse_only(phi: InverseFunction, n: int): pass\n"
+           "class K:\n"
+           "    def method(self, s: SequenceSet, phi: InverseFunction): pass\n")
+    assert set_and_inverse_params(src) == ["both", "maybe", "method", "qualified"]
+
+
+def test_no_call_takes_a_set_and_its_inverse():
+    assert [name for p in MODULES
+            for name in set_and_inverse_params(p.read_text(encoding="utf-8"))] == []
 
 
 def test_the_benchmark_tracer_installs():

@@ -76,8 +76,8 @@ def test_eta_continuity_under_refinement():
 # kernels
 # ---------------------------------------------------------------------------
 
-def test_identity_kernel_values(sident, phident):
-    k = build_kernel(sident, phident, 8, Normalization.COUNT_EXACT)
+def test_identity_kernel_values(sident):
+    k = build_kernel(sident, 8, Normalization.COUNT_EXACT)
     assert k.norm_value == 8.0
     assert k.signal.support == (5, 31)
     for n in range(5, 32):
@@ -86,8 +86,8 @@ def test_identity_kernel_values(sident, phident):
     assert 0.0 < k.mass() <= 8.0
 
 
-def test_power_kernel_support_and_values(g15, phi15, s15_1m):
-    k = build_kernel(s15_1m, phi15, 8, Normalization.COUNT_EXACT)
+def test_power_kernel_support_and_values(g15, s15_1m):
+    k = build_kernel(s15_1m, 8, Normalization.COUNT_EXACT)
     assert count(s15_1m, 8) == 4      # {1, 2, 5, 8}
     # floors of m^1.5 for m = 3..10: 5.19, 8, 11.18, 14.69, 18.52, 22.62, 27, 31.62
     members = [int(e) for e in s15_1m.elements if 4 < e < 32]
@@ -100,61 +100,61 @@ def test_power_kernel_support_and_values(g15, phi15, s15_1m):
 
 def test_kernel_normalization_modes_proportional(s102_16, phi102):
     n = 1 << 12
-    k_cnt = build_kernel(s102_16, phi102, n, Normalization.COUNT_EXACT)
-    k_phi = build_kernel(s102_16, phi102, n, Normalization.PHI_APPROX)
+    k_cnt = build_kernel(s102_16, n, Normalization.COUNT_EXACT)
+    k_phi = build_kernel(s102_16, n, Normalization.PHI_APPROX)
     ratio = count(s102_16, n) / float(phi102.value(float(n)))
     assert 0.9 < ratio < 1.1
     assert k_phi.signal.values == pytest.approx(k_cnt.signal.values * ratio, rel=1e-12)
 
 
-def test_kernel_nonnegative_and_support_in_set(s102_16, phi102):
-    k = build_kernel(s102_16, phi102, 1 << 10)
+def test_kernel_nonnegative_and_support_in_set(s102_16):
+    k = build_kernel(s102_16, 1 << 10)
     assert np.all(k.signal.values >= 0.0)
     nz = np.nonzero(k.signal.values)[0] + k.signal.offset
     assert np.all(s102_16.contains_batch(nz))
 
 
-def test_kernel_range_and_degenerate_errors(s102_16, phi102):
+def test_kernel_range_and_degenerate_errors(s102_16):
     with pytest.raises(RangeError):
-        build_kernel(s102_16, phi102, 1 << 15)
+        build_kernel(s102_16, 1 << 15)
     # elements of this set start near 17, so scale 4 has an empty count
     from roughmax import generate, make_growth
     g = make_growth("powerlog", 1.02, 1.0, a=1.0)
     late = generate(g, 4096)
     assert int(late.elements[0]) > 4
     with pytest.raises(DegenerateError):
-        build_kernel(late, g.inverse(), 4)
+        build_kernel(late, 4)
 
 
-def test_kernel_support_cap(s102_16, phi102, monkeypatch):
+def test_kernel_support_cap(s102_16, monkeypatch):
     # the window of scale 2^10 spans ~3.5 * 2^10 integers, far above a cap of 64
     import roughmax.signals as sig
     monkeypatch.setattr(sig, "MAX_SUPPORT", 64)
     with pytest.raises(SignalSizeError, match="kernel support"):
-        build_kernel(s102_16, phi102, 1 << 10)
+        build_kernel(s102_16, 1 << 10)
 
 
 # ---------------------------------------------------------------------------
 # autocorrelation
 # ---------------------------------------------------------------------------
 
-def test_autocorrelation_at_zero_is_squared_norm(sident, phident):
-    k = build_kernel(sident, phident, 8)
+def test_autocorrelation_at_zero_is_squared_norm(sident):
+    k = build_kernel(sident, 8)
     ac = autocorrelation(k)
     assert ac(0) == pytest.approx(float(np.dot(k.signal.values, k.signal.values)))
     assert ac(0) > 0
 
 
-def test_autocorrelation_mass_and_evenness(s102_16, phi102):
-    k = build_kernel(s102_16, phi102, 1 << 12, Normalization.PHI_APPROX)
+def test_autocorrelation_mass_and_evenness(s102_16):
+    k = build_kernel(s102_16, 1 << 12, Normalization.PHI_APPROX)
     ac = autocorrelation(k)
     assert ac.sum() == pytest.approx(k.mass() ** 2, rel=1e-9)
     xs = np.arange(1, ac.support[1] + 1)
     assert np.array_equal(ac(xs), ac(-xs))
 
 
-def test_autocorrelation_double_sum_oracle(s102_16, phi102):
-    k = build_kernel(s102_16, phi102, 256, Normalization.PHI_APPROX)
+def test_autocorrelation_double_sum_oracle(s102_16):
+    k = build_kernel(s102_16, 256, Normalization.PHI_APPROX)
     ac = autocorrelation(k)
     d = k.signal.to_dict()
     for x in (0, 1, 13, 100, 500, 900):
@@ -204,7 +204,7 @@ def test_gn_bounded_by_inverse_scale(phi102):
 # ---------------------------------------------------------------------------
 
 def test_identity_report_degenerate_sanity(sident, phident):
-    k = build_kernel(sident, phident, 1 << 10, Normalization.PHI_APPROX)
+    k = build_kernel(sident, 1 << 10, Normalization.PHI_APPROX)
     r = decomposition_report(k, phident)
     assert math.isfinite(r.small_x_bound)
     # with every integer present the autocorrelation IS the profile
@@ -213,7 +213,7 @@ def test_identity_report_degenerate_sanity(sident, phident):
 
 
 def test_report_fields_positive(s102_16, phi102):
-    k = build_kernel(s102_16, phi102, 1 << 12, Normalization.PHI_APPROX)
+    k = build_kernel(s102_16, 1 << 12, Normalization.PHI_APPROX)
     r = decomposition_report(k, phi102)
     assert r.small_x_bound > 0 and r.gn_sup > 0
     assert r.en_sup > 0 and r.gn_lipschitz > 0
@@ -223,7 +223,7 @@ def test_report_fields_positive(s102_16, phi102):
 def test_gn_smoothness_across_scales(s102_16, phi102):
     lips = []
     for k_exp in (10, 11, 12):
-        k = build_kernel(s102_16, phi102, 1 << k_exp, Normalization.PHI_APPROX)
+        k = build_kernel(s102_16, 1 << k_exp, Normalization.PHI_APPROX)
         lips.append(decomposition_report(k, phi102).gn_lipschitz)
     assert max(lips) / min(lips) < 4.0
 
@@ -234,9 +234,9 @@ def test_report_puts_gn_on_the_kernel_normalization(s102_16, phi102, k_exp):
     # so every autocorrelation sup scales by the square of that ratio
     n = 1 << k_exp
     r_cnt = decomposition_report(
-        build_kernel(s102_16, phi102, n, Normalization.COUNT_EXACT), phi102)
+        build_kernel(s102_16, n, Normalization.COUNT_EXACT), phi102)
     r_phi = decomposition_report(
-        build_kernel(s102_16, phi102, n, Normalization.PHI_APPROX), phi102)
+        build_kernel(s102_16, n, Normalization.PHI_APPROX), phi102)
     scale = (float(phi102.value(float(n))) / count(s102_16, n)) ** 2
     assert r_cnt.en_sup == pytest.approx(r_phi.en_sup * scale, rel=1e-9)
     assert r_cnt.gn_sup == pytest.approx(r_phi.gn_sup * scale, rel=1e-9)
@@ -304,7 +304,7 @@ def test_split_sups_are_the_full_grid_bits(s102_16, phi102, glog, philog,
     cases = [(s102_16, phi102, k) for k in (4, 8, 12, 14)]
     cases += [(s_log, philog, k) for k in (6, 12)] + [(sident, phident, 6)]
     for s, phi, k_exp in cases:
-        k = build_kernel(s, phi, 1 << k_exp, norm)
+        k = build_kernel(s, 1 << k_exp, norm)
         n = k.scale_n
         a0, small, gn_sup, en_sup, lip, mass = full_grid_split_sups(k, phi)
         r = decomposition_report(k, phi)
@@ -322,24 +322,24 @@ def test_decomposition_reports_do_not_depend_on_workers(s102_16, phi102, glog, p
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        runs = [[decomposition_reports(s, phi, scales, norm, workers)
+        runs = [[decomposition_reports(s, scales, norm, workers)
                  for workers in (1, 2, 3)] for s, phi, norm in cases]
     finally:
         sys.setswitchinterval(interval)
     for (s, phi, norm), reps in zip(cases, runs):
         assert reps[0] == reps[1] == reps[2]
-        assert reps[0] == [decomposition_report(build_kernel(s, phi, n, norm), phi)
+        assert reps[0] == [decomposition_report(build_kernel(s, n, norm), phi)
                            for n in scales]
 
 
-def test_decomposition_reports_raise_the_first_failing_scale(s102_16, phi102):
+def test_decomposition_reports_raise_the_first_failing_scale(s102_16):
     # 2^15 and 2^16 both need n_max >= 4N > 2^16; the smaller one is reported
     # whichever thread finishes first
     scales = [1 << 10, 1 << 15, 1 << 16]
     for workers in (1, 3):
         with pytest.raises(RangeError, match="N = 32768"):
-            decomposition_reports(s102_16, phi102, scales, workers=workers)
-    assert decomposition_reports(s102_16, phi102, [], workers=4) == []
+            decomposition_reports(s102_16, scales, workers=workers)
+    assert decomposition_reports(s102_16, [], workers=4) == []
 
 
 # ---------------------------------------------------------------------------

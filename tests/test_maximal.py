@@ -40,13 +40,13 @@ from roughmax.cli import _parse_corpus, parse_growth_spec
 
 
 @pytest.fixture(scope="module")
-def fam102(s102_16, phi102):
-    return build_scale_family(s102_16, phi102, 8, 13)
+def fam102(s102_16):
+    return build_scale_family(s102_16, 8, 13)
 
 
 def family_kernels(fam):
     """The family's kernels, built here: the family itself holds none."""
-    return [build_kernel(fam.s, fam.phi, n, fam.normalization) for n in fam.scales]
+    return [build_kernel(fam.s, n, fam.normalization) for n in fam.scales]
 
 
 def same_signal(a, b):
@@ -102,11 +102,11 @@ def test_family_statistics(fam102):
         fam102.scale_index(7)
 
 
-def test_family_range_checks(s102_16, phi102):
+def test_family_range_checks(s102_16):
     with pytest.raises(RangeError):
-        build_scale_family(s102_16, phi102, 8, 15)
+        build_scale_family(s102_16, 8, 15)
     with pytest.raises(ValidationError):
-        build_scale_family(s102_16, phi102, 10, 9)
+        build_scale_family(s102_16, 10, 9)
 
 
 # ---------------------------------------------------------------------------
@@ -128,11 +128,11 @@ def test_maximal_of_delta_is_kernel_sup(fam102):
     assert np.allclose(mf(xs), oracle, rtol=0, atol=1e-15)
 
 
-def test_maximal_identity_closed_form(sident, phident):
+def test_maximal_identity_closed_form(sident):
     # every integer is in the set, so the sup at x is max over scales of
     # eta(x / 2^n) / count(2^n)
     from roughmax import count, eta
-    fam = build_scale_family(sident, phident, 3, 10)
+    fam = build_scale_family(sident, 3, 10)
     mf = maximal_function(fam, Signal.delta(0))
     for x in (5, 9, 17, 100, 1000, 4000):
         expect = max(float(eta(x / float(sc))) / count(sident, sc)
@@ -227,9 +227,9 @@ def _direct_maximal(family, f, lo, hi):
     (0, 1 << 14, 2),                  # sparse and wide, as the random corpora
     (0, 1 << 14, 48),
 ])
-def test_transform_path_matches_direct_oracle(s102_16, phi102, rng, monkeypatch,
+def test_transform_path_matches_direct_oracle(s102_16, rng, monkeypatch,
                                               lo, hi, nnz):
-    fam = build_scale_family(s102_16, phi102, 8, 14)
+    fam = build_scale_family(s102_16, 8, 14)
     f = _sites_signal(rng, lo, hi, nnz)
     assert np.count_nonzero(f.values) == nnz and f.support == (lo, hi - 1)
     blocks = []
@@ -292,7 +292,7 @@ def test_every_size_refusal_names_the_cap_it_checks(fam102, s102_16, phi102,
         "convolution output support 79": lambda: convolve(wide, wide),
         "overlap-save transform length 128": lambda: convolve(narrow, narrow, "fast"),
         "autocorrelation support 79": lambda: autocorrelation_signal(wide),
-        "kernel support": lambda: build_kernel(s102_16, phi102, 1 << 10),
+        "kernel support": lambda: build_kernel(s102_16, 1 << 10),
         "G_N window": lambda: gn_profile(phi102, 1 << 10),
         "maximal-function support": lambda: maximal_function(fam102, Signal.delta(0)),
     }
@@ -304,7 +304,7 @@ def test_every_size_refusal_names_the_cap_it_checks(fam102, s102_16, phi102,
 
 def test_maximal_function_memory_is_a_few_accumulators():
     g = make_growth("pure", 1.5)
-    fam = build_scale_family(generate(g, 4 << 19), g.inverse(), 8, 19)
+    fam = build_scale_family(generate(g, 4 << 19), 8, 19)
     f = _parse_corpus("random:2048:1")
     tracemalloc.start()
     try:
@@ -316,12 +316,12 @@ def test_maximal_function_memory_is_a_few_accumulators():
     assert peak <= 4 * 8 * (hi - lo + 1)
 
 
-def test_the_family_builds_no_kernel(s102_16, phi102, monkeypatch):
+def test_the_family_builds_no_kernel(s102_16, monkeypatch):
     def refuse(*args):
         raise AssertionError("build_scale_family built a kernel")
 
     monkeypatch.setattr(maximal, "build_kernel", refuse)
-    fam = build_scale_family(s102_16, phi102, 8, 13)
+    fam = build_scale_family(s102_16, 8, 13)
     assert fam.scales == tuple(1 << n for n in range(8, 14))
 
 
@@ -349,10 +349,10 @@ def test_kernel_errors_come_from_the_first_use_of_the_family():
     # pure:1.9:64 starts at 64: the window (16, 128) of N = 32 holds it, but
     # [1, 32] holds nothing, so the family is built and its kernel is not
     g = parse_growth_spec("pure:1.9:64")
-    s, phi = generate(g, 128), g.inverse()
-    fam = build_scale_family(s, phi, 5, 5)
+    s = generate(g, 128)
+    fam = build_scale_family(s, 5, 5)
     with pytest.raises(DegenerateError) as direct:
-        build_kernel(s, phi, 32)
+        build_kernel(s, 32)
     with pytest.raises(DegenerateError) as used:
         maximal_function(fam, Signal.delta(0))
     assert str(used.value) == str(direct.value) == "no set elements in [1, 32]"
@@ -624,8 +624,8 @@ def test_refinement_threshold_and_cube_exponent(fam102):
 # family hypotheses
 # ---------------------------------------------------------------------------
 
-def test_family_hypotheses_report(s102_16, phi102):
-    fam = build_scale_family(s102_16, phi102, 10, 13, Normalization.PHI_APPROX)
+def test_family_hypotheses_report(s102_16):
+    fam = build_scale_family(s102_16, 10, 13, Normalization.PHI_APPROX)
     rep = verify_family_hypotheses(fam)
     assert rep.eps1 > 0.0
     assert 0.0 < rep.eps0 < 1.0
@@ -641,7 +641,7 @@ def test_family_hypotheses_report(s102_16, phi102):
 
 def test_family_hypotheses_residual_matches_manual(s102_16, phi102):
     from roughmax import autocorrelation, gn_profile
-    fam = build_scale_family(s102_16, phi102, 10, 13, Normalization.PHI_APPROX)
+    fam = build_scale_family(s102_16, 10, 13, Normalization.PHI_APPROX)
     rep = verify_family_hypotheses(fam)
     i = 0
     sc = fam.scales[i]
@@ -660,7 +660,7 @@ def test_family_hypotheses_residual_matches_manual(s102_16, phi102):
 def test_family_hypotheses_are_decomposition_report_rescaled(s102_16, phi102, norm):
     # both reports view the same per-scale sups; at power-of-two scales the
     # change from N- to D_n = 4N-scaling is exact
-    fam = build_scale_family(s102_16, phi102, 10, 13, norm)
+    fam = build_scale_family(s102_16, 10, 13, norm)
     rep = verify_family_hypotheses(fam)
     for i, k in enumerate(family_kernels(fam)):
         r = decomposition_report(k, phi102)
@@ -670,16 +670,16 @@ def test_family_hypotheses_are_decomposition_report_rescaled(s102_16, phi102, no
         assert rep.f_sup_times_d[i] == 4 * max(r.small_x_bound, r.gn_sup)
 
 
-def test_family_hypotheses_do_not_depend_on_workers(s102_16, phi102, glog, philog):
+def test_family_hypotheses_do_not_depend_on_workers(s102_16, glog):
     s_log = generate(glog, 1 << 16)
-    for s, phi, norm in ((s102_16, phi102, Normalization.PHI_APPROX),
-                         (s_log, philog, Normalization.COUNT_EXACT)):
-        fam = build_scale_family(s, phi, 10, 14, norm)
+    for s, norm in ((s102_16, Normalization.PHI_APPROX),
+                    (s_log, Normalization.COUNT_EXACT)):
+        fam = build_scale_family(s, 10, 14, norm)
         reps = [verify_family_hypotheses(fam, workers) for workers in (1, 2, 3)]
         assert reps[0] == reps[1] == reps[2]
 
 
-def test_family_hypotheses_needs_scales(s102_16, phi102):
-    fam = build_scale_family(s102_16, phi102, 10, 12, Normalization.PHI_APPROX)
+def test_family_hypotheses_needs_scales(s102_16):
+    fam = build_scale_family(s102_16, 10, 12, Normalization.PHI_APPROX)
     with pytest.raises(InsufficientDataError):
         verify_family_hypotheses(fam)

@@ -303,10 +303,10 @@ def test_batch_equivalence_with_scalar(phi15, s15_1m):
     assert np.array_equal(batch, s15_1m.contains_batch(ps))
 
 
-def test_equivalence_checker(s105_20, phi105):
-    assert verify_membership_equivalence(s105_20, phi105, s105_20.p_min, 1 << 16) == 0
+def test_equivalence_checker(s105_20):
+    assert verify_membership_equivalence(s105_20, s105_20.p_min, 1 << 16) == 0
     with pytest.raises(RangeError):
-        verify_membership_equivalence(s105_20, phi105, 0, 100)
+        verify_membership_equivalence(s105_20, 0, 100)
 
 
 # ---------------------------------------------------------------------------
@@ -343,15 +343,15 @@ def test_count_range_error(s15_small):
 # weighted exponential sums
 # ---------------------------------------------------------------------------
 
-def test_weighted_sum_identity(sident, phident):
-    s_w, resid = weighted_exp_sum(sident, phident, 0.0, 100)
+def test_weighted_sum_identity(sident):
+    s_w, resid = weighted_exp_sum(sident, 0.0, 100)
     assert s_w == pytest.approx(100.0 + 0.0j)
     assert resid == 0.0
 
 
-def test_weighted_sum_residual_sublinear(s105_20, phi105):
+def test_weighted_sum_residual_sublinear(s105_20):
     ks = range(10, 21)
-    resids = [weighted_exp_sum(s105_20, phi105, 0.0, 1 << k)[1] for k in ks]
+    resids = [weighted_exp_sum(s105_20, 0.0, 1 << k)[1] for k in ks]
     slope = np.polyfit(list(ks), np.log2(np.maximum(resids, 1e-12)), 1)[0]
     assert slope < 1.0
     assert resids[-1] / (1 << 20) < 1e-3
@@ -359,7 +359,7 @@ def test_weighted_sum_residual_sublinear(s105_20, phi105):
 
 def test_weighted_sum_nonzero_frequency(s105_20, phi105):
     n = 1 << 16
-    s_w, resid = weighted_exp_sum(s105_20, phi105, 0.5, n)
+    s_w, resid = weighted_exp_sum(s105_20, 0.5, n)
     # the full-range alternating sum is 0 for even N, so |S_w| <= resid + 1
     assert abs(s_w) <= resid + 1.0
     # direct-summation oracle over the elements
@@ -374,13 +374,13 @@ def test_weighted_sum_weights_an_element_below_y0_at_x0():
     g = make_growth("pure", 1.5, 2.5)
     s, phi = generate(g, 64), g.inverse()
     assert s.elements[0] == 2 < phi.y0
-    s_w, _ = weighted_exp_sum(s, phi, 0.0, 2)
+    s_w, _ = weighted_exp_sum(s, 0.0, 2)
     assert s_w == pytest.approx(float(g.deriv(g.x0, 1)), rel=1e-14)
 
 
-def test_weighted_sum_range_error(sident, phident):
+def test_weighted_sum_range_error(sident):
     with pytest.raises(RangeError):
-        weighted_exp_sum(sident, phident, 0.0, sident.n_max + 1)
+        weighted_exp_sum(sident, 0.0, sident.n_max + 1)
 
 
 def test_p_min_recorded(s15_1m, s105_20):
