@@ -32,13 +32,10 @@ from .growth import (
 )
 from .seqset import (
     SequenceSet,
-    contains_via_inverse,
     contains_via_inverse_batch,
     count,
-    floor_neg_phi,
     generate,
     verify_membership_equivalence,
-    weighted_exp_sum,
 )
 from .signals import Signal, autocorrelation_signal, convolve
 from .kernel import (
@@ -56,17 +53,13 @@ from .kernel import (
 )
 from .expsum import (
     ExpSumResult,
-    SawtoothTruncation,
     abel_sum,
-    coefficient_bound,
     min_norm_sum,
     ratio_sweep,
     resonant_alpha,
     sawtooth,
-    sawtooth_truncation,
     single_phase_sum,
     two_phase_sum,
-    weighted_sum_bound_check,
 )
 from .maximal import (
     CZAtom,
@@ -86,9 +79,7 @@ from .ergodic import (
     FiniteSystem,
     cyclic_shift,
     ergodic_average,
-    identity_system,
     indicator,
     oscillation_diagnostic,
-    random_permutation,
     weighted_average,
 )

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateError, RangeError, ValidationError
-from .seqset import SequenceSet, _density_weights, count
+from .seqset import SequenceSet, count
 from .util import chunked_sum
 
 
@@ -68,15 +68,6 @@ def cyclic_shift(m: int, step: int = 1) -> FiniteSystem:
     return FiniteSystem.from_mapping((np.arange(m) + step) % m)
 
 
-def identity_system(m: int) -> FiniteSystem:
-    return FiniteSystem.from_mapping(np.arange(m))
-
-
-def random_permutation(m: int, seed: int) -> FiniteSystem:
-    rng = np.random.default_rng(seed)
-    return FiniteSystem.from_mapping(rng.permutation(m))
-
-
 def _f_values(sys: FiniteSystem, f) -> np.ndarray:
     v = np.asarray(f, dtype=float)
     if v.size != sys.size:
@@ -94,15 +85,23 @@ def indicator(sys_size: int, state: int) -> np.ndarray:
 # averages
 # ---------------------------------------------------------------------------
 
+def _density_weights(s: SequenceSet, els) -> np.ndarray:
+    """h'(phi(max(j, y0))) at each element j of ``els``: phi's domain starts at
+    y0 = h(x0), so an element below y0 is weighted by h'(phi(y0)) ~ h'(x0)."""
+    phi = s.phi
+    u = np.asarray(phi.value(np.maximum(els, phi.y0)), dtype=float)
+    return np.asarray(s.growth.deriv(u, 1), dtype=float)
+
+
 def _set_sums(sys: FiniteSystem, s: SequenceSet, weighted: bool,
               f, x: int, n) -> tuple[np.ndarray, np.ndarray]:
     """(sum of f(T^j x) over set elements j <= N, their count), shaped like n.
 
     When ``weighted`` each term is weighted by h'(phi(max(j, y0))), from
-    ``seqset._density_weights``.  The terms are built once, up to the largest
-    N, and each N sums its prefix with ``chunked_sum``: a prefix holds the
-    same values as a fresh array up to N, so every sum has the bits of a
-    one-N call.
+    ``_density_weights``.  The terms are built once, up to the largest N, and
+    each N sums its prefix with ``chunked_sum``: a prefix holds the same
+    values as a fresh array up to N, so every sum has the bits of a one-N
+    call.
     """
     cnt = np.asarray(count(s, n))
     fv = _f_values(sys, f)

@@ -3,9 +3,9 @@
 Every operation returns both the exactly computed sum and the bound the
 van der Corput machinery predicts for it, so sweeps over dyadic scales can
 check that the ratio stays trend-bounded.  A phase's phi terms are built once
-per window, and every alpha probe and weight sums those.  The slowly varying
-factor of the c = 1 regime is constantly 1 for c > 1, the only regime wired
-into the bounds here.
+per window, and every alpha probe sums those.  The slowly varying factor of
+the c = 1 regime is constantly 1 for c > 1, the only regime wired into the
+bounds here.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import signals
 from .errors import EmptyRangeError, PreconditionError, ValidationError
 from .growth import InverseFunction
 from .kernel import eta
@@ -23,43 +24,13 @@ from .util import chunked_sum, dist_to_nearest_int
 
 
 # ---------------------------------------------------------------------------
-# sawtooth and its truncated Fourier series
+# the sawtooth
 # ---------------------------------------------------------------------------
 
 def sawtooth(t: float) -> float:
     """Fractional part minus one half; -1/2 at integers."""
     t = float(t)
     return (t - math.floor(t)) - 0.5
-
-
-@dataclass(frozen=True)
-class SawtoothTruncation:
-    """Partial Fourier sum of the sawtooth at one point, with its error cap."""
-
-    t: float
-    m_terms: int
-    value: complex           # conjugate-symmetric sum; imaginary part ~ 0
-    residual_bound: float    # min(1, 1/(M * dist to nearest integer))
-
-
-def sawtooth_truncation(t: float, m_terms: int) -> SawtoothTruncation:
-    """Sum of e^{-2 pi i m t} / (2 pi i m) over 0 < |m| <= M, with error cap."""
-    if m_terms < 1:
-        raise ValidationError(f"truncation order M = {m_terms} must be >= 1")
-    m = np.arange(1, m_terms + 1, dtype=float)
-    z = np.exp(-2j * np.pi * m * float(t))
-    value = complex(chunked_sum((z - np.conj(z)) / (2j * np.pi * m)))
-    norm = dist_to_nearest_int(t)
-    bound = 1.0 if norm == 0.0 else min(1.0, 1.0 / (m_terms * norm))
-    return SawtoothTruncation(float(t), int(m_terms), value, bound)
-
-
-def coefficient_bound(m: int, m_terms: int) -> float:
-    """Cap for the m-th Fourier coefficient of the min(1, 1/(M||t||)) envelope."""
-    if m == 0:
-        return math.log(m_terms + 1.0) / m_terms
-    return min(math.log(m_terms + 1.0) / m_terms, 1.0 / abs(m),
-               m_terms / float(m) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +78,10 @@ def _window(n: int, x: int) -> tuple[float, float]:
 
 
 def _validate_window(n: int, x: int, n_prime: float | None) -> tuple[np.ndarray, float]:
-    """The integer points of (N_1, N'] and N' (default N_2)."""
+    """The integer points of (N_1, N'] and N' (default N_2).
+
+    A range wider than ``signals.MAX_SUPPORT`` is refused before it is built.
+    """
     n1, n2 = _window(n, x)
     if n1 >= n2:
         raise EmptyRangeError(f"window ({n1}, {n2}] is empty for N={n}, x={x}")
@@ -119,6 +93,7 @@ def _validate_window(n: int, x: int, n_prime: float | None) -> tuple[np.ndarray,
     hi = int(math.floor(n_prime))
     if hi < lo:
         raise EmptyRangeError(f"empty summation range ({n1}, {n_prime}]")
+    signals._check_size(hi - lo + 1, f"phase-sum window {hi - lo + 1} at N = {n}")
     return np.arange(lo, hi + 1, dtype=float), n_prime
 
 
@@ -160,11 +135,10 @@ def _two_setup(phi: InverseFunction, n: int, x: int, m1: int, m2: int, kappa: fl
                                   kappa=kappa, N_prime=n_prime)
 
 
-def _phase_sum(setup: tuple, alpha: float, l: int,
-               weight: np.ndarray | None = None) -> ExpSumResult:
-    """Sum of e^{2 pi i (alpha l n + phi terms)} times the weight over a setup
-    (window ns, phi terms, cap, params with alpha and l unset).  The phi terms
-    are added one by one: pre-adding them would change the last bits.
+def _phase_sum(setup: tuple, alpha: float, l: int) -> ExpSumResult:
+    """Sum of e^{2 pi i (alpha l n + phi terms)} over a setup (window ns, phi
+    terms, cap, params with alpha and l unset).  The phi terms are added one
+    by one: pre-adding them would change the last bits.
     """
     if l < 1:
         raise ValidationError(f"linear multiplier l = {l} must be >= 1")
@@ -173,7 +147,7 @@ def _phase_sum(setup: tuple, alpha: float, l: int,
     for t in terms:
         phase += t
     z = np.exp(2j * np.pi * phase)
-    actual = complex(chunked_sum(z if weight is None else z * weight))
+    actual = complex(chunked_sum(z))
     return ExpSumResult(actual, abs(actual), bound, abs(actual) / bound,
                         dict(params, alpha=alpha, l=l))
 
@@ -199,29 +173,6 @@ def two_phase_sum(phi: InverseFunction, n: int, x: int, alpha: float, l: int,
     m^(2/3) N^(4/3) phi(N)^(-(1+kappa)/3) with m = max(|m1|, |m2|).
     """
     return _phase_sum(_two_setup(phi, n, x, m1, m2, kappa, n_prime), alpha, l)
-
-
-def weighted_sum_bound_check(phi: InverseFunction, n: int, x: int, alpha: float,
-                             l: int, weight: Callable[[np.ndarray], np.ndarray],
-                             mode: str, m: int = 1, m1: int = 1, m2: int = 1,
-                             kappa: float = 1.0, p: int = 0, q: int = 0,
-                             n_prime: float | None = None) -> ExpSumResult:
-    """Phase sum of ``single_phase_sum`` or ``two_phase_sum`` carrying an
-    arithmetic weight F, built and summed once, with the summed-by-parts cap:
-    their cap times sup|F| + N sup|F(n+1) - F(n)| over the realized range.
-    """
-    if mode not in ("single", "two"):
-        raise ValidationError(f"mode {mode!r} not in {{single, two}}")
-    s = (_single_setup(phi, n, x, m, p, q, n_prime) if mode == "single"
-         else _two_setup(phi, n, x, m1, m2, kappa, n_prime))
-    ns, terms, bound, params = s
-    f_here = np.asarray(weight(ns), dtype=float)
-    f_next = np.asarray(weight(ns + 1.0), dtype=float)
-    sup_f = float(np.max(np.abs(f_here)))
-    sup_df = float(np.max(np.abs(f_next - f_here)))
-    r = _phase_sum((ns, terms, bound * (sup_f + n * sup_df), params), alpha, l, f_here)
-    r.params.update(mode=mode, sup_weight=sup_f, sup_weight_diff=sup_df)
-    return r
 
 
 def min_norm_sum(phi: InverseFunction, n: int, x: int, m_terms: int,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -87,12 +87,14 @@ def _support_window(n: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class Kernel:
-    """Nonnegative averaging kernel at scale N; immutable."""
+    """Nonnegative averaging kernel at scale N, built on the set ``s``;
+    immutable."""
 
     scale_n: int
     normalization: Normalization
     norm_value: float
     signal: Signal
+    s: SequenceSet = field(compare=False, repr=False)
 
     def mass(self) -> float:
         return self.signal.sum()
@@ -122,7 +124,7 @@ def build_kernel(s: SequenceSet, n: int,
     signals._check_size(width, f"kernel support {width} at N = {n}")
     dense = np.zeros(width)
     dense[els - els[0]] = vals
-    k = Kernel(n, normalization, norm, Signal(int(els[0]), dense))
+    k = Kernel(n, normalization, norm, Signal(int(els[0]), dense), s)
     total = k.mass()
     if not (0.0 < total <= 8.0):
         raise DegenerateError(f"kernel mass {total} outside (0, 8]")
@@ -224,14 +226,15 @@ def _on_lags(h: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
-def decomposition_report(k: Kernel, phi: InverseFunction) -> DecompositionReport:
-    """The split autocorr = point mass + G_N + E_N at the kernel's scale.
+def decomposition_report(k: Kernel) -> DecompositionReport:
+    """The split autocorr = point mass + G_N + E_N at the kernel's scale, with
+    G_N from the inverse ``k.s.phi`` of the kernel's own set.
 
     Both profiles are even, so only their half-lag arrays are read: on lags
     0..X, where X is the last nonzero lag of either, or cut + 1 if larger,
     with cut = floor(phi(N)).
     """
-    n = k.scale_n
+    n, phi = k.scale_n, k.s.phi
     phin = float(phi.value(float(n)))
     cut = int(math.floor(phin))
     a, mass = _even_autocorrelation(k.signal.values, "fast", mass=True)
@@ -270,10 +273,8 @@ def decomposition_reports(s: SequenceSet, scales,
     nothing depends on the thread count.  A task must not touch mpmath,
     whose working precision is process-global.
     """
-    phi = s.phi
-
     def task(n):
-        return decomposition_report(build_kernel(s, n, normalization), phi)
+        return decomposition_report(build_kernel(s, n, normalization))
 
     workers = min(workers, len(scales))
     if workers <= 1:

@@ -22,7 +22,6 @@ from .errors import (
     ValidationError,
 )
 from .growth import INVERSE_TOL, MP_DPS, GrowthFunction, InverseFunction
-from .util import chunked_sum
 
 N_MAX_CAP = 1 << 40
 M_COUNT_CAP = 1 << 26
@@ -61,11 +60,6 @@ def _floor_neg_phi_batch(phi: InverseFunction, p: np.ndarray) -> np.ndarray:
     return out
 
 
-def floor_neg_phi(phi: InverseFunction, p: int) -> int:
-    """floor(-phi(p)), decided as in the batch path."""
-    return int(_floor_neg_phi_batch(phi, np.array([p], dtype=np.int64))[0])
-
-
 def contains_via_inverse_batch(phi: InverseFunction, p: np.ndarray) -> np.ndarray:
     """Inverse-function membership test: floor(-phi(p)) - floor(-phi(p+1)) == 1.
 
@@ -80,11 +74,6 @@ def contains_via_inverse_batch(phi: InverseFunction, p: np.ndarray) -> np.ndarra
     lo = _floor_neg_phi_batch(phi, p)
     hi = _floor_neg_phi_batch(phi, p + 1)
     return (lo - hi) == 1
-
-
-def contains_via_inverse(phi: InverseFunction, p: int) -> bool:
-    """The batch membership test at one p."""
-    return bool(contains_via_inverse_batch(phi, np.array([p]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -261,28 +250,3 @@ def verify_membership_equivalence(s: SequenceSet, lo: int, hi: int) -> int:
     agree = contains_via_inverse_batch(s.phi, p) == _member(s.elements, p)
     return int(np.count_nonzero(~agree))
 
-
-def _density_weights(s: SequenceSet, els) -> np.ndarray:
-    """h'(phi(max(j, y0))) at each element j of ``els``: phi's domain starts at
-    y0 = h(x0), so an element below y0 is weighted by h'(phi(y0)) ~ h'(x0)."""
-    phi = s.phi
-    u = np.asarray(phi.value(np.maximum(els, phi.y0)), dtype=float)
-    return np.asarray(s.growth.deriv(u, 1), dtype=float)
-
-
-def weighted_exp_sum(s: SequenceSet, alpha: float, n: int) -> tuple[complex, float]:
-    """Density-weighted exponential sum over the set, and its residual.
-
-    Returns (S_w, R) where S_w = sum over set elements n' <= n of
-    h'(phi(n')) * e^{2 pi i alpha n'} and R is the distance of S_w from the
-    plain full-range sum over all integers 1..n; the weights come from
-    ``_density_weights``.
-    """
-    k = count(s, n)
-    if not (0.0 <= alpha <= 1.0):
-        raise ValidationError(f"alpha = {alpha} outside [0, 1]")
-    els = s.elements[:k].astype(float)
-    w = _density_weights(s, els)
-    s_w = chunked_sum(w * np.exp(2j * np.pi * alpha * els))
-    full = chunked_sum(np.exp(2j * np.pi * alpha * np.arange(1, n + 1, dtype=float)))
-    return complex(s_w), abs(complex(s_w) - complex(full))

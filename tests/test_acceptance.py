@@ -62,13 +62,13 @@ def nine_families():
 
 
 @pytest.fixture(scope="module")
-def sweep_reports(s102_22, phi102):
+def sweep_reports(s102_22):
     """Decomposition reports for scales 2^12..2^20, shared by criteria 5 and 6."""
     t0 = time.monotonic()
     reports = []
     for k in range(12, 21):
         ker = build_kernel(s102_22, 1 << k, Normalization.PHI_APPROX)
-        reports.append(decomposition_report(ker, phi102))
+        reports.append(decomposition_report(ker))
     return reports, time.monotonic() - t0
 
 

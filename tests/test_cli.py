@@ -420,22 +420,35 @@ def test_ergodic_runs_when_the_first_element_lies_below_y0(tmp_path, h):
     assert all(0.0 < float(row.split(",")[3]) < 1.0 for row in body[1:])
 
 
-def test_kernel_decomp_refuses_an_oversized_kernel(tmp_path):
-    # scale 2^29 on pure:1.9 would need a 14 GiB dense kernel; the child runs
-    # under a 3 GiB address-space limit, so a regression fails with a
-    # MemoryError instead of exhausting the machine
+def assert_refused_above_max_support(*argv):
+    """Run the CLI in a child under a 3 GiB address-space limit, so that a
+    regression fails with a MemoryError instead of exhausting the machine,
+    and check that it refuses with exit 2 and no traceback."""
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
 
     env = dict(os.environ, PYTHONPATH=str(Path(roughmax.__file__).parents[1]),
                OPENBLAS_NUM_THREADS="1")
-    proc = subprocess.run(
-        [sys.executable, "-m", "roughmax.cli", "kernel-decomp", "--h", "pure:1.9:1.0",
-         "--kmin", "29", "--kmax", "29", "--out", str(tmp_path / "k.csv")],
-        capture_output=True, text=True, timeout=120, preexec_fn=limit, env=env)
+    proc = subprocess.run([sys.executable, "-m", "roughmax.cli", *argv],
+                          capture_output=True, text=True, timeout=120,
+                          preexec_fn=limit, env=env)
     assert proc.returncode == EXIT_VALIDATION, proc.stderr
     assert f"exceeds MAX_SUPPORT = {1 << 30}" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_kernel_decomp_refuses_an_oversized_kernel(tmp_path):
+    # scale 2^29 on pure:1.9 would need a 14 GiB dense kernel
+    assert_refused_above_max_support(
+        "kernel-decomp", "--h", "pure:1.9:1.0", "--kmin", "29", "--kmax", "29",
+        "--out", str(tmp_path / "k.csv"))
+
+
+def test_expsum_refuses_an_oversized_window(tmp_path):
+    # the window (N/2, 4N] of N = 2^29 holds 1.88e9 points, a 14 GiB array
+    assert_refused_above_max_support(
+        "expsum", "--h", "pure:1.02:1.0", "--bound", "single", "--kmin", "29",
+        "--kmax", "29", "--out", str(tmp_path / "e.csv"))
 
 
 # (growth spec, kmin, kmax): c > 1, c = 1, and a grid whose first octaves lie

@@ -10,11 +10,9 @@ from roughmax import (
     cyclic_shift,
     ergodic_average,
     generate,
-    identity_system,
     indicator,
     make_growth,
     oscillation_diagnostic,
-    random_permutation,
     weighted_average,
 )
 from roughmax.ergodic import FiniteSystem
@@ -38,7 +36,7 @@ def test_mapping_must_be_permutation():
 
 
 def test_iterate_matches_naive_oracle(rng):
-    sys = random_permutation(23, 99)
+    sys = FiniteSystem.from_mapping(np.random.default_rng(99).permutation(23))
     for _ in range(40):
         x = int(rng.integers(0, 23))
         n = int(rng.integers(0, 200))
@@ -56,7 +54,8 @@ def test_iterate_vectorized(rng):
 
 def test_measure_preservation_exact(rng):
     vals = rng.normal(size=31)
-    for sys in (cyclic_shift(31, 7), random_permutation(31, 5)):
+    shuffle = FiniteSystem.from_mapping(np.random.default_rng(5).permutation(31))
+    for sys in (cyclic_shift(31, 7), shuffle):
         pushed = vals[np.asarray(sys.mapping)]
         assert pushed.sum() == pytest.approx(vals.sum(), rel=1e-15)
         assert sorted(pushed) == sorted(vals)
@@ -67,7 +66,7 @@ def test_measure_preservation_exact(rng):
 # ---------------------------------------------------------------------------
 
 def test_identity_map_average_is_point_value(s102_16):
-    sys = identity_system(7)
+    sys = FiniteSystem.from_mapping(np.arange(7))
     f = indicator(7, 3)
     assert ergodic_average(sys, s102_16, f, 3, 5000) == 1.0
     assert ergodic_average(sys, s102_16, f, 2, 5000) == 0.0
@@ -123,7 +122,7 @@ def test_an_element_below_y0_is_weighted_at_x0(variant, c, c_h, params):
     s, phi = generate(g, 1 << 8), g.inverse()
     first = int(s.elements[0])
     assert first < phi.y0
-    avg = weighted_average(identity_system(1), s, [1.0], 0, first)
+    avg = weighted_average(FiniteSystem.from_mapping(np.arange(1)), s, [1.0], 0, first)
     assert avg * first == pytest.approx(float(g.deriv(g.x0, 1)), rel=1e-14)
 
 
@@ -198,7 +197,7 @@ def test_oscillation_identity_matches_direct_oracle(s102_16, phi102, g102):
     # with the identity map the diagnostic is exactly the oscillation of the
     # weighted normalization sequence at the marked state
     import math
-    sys = identity_system(5)
+    sys = FiniteSystem.from_mapping(np.arange(5))
     bps = [4 ** j for j in range(1, 6)]
     got = oscillation_diagnostic(sys, s102_16, indicator(5, 2), 2, 0.25, bps)
     els = s102_16.elements[s102_16.elements <= bps[-1]].astype(float)

@@ -12,15 +12,12 @@ from roughmax import (
     PreconditionError,
     ValidationError,
     abel_sum,
-    coefficient_bound,
     eta,
     min_norm_sum,
     ratio_sweep,
     sawtooth,
-    sawtooth_truncation,
     single_phase_sum,
     two_phase_sum,
-    weighted_sum_bound_check,
 )
 from roughmax import expsum
 from roughmax.expsum import _alpha_probes, _two_setup
@@ -36,45 +33,6 @@ from roughmax.growth import InverseFunction
 ])
 def test_sawtooth_values(t, expect):
     assert sawtooth(t) == pytest.approx(expect, abs=1e-15)
-
-
-def test_truncation_odd_symmetry_at_half():
-    tr = sawtooth_truncation(0.5, 500)
-    assert abs(tr.value) < 1e-12
-    assert sawtooth(0.5) == 0.0
-
-
-def test_truncation_residual_saturates():
-    tr = sawtooth_truncation(1.0 / 200.0, 100)   # M * ||t|| = 1/2 < 1
-    assert tr.residual_bound == 1.0
-
-
-def test_truncation_error_within_cap_on_grid():
-    # direct-evaluation oracle on a 1000-point grid avoiding integers
-    m_terms = 1000
-    ts = np.arange(1, 1001) / 1001.0
-    for t in ts[::37]:
-        tr = sawtooth_truncation(float(t), m_terms)
-        assert abs(tr.value.imag) <= 1e-12
-        assert abs(sawtooth(float(t)) - tr.value.real) <= tr.residual_bound
-
-
-def test_truncation_specific_point():
-    tr = sawtooth_truncation(0.3, 1000)
-    assert abs(sawtooth(0.3) - tr.value.real) <= 1.0 / (1000 * 0.3)
-
-
-def test_coefficient_bound_envelope():
-    m_terms = 100
-    assert coefficient_bound(0, m_terms) == pytest.approx(math.log(101) / 100)
-    assert coefficient_bound(5, m_terms) == pytest.approx(
-        min(math.log(101) / 100, 1 / 5, 100 / 25))
-    assert coefficient_bound(10 ** 4, m_terms) == pytest.approx(100 / 10 ** 8)
-
-
-def test_truncation_validation():
-    with pytest.raises(ValidationError):
-        sawtooth_truncation(0.3, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -205,41 +163,6 @@ def test_two_phase_bound_scaling_in_m(phi105):
 
 
 # ---------------------------------------------------------------------------
-# weighted sums
-# ---------------------------------------------------------------------------
-
-def test_weighted_unit_weight_reduces(phi105):
-    n = 1 << 10
-    base = single_phase_sum(phi105, n, 0, 0.2, 1, 1, 0, 0)
-    w = weighted_sum_bound_check(phi105, n, 0, 0.2, 1, lambda t: np.ones_like(t),
-                                 "single", m=1)
-    assert w.actual == base.actual
-    assert w.bound == base.bound
-
-
-def test_weighted_linear_weight_bound(phi105):
-    n = 1 << 10
-    base = single_phase_sum(phi105, n, 0, 0.0, 1, 1, 0, 0)
-    w = weighted_sum_bound_check(phi105, n, 0, 0.0, 1, lambda t: t / n,
-                                 "single", m=1)
-    # sup|F| <= 4 and N sup|dF| = 1, so the cap is at most 5x the base
-    assert w.params["sup_weight"] <= 4.0
-    assert n * w.params["sup_weight_diff"] == pytest.approx(1.0, rel=1e-9)
-    assert w.bound <= 5.0 * base.bound * (1 + 1e-12)
-
-
-def test_weighted_cutoff_weight_two_phase(phi105):
-    n = 1 << 12
-    x = int(math.ceil(float(phi105.value(float(n)))))
-    w = weighted_sum_bound_check(
-        phi105, n, x, 0.0, 1,
-        lambda t: np.asarray(eta(t / n)) * np.asarray(eta((t + x) / n)),
-        "two", m1=1, m2=1, kappa=1.0)
-    assert w.ratio < 2.0
-    assert w.actual_abs <= w.bound
-
-
-# ---------------------------------------------------------------------------
 # envelope sums over the cutoff window
 # ---------------------------------------------------------------------------
 
@@ -344,8 +267,4 @@ def test_each_window_is_inverted_once(phi105, monkeypatch):
     # the two-point phase reads phi on (N/2, 4N - x] and on that shifted by
     # x, whose union is the single window, inverted once
     ratio_sweep(phi105, "two", 1, 12, 12)
-    assert single_window <= sum(sizes) <= single_window + 4
-    sizes.clear()
-    weighted_sum_bound_check(phi105, n, 0, 0.2, 1, lambda t: np.ones_like(t),
-                             "single", m=1)
     assert single_window <= sum(sizes) <= single_window + 4

@@ -1,11 +1,14 @@
 """Tooling guards: no module of the package imports a name it never uses,
 every exception type the package defines is raised somewhere in it, every
-module-level private function is used somewhere outside its own body, no
-function takes a set beside an inverse that must match it, and the
-benchmark's span tracer still installs on the package."""
+module-level private function is used somewhere outside its own body, every
+public module-level name is read by the package, the acceptance criteria or
+the benchmark's tracer, no function takes a set or a kernel beside an
+inverse that must match it, and the benchmark's span tracer still installs
+on the package."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -131,10 +134,70 @@ def test_every_private_function_is_used():
     assert dead_private_functions(sources) == []
 
 
+def unread_public_names(modules: dict, readers, targets: str) -> list:
+    """Public module-level functions and classes of ``modules`` (module name
+    -> source), as ``"module:name"``, that no other top-level statement of
+    ``modules`` reads, no source in ``readers`` reads, and no
+    ``"module:qualname"`` string in ``targets`` names."""
+    traced = {f"{m}:{q.split('.')[0]}"
+              for m, q in re.findall(r'"(\w+):([\w.]+)"', targets)}
+    read = set().union(*(_names_read(ast.parse(r)) for r in readers))
+    public, statements = [], []
+    for module, source in modules.items():
+        for node in ast.parse(source).body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                public.append((module, node))
+            statements.append((node, _names_read(node)))
+    return sorted(f"{m}:{d.name}" for m, d in public
+                  if d.name not in read and f"{m}:{d.name}" not in traced
+                  and not any(d.name in names for node, names in statements
+                              if node is not d))
+
+
+def test_guard_flags_an_unread_public_name():
+    modules = {"a": '"""Module docstring naming dead."""\n'
+                    "def dead(n):\n    return dead(n - 1) if n else 0\n"
+                    "def local():\n    return 1\n"
+                    "def api():\n    return local()\n"
+                    "class Traced:\n    def value(self):\n        return Traced()\n"
+                    "def _private():\n    return 2\n",
+               "b": "from .a import api\n"
+                    "def tested():\n    return 3\n"
+                    "def traced_elsewhere():\n    return 4\n"}
+    readers = ["from roughmax import tested\n"]
+    targets = 'STEMS = {"x": ("a:Traced.value", "c:traced_elsewhere")}\n'
+    assert unread_public_names(modules, readers, targets) == [
+        "a:dead", "b:traced_elsewhere"]
+    assert unread_public_names(modules, [], "") == [
+        "a:Traced", "a:dead", "b:tested", "b:traced_elsewhere"]
+
+
+# public names that only tests read, each kept for the reason given
+UNREAD_PUBLIC_KEPT = {
+    "growth:identity_growth": "the identity oracle behind the gident, phident "
+                              "and sident fixtures",
+    "kernel:compute_gn": "the direct-summation oracle that gn_profile is "
+                         "checked against",
+    "kernel:autocorrelation": "the full-grid oracle for decomposition_report's "
+                              "half-lag sups",
+    "cli:parse_meta": "reads a table's header back for the config round-trip test",
+}
+
+
+def test_every_public_name_is_read():
+    root = PACKAGE.parents[1]
+    modules = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    readers = [(root / "tests" / "test_acceptance.py").read_text(encoding="utf-8")]
+    targets = (root / "perfbench" / "spans.py").read_text(encoding="utf-8")
+    assert unread_public_names(modules, readers, targets) == sorted(UNREAD_PUBLIC_KEPT)
+
+
 def set_and_inverse_params(source: str) -> list:
-    """Functions with a parameter annotated ``SequenceSet`` and another
-    annotated ``InverseFunction`` (``| None`` and the like included): the set
-    carries its own inverse as ``s.phi``, so the second can only disagree."""
+    """Functions with a parameter annotated ``SequenceSet`` or ``Kernel`` and
+    another annotated ``InverseFunction`` (``| None`` and the like included):
+    the set carries its own inverse as ``s.phi``, and a kernel its set as
+    ``k.s``, so the second can only disagree."""
     out = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -143,7 +206,7 @@ def set_and_inverse_params(source: str) -> list:
             for arg in a.posonlyargs + a.args + a.kwonlyargs:
                 if arg.annotation is not None:
                     names |= _names_read(arg.annotation)
-            if {"SequenceSet", "InverseFunction"} <= names:
+            if "InverseFunction" in names and names & {"SequenceSet", "Kernel"}:
                 out.append(node.name)
     return sorted(out)
 
@@ -154,9 +217,12 @@ def test_guard_flags_a_set_beside_its_inverse():
            "def qualified(s: seqset.SequenceSet, *, phi: growth.InverseFunction): pass\n"
            "def set_only(s: SequenceSet, n: int): pass\n"
            "def inverse_only(phi: InverseFunction, n: int): pass\n"
+           "def kernel(k: Kernel, phi: InverseFunction): pass\n"
+           "def kernel_only(k: kernel.Kernel, n: int): pass\n"
            "class K:\n"
            "    def method(self, s: SequenceSet, phi: InverseFunction): pass\n")
-    assert set_and_inverse_params(src) == ["both", "maybe", "method", "qualified"]
+    assert set_and_inverse_params(src) == ["both", "kernel", "maybe", "method",
+                                           "qualified"]
 
 
 def test_no_call_takes_a_set_and_its_inverse():

@@ -203,28 +203,28 @@ def test_gn_bounded_by_inverse_scale(phi102):
 # decomposition reports
 # ---------------------------------------------------------------------------
 
-def test_identity_report_degenerate_sanity(sident, phident):
+def test_identity_report_degenerate_sanity(sident):
     k = build_kernel(sident, 1 << 10, Normalization.PHI_APPROX)
-    r = decomposition_report(k, phident)
+    r = decomposition_report(k)
     assert math.isfinite(r.small_x_bound)
     # with every integer present the autocorrelation IS the profile
     assert r.en_sup <= 1e-12
     assert r.mass == pytest.approx(k.mass() ** 2, rel=1e-9)
 
 
-def test_report_fields_positive(s102_16, phi102):
+def test_report_fields_positive(s102_16):
     k = build_kernel(s102_16, 1 << 12, Normalization.PHI_APPROX)
-    r = decomposition_report(k, phi102)
+    r = decomposition_report(k)
     assert r.small_x_bound > 0 and r.gn_sup > 0
     assert r.en_sup > 0 and r.gn_lipschitz > 0
     assert r.scale_n == 1 << 12
 
 
-def test_gn_smoothness_across_scales(s102_16, phi102):
+def test_gn_smoothness_across_scales(s102_16):
     lips = []
     for k_exp in (10, 11, 12):
         k = build_kernel(s102_16, 1 << k_exp, Normalization.PHI_APPROX)
-        lips.append(decomposition_report(k, phi102).gn_lipschitz)
+        lips.append(decomposition_report(k).gn_lipschitz)
     assert max(lips) / min(lips) < 4.0
 
 
@@ -234,9 +234,9 @@ def test_report_puts_gn_on_the_kernel_normalization(s102_16, phi102, k_exp):
     # so every autocorrelation sup scales by the square of that ratio
     n = 1 << k_exp
     r_cnt = decomposition_report(
-        build_kernel(s102_16, n, Normalization.COUNT_EXACT), phi102)
+        build_kernel(s102_16, n, Normalization.COUNT_EXACT))
     r_phi = decomposition_report(
-        build_kernel(s102_16, n, Normalization.PHI_APPROX), phi102)
+        build_kernel(s102_16, n, Normalization.PHI_APPROX))
     scale = (float(phi102.value(float(n))) / count(s102_16, n)) ** 2
     assert r_cnt.en_sup == pytest.approx(r_phi.en_sup * scale, rel=1e-9)
     assert r_cnt.gn_sup == pytest.approx(r_phi.gn_sup * scale, rel=1e-9)
@@ -307,28 +307,28 @@ def test_split_sups_are_the_full_grid_bits(s102_16, phi102, glog, philog,
         k = build_kernel(s, 1 << k_exp, norm)
         n = k.scale_n
         a0, small, gn_sup, en_sup, lip, mass = full_grid_split_sups(k, phi)
-        r = decomposition_report(k, phi)
+        r = decomposition_report(k)
         assert (r.scale_n, r.point_mass, r.small_x_bound, r.gn_sup, r.en_sup,
                 r.gn_lipschitz, r.mass) == (n, a0, n * small, gn_sup * n, en_sup,
                                             n * n * lip, mass), k_exp
 
 
-def test_decomposition_reports_do_not_depend_on_workers(s102_16, phi102, glog, philog):
+def test_decomposition_reports_do_not_depend_on_workers(s102_16, glog):
     # more threads than cores, switching as often as the interpreter allows
     s_log = generate(glog, 1 << 16)
     scales = [1 << k for k in range(10, 15)]
-    cases = ((s102_16, phi102, Normalization.PHI_APPROX),
-             (s_log, philog, Normalization.COUNT_EXACT))
+    cases = ((s102_16, Normalization.PHI_APPROX),
+             (s_log, Normalization.COUNT_EXACT))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         runs = [[decomposition_reports(s, scales, norm, workers)
-                 for workers in (1, 2, 3)] for s, phi, norm in cases]
+                 for workers in (1, 2, 3)] for s, norm in cases]
     finally:
         sys.setswitchinterval(interval)
-    for (s, phi, norm), reps in zip(cases, runs):
+    for (s, norm), reps in zip(cases, runs):
         assert reps[0] == reps[1] == reps[2]
-        assert reps[0] == [decomposition_report(build_kernel(s, n, norm), phi)
+        assert reps[0] == [decomposition_report(build_kernel(s, n, norm))
                            for n in scales]
 
 

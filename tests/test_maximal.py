@@ -657,13 +657,13 @@ def test_family_hypotheses_residual_matches_manual(s102_16, phi102):
 
 
 @pytest.mark.parametrize("norm", list(Normalization), ids=lambda m: m.name)
-def test_family_hypotheses_are_decomposition_report_rescaled(s102_16, phi102, norm):
+def test_family_hypotheses_are_decomposition_report_rescaled(s102_16, norm):
     # both reports view the same per-scale sups; at power-of-two scales the
     # change from N- to D_n = 4N-scaling is exact
     fam = build_scale_family(s102_16, 10, 13, norm)
     rep = verify_family_hypotheses(fam)
     for i, k in enumerate(family_kernels(fam)):
-        r = decomposition_report(k, phi102)
+        r = decomposition_report(k)
         assert rep.residual_sup[i] == r.en_sup
         assert rep.f0_d_product[i] == r.point_mass * fam.d[i]
         assert rep.lipschitz_ratio[i] == 16 * r.gn_lipschitz

@@ -1,4 +1,4 @@
-"""Set generation, the two membership tests, counting, and weighted sums.
+"""Set generation, the two membership tests, and counting.
 
 The enumeration oracle used here is an independent pure-Python loop with
 arbitrary-precision floors, so the vectorized production path is checked
@@ -16,15 +16,12 @@ from roughmax import (
     DomainError,
     RangeError,
     ValidationError,
-    contains_via_inverse,
     contains_via_inverse_batch,
     count,
-    floor_neg_phi,
     generate,
     identity_growth,
     make_growth,
     verify_membership_equivalence,
-    weighted_exp_sum,
 )
 from roughmax import seqset
 from roughmax.seqset import _sign_at_integer
@@ -184,27 +181,27 @@ def test_membership_past_the_last_element_and_on_an_empty_set(g15):
 
 def test_membership_examples(phi15):
     # floors frozen from 50-digit evaluation: -phi(5) = -2.924, -phi(6) = -3.301
-    assert contains_via_inverse(phi15, 5) is True
-    assert contains_via_inverse(phi15, 6) is False
-    assert floor_neg_phi(phi15, 5) == -3
-    assert floor_neg_phi(phi15, 6) == -4
+    for p, member, floor in ((5, True, -3), (6, False, -4)):
+        one = np.array([p], dtype=np.int64)
+        assert contains_via_inverse_batch(phi15, one).tolist() == [member]
+        assert seqset._floor_neg_phi_batch(phi15, one).tolist() == [floor]
 
 
 def test_membership_exact_integer_inverse(phi15):
     # phi(8) = 4 exactly: the floor is settled by the exact sign test
-    assert contains_via_inverse(phi15, 8) is True
-    assert contains_via_inverse(phi15, 27) is True
-    assert floor_neg_phi(phi15, 8) == -4
+    for p in (8, 27):
+        assert contains_via_inverse_batch(phi15, np.array([p])).tolist() == [True]
+    assert seqset._floor_neg_phi_batch(phi15, np.array([8])).tolist() == [-4]
 
 
 def test_membership_identity_always_true(phident):
     for p in (1, 2, 17, 1000):
-        assert contains_via_inverse(phident, p) is True
+        assert contains_via_inverse_batch(phident, np.array([p])).tolist() == [True]
 
 
 def test_membership_domain_error(philog):
     with pytest.raises(DomainError):
-        contains_via_inverse(philog, 1)
+        contains_via_inverse_batch(philog, np.array([1]))
 
 
 def test_inverse_floor_matches_integer_oracle(phi15):
@@ -241,10 +238,8 @@ def test_inverse_test_pins_the_explog_floors():
     wrong = np.array([w for _, _, w in EXPLOG_FLOORS], dtype=np.int64)
     assert contains_via_inverse_batch(phi, exact).all()
     assert not contains_via_inverse_batch(phi, wrong).any()
-    for m, e, w in EXPLOG_FLOORS:
-        assert contains_via_inverse(phi, e) is True
-        assert contains_via_inverse(phi, w) is False
-        assert floor_neg_phi(phi, e) == -m
+    for m, e, _ in EXPLOG_FLOORS:
+        assert seqset._floor_neg_phi_batch(phi, np.array([e])).tolist() == [-m]
 
 
 def test_enumeration_floors_pin_the_explog_floors():
@@ -337,50 +332,6 @@ def test_count_range_error(s15_small):
         count(s15_small, 0)
     with pytest.raises(RangeError):
         count(s15_small, 12)
-
-
-# ---------------------------------------------------------------------------
-# weighted exponential sums
-# ---------------------------------------------------------------------------
-
-def test_weighted_sum_identity(sident):
-    s_w, resid = weighted_exp_sum(sident, 0.0, 100)
-    assert s_w == pytest.approx(100.0 + 0.0j)
-    assert resid == 0.0
-
-
-def test_weighted_sum_residual_sublinear(s105_20):
-    ks = range(10, 21)
-    resids = [weighted_exp_sum(s105_20, 0.0, 1 << k)[1] for k in ks]
-    slope = np.polyfit(list(ks), np.log2(np.maximum(resids, 1e-12)), 1)[0]
-    assert slope < 1.0
-    assert resids[-1] / (1 << 20) < 1e-3
-
-
-def test_weighted_sum_nonzero_frequency(s105_20, phi105):
-    n = 1 << 16
-    s_w, resid = weighted_exp_sum(s105_20, 0.5, n)
-    # the full-range alternating sum is 0 for even N, so |S_w| <= resid + 1
-    assert abs(s_w) <= resid + 1.0
-    # direct-summation oracle over the elements
-    els = s105_20.elements[s105_20.elements <= n].astype(float)
-    w = np.asarray(s105_20.growth.deriv(np.asarray(phi105.value(els)), 1))
-    oracle = np.sum(w * np.exp(1j * np.pi * els))
-    assert s_w == pytest.approx(complex(oracle), abs=1e-9)
-
-
-def test_weighted_sum_weights_an_element_below_y0_at_x0():
-    # h = 2.5 x^1.5 on [1, oo): y0 = 2.5, and the first element floor(h(1)) = 2
-    g = make_growth("pure", 1.5, 2.5)
-    s, phi = generate(g, 64), g.inverse()
-    assert s.elements[0] == 2 < phi.y0
-    s_w, _ = weighted_exp_sum(s, 0.0, 2)
-    assert s_w == pytest.approx(float(g.deriv(g.x0, 1)), rel=1e-14)
-
-
-def test_weighted_sum_range_error(sident):
-    with pytest.raises(RangeError):
-        weighted_exp_sum(sident, 0.0, sident.n_max + 1)
 
 
 def test_p_min_recorded(s15_1m, s105_20):
