@@ -55,6 +55,7 @@ from .expsum import (
     ExpSumResult,
     abel_sum,
     min_norm_sum,
+    min_norm_sweep,
     ratio_sweep,
     resonant_alpha,
     sawtooth,

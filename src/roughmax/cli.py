@@ -4,9 +4,10 @@ Every command writes a table (CSV with a ``#``-prefixed metadata header, or a
 JSON mirror) whose bytes depend only on the configuration: floats print with
 17 significant digits, metadata keys are sorted, and the worker-count flag is
 deliberately excluded from the output so results are reproducible across
-parallelism settings.  ``kernel-decomp`` and ``verify-family`` run their
-scales on ``--workers`` threads and collect the rows in scale order; every
-other command is sequential.  All reductions are ordered.
+parallelism settings.  ``kernel-decomp``, ``verify-family`` and ``expsum``
+run their scales on ``--workers`` threads (``util.map_scales``) and collect
+the rows in scale order; every other command is sequential.  All reductions
+are ordered.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from . import __version__
 from .errors import NUMERIC_ERRORS, RoughMaxError, ValidationError
 from .ergodic import cyclic_shift, ergodic_average, indicator, weighted_average
-from .expsum import min_norm_sum, ratio_sweep
+from .expsum import min_norm_sweep, ratio_sweep
 from .growth import GrowthFunction, Variant, build_aux_report, make_growth
 from .kernel import Normalization, decomposition_reports
 from .maximal import (
@@ -233,18 +234,17 @@ def _cmd_expsum(args):
     kappa = float(params.get("kappa", 1.0))
     rows = []
     if args.bound in ("single", "two"):
-        for r in ratio_sweep(phi, args.bound, m, args.kmin, args.kmax, kappa):
+        for r in ratio_sweep(phi, args.bound, m, args.kmin, args.kmax, kappa,
+                             args.workers):
             rows.append([int(math.log2(r.params["N"])), r.params["N"],
                          r.actual_abs, r.bound, r.ratio])
     else:
         trunc = params.get("trunc", "sqrt")
         fixed_terms = None if trunc == "sqrt" else int(trunc)
         x = int(params.get("x", 0))
-        for k in range(args.kmin, args.kmax + 1):
-            n = 1 << k
-            m_terms = int(math.isqrt(n)) if fixed_terms is None else fixed_terms
-            actual, bound = min_norm_sum(phi, n, x, max(2, m_terms), 0, 0)
-            rows.append([k, n, actual, bound, actual / bound])
+        sums = min_norm_sweep(phi, x, fixed_terms, args.kmin, args.kmax, args.workers)
+        for k, (actual, bound) in zip(range(args.kmin, args.kmax + 1), sums):
+            rows.append([k, 1 << k, actual, bound, actual / bound])
     return ["k", "N", "actual_abs", "bound", "ratio"], rows, {}
 
 

@@ -6,6 +6,11 @@ check that the ratio stays trend-bounded.  A phase's phi terms are built once
 per window, and every alpha probe sums those.  The slowly varying factor of
 the c = 1 regime is constantly 1 for c > 1, the only regime wired into the
 bounds here.
+
+The sweeps run their scales through ``util.map_scales`` on up to ``workers``
+threads.  A task calls only ``phi.value``/``phi.deriv``, ``eta`` and
+``chunked_sum`` (numpy throughout, no mpmath), and every reduction is
+ordered, so the results do not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from . import signals
 from .errors import EmptyRangeError, PreconditionError, ValidationError
 from .growth import InverseFunction
 from .kernel import eta
-from .util import chunked_sum, dist_to_nearest_int
+from .util import CHUNK, chunked_sum, dist_to_nearest_int, map_scales
 
 
 # ---------------------------------------------------------------------------
@@ -77,10 +82,10 @@ def _window(n: int, x: int) -> tuple[float, float]:
     return n1, n2
 
 
-def _validate_window(n: int, x: int, n_prime: float | None) -> tuple[np.ndarray, float]:
-    """The integer points of (N_1, N'] and N' (default N_2).
+def _window_range(n: int, x: int, n_prime: float | None) -> tuple[int, int, float]:
+    """(lo, hi, N'): the integer points lo..hi of (N_1, N'], N' default N_2.
 
-    A range wider than ``signals.MAX_SUPPORT`` is refused before it is built.
+    A range wider than ``signals.MAX_SUPPORT`` is refused.
     """
     n1, n2 = _window(n, x)
     if n1 >= n2:
@@ -94,6 +99,13 @@ def _validate_window(n: int, x: int, n_prime: float | None) -> tuple[np.ndarray,
     if hi < lo:
         raise EmptyRangeError(f"empty summation range ({n1}, {n_prime}]")
     signals._check_size(hi - lo + 1, f"phase-sum window {hi - lo + 1} at N = {n}")
+    return lo, hi, n_prime
+
+
+def _validate_window(n: int, x: int, n_prime: float | None) -> tuple[np.ndarray, float]:
+    """The integer points of (N_1, N'] and N' (default N_2), refused before
+    they are built if there are more than ``signals.MAX_SUPPORT``."""
+    lo, hi, n_prime = _window_range(n, x, n_prime)
     return np.arange(lo, hi + 1, dtype=float), n_prime
 
 
@@ -138,15 +150,21 @@ def _two_setup(phi: InverseFunction, n: int, x: int, m1: int, m2: int, kappa: fl
 def _phase_sum(setup: tuple, alpha: float, l: int) -> ExpSumResult:
     """Sum of e^{2 pi i (alpha l n + phi terms)} over a setup (window ns, phi
     terms, cap, params with alpha and l unset).  The phi terms are added one
-    by one: pre-adding them would change the last bits.
+    by one: pre-adding them would change the last bits.  The phase is built
+    in the imaginary half of the one complex buffer that exp then overwrites,
+    16 bytes per point; the bits are those of exp(2j * pi * phase).
     """
     if l < 1:
         raise ValidationError(f"linear multiplier l = {l} must be >= 1")
     ns, terms, bound, params = setup
-    phase = alpha * l * ns
+    z = np.empty(ns.size, dtype=complex)
+    phase = z.imag
+    np.multiply(alpha * l, ns, out=phase)
     for t in terms:
         phase += t
-    z = np.exp(2j * np.pi * phase)
+    phase *= 2.0 * np.pi
+    z.real = 0.0
+    np.exp(z, out=z)
     actual = complex(chunked_sum(z))
     return ExpSumResult(actual, abs(actual), bound, abs(actual) / bound,
                         dict(params, alpha=alpha, l=l))
@@ -180,7 +198,10 @@ def min_norm_sum(phi: InverseFunction, n: int, x: int, m_terms: int,
     """Sum of min(1, 1/(M ||phi(n + p x + q)||)) across the cutoff window.
 
     Returns (actual, bound) with the cap N log M / M
-    + N sqrt(M) log M / sqrt(phi(N)).
+    + N sqrt(M) log M / sqrt(phi(N)).  The summands are built in
+    ``util.CHUNK`` blocks into one array, so the window costs two arrays of
+    its length (points and summands); every step is per point, so the bits
+    are those of one pass over the whole window.
     """
     if m_terms < 2:
         raise ValidationError(f"M = {m_terms} must be >= 2")
@@ -190,14 +211,17 @@ def min_norm_sum(phi: InverseFunction, n: int, x: int, m_terms: int,
     if n1 >= n2:
         return 0.0, _min_norm_bound(phi, n, m_terms)
     ns, _ = _validate_window(n, x, None)
-    vals = np.asarray(phi.value(ns + p * x + q), dtype=float)
-    norms = dist_to_nearest_int(vals)
-    with np.errstate(divide="ignore"):
-        caps = np.minimum(1.0, 1.0 / (m_terms * norms))
-    e = np.asarray(eta(ns / n), dtype=float)
-    # at x = 0 the shifted cutoff is the same array
-    w = e * (e if x == 0 else np.asarray(eta((ns + x) / n), dtype=float))
-    actual = float(chunked_sum(caps * w))
+    terms = np.empty_like(ns)
+    for i in range(0, ns.size, CHUNK):
+        b = ns[i:i + CHUNK]
+        norms = dist_to_nearest_int(np.asarray(phi.value(b + p * x + q), dtype=float))
+        with np.errstate(divide="ignore"):
+            caps = np.minimum(1.0, 1.0 / (m_terms * norms))
+        e = np.asarray(eta(b / n), dtype=float)
+        # at x = 0 the shifted cutoff is the same array
+        w = e * (e if x == 0 else np.asarray(eta((b + x) / n), dtype=float))
+        np.multiply(caps, w, out=terms[i:i + CHUNK])
+    actual = float(chunked_sum(terms))
     return actual, _min_norm_bound(phi, n, m_terms)
 
 
@@ -231,27 +255,58 @@ def _alpha_probes(phi: InverseFunction, n: int, slope_mult: float) -> tuple:
 
 
 def ratio_sweep(phi: InverseFunction, mode: str, m: int, k_lo: int, k_hi: int,
-                kappa: float = 1.0) -> list[ExpSumResult]:
+                kappa: float = 1.0, workers: int = 1) -> list[ExpSumResult]:
     """Worst-ratio-per-scale sweep for the phase-sum bounds.
 
     For each dyadic N = 2^k the phase of ``single_phase_sum`` (x = 0) or
     ``two_phase_sum`` (x = ceil(phi(N)^kappa)) is built once, and the ratio is
     maximized over a fixed probe set of linear coefficients alpha (zero, the
     slope-cancelling value, 1/4, and the golden ratio); the returned per-scale
-    results are what trend-boundedness assertions run on.
+    results are what trend-boundedness assertions run on.  Each scale, its
+    setup and its four probes, is one task of ``util.map_scales`` on up to
+    ``workers`` threads; every window is checked against
+    ``signals.MAX_SUPPORT`` before any scale runs.
     """
     if mode not in ("single", "two"):
         raise ValidationError(f"mode {mode!r} not in {{single, two}}")
-    out = []
+    scales = []     # (N, x, phi(N)) per scale, each window checked first
     for k in range(k_lo, k_hi + 1):
         n = 1 << k
+        phin = None if mode == "single" else float(phi.value(float(n)))
+        x = 0 if phin is None else int(math.ceil(phin ** kappa))
+        _window_range(n, x, None)
+        scales.append((n, x, phin))
+
+    def task(scale):
+        n, x, phin = scale
         if mode == "single":
             s, slope = _single_setup(phi, n, 0, m, 0, 0, None), m
         else:
-            phin = float(phi.value(float(n)))
-            x = int(math.ceil(phin ** kappa))
             s, slope = _two_setup(phi, n, x, m, m, kappa, None, phin), 2 * m
         # max keeps the first of equal ratios, as a strict > scan does
-        out.append(max((_phase_sum(s, al, 1) for al in _alpha_probes(phi, n, slope)),
-                       key=lambda r: r.ratio))
-    return out
+        return max((_phase_sum(s, al, 1) for al in _alpha_probes(phi, n, slope)),
+                   key=lambda r: r.ratio)
+
+    return map_scales(task, scales, workers)
+
+
+def min_norm_sweep(phi: InverseFunction, x: int, m_terms: int | None, k_lo: int,
+                   k_hi: int, workers: int = 1) -> list[tuple[float, float]]:
+    """``min_norm_sum`` (p = q = 0) at each dyadic N = 2^k, as (actual, bound).
+
+    M is ``m_terms``, or isqrt(N) when it is None, and at least 2.  The
+    scales run as in ``ratio_sweep``: every nonempty window is checked
+    against ``signals.MAX_SUPPORT`` first, then ``util.map_scales`` runs one
+    task per scale on up to ``workers`` threads.
+    """
+    scales = [1 << k for k in range(k_lo, k_hi + 1)]
+    for n in scales:
+        n1, n2 = _window(n, x)
+        if n1 < n2:
+            _window_range(n, x, None)
+
+    def task(n):
+        m = math.isqrt(n) if m_terms is None else m_terms
+        return min_norm_sum(phi, n, x, max(2, m), 0, 0)
+
+    return map_scales(task, scales, workers)

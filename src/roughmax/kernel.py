@@ -32,7 +32,7 @@ from .signals import (
     _nonzero_ends,
     autocorrelation_signal,
 )
-from .util import loglog_slope
+from .util import loglog_slope, map_scales
 
 __all__ = [
     "Normalization", "Kernel", "DecompositionReport", "eta",
@@ -266,28 +266,13 @@ def decomposition_reports(s: SequenceSet, scales,
                           workers: int = 1) -> list[DecompositionReport]:
     """decomposition_report at each scale, in the order given (ascending).
 
-    Each scale is one task that builds its own kernel.  With workers > 1 the
-    tasks run on min(workers, #scales) threads (the transforms release the
-    GIL), largest scale first, as it costs about as much as the rest.
-    Reports come back in scale order and the first failing scale raises, so
-    nothing depends on the thread count.  A task must not touch mpmath,
-    whose working precision is process-global.
+    Each scale is one task that builds its own kernel; ``util.map_scales``
+    runs them on up to ``workers`` threads (the transforms release the GIL),
+    so the reports do not depend on the thread count.
     """
-    def task(n):
-        return decomposition_report(build_kernel(s, n, normalization))
-
-    workers = min(workers, len(scales))
-    if workers <= 1:
-        return [task(n) for n in scales]
-    # imported here, so commands that start no pool do not pay for it
-    # (0.5 to 1.4 MB of peak RSS on the commands of the other workloads)
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(workers) as pool:
-        futures = [pool.submit(task, n) for n in reversed(scales)][::-1]
-        try:
-            return [f.result() for f in futures]
-        finally:
-            pool.shutdown(cancel_futures=True)
+    return map_scales(
+        lambda n: decomposition_report(build_kernel(s, n, normalization)),
+        scales, workers)
 
 
 def estimate_chi(reports: list[DecompositionReport]) -> float:

@@ -26,7 +26,6 @@ from roughmax import (
     default_lambda_grid,
     ergodic_average,
     estimate_chi,
-    generate,
     indicator,
     make_growth,
     oscillation_diagnostic,

@@ -114,10 +114,17 @@ REFERENCE_TABLES = {
 }
 
 
-@pytest.mark.parametrize("label", sorted(REFERENCE_TABLES))
-def test_phase_tables_match_the_reference_bytes(tmp_path, label):
+# the phase sums again on two threads, which must not move a byte
+REFERENCE_RUNS = (
+    [pytest.param(label, (), id=label) for label in sorted(REFERENCE_TABLES)]
+    + [pytest.param(label, ("--workers", "2"), id=f"{label}-workers-2")
+       for label in sorted(REFERENCE_TABLES) if label.startswith("expsum")])
+
+
+@pytest.mark.parametrize("label,workers", REFERENCE_RUNS)
+def test_phase_tables_match_the_reference_bytes(tmp_path, label, workers):
     out = tmp_path / f"{label}.csv"
-    assert run_cli(*REFERENCE_TABLES[label], "--out", str(out)) == 0
+    assert run_cli(*REFERENCE_TABLES[label], *workers, "--out", str(out)) == 0
     assert out.read_bytes() == (REFERENCE_DIR / f"{label}.csv").read_bytes()
 
 
@@ -198,15 +205,18 @@ def test_workers_never_start_more_threads_than_scales(tmp_path, monkeypatch):
             super().__init__(max_workers, *args, **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
-    for cmd, lo, hi in (("kernel-decomp", "--kmin", "--kmax"),
-                        ("verify-family", "--nlo", "--nhi")):
+    for label, argv in (("kernel-decomp", ("kernel-decomp", "--kmin", "8", "--kmax", "11")),
+                        ("verify-family", ("verify-family", "--nlo", "8", "--nhi", "11")),
+                        ("single", ("expsum", "--bound", "single", "--kmin", "8",
+                                    "--kmax", "11")),
+                        ("minnorm", ("expsum", "--bound", "minnorm", "--kmin", "8",
+                                     "--kmax", "11"))):
         for workers in ("64", "1"):
-            assert run_cli(cmd, "--h", "pure:1.02:1.0", lo, "8", hi, "11",
-                           "--workers", workers,
-                           "--out", str(tmp_path / f"{cmd}-{workers}.csv")) == 0
-        assert (tmp_path / f"{cmd}-64.csv").read_bytes() \
-            == (tmp_path / f"{cmd}-1.csv").read_bytes()
-    assert sizes == [4, 4]
+            assert run_cli(*argv, "--h", "pure:1.02:1.0", "--workers", workers,
+                           "--out", str(tmp_path / f"{label}-{workers}.csv")) == 0
+        assert (tmp_path / f"{label}-64.csv").read_bytes() \
+            == (tmp_path / f"{label}-1.csv").read_bytes()
+    assert sizes == [4, 4, 4, 4]
 
 
 # header keys that are not options: the command, the version and the
@@ -445,10 +455,19 @@ def test_kernel_decomp_refuses_an_oversized_kernel(tmp_path):
 
 
 def test_expsum_refuses_an_oversized_window(tmp_path):
-    # the window (N/2, 4N] of N = 2^29 holds 1.88e9 points, a 14 GiB array
+    # the window (N/2, 4N] of N = 2^29 holds 1.88e9 points, a 14 GiB array;
+    # in a sweep every window is checked before any scale runs, so the
+    # smaller scales (2^28 alone would need 7 GiB) never start, on any
+    # number of threads
     assert_refused_above_max_support(
         "expsum", "--h", "pure:1.02:1.0", "--bound", "single", "--kmin", "29",
         "--kmax", "29", "--out", str(tmp_path / "e.csv"))
+    for bound in ("single", "two", "minnorm"):
+        for workers in ("1", "2"):
+            assert_refused_above_max_support(
+                "expsum", "--h", "pure:1.02:1.0", "--bound", bound, "--kmin", "12",
+                "--kmax", "29", "--workers", workers,
+                "--out", str(tmp_path / f"{bound}-{workers}.csv"))
 
 
 # (growth spec, kmin, kmax): c > 1, c = 1, and a grid whose first octaves lie

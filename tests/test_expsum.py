@@ -1,8 +1,9 @@
 """Phase sums against their predicted caps; summation identities are exact."""
 
-import cmath
 import math
 import statistics
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,14 +15,16 @@ from roughmax import (
     abel_sum,
     eta,
     min_norm_sum,
+    min_norm_sweep,
     ratio_sweep,
     sawtooth,
     single_phase_sum,
     two_phase_sum,
 )
 from roughmax import expsum
-from roughmax.expsum import _alpha_probes, _two_setup
+from roughmax.expsum import _alpha_probes, _single_setup, _two_setup
 from roughmax.growth import InverseFunction
+from roughmax.util import CHUNK
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +209,36 @@ def test_min_norm_reads_the_cutoff_once_per_point_at_x_0(phi105, monkeypatch):
     assert sizes == [window - 3] * 2
 
 
+def traced_peak(fn, *args) -> int:
+    """Peak bytes that ``fn(*args)`` allocates, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# The sweeps keep one window per thread live at once, so each window's sum
+# must not grow back the temporaries it shed: at N = 2^18 (917504 points)
+# _phase_sum measured 16.0 B/pt (40.0 with a real phase array and an exp
+# result beside the complex argument) and min_norm_sum 16 B/pt plus 89 B per
+# CHUNK point (72 to 80 B/pt when it worked on whole-window arrays).
+
+def test_phase_sum_holds_one_complex_buffer(phi105):
+    setup = _single_setup(phi105, 1 << 18, 0, 2, 0, 0, None)
+    points = setup[0].size
+    assert traced_peak(expsum._phase_sum, setup, 0.25, 1) <= 16 * points + CHUNK
+
+
+@pytest.mark.parametrize("x", [0, 3])
+def test_min_norm_sum_holds_two_window_arrays(phi105, x):
+    n = 1 << 18
+    points = 4 * n - n // 2 - x             # the integers of (N/2, 4N - x]
+    assert traced_peak(min_norm_sum, phi105, n, x, 512, 0, 0) \
+        <= 2 * 8 * points + 128 * CHUNK
+
+
 def test_min_norm_validation(phi105):
     with pytest.raises(ValidationError):
         min_norm_sum(phi105, 64, 0, 1, 0, 0)
@@ -247,6 +280,22 @@ def test_ratio_sweep_is_the_best_phase_sum_per_scale(phi105, mode, m):
                 best = s
         assert (r.actual, r.bound, r.ratio) == (best.actual, best.bound, best.ratio)
         assert r.params == best.params
+
+
+def test_sweeps_do_not_depend_on_workers(phi105):
+    # more threads than cores, switching as often as the interpreter allows
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runs = [(ratio_sweep(phi105, "single", 2, 8, 12, workers=workers),
+                 ratio_sweep(phi105, "two", 1, 8, 12, workers=workers),
+                 min_norm_sweep(phi105, 3, None, 8, 12, workers=workers))
+                for workers in (1, 3)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert runs[0] == runs[1]
+    assert runs[0][2] == [min_norm_sum(phi105, 1 << k, 3, math.isqrt(1 << k), 0, 0)
+                          for k in range(8, 13)]
 
 
 def test_each_window_is_inverted_once(phi105, monkeypatch):

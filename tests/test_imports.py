@@ -1,4 +1,5 @@
-"""Tooling guards: no module of the package imports a name it never uses,
+"""Tooling guards: no module of the package or of its tests imports a name
+it never uses,
 every exception type the package defines is raised somewhere in it, every
 module-level private function is used somewhere outside its own body, every
 public module-level name is read by the package, the acceptance criteria or
@@ -17,6 +18,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "roughmax"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -56,7 +58,9 @@ def test_guard_flags_an_unused_import():
     assert unused_imports(src) == [(1, "math"), (3, "path")]
 
 
-@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "module", MODULES + TESTS,
+    ids=lambda p: p.name if p.parent == PACKAGE else f"tests/{p.name}")
 def test_no_unused_imports(module):
     assert unused_imports(module.read_text(encoding="utf-8")) == []
 

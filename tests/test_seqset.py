@@ -19,7 +19,6 @@ from roughmax import (
     contains_via_inverse_batch,
     count,
     generate,
-    identity_growth,
     make_growth,
     verify_membership_equivalence,
 )
