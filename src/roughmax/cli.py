@@ -36,6 +36,7 @@ from .maximal import (
 )
 from .seqset import count, generate
 from .signals import Signal
+from .util import CHUNK
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -194,8 +195,14 @@ def _cmd_seqset(args):
     s = generate(g, args.nmax)
     phi = s.phi
     if args.emit:
-        Path(args.emit).write_text(
-            "\n".join(map(str, s.elements.tolist())) + "\n", encoding="utf-8")
+        # one line per element, written a CHUNK slice at a time so the text
+        # of the whole set is never held; an empty set writes one newline
+        with open(args.emit, "w", encoding="utf-8") as fh:
+            sep = ""
+            for i in range(0, s.elements.size, CHUNK):
+                fh.write(sep + "\n".join(map(str, s.elements[i:i + CHUNK].tolist())))
+                sep = "\n"
+            fh.write("\n")
     ns = 1 << np.arange(1, s.n_max.bit_length(), dtype=np.int64)
     counts = count(s, ns)
     phis = np.full(ns.size, np.nan)
@@ -272,6 +279,19 @@ def _cmd_weaktype(args):
     return ["lambda", "superlevel_count", "ratio"], rows, {}
 
 
+def _exact_value(text: str) -> Fraction:
+    """Fraction(text).  A plain ASCII ``[+-]digits[/digits]`` with a nonzero
+    denominator is built from its two ints, skipping the regex of
+    ``Fraction(str)``; every other text goes through that regex, so the
+    accepted values and the error messages are the same."""
+    num, slash, den = text.partition("/")
+    digits = num[1:] if num[:1] in ("+", "-") else num
+    if (digits.isascii() and digits.isdigit()
+            and (not slash or (den.isascii() and den.isdigit() and den.strip("0")))):
+        return Fraction(int(num), int(den) if slash else 1)
+    return Fraction(text)
+
+
 def _read_input_signal(path: str) -> dict:
     """``x,value`` rows as {x: exact value}; a repeated x sums its values."""
     values: dict = {}
@@ -284,7 +304,7 @@ def _read_input_signal(path: str) -> dict:
         try:
             if not comma:
                 raise ValueError("no comma")
-            x, v = int(x_str), Fraction(v_str)
+            x, v = int(x_str), _exact_value(v_str)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(
                 f"{path}, line {lineno}: {line!r} is not an x,value row ({exc})"

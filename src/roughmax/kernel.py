@@ -32,7 +32,7 @@ from .signals import (
     _nonzero_ends,
     autocorrelation_signal,
 )
-from .util import loglog_slope, map_scales
+from .util import CHUNK, loglog_slope, map_scales
 
 __all__ = [
     "Normalization", "Kernel", "DecompositionReport", "eta",
@@ -124,7 +124,7 @@ def build_kernel(s: SequenceSet, n: int,
     signals._check_size(width, f"kernel support {width} at N = {n}")
     dense = np.zeros(width)
     dense[els - els[0]] = vals
-    k = Kernel(n, normalization, norm, Signal(int(els[0]), dense), s)
+    k = Kernel(n, normalization, norm, Signal._own(int(els[0]), dense), s)
     total = k.mass()
     if not (0.0 < total <= 8.0):
         raise DegenerateError(f"kernel mass {total} outside (0, 8]")
@@ -147,8 +147,13 @@ def _density_window(phi: InverseFunction, n: int) -> np.ndarray:
     """
     lo, hi = _support_window(n)
     signals._check_size(hi - lo + 1, f"G_N window {hi - lo + 1} at N = {n}")
-    m = np.arange(lo, hi + 1, dtype=float)
-    w = np.asarray(phi.deriv(m, 1), dtype=float) * np.asarray(eta(m / n), dtype=float)
+    w = np.empty(hi - lo + 1)
+    # in CHUNK blocks, so only w is held at full length; phi' and eta work
+    # point by point, so the blocks do not change a bit
+    for i in range(0, w.size, CHUNK):
+        m = np.arange(lo + i, min(lo + i + CHUNK, hi + 1), dtype=float)
+        np.multiply(np.asarray(phi.deriv(m, 1), dtype=float),
+                    np.asarray(eta(m / n), dtype=float), out=w[i:i + CHUNK])
     return w
 
 

@@ -128,7 +128,7 @@ def maximal_function(family: ScaleFamily, f: Signal) -> Signal:
     for start, block in signals._overlap_save(f, kernels):
         seg = acc[start - lo:start - lo + block.size]
         np.maximum(seg, np.abs(block), out=seg)
-    return Signal(lo, acc)
+    return Signal._own(lo, acc)
 
 
 def default_lambda_grid(family: ScaleFamily, f: Signal) -> np.ndarray:

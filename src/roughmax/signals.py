@@ -32,14 +32,25 @@ class Signal:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        self._hold(np.asarray(self.values, dtype=float), copy=True)
+
+    def _hold(self, v: np.ndarray, copy: bool) -> None:
         lo, hi = _nonzero_ends(v)
         object.__setattr__(self, "offset", int(self.offset) + lo if hi else 0)
-        v = v[lo:hi].copy()
+        v = v[lo:hi].copy() if copy else v[lo:hi]
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
     # -- constructors ---------------------------------------------------------
+
+    @classmethod
+    def _own(cls, offset: int, values: np.ndarray) -> "Signal":
+        """The signal of a float array built for it and held by no one else:
+        trimmed by a view and made read-only in place, never copied."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "offset", offset)
+        s._hold(values, copy=False)
+        return s
 
     @staticmethod
     def zero() -> "Signal":
@@ -58,7 +69,7 @@ class Signal:
         v = np.zeros(hi - lo + 1)
         for x, val in items.items():
             v[x - lo] = float(val)
-        return Signal(lo, v)
+        return Signal._own(lo, v)
 
     # -- queries ---------------------------------------------------------------
 
@@ -112,10 +123,10 @@ class Signal:
         v = np.zeros(hi - lo)
         v[self.offset - lo:self.offset - lo + self.values.size] += self.values
         v[other.offset - lo:other.offset - lo + other.values.size] += other.values
-        return Signal(lo, v)
+        return Signal._own(lo, v)
 
     def __mul__(self, scalar: float) -> "Signal":
-        return Signal(self.offset, self.values * float(scalar))
+        return Signal._own(self.offset, self.values * float(scalar))
 
     __rmul__ = __mul__
 
@@ -144,7 +155,7 @@ def convolve(a: Signal, b: Signal, method: str = "direct") -> Signal:
     else:
         f, k = sorted((a, b), key=lambda s: s.values.size)
         v = np.concatenate([block for _, block in _overlap_save(f, (k,))])
-    return Signal(a.offset + b.offset, v)
+    return Signal._own(a.offset + b.offset, v)
 
 
 def _overlap_save(f: Signal, kernels: Iterable[Signal]
@@ -237,7 +248,7 @@ def _even_autocorrelation(v: np.ndarray, method: str = "fast", mass: bool = Fals
 
 def _even_signal(half: np.ndarray) -> Signal:
     """The even signal whose values at lags 0, 1, ... are ``half``."""
-    return Signal(1 - half.size, np.concatenate((half[:0:-1], half)))
+    return Signal._own(1 - half.size, np.concatenate((half[:0:-1], half)))
 
 
 def autocorrelation_signal(s: Signal, method: str = "fast") -> Signal:

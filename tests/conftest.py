@@ -1,6 +1,13 @@
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import roughmax
 from roughmax import generate, identity_growth, make_growth
 
 
@@ -88,3 +95,22 @@ def sident(gident):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(0xC0FFEE)
+
+
+@pytest.fixture(scope="session")
+def run_limited():
+    """run(*args, limit=3 GiB): ``python *args`` in a child whose address
+    space is capped at ``limit`` bytes, so that a regression fails with a
+    MemoryError instead of exhausting the machine; returns the finished
+    process, with its output captured as text."""
+    env = dict(os.environ, PYTHONPATH=str(Path(roughmax.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1")
+
+    def run(*args, limit=3 << 30):
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        return subprocess.run([sys.executable, *args], capture_output=True,
+                              text=True, timeout=120, preexec_fn=cap, env=env)
+
+    return run

@@ -3,11 +3,7 @@
 import hashlib
 import json
 import math
-import os
 import random
-import resource
-import subprocess
-import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,6 +15,7 @@ from roughmax import ValidationError, Variant, build_aux_report
 from roughmax.cli import (
     EXIT_NUMERIC,
     EXIT_VALIDATION,
+    _exact_value,
     main,
     parse_growth_spec,
     parse_meta,
@@ -77,6 +74,18 @@ def test_seqset_emits_elements(tmp_path):
     assert emit.read_text().split() == ["1", "2", "5", "8", "11"]
     lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
     assert lines[0] == "N,count,phi_N,ratio"
+
+
+def test_seqset_emit_file_is_pinned(tmp_path):
+    # 104032 elements, so the file is written in two CHUNK slices; the pin
+    # is the sha256 of one "\n".join over the whole set
+    emit = tmp_path / "els.txt"
+    assert run_cli("seqset", "--h", "pure:1.02:1.0", "--nmax", "131072",
+                   "--out", str(tmp_path / "counts.csv"), "--emit", str(emit)) == 0
+    text = emit.read_bytes()
+    assert text.count(b"\n") == 104032 and text.endswith(b"\n131072\n")
+    assert hashlib.sha256(text).hexdigest() == (
+        "c17d1ecff47b3cec1d75f3bca19e2e6aacdf76dbfca802d15d1aef0a22a09700")
 
 
 def test_byte_identical_reruns_and_worker_independence(tmp_path):
@@ -343,6 +352,27 @@ def test_cz_names_the_line_of_a_bad_row(tmp_path, capsys, row):
     assert f"{f}, line 3" in err and repr(row) in err
 
 
+# texts on both sides of the int and int/int fast path of the row parser:
+# signs, leading zeros, zero denominators, spaces, underscores, non-ASCII
+# digits, decimals, and malformed values
+VALUE_TEXTS = ["3", "-3", "+3", "007", "3/4", "-6/8", "+6/08", "0", "-0", "1/0",
+               "1/00", "1/-2", " 3", "3 ", " -1/2 ", "1_000", "1_0/3", "", "+",
+               "-", "/", "3/", "/4", "1.5", "1e3", "²", "٣", "3/٣",
+               "3 / 4", "nan", "+-3", "1/2/3", "12345678901234567890123/7"]
+
+
+def test_cz_value_parsing_is_fraction_of_the_text():
+    def parse(fn, text):
+        try:
+            v = fn(text)
+            return type(v), v
+        except (ValueError, ZeroDivisionError) as exc:
+            return type(exc), str(exc)
+
+    for text in VALUE_TEXTS:
+        assert parse(_exact_value, text) == parse(Fraction, text), text
+
+
 def test_cz_names_a_height_that_is_not_a_rational(tmp_path, capsys):
     f = tmp_path / "f.csv"
     f.write_text("x,value\n0,1\n", encoding="utf-8")
@@ -430,43 +460,48 @@ def test_ergodic_runs_when_the_first_element_lies_below_y0(tmp_path, h):
     assert all(0.0 < float(row.split(",")[3]) < 1.0 for row in body[1:])
 
 
-def assert_refused_above_max_support(*argv):
-    """Run the CLI in a child under a 3 GiB address-space limit, so that a
-    regression fails with a MemoryError instead of exhausting the machine,
-    and check that it refuses with exit 2 and no traceback."""
-    def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
-
-    env = dict(os.environ, PYTHONPATH=str(Path(roughmax.__file__).parents[1]),
-               OPENBLAS_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-m", "roughmax.cli", *argv],
-                          capture_output=True, text=True, timeout=120,
-                          preexec_fn=limit, env=env)
+def assert_refused_above_max_support(run_limited, *argv):
+    """Run the CLI in a child under a 3 GiB address-space limit and check
+    that it refuses with exit 2 and no traceback."""
+    proc = run_limited("-m", "roughmax.cli", *argv)
     assert proc.returncode == EXIT_VALIDATION, proc.stderr
     assert f"exceeds MAX_SUPPORT = {1 << 30}" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
-def test_kernel_decomp_refuses_an_oversized_kernel(tmp_path):
+def test_seqset_fits_a_quarter_of_the_cap_limit(tmp_path, run_limited):
+    # nmax = 2^26 on pure:1.02 needs 47M values of m, below the 2^26 cap,
+    # and runs in 0.9 GB of address space, under a 2.5 GiB limit; at a
+    # quarter of that (12.1M values of m under 640 MiB) the whole-range
+    # arrays of set generation peaked at 0.88 GB and died with a MemoryError,
+    # and the CHUNK-blocked walk peaks at 0.31 GB
+    out = tmp_path / "s.csv"
+    proc = run_limited("-m", "roughmax.cli", "seqset", "--h", "pure:1.02:1.0",
+                       "--nmax", str(1 << 24), "--out", str(out), limit=640 << 20)
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_text().splitlines()[-1].startswith(f"{1 << 24},")
+
+
+def test_kernel_decomp_refuses_an_oversized_kernel(tmp_path, run_limited):
     # scale 2^29 on pure:1.9 would need a 14 GiB dense kernel
     assert_refused_above_max_support(
-        "kernel-decomp", "--h", "pure:1.9:1.0", "--kmin", "29", "--kmax", "29",
-        "--out", str(tmp_path / "k.csv"))
+        run_limited, "kernel-decomp", "--h", "pure:1.9:1.0", "--kmin", "29",
+        "--kmax", "29", "--out", str(tmp_path / "k.csv"))
 
 
-def test_expsum_refuses_an_oversized_window(tmp_path):
+def test_expsum_refuses_an_oversized_window(tmp_path, run_limited):
     # the window (N/2, 4N] of N = 2^29 holds 1.88e9 points, a 14 GiB array;
     # in a sweep every window is checked before any scale runs, so the
     # smaller scales (2^28 alone would need 7 GiB) never start, on any
     # number of threads
     assert_refused_above_max_support(
-        "expsum", "--h", "pure:1.02:1.0", "--bound", "single", "--kmin", "29",
-        "--kmax", "29", "--out", str(tmp_path / "e.csv"))
+        run_limited, "expsum", "--h", "pure:1.02:1.0", "--bound", "single",
+        "--kmin", "29", "--kmax", "29", "--out", str(tmp_path / "e.csv"))
     for bound in ("single", "two", "minnorm"):
         for workers in ("1", "2"):
             assert_refused_above_max_support(
-                "expsum", "--h", "pure:1.02:1.0", "--bound", bound, "--kmin", "12",
-                "--kmax", "29", "--workers", workers,
+                run_limited, "expsum", "--h", "pure:1.02:1.0", "--bound", bound,
+                "--kmin", "12", "--kmax", "29", "--workers", workers,
                 "--out", str(tmp_path / f"{bound}-{workers}.csv"))
 
 

@@ -1,16 +1,11 @@
 """Cutoff, kernels, autocorrelation decomposition, and the decay-exponent fit."""
 
 import math
-import os
-import resource
-import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import roughmax
 import roughmax.signals as sig
 from roughmax import (
     DegenerateError,
@@ -29,7 +24,7 @@ from roughmax import (
     generate,
     gn_profile,
 )
-from roughmax.kernel import DecompositionReport
+from roughmax.kernel import DecompositionReport, _density_window
 
 
 def gn_direct_oracle(phi, n, x):
@@ -242,6 +237,15 @@ def test_report_puts_gn_on_the_kernel_normalization(s102_16, phi102, k_exp):
     assert r_cnt.gn_sup == pytest.approx(r_phi.gn_sup * scale, rel=1e-9)
 
 
+def test_density_window_blocks_keep_the_bits(phi102):
+    # the window of 2^16 spans 3.5 CHUNK blocks; phi' and eta work point by
+    # point, so the blocked window has the bits of the one-pass product
+    n = 1 << 16
+    m = np.arange(n // 2 + 1, 4 * n, dtype=float)
+    whole = np.asarray(phi102.deriv(m, 1)) * np.asarray(eta(m / n))
+    assert np.array_equal(_density_window(phi102, n), whole)
+
+
 def test_gn_window_cap(phi102, monkeypatch):
     # the window of scale 2^10 spans ~3.5 * 2^10 integers, far above a cap of 64
     monkeypatch.setattr(sig, "MAX_SUPPORT", 64)
@@ -251,13 +255,9 @@ def test_gn_window_cap(phi102, monkeypatch):
         compute_gn(phi102, 1 << 10, 3)
 
 
-def test_gn_profile_refuses_an_oversized_window():
+def test_gn_profile_refuses_an_oversized_window(run_limited):
     # scale 2^29 on pure:1.9: the density window spans ~1.9e9 integers (14 GiB
-    # as floats); the child runs under a 3 GiB address-space limit, so a
-    # regression fails with a MemoryError instead of exhausting the machine
-    def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
-
+    # as floats); the child runs under a 3 GiB address-space limit
     code = ("import roughmax\n"
             "phi = roughmax.make_growth('pure', 1.9).inverse()\n"
             "for probe in (lambda: roughmax.gn_profile(phi, 1 << 29),\n"
@@ -266,10 +266,7 @@ def test_gn_profile_refuses_an_oversized_window():
             "        probe()\n"
             "    except roughmax.SignalSizeError as exc:\n"
             "        print(exc)\n")
-    env = dict(os.environ, PYTHONPATH=str(Path(roughmax.__file__).parents[1]),
-               OPENBLAS_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, timeout=120, preexec_fn=limit, env=env)
+    proc = run_limited("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count(f"exceeds MAX_SUPPORT = {1 << 30}") == 2, proc.stdout
 

@@ -312,8 +312,11 @@ def test_maximal_function_memory_is_a_few_accumulators():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    # the accumulator, the dense kernel of the largest scale and a few
+    # transients: 2.08 accumulators measured (2.83 when Signal copied the
+    # accumulator and each kernel again)
     lo, hi = window_bounds(fam, f)
-    assert peak <= 4 * 8 * (hi - lo + 1)
+    assert peak <= 2.2 * 8 * (hi - lo + 1), peak / (8 * (hi - lo + 1))
 
 
 def test_the_family_builds_no_kernel(s102_16, monkeypatch):

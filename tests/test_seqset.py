@@ -125,6 +125,23 @@ def test_generate_memory_scales_with_enumerated_m():
     assert peak < 32 * 2 ** 20
 
 
+def test_generate_holds_only_its_full_length_outputs(g102):
+    # the m go through _floors in CHUNK blocks, so at full length only the
+    # int64 floors, the dedup mask and the elements are held, ~17 B per m
+    # (65 B per m when every stage took whole-range arrays); the slack
+    # covers one block's temporaries and the calibration window
+    n_max = 1 << 22
+    m_count = int(g102.inverse().value(n_max + 1.0)) + 3 - math.ceil(g102.x0 - 1e-12)
+    tracemalloc.start()
+    try:
+        generate(g102, n_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m_count > 3_000_000
+    assert peak <= 24 * m_count + 8 * 2 ** 20, peak / m_count
+
+
 def guarded_floors(g, n_max):
     """floor(h(m)) in [1, n_max] for every m up to phi(n_max + 1) + 2, with each
     value within 1e-9 relative of an integer settled by the exact sign test."""

@@ -34,6 +34,14 @@ def test_trim_and_zero():
     assert (nonzero_ends.offset, list(nonzero_ends.values)) == (1, [4.0, 0.0, 5.0])
 
 
+def test_an_owned_array_is_trimmed_by_view_and_frozen():
+    v = np.array([0.0, 0.0, 1.0, 2.0, 0.0])
+    s = Signal._own(3, v)
+    assert (s.offset, list(s.values)) == (5, [1.0, 2.0])
+    assert np.shares_memory(s.values, v) and not s.values.flags.writeable
+    assert Signal._own(7, np.zeros(3)).support == (0, -1)
+
+
 def test_call_and_support():
     s = Signal.from_dict({-2: 1.5, 3: -4.0})
     assert s.support == (-2, 3)
