@@ -393,9 +393,9 @@ def _add_common(p, with_h=True):
         p.add_argument("--h", required=True, help="growth spec variant:c:C_h[:A[:B|:m]]")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1,
-                   help="threads for the scales of kernel-decomp and "
-                        "verify-family; every other command is sequential, "
-                        "and output never depends on it")
+                   help="threads for the scales of kernel-decomp, "
+                        "verify-family and expsum; every other command is "
+                        "sequential, and output never depends on it")
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 

@@ -106,13 +106,15 @@ def _check_domain(v, start: float, what: str) -> np.ndarray:
 
 
 def _eval_terms(terms: Terms, x, logs) -> np.ndarray:
-    total = np.zeros_like(np.asarray(x, dtype=float))
+    """The sum of the nonempty ``terms`` at x, from the first term on; a unit
+    exponent is a plain product, with the bits of ``np.power(lv, 1.0)``."""
+    total = None
     for coef, xpow, lexp in terms:
-        t = coef * np.power(x, float(xpow)) if xpow != 0 else np.full_like(total, coef)
+        t = coef * np.power(x, float(xpow)) if xpow != 0 else coef
         for lv, e in zip(logs, lexp):
             if e != 0:
-                t = t * np.power(lv, float(e))
-        total = total + t
+                t = t * (lv if e == 1 else np.power(lv, float(e)))
+        total = t if total is None else total + t
     return total
 
 
@@ -173,15 +175,18 @@ class GrowthFunction:
         return _iterated_logs(x, self._depth)
 
     def _lam_value(self, x, logs, k: int):
-        """lam^(k)(x) where lam = log l(x); k = 0..3."""
+        """lam^(k)(x) where lam = log l(x); k = 0..3, the scalar 0.0 if lam = 0."""
         terms = self._lam if k == 0 else self._lam_d[k - 1]
-        if not terms:
-            return np.zeros_like(np.asarray(x, dtype=float))
-        return _eval_terms(terms, x, logs)
+        return _eval_terms(terms, x, logs) if terms else 0.0
 
     def _h(self, x, logs):
-        """h(x) = C_h * exp(c log x + lam(x)) at a checked x."""
-        return self.c_h * np.exp(self.c * np.log(x) + self._lam_value(x, logs, 0))
+        """h(x) = C_h * exp(c log x + lam(x)) at a checked x, with log x taken
+        from the chain when it holds one; a pure power adds no lam, as
+        c log x + 0.0 has the bits of c log x."""
+        t = self.c * (logs[0] if logs else np.log(x))
+        if self._lam:
+            t = t + _eval_terms(self._lam, x, logs)
+        return self.c_h * np.exp(t)
 
     def value(self, x) -> FloatLike:
         """h(x) = C_h * exp(c log x + lam(x))."""
@@ -189,6 +194,14 @@ class GrowthFunction:
         logs = self._logs(x)
         out = self._h(x, logs)
         return float(out) if out.ndim == 0 else out
+
+    def _value_deriv(self, x):
+        """(h(x), h'(x)) from one domain check, one log chain and one h, with
+        the bits of ``value(x)`` and ``deriv(x, 1)``: a Newton step's cost."""
+        x = _check_domain(x, self.x0, "evaluation at x < x0")
+        logs = self._logs(x)
+        h = self._h(x, logs)
+        return h, h * (self.c / x + self._lam_value(x, logs, 1))
 
     def deriv(self, x, order: int) -> FloatLike:
         """h^(order)(x) for order in {0, 1, 2, 3}, in closed form.
@@ -412,11 +425,13 @@ class InverseFunction:
 
     Inversion is a safeguarded Newton iteration inside a doubling-expanded
     bracket, seeded at (y / C_h)^gamma.  Arrays are solved in blocks of
-    ``util.CHUNK`` points; in each block h is evaluated once at the seed, and
-    only the points whose seed fails the residual test go on to the bracket
-    and Newton steps, which touch only the points not yet converged.  For the
-    pure power the seed is already exact, so one h evaluation per point is
-    the whole cost.  Immutable and concurrency-safe like its source.
+    ``util.CHUNK`` points; in each block h is evaluated once at the
+    seed, and only the points whose seed fails the residual test go on to
+    the bracket and Newton steps, which touch only the points not yet
+    converged.  Each Newton step is one fused evaluation of h and h' (one
+    domain check, one log chain, one h).  For the pure power the seed is
+    already exact, so one h evaluation per point is the whole cost.
+    Immutable and concurrency-safe like its source.
     """
 
     source: GrowthFunction
@@ -451,9 +466,9 @@ class InverseFunction:
         if pos.size == 0:
             return x
         # the rest start from a bracket [x0, hi] with h(hi) >= y, hi from the
-        # seed by doubling, and take Newton steps from the seed, whose
-        # residual is already known
-        ya, xa, fa = y[pos], x[pos], fx[pos]
+        # seed by doubling, and take Newton steps from the seed, each step
+        # one fused evaluation of h and h'
+        ya, xa = y[pos], x[pos]
         lo = np.full_like(ya, x0)
         hi = xa.copy()
         below = hx[pos] < ya
@@ -467,22 +482,23 @@ class InverseFunction:
             raise ConvergenceError("bracket expansion failed",
                                    bracket=(float(lo.min()), float(hi[below].max())))
 
-        for it in range(INVERSE_MAX_ITER):
-            if it:
-                fa = g.value(xa) - ya
+        for _ in range(INVERSE_MAX_ITER):
+            ha, dha = g._value_deriv(xa)
+            fa = ha - ya
             # a bracket collapsed to adjacent floats is the correctly rounded
             # root; stop there even if the residual test still fails
             done = (np.abs(fa) <= INVERSE_TOL * ya) | (hi - lo <= 4.0 * np.spacing(hi))
             if done.any():
                 x[pos[done]] = xa[done]
                 keep = ~done
-                pos, ya, xa, fa, lo, hi = (a[keep] for a in (pos, ya, xa, fa, lo, hi))
+                pos, ya, xa, fa, dha, lo, hi = (
+                    a[keep] for a in (pos, ya, xa, fa, dha, lo, hi))
                 if pos.size == 0:
                     break
             above = fa > 0
             hi = np.where(above, xa, hi)
             lo = np.where(above, lo, xa)
-            xn = xa - fa / g.deriv(xa, 1)
+            xn = xa - fa / dha
             bad = ~np.isfinite(xn) | (xn <= lo) | (xn >= hi)
             xa = np.where(bad, 0.5 * (lo + hi), xn)
         else:

@@ -5,6 +5,7 @@ for inversion, central finite differences for derivatives, and arbitrary
 precision evaluation for point values.
 """
 
+import hashlib
 import math
 
 import mpmath
@@ -17,6 +18,7 @@ from roughmax import (
     SingularityError,
     ValidationError,
     build_aux_report,
+    contains_via_inverse_batch,
     identity_growth,
     make_growth,
 )
@@ -276,6 +278,52 @@ def test_a_scalar_call_gives_the_bits_of_its_array_element(spec):
         assert moved.size == 0, (label, moved)
 
 
+# sha256 prefixes of h, h', h'', h''' on a grid from x0 to 2^40, of phi on a
+# two-block grid from y0 to 2^40, and of the inverse membership test on an
+# unsorted p with gaps, repeats and contiguous runs; every evaluation of the
+# numeric core is held to these bits
+EVALUATION_PINNED = {
+    "pure:1.5:1.0": (
+        "ba68a2f6f7eb1c06", "3b62b62f06181f85", "f0dabf54206525a2",
+        "58ea4e150f4f3788", "994f60dfb79766fe", "1e4657eb265700f5"),
+    "powerlog:1.02:1.0:1.0": (
+        "6aadd367424e12a5", "42a9ed73ba019e16", "954afbba7cb410a6",
+        "0b297cacd71c47f3", "7e454e1a79c9da27", "5d1f144e8ec4ab89"),
+    "powerlog:1.0:1.0:1.0": (
+        "adf74174315fcc90", "79ae30a79f0ef0fc", "df4cc190754dafff",
+        "ec2755c0a0614d91", "e6a79e7fc2e7d3cb", "6f0af86f24ae5bbc"),
+    "powerexplog:1.05:1.0:1.0:0.5": (
+        "f0c794e68c8b2924", "705296d84cb30e85", "3c782e85e9232064",
+        "74ee94581f679302", "a02c98681de6fbae", "fbd74e249c243283"),
+    "poweriterlog:1.02:1.0:2": (
+        "1c8fe3d2f300349b", "67fe9f3180dfe2a9", "1c318485fe85c34a",
+        "65d36c1799318e4d", "b306c7bd705b2f63", "b2d4e20214efbc41"),
+}
+
+PINNED_P = np.concatenate([
+    np.arange(1200, 1000, -1),              # descending: no p + 1 follows its p
+    np.arange(40_000, 40_300),              # one contiguous run
+    (np.arange(1, 400) * 7919) % 100_003 + 100,
+    [500, 500, 501, 2 ** 39, 2 ** 39 + 1, 2 ** 39 - 1, 777, 776, 778, 779],
+]).astype(np.int64)
+
+
+def _evaluation_digests(spec):
+    g = parse_growth_spec(spec)
+    phi = g.inverse()
+    x = np.geomspace(g.x0, 2.0 ** 40, 4099)
+    y = np.geomspace(phi.y0, 2.0 ** 40, CHUNK + 37)
+    arrays = [g.value(x)] + [g.deriv(x, k) for k in (1, 2, 3)]
+    arrays += [phi.value(y), contains_via_inverse_batch(phi, PINNED_P)]
+    return tuple(hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
+                 for a in arrays)
+
+
+@pytest.mark.parametrize("spec", sorted(EVALUATION_PINNED))
+def test_evaluations_keep_their_pinned_bits(spec):
+    assert _evaluation_digests(spec) == EVALUATION_PINNED[spec]
+
+
 def test_pure_inverse_takes_one_h_point_per_y(phi15, monkeypatch):
     calls = {"value": 0, "deriv": 0}
     value, deriv = GrowthFunction.value, GrowthFunction.deriv
@@ -294,6 +342,29 @@ def test_pure_inverse_takes_one_h_point_per_y(phi15, monkeypatch):
     phi15.value(y)
     phi15.value(1.0)
     assert calls == {"value": y.size + 1, "deriv": 0}
+
+
+def test_each_newton_step_evaluates_h_once(philog, monkeypatch):
+    calls = {"_h": 0, "value": 0, "deriv": 0, "_value_deriv": 0}
+
+    def counting(name):
+        method = getattr(GrowthFunction, name)
+
+        def wrapped(self, *args):
+            calls[name] += 1
+            return method(self, *args)
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(GrowthFunction, name, counting(name))
+    # one block, whose seeds miss: h(x) = x^1.02 log x is not a pure power
+    y = np.geomspace(philog.y0, 2.0 ** 40, 1000)
+    philog.value(y)
+    # the seed and each bracket doubling are one value call, each Newton
+    # step one fused h/h' call, and nothing else evaluates h: here no seed
+    # falls below its y, and six steps take 7 h evaluations (11 when each
+    # step called value and deriv)
+    assert calls == {"_h": 7, "value": 1, "deriv": 0, "_value_deriv": 6}
 
 
 def test_convergence_error_brackets_only_the_unconverged(monkeypatch):

@@ -23,7 +23,7 @@ from roughmax import (
     verify_membership_equivalence,
 )
 from roughmax import seqset
-from roughmax.seqset import _sign_at_integer
+from roughmax.seqset import P_MIN_WINDOW, _sign_at_integer
 
 
 def enumeration_oracle(c, n_max, m_start=1):
@@ -126,10 +126,11 @@ def test_generate_memory_scales_with_enumerated_m():
 
 
 def test_generate_holds_only_its_full_length_outputs(g102):
-    # the m go through _floors in CHUNK blocks, so at full length only the
-    # int64 floors, the dedup mask and the elements are held, ~17 B per m
-    # (65 B per m when every stage took whole-range arrays); the slack
-    # covers one block's temporaries and the calibration window
+    # the m go through _floors in M_BLOCK blocks and the deduplicated floors
+    # are compacted to the front of the int64 floors, so at full length only
+    # that array is held, 8 B per m (17 B with a separate mask and elements
+    # copy, 65 B when every stage took whole-range arrays); the slack covers
+    # one block's temporaries and the calibration window
     n_max = 1 << 22
     m_count = int(g102.inverse().value(n_max + 1.0)) + 3 - math.ceil(g102.x0 - 1e-12)
     tracemalloc.start()
@@ -139,7 +140,21 @@ def test_generate_holds_only_its_full_length_outputs(g102):
     finally:
         tracemalloc.stop()
     assert m_count > 3_000_000
-    assert peak <= 24 * m_count + 8 * 2 ** 20, peak / m_count
+    assert peak <= 8 * m_count + 6 * 2 ** 20, peak / m_count
+
+
+@pytest.mark.parametrize("variant,c,c_h,params", [
+    ("pure", 1.05, 0.7, dict(x0=2.0)),     # h' < 1 below m ~ 470: repeated floors
+    ("powerexplog", 1.05, 1.0, dict(a=1.0, b=0.5)),
+])
+def test_the_blocks_of_m_do_not_change_the_set(monkeypatch, variant, c, c_h, params):
+    g = make_growth(variant, c, c_h, **params)
+    s = generate(g, 1 << 18)
+    monkeypatch.setattr(seqset, "M_BLOCK", 1000)
+    monkeypatch.setattr(seqset, "CHUNK", 7)
+    t = generate(g, 1 << 18)
+    assert np.array_equal(s.elements, t.elements) and s.p_min == t.p_min
+    assert np.array_equal(s.elements, np.unique(guarded_floors(g, 1 << 18)))
 
 
 def guarded_floors(g, n_max):
@@ -312,6 +327,29 @@ def test_batch_equivalence_with_scalar(phi15, s15_1m):
     ps = np.arange(16, 4000)
     batch = contains_via_inverse_batch(phi15, ps)
     assert np.array_equal(batch, s15_1m.contains_batch(ps))
+
+
+def test_a_window_inverts_each_point_once(phi102, monkeypatch):
+    received = []
+    floor_neg_phi = seqset._floor_neg_phi_batch
+
+    def counting(phi, p):
+        received.append(p.size)
+        return floor_neg_phi(phi, p)
+
+    monkeypatch.setattr(seqset, "_floor_neg_phi_batch", counting)
+    window = np.arange(16, P_MIN_WINDOW + 1, dtype=np.int64)
+    contains_via_inverse_batch(phi102, window)
+    assert sum(received) == window.size + 1
+    # unsorted, with repeats and gaps: each p + 1 not at the next entry is
+    # inverted, and the answer is the two-inversion definition
+    p = np.array([40, 41, 42, 30, 31, 31, 32, 90, 17, 18], dtype=np.int64)
+    received.clear()
+    got = contains_via_inverse_batch(phi102, p)
+    assert sum(received) == p.size + 5
+    monkeypatch.undo()
+    lo, hi = (seqset._floor_neg_phi_batch(phi102, q) for q in (p, p + 1))
+    assert np.array_equal(got, lo - hi == 1)
 
 
 def test_equivalence_checker(s105_20):
