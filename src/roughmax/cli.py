@@ -195,14 +195,15 @@ def _cmd_seqset(args):
     s = generate(g, args.nmax)
     phi = s.phi
     if args.emit:
-        # one line per element, written a CHUNK slice at a time so the text
-        # of the whole set is never held; an empty set writes one newline
+        # one line per element, written a CHUNK slice at a time, each slice
+        # by one % format, so the text of the whole set is never held; an
+        # empty set writes one newline
         with open(args.emit, "w", encoding="utf-8") as fh:
-            sep = ""
+            if s.elements.size == 0:
+                fh.write("\n")
             for i in range(0, s.elements.size, CHUNK):
-                fh.write(sep + "\n".join(map(str, s.elements[i:i + CHUNK].tolist())))
-                sep = "\n"
-            fh.write("\n")
+                block = tuple(s.elements[i:i + CHUNK].tolist())
+                fh.write("%d\n" * len(block) % block)
     ns = 1 << np.arange(1, s.n_max.bit_length(), dtype=np.int64)
     counts = count(s, ns)
     phis = np.full(ns.size, np.nan)

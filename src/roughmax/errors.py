@@ -2,7 +2,7 @@
 
 Validation / domain problems map to CLI exit code 2, numeric failures
 (non-convergence, vanishing denominators) to exit code 3.  Floors near an
-integer are settled by a high-precision sign test, so none is undecidable.
+integer are settled by an exact or 60-digit sign test, so none is undecidable.
 """
 
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -50,6 +51,10 @@ VALIDATION_POINTS = 64
 MP_DPS = 60                 # working precision of the high-precision path
 INVERSE_TOL = 1e-12         # phi(y) stops at |h(x) - y| <= INVERSE_TOL * y
 INVERSE_MAX_ITER = 100      # Newton steps before the inversion gives up
+# a pure power h = (a/b) x^(p/q) with q up to this has an exact integer sign
+# test; past it no m >= 2 below 2^64 is a perfect q-th power, so h(m) is never
+# an integer there and the 60-digit test meets no exact hits
+EXACT_DENOM_MAX = 64
 
 
 class Variant(enum.Enum):
@@ -142,6 +147,9 @@ class GrowthFunction:
     _lam: Terms = field(repr=False, default=())
     _lam_d: tuple = field(repr=False, default=())
     _depth: int = field(repr=False, default=0)
+    # (p, q, a^q, b^q) for a pure power with c = p/q, q <= EXACT_DENOM_MAX,
+    # and C_h = a/b, so h(x) >= y exactly when a^q x^p >= b^q y^q; else None
+    _exact: tuple | None = field(repr=False, default=None)
 
     # -- construction helpers ------------------------------------------------
 
@@ -166,8 +174,13 @@ class GrowthFunction:
                 for j, e in enumerate(lexp):
                     if e != 0:
                         depth = max(depth, j + 1)
+        exact = None
+        cf, hf = Fraction(float(c)), Fraction(float(c_h))
+        if variant is Variant.PURE_POWER and cf.denominator <= EXACT_DENOM_MAX:
+            q = cf.denominator
+            exact = (cf.numerator, q, hf.numerator ** q, hf.denominator ** q)
         return GrowthFunction(variant, float(c), float(c_h), a, b, m,
-                              float(x0), lam, tuple(derivs), depth)
+                              float(x0), lam, tuple(derivs), depth, exact)
 
     # -- evaluation -----------------------------------------------------------
 
@@ -288,7 +301,8 @@ class GrowthFunction:
     # -- high-precision path ---------------------------------------------------
 
     def value_mp(self, x) -> mpmath.mpf:
-        """h(x) at MP_DPS digits; used to settle floors near integers."""
+        """h(x) at MP_DPS digits; settles floors near integers for every h
+        but a rational pure power, which ``_exact`` settles in integers."""
         with mpmath.workdps(MP_DPS):
             xv = mpmath.mpf(x)
             lam = mpmath.mpf(0)

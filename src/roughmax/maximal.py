@@ -186,7 +186,9 @@ class CZDecomposition:
         total = dict(self.good)
         for atom in self.atoms:
             for x, v in atom.values.items():
-                total[x] = total.get(x, 0) + v
+                # 0 + v would build a new Fraction per point; add on overlaps
+                t = total.get(x)
+                total[x] = v if t is None else t + v
         return {x: v for x, v in total.items() if v != 0}
 
     def total_cube_size(self) -> int:

@@ -3,8 +3,9 @@
 Floors are never trusted to plain float arithmetic.  Enumeration settles any
 h(m) within its error bound, 4 (1 + |c log m| + |lam(m)|) ulps, of an integer,
 and the inverse test any phi(p) within max(10 * INVERSE_TOL * |phi(p)|, 8 ulp)
-of one, by a high-precision sign test of h(r) - y at the nearest integer r;
-neither path has a second stage.
+of one, by a sign test of h(r) - y at the nearest integer r: in exact
+integers for a pure power whose exponent is a rational of small denominator,
+at 60 digits for every other h; neither path has a second stage.
 """
 
 from __future__ import annotations
@@ -41,7 +42,16 @@ MP_ZERO_BAND = mpmath.mpf("1e-40")
 # ---------------------------------------------------------------------------
 
 def _sign_at_integer(g: GrowthFunction, r: int, y: int) -> int:
-    """Sign of h(r) - y, with |h(r) - y| below 1e-40 * y treated as exact zero."""
+    """Sign of h(r) - y, for an integer r >= 1 and an integer y >= 0.
+
+    A rational pure power h = (a/b) x^(p/q) is settled exactly, as the sign
+    of a^q r^p - b^q y^q in integers; any other h at 60 digits, with
+    |h(r) - y| below 1e-40 * y treated as exact zero.
+    """
+    if g._exact is not None:
+        p, q, aq, bq = g._exact
+        d = aq * r ** p - bq * y ** q
+        return (d > 0) - (d < 0)
     with mpmath.workdps(MP_DPS):
         s = g.value_mp(r) - y
         if abs(s) <= MP_ZERO_BAND * max(1, abs(y)):
@@ -53,7 +63,7 @@ def _floor_neg_phi_batch(phi: InverseFunction, p: np.ndarray) -> np.ndarray:
     """floor(-phi(p)) for each p, with the floor decided, never guessed.
 
     phi is inverted once; a value x within max(10 * INVERSE_TOL * |x|, 8 ulp)
-    of an integer r is settled by the high-precision sign test of h(r) - p.
+    of an integer r is settled by the sign test of h(r) - p.
     """
     x = np.asarray(phi.value(p.astype(float)), dtype=float)
     r = np.rint(x)
@@ -156,8 +166,8 @@ def _floors(g: GrowthFunction, m: np.ndarray) -> np.ndarray:
     the test, so below K u (1 + |c log m| + |lam|) with K = 4; and u |h| <
     spacing(h).  So a float h(m) farther than K (1 + |c log m| + |lam(m)|)
     ulps from every integer has the exact floor, and one within that band is
-    settled by the high-precision sign test of h(m) against the nearest
-    integer.
+    settled by the sign test of h(m) against the nearest integer, exact for
+    a rational pure power and at 60 digits otherwise.
     """
     mf = m.astype(float)
     v = np.asarray(g.value(mf), dtype=float)

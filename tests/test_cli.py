@@ -88,6 +88,21 @@ def test_seqset_emit_file_is_pinned(tmp_path):
         "c17d1ecff47b3cec1d75f3bca19e2e6aacdf76dbfca802d15d1aef0a22a09700")
 
 
+def test_seqset_emit_bytes_are_one_join_over_the_set(tmp_path, monkeypatch):
+    # slices of 1000 elements, so the file is written in 11 CHUNK slices
+    monkeypatch.setattr(roughmax.cli, "CHUNK", 1000)
+    emit = tmp_path / "els.txt"
+    assert run_cli("seqset", "--h", "pure:1.5:1.0", "--nmax", str(1 << 20),
+                   "--out", str(tmp_path / "counts.csv"), "--emit", str(emit)) == 0
+    elements = roughmax.generate(parse_growth_spec("pure:1.5:1.0"), 1 << 20).elements
+    assert 10_000 < elements.size < 11_000
+    assert emit.read_text() == "\n".join(map(str, elements.tolist())) + "\n"
+    # h(8) = 16.6 is the first value past x0 = e^2, so nothing is <= 15
+    assert run_cli("seqset", "--h", "powerlog:1.0:1.0:1.0", "--nmax", "15",
+                   "--out", str(tmp_path / "counts.csv"), "--emit", str(emit)) == 0
+    assert emit.read_bytes() == b"\n"
+
+
 def test_byte_identical_reruns_and_worker_independence(tmp_path):
     outs = []
     for i, workers in enumerate((1, 1, 7)):

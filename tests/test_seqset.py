@@ -23,7 +23,8 @@ from roughmax import (
     verify_membership_equivalence,
 )
 from roughmax import seqset
-from roughmax.seqset import P_MIN_WINDOW, _sign_at_integer
+from roughmax.growth import GrowthFunction
+from roughmax.seqset import MP_ZERO_BAND, P_MIN_WINDOW, _sign_at_integer
 
 
 def enumeration_oracle(c, n_max, m_start=1):
@@ -157,9 +158,18 @@ def test_the_blocks_of_m_do_not_change_the_set(monkeypatch, variant, c, c_h, par
     assert np.array_equal(s.elements, np.unique(guarded_floors(g, 1 << 18)))
 
 
+def mp_sign(g, r, y):
+    """Sign of h(r) - y from ``value_mp`` directly, |h(r) - y| <= 1e-40 y as 0."""
+    with mpmath.workdps(60):
+        s = g.value_mp(r) - y
+        if abs(s) <= MP_ZERO_BAND * max(1, abs(y)):
+            return 0
+        return 1 if s > 0 else -1
+
+
 def guarded_floors(g, n_max):
     """floor(h(m)) in [1, n_max] for every m up to phi(n_max + 1) + 2, with each
-    value within 1e-9 relative of an integer settled by the exact sign test."""
+    value within 1e-9 relative of an integer settled by the 60-digit sign."""
     m = np.arange(math.ceil(g.x0 - 1e-12),
                   int(g.inverse().value(n_max + 1.0)) + 3, dtype=np.int64)
     v = np.asarray(g.value(m.astype(float)), dtype=float)
@@ -167,8 +177,54 @@ def guarded_floors(g, n_max):
     r = np.rint(v)
     for j in np.nonzero(np.abs(v - r) <= 1e-9 * np.abs(v))[0]:
         ri = int(r[j])
-        f[j] = ri if _sign_at_integer(g, int(m[j]), ri) >= 0 else ri - 1
+        f[j] = ri if mp_sign(g, int(m[j]), ri) >= 0 else ri - 1
     return f[(f >= 1) & (f <= n_max)]
+
+
+@pytest.mark.parametrize("c,c_h", [
+    (1.5, 1.0),     # h(k^2) = k^3
+    (1.25, 1.0),    # h(k^4) = k^5
+    (1.5, 2.5),     # h(k^2) = 5 k^3 / 2, an integer for even k
+])
+def test_exact_sign_test_agrees_with_60_digits(monkeypatch, c, c_h):
+    # every band candidate of the enumeration to 2^24 and of the calibration
+    # window, settled in integers, against value_mp
+    g = make_growth("pure", c, c_h)
+    assert g._exact is not None
+    calls = []
+    sign = seqset._sign_at_integer
+
+    def recording(g, r, y):
+        calls.append((r, y, sign(g, r, y)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(seqset, "_sign_at_integer", recording)
+    s = generate(g, 1 << 24)
+    assert s.p_min < P_MIN_WINDOW and len(calls) > 20
+    assert any(e == 0 for *_, e in calls)
+    for r, y, exact in calls:
+        assert exact == mp_sign(g, r, y), (r, y)
+
+
+def test_a_rational_pure_power_never_reaches_mpmath(monkeypatch, glog):
+    calls = []
+    value_mp = GrowthFunction.value_mp
+
+    def counting(self, x):
+        calls.append(x)
+        return value_mp(self, x)
+
+    monkeypatch.setattr(GrowthFunction, "value_mp", counting)
+    # enumeration and calibration of pure:1.5, whose perfect squares m give
+    # integers h(m), all in the band
+    s = generate(make_growth("pure", 1.5), 1 << 20)
+    assert s.contains(1 << 15) and calls == []
+    # a powerlog sign test and the explog band candidates keep the 60 digits
+    assert _sign_at_integer(glog, 10, 24) == mp_sign(glog, 10, 24) == 1
+    assert len(calls) == 2
+    g = make_growth("powerexplog", 1.05, 1.0, a=1.0, b=0.5)
+    seqset._floors(g, np.array([m for m, _, _ in EXPLOG_FLOORS], dtype=np.int64))
+    assert len(calls) == 2 + len(EXPLOG_FLOORS)
 
 
 def assert_membership_matches_dense_mask(s, expected):
