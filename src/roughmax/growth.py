@@ -574,21 +574,6 @@ class InverseFunction:
 
     # -- c = 1 regime -----------------------------------------------------------
 
-    def sigma(self, y) -> FloatLike:
-        """sigma(y) = vartheta(phi(y)); the c = 1 factorization of y phi''."""
-        u = self.value(y)
-        if self.c != 1.0:
-            raise ValidationError("sigma is defined only for c = 1")
-        return self.source.vartheta(u, 1)
-
-    def tau(self, y) -> FloatLike:
-        """tau(y) in y phi''(y) = phi'(y) sigma(y) tau(y) for c = 1."""
-        u = self.value(y)
-        if self.c != 1.0:
-            raise ValidationError("tau is defined only for c = 1")
-        out = self._tau(u, self.source._vartheta_derivs(u, 1))
-        return float(out) if np.asarray(out).ndim == 0 else out
-
     def _tau(self, u, dv):
         """tau at y from u = phi(y) and dv = [vartheta(u), vartheta'(u), ...]:
         -(1/d + vartheta'(u) u / (vartheta(u) d^2)) with d = 1 + vartheta(u)."""
@@ -620,19 +605,6 @@ class AuxFunctionReport:
     sigma_values: np.ndarray
     tau_values: np.ndarray
     varrho_values: np.ndarray
-
-    def tail_decay_ok(self) -> bool:
-        """Top-decade max magnitude strictly below bottom-decade max, per column."""
-        for col in (*self.vartheta_values, *self.theta_values):
-            if not _decade_decay(self.grid, np.abs(col)):
-                return False
-        return True
-
-
-def _decade_decay(grid: np.ndarray, mag: np.ndarray) -> bool:
-    lo_mask = grid <= grid[0] * 10.0
-    hi_mask = grid >= grid[-1] / 10.0
-    return float(mag[hi_mask].max()) < float(mag[lo_mask].max())
 
 
 def build_aux_report(phi: InverseFunction, grid) -> AuxFunctionReport:

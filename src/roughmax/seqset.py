@@ -108,9 +108,8 @@ def contains_via_inverse_batch(phi: InverseFunction, p: np.ndarray) -> np.ndarra
 class SequenceSet:
     """Sorted floors of h over the integers, in [1, n_max].
 
-    Membership is a binary search on ``elements``, O(log n) per query; no
-    caller in the package queries it in a hot loop.  Immutable after
-    generation; every query is pure.
+    Membership is ``_member``'s binary search on ``elements``.  Immutable
+    after generation.
     """
 
     growth: GrowthFunction
@@ -123,17 +122,6 @@ class SequenceSet:
         """The inverse of ``growth``, derived on each access (one h(x0)), so
         it can never disagree with the set."""
         return self.growth.inverse()
-
-    def contains(self, p: int) -> bool:
-        if not (1 <= p <= self.n_max):
-            raise RangeError(f"p = {p} outside [1, {self.n_max}]")
-        return bool(_member(self.elements, p))
-
-    def contains_batch(self, p: np.ndarray) -> np.ndarray:
-        p = np.asarray(p, dtype=np.int64)
-        if p.size and (p.min() < 1 or p.max() > self.n_max):
-            raise RangeError("query outside [1, n_max]")
-        return _member(self.elements, p)
 
 
 def _member(elements: np.ndarray, p):

@@ -25,7 +25,7 @@ class Signal:
     """Dense values over a contiguous index window starting at ``offset``.
 
     Construction trims leading and trailing zeros, so two signals with equal
-    content compare equal.  Immutable; all operations return new signals.
+    content compare equal.  Immutable.
     """
 
     offset: int
@@ -84,14 +84,6 @@ class Signal:
             return (0, -1)
         return (self.offset, self.offset + self.values.size - 1)
 
-    def __call__(self, x):
-        x = np.asarray(x)
-        idx = x - self.offset
-        ok = (idx >= 0) & (idx < self.values.size)
-        out = np.where(ok, self.values[np.clip(idx, 0, max(self.values.size - 1, 0))]
-                       if self.values.size else 0.0, 0.0)
-        return float(out) if out.ndim == 0 else out
-
     def sum(self) -> float:
         return float(self.values.sum())
 
@@ -104,39 +96,6 @@ class Signal:
     def to_dict(self) -> dict:
         return {self.offset + i: float(v)
                 for i, v in enumerate(self.values) if v != 0.0}
-
-    # -- algebra ----------------------------------------------------------------
-
-    def reversed(self) -> "Signal":
-        """The reflection x -> value(-x)."""
-        if self.is_zero:
-            return self
-        return Signal(-(self.offset + self.values.size - 1), self.values[::-1])
-
-    def __add__(self, other: "Signal") -> "Signal":
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        lo = min(self.offset, other.offset)
-        hi = max(self.offset + self.values.size, other.offset + other.values.size)
-        v = np.zeros(hi - lo)
-        v[self.offset - lo:self.offset - lo + self.values.size] += self.values
-        v[other.offset - lo:other.offset - lo + other.values.size] += other.values
-        return Signal._own(lo, v)
-
-    def __mul__(self, scalar: float) -> "Signal":
-        return Signal._own(self.offset, self.values * float(scalar))
-
-    __rmul__ = __mul__
-
-    def allclose(self, other: "Signal", atol: float = 1e-9) -> bool:
-        lo = min(self.offset, other.offset) if not (self.is_zero and other.is_zero) else 0
-        hi = max(self.support[1], other.support[1])
-        if self.is_zero and other.is_zero:
-            return True
-        xs = np.arange(lo, hi + 1)
-        return bool(np.allclose(self(xs), other(xs), rtol=0.0, atol=atol))
 
 
 def convolve(a: Signal, b: Signal, method: str = "direct") -> Signal:

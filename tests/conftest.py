@@ -11,6 +11,16 @@ import roughmax
 from roughmax import generate, identity_growth, make_growth
 
 
+def values_at(s, x):
+    """The values of the signal ``s`` at the integers ``x``: its ``values``
+    inside the window at ``offset``, 0 outside; a float for a scalar x."""
+    i = np.asarray(x) - s.offset
+    inside = (i >= 0) & (i < s.values.size)
+    out = np.zeros(i.shape)
+    out[inside] = s.values[i[inside]]
+    return float(out) if out.ndim == 0 else out
+
+
 @pytest.fixture(scope="session")
 def g15():
     return make_growth("pure", 1.5)

@@ -520,6 +520,20 @@ def test_expsum_refuses_an_oversized_window(tmp_path, run_limited):
                 "--out", str(tmp_path / f"{bound}-{workers}.csv"))
 
 
+def test_an_allocation_the_memory_limit_refuses_exits_2(tmp_path, run_limited):
+    # both pass MAX_SUPPORT, then ask for more than the 3 GiB limit: a
+    # 7.00 GiB kernel window at scale 2^28, a 7.50 GiB accumulator for the
+    # delta corpus up to 2^28
+    for argv in (("kernel-decomp", "--h", "pure:1.9:1.0", "--kmin", "28",
+                  "--kmax", "28", "--out", str(tmp_path / "k.csv")),
+                 ("weaktype", "--h", "pure:1.9:1.0", "--nlo", "27", "--nhi", "28",
+                  "--corpus", "delta", "--out", str(tmp_path / "w.csv"))):
+        proc = run_limited("-m", "roughmax.cli", *argv)
+        assert proc.returncode == EXIT_VALIDATION, proc.stderr
+        assert proc.stderr.startswith("error: Unable to allocate"), proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
 # (growth spec, kmin, kmax): c > 1, c = 1, and a grid whose first octaves lie
 # below y0, where the table drops those rows
 GROWTH_TABLES = {
@@ -555,7 +569,7 @@ def test_growth_table_rows_are_the_aux_report_bits(tmp_path, label):
     if g.c == 1.0:
         expected.update(sigma=rep.sigma_values, tau=rep.tau_values,
                         varrho=rep.varrho_values)
-        public.update(sigma=phi.sigma(kept), tau=phi.tau(kept),
+        public.update(sigma=g.vartheta(rep.phi_values, 1),
                       varrho=g.varrho(rep.phi_values))
     for name, values in public.items():
         assert np.array_equal(expected[name].view(np.int64),

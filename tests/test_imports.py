@@ -2,16 +2,17 @@
 it never uses,
 every exception type the package defines is raised somewhere in it, every
 module-level private function is used somewhere outside its own body, every
-public module-level name is read by the package, the acceptance criteria or
-the benchmark's tracer, no function takes a set or a kernel beside an
-inverse that must match it, and the benchmark's span tracer still installs
-on the package."""
+public module-level name and every method or property of a package class is
+read by the package, the acceptance criteria or the benchmark's tracer, no
+function takes a set or a kernel beside an inverse that must match it, and
+the benchmark's span tracer still installs on the package."""
 
 import ast
 import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -92,17 +93,35 @@ def test_every_error_type_is_raised():
     assert unraised_errors(errors, sources) == []
 
 
+# modules whose attributes never read a package name, though they may share
+# one (np.convolve beside signals.convolve)
+FOREIGN = {"np", "math", "mpmath"}
+
+
+def _foreign(node: ast.Attribute) -> bool:
+    return isinstance(node.value, ast.Name) and node.value.id in FOREIGN
+
+
 def _names_read(node) -> set:
-    """Names, attributes and imported names anywhere inside ``node``."""
+    """Names, attributes (of anything but np, math and mpmath) and imported
+    names anywhere inside ``node``."""
     out = set()
     for n in ast.walk(node):
         if isinstance(n, ast.Name):
             out.add(n.id)
-        elif isinstance(n, ast.Attribute):
+        elif isinstance(n, ast.Attribute) and not _foreign(n):
             out.add(n.attr)
         elif isinstance(n, ast.alias):
             out.add(n.name)
     return out
+
+
+def _attributes_read(node) -> Counter:
+    """How often each attribute is loaded inside ``node``, attributes of np,
+    math and mpmath aside."""
+    return Counter(n.attr for n in ast.walk(node)
+                   if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+                   and not _foreign(n))
 
 
 def dead_private_functions(sources) -> list:
@@ -138,25 +157,55 @@ def test_every_private_function_is_used():
     assert dead_private_functions(sources) == []
 
 
+# methods the constructor calls by itself, which no code needs to name
+HOOKS = {"__init__", "__post_init__"}
+
+
 def unread_public_names(modules: dict, readers, targets: str) -> list:
     """Public module-level functions and classes of ``modules`` (module name
     -> source), as ``"module:name"``, that no other top-level statement of
     ``modules`` reads, no source in ``readers`` reads, and no
-    ``"module:qualname"`` string in ``targets`` names."""
-    traced = {f"{m}:{q.split('.')[0]}"
-              for m, q in re.findall(r'"(\w+):([\w.]+)"', targets)}
+    ``"module:qualname"`` string in ``targets`` names; then the methods and
+    properties of their classes, public and private, as
+    ``"module:Class.name"``, that no attribute load in ``modules`` or
+    ``readers`` outside their own ``def`` reads and no target names.
+
+    An attribute of np, math or mpmath never reads a package name, and a
+    method is never read by a bare name: a builtin call ``reversed(x)`` or a
+    local variable ``tau`` leaves the methods of those names unread.  Two
+    cases are out of the guard's reach.  An operator dunder is called by its
+    operator (``a + b`` calls ``__add__``, ``s(x)`` calls ``__call__``), which
+    names no attribute, so a dunder in use reads as unread; the constructor
+    hooks in ``HOOKS`` are not checked.  A class-body alias
+    (``__rmul__ = __mul__``) is not itself checked, and it reads its target.
+    """
+    traced = set(re.findall(r'"(\w+:[\w.]+)"', targets))
+    traced |= {t.split(".")[0] for t in traced}
     read = set().union(*(_names_read(ast.parse(r)) for r in readers))
-    public, statements = [], []
+    loads = sum((_attributes_read(ast.parse(r)) for r in readers), Counter())
+    public, statements, methods = [], [], []
     for module, source in modules.items():
-        for node in ast.parse(source).body:
+        tree = ast.parse(source)
+        loads += _attributes_read(tree)
+        for node in tree.body:
             if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
                     and not node.name.startswith("_")):
                 public.append((module, node))
             statements.append((node, _names_read(node)))
-    return sorted(f"{m}:{d.name}" for m, d in public
-                  if d.name not in read and f"{m}:{d.name}" not in traced
-                  and not any(d.name in names for node, names in statements
-                              if node is not d))
+            if isinstance(node, ast.ClassDef):
+                aliased = {a.value.id for a in node.body
+                           if isinstance(a, ast.Assign) and isinstance(a.value, ast.Name)}
+                methods += [(module, node.name, d, aliased) for d in node.body
+                            if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            and d.name not in HOOKS]
+    unread = [f"{m}:{d.name}" for m, d in public
+              if d.name not in read and f"{m}:{d.name}" not in traced
+              and not any(d.name in names for node, names in statements
+                          if node is not d)]
+    unread += [f"{m}:{c}.{d.name}" for m, c, d, aliased in methods
+               if loads[d.name] == _attributes_read(d)[d.name]
+               and d.name not in aliased and f"{m}:{c}.{d.name}" not in traced]
+    return sorted(unread)
 
 
 def test_guard_flags_an_unread_public_name():
@@ -174,7 +223,44 @@ def test_guard_flags_an_unread_public_name():
     assert unread_public_names(modules, readers, targets) == [
         "a:dead", "b:traced_elsewhere"]
     assert unread_public_names(modules, [], "") == [
-        "a:Traced", "a:dead", "b:tested", "b:traced_elsewhere"]
+        "a:Traced", "a:Traced.value", "a:dead", "b:tested", "b:traced_elsewhere"]
+
+
+def test_guard_flags_an_unread_method():
+    modules = {"a": "class S:\n"
+                    "    def __post_init__(self):\n        self._own()\n"
+                    "    def _own(self):\n        return self\n"
+                    "    @property\n    def size(self):\n        return 1\n"
+                    "    def __add__(self, other):\n        return self\n"
+                    "    def __mul__(self, k):\n        return self\n"
+                    "    __rmul__ = __mul__\n"
+                    "    def traced(self):\n        return 2\n"
+                    "    def tested(self):\n        return 3\n"
+                    "    def dead(self):\n        return 4\n",
+               "b": "from .a import S\n"
+                    "def api(s):\n    return s.size\n"}
+    readers = ["from roughmax import api\napi(S()).tested()\n"]
+    targets = 'STEMS = {"x": ("a:S.traced",)}\n'
+    # a used operator dunder reads as unread: ``a + b`` names no attribute
+    assert unread_public_names(modules, readers, targets) == ["a:S.__add__", "a:S.dead"]
+    assert unread_public_names(modules, [], "") == [
+        "a:S.__add__", "a:S.dead", "a:S.tested", "a:S.traced", "b:api"]
+
+
+@pytest.mark.parametrize("source, flagged", [
+    ("def convolve(a, b):\n    return a\n"
+     "def api(a, b):\n    return np.convolve(a, b)\n", "a:convolve"),
+    ("class S:\n    def reversed(self):\n        return self\n"
+     "def api(items):\n    return S(), reversed(items)\n", "a:S.reversed"),
+    ("class P:\n    def tau(self):\n        return 1\n"
+     "    def _tau(self):\n        return 2\n"
+     "def api(p):\n    tau = p._tau()\n    return P(), tau\n", "a:P.tau"),
+    ("class W:\n    def walk(self, n):\n        return self.walk(n - 1) if n else 0\n"
+     "def api():\n    return W()\n", "a:W.walk"),
+], ids=["np-attribute", "builtin-call", "local-variable", "own-body"])
+def test_guard_sees_past_a_name_collision(source, flagged):
+    modules = {"a": source, "b": "from .a import api\n"}
+    assert unread_public_names(modules, [], "") == [flagged]
 
 
 # public names that only tests read, each kept for the reason given
