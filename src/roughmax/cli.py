@@ -28,6 +28,7 @@ from .expsum import min_norm_sweep, ratio_sweep
 from .growth import GrowthFunction, Variant, build_aux_report, make_growth
 from .kernel import Normalization, decomposition_reports
 from .maximal import (
+    _cover_counts,
     build_scale_family,
     cz_decompose,
     default_lambda_grid,
@@ -317,6 +318,20 @@ def _read_input_signal(path: str) -> dict:
     return values
 
 
+def _reassembles(cz, values: dict) -> bool:
+    """Whether the good part plus the atoms give back ``values`` exactly.
+
+    Each point's value is added back once for the good mask and once for
+    every atom range that holds it, in the decomposition's scaled units, and
+    must come out as the point's own value; the points and values must be
+    the nonzero entries of ``values`` themselves.
+    """
+    copies = _cover_counts(cz.cubes, cz.positions.size) + ~cz.bad
+    return (np.array_equal(copies * cz.scaled, cz.scaled)
+            and dict(zip(cz.positions.tolist(), cz.values))
+            == {x: v for x, v in values.items() if v})
+
+
 def _cmd_cz(args):
     values = _read_input_signal(args.input)
     try:
@@ -331,10 +346,10 @@ def _cmd_cz(args):
             lines = [f"{x},{v}" for x, v in sorted(a.values.items())]
             (outdir / f"atom_{a.scale}_{a.index}.csv").write_text(
                 "\n".join(lines) + "\n", encoding="utf-8")
-    l1 = sum(values.values())
-    recon_ok = cz.reconstruction() == {x: v for x, v in values.items() if v != 0}
-    good_linf = max(cz.good.values()) if cz.good else Fraction(0)
-    rows = [[lam, len(cz.atoms), l1, cz.total_cube_size(), good_linf, recon_ok]]
+    good = cz.scaled[~cz.bad]
+    good_linf = Fraction(max(good) if good.size else 0, cz.denominator)
+    rows = [[lam, len(cz.cubes), Fraction(cz.total, cz.denominator),
+             cz.total_cube_size(), good_linf, _reassembles(cz, values)]]
     return (["lambda", "n_atoms", "l1", "sum_cube_sizes", "good_linf",
              "reconstruction_exact"], rows, {})
 

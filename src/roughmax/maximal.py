@@ -13,13 +13,17 @@ kernel through in fixed-size batches, so besides the accumulator only the
 transform, one batch and one scale's kernel are held.
 
 Decomposition arithmetic runs on whatever number type the input carries:
-exact Fractions (or ints) stay exact end to end, floats stay floats.
+exact Fractions (or ints) stay exact end to end, on integers scaled by the
+lcm of the denominators, and floats stay floats.  A decomposition is held as
+arrays over the sorted input: the selected cubes are index ranges into it
+and the bad part a mask, and the per-atom dicts are built only when read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Mapping
 
@@ -168,19 +172,51 @@ class CZAtom:
         return sum(abs(v) for v in self.values.values())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CZDecomposition:
     """Splitting at a height: good part bounded by twice the height, plus
     atoms on pairwise disjoint dyadic cubes carrying the heavy mass.
 
-    ``good`` lists positions in ascending order.  ``atoms`` come in the order
-    the tree walk selects them: scale descending, then cube index ascending.
+    It is stored as arrays over the nonzero input, sorted by position:
+    ``positions`` (int64), the input ``values`` themselves, and ``scaled``,
+    the values times ``denominator`` D as an object array (exact ints when
+    the height and every value are ints or Fractions; else D = 1 and the
+    values as given), with ``total`` their sum, added left to right.  Row k
+    of ``cubes`` is the k-th selected cube as (scale, index, lo, hi): it
+    holds the points lo..hi-1.  ``bad`` marks the points of selected cubes.
+
+    ``atoms``, ``good`` and ``index_set`` are views built from the arrays on
+    first read.  ``good`` lists positions in ascending order.  ``atoms``
+    (like the rows of ``cubes``) come in the order the tree walk selects
+    them: scale descending, then cube index ascending.
     """
 
     height: object
-    good: dict
-    atoms: tuple
-    index_set: frozenset
+    positions: np.ndarray
+    values: list
+    scaled: np.ndarray
+    denominator: int
+    total: object
+    cubes: np.ndarray
+    bad: np.ndarray
+
+    def _atoms(self, rows) -> tuple:
+        keys, vals = self.positions.tolist(), self.values
+        return tuple(CZAtom(s, j, dict(zip(keys[a:b], vals[a:b])))
+                     for s, j, a, b in self.cubes[rows].tolist())
+
+    @cached_property
+    def atoms(self) -> tuple:
+        return self._atoms(slice(None))
+
+    @cached_property
+    def good(self) -> dict:
+        keys, vals = self.positions.tolist(), self.values
+        return {keys[t]: vals[t] for t in np.flatnonzero(~self.bad).tolist()}
+
+    @cached_property
+    def index_set(self) -> frozenset:
+        return frozenset(map(tuple, self.cubes[:, :2].tolist()))
 
     def reconstruction(self) -> dict:
         total = dict(self.good)
@@ -192,17 +228,17 @@ class CZDecomposition:
         return {x: v for x, v in total.items() if v != 0}
 
     def total_cube_size(self) -> int:
-        return sum(1 << a.scale for a in self.atoms)
+        return sum(1 << s for s in self.cubes[:, 0].tolist())
 
     def atoms_at_scale(self, s: int) -> list:
-        return [a for a in self.atoms if a.scale == s]
+        return list(self._atoms(self.cubes[:, 0] == s))
 
 
 def _as_value_map(f) -> dict:
     if isinstance(f, Signal):
         return f.to_dict()
     if isinstance(f, Mapping):
-        return {int(x): v for x, v in f.items() if v != 0}
+        return {int(x): v for x, v in f.items()}
     raise ValidationError(f"cannot decompose a {type(f).__name__}")
 
 
@@ -222,36 +258,46 @@ def cz_decompose(f, height) -> CZDecomposition:
     children that become atoms; the others descend.  When the height and
     every value are ints or Fractions, all of them are first multiplied by D,
     the lcm of their denominators, so prefix sums and thresholds are exact
-    Python ints of any size.  With any float, D = 1 and the prefix sums add
-    the values left to right in their own arithmetic.  Positions must lie in
-    [-2^63, 2^63).
+    Python ints of any size, and the zero and sign checks read those ints.
+    With any float, D = 1 and the prefix sums add the values left to right
+    in their own arithmetic.  Positions must lie in [-2^63, 2^63).
+
+    A selected cube is kept as its scale, index and range of sorted points;
+    no per-atom dict is built until ``atoms`` or ``good`` is read.
     """
     values = _as_value_map(f)
-    if not values:
-        raise DegenerateError("cannot decompose the zero input")
-    if any(v < 0 for v in values.values()):
-        raise ValidationError("decomposition input must be nonnegative")
     lam = height
+    keys = sorted(values)
+    vals = [values[x] for x in keys]
+    if all(issubclass(t, (int, Fraction)) for t in {type(lam), *map(type, vals)}):
+        ratios = [v.as_integer_ratio() for v in vals]
+        d = math.lcm(lam.denominator, *{q for _, q in ratios})
+        scaled = [p * (d // q) for p, q in ratios]
+        lam_d = lam.numerator * (d // lam.denominator)
+    else:
+        d, scaled, lam_d = 1, vals, lam
+    if 0 in scaled:
+        nonzero = [t for t, v in enumerate(scaled) if v != 0]
+        keys = [keys[t] for t in nonzero]
+        vals = [vals[t] for t in nonzero]
+        scaled = [scaled[t] for t in nonzero]
+    if not keys:
+        raise DegenerateError("cannot decompose the zero input")
+    if any(v < 0 for v in scaled):
+        raise ValidationError("decomposition input must be nonnegative")
     if lam <= 0:
         raise ValidationError(f"height {lam} must be positive")
-    keys = sorted(values)
     if keys[0] < -(1 << 63) or keys[-1] >= 1 << 63:
         raise ValidationError(
             f"positions must lie in [-2^63, 2^63), got {keys[0]}..{keys[-1]}")
 
     n = len(keys)
     xs = np.array(keys, dtype=np.int64)
-    vals = [values[x] for x in keys]
-    if all(isinstance(v, (int, Fraction)) for v in (lam, *vals)):
-        d = math.lcm(lam.denominator, *{v.denominator for v in vals})
-        scaled = [v.numerator * (d // v.denominator) for v in vals]
-        lam_d = lam.numerator * (d // lam.denominator)
-    else:
-        scaled, lam_d = vals, lam
+    scaled = np.array(scaled, dtype=object)
     # prefix[i] = D * sum of vals[:i], added left to right
     prefix = np.empty(n + 1, dtype=object)
     prefix[0] = 0
-    np.cumsum(np.array(scaled, dtype=object), out=prefix[1:])
+    np.cumsum(scaled, out=prefix[1:])
 
     # Root cubes: dyadic cubes anchored at 0 never straddle it, so a support
     # touching both sides needs one root per side.  The scale is grown until
@@ -263,8 +309,7 @@ def cz_decompose(f, height) -> CZDecomposition:
     split = int(np.searchsorted(xs, 0))
     # an empty root only has empty children, which the walk drops
     j, lo, hi = np.array([-1, 0]), np.array([0, split]), np.array([split, n])
-    atoms = []
-    bad = np.zeros(n, dtype=bool)
+    selected = [np.empty((0, 4), dtype=np.int64)]
     while s > 0 and j.size:
         s -= 1
         if s < 63:
@@ -279,16 +324,22 @@ def cz_decompose(f, height) -> CZDecomposition:
         keep = lo < hi
         j, lo, hi = j[keep], lo[keep], hi[keep]
         heavy = prefix[hi] - prefix[lo] > lam_d * (1 << s)
-        for c, a, b in zip(j[heavy].tolist(), lo[heavy].tolist(),
-                           hi[heavy].tolist()):
-            atoms.append(CZAtom(s, c, dict(zip(keys[a:b], vals[a:b]))))
-            bad[a:b] = True
+        selected.append(np.stack((np.full(j.size, s), j, lo, hi), axis=1)[heavy])
         light = ~heavy
         j, lo, hi = j[light], lo[light], hi[light]
 
-    good = {keys[t]: vals[t] for t in np.flatnonzero(~bad).tolist()}
-    return CZDecomposition(lam, good, tuple(atoms),
-                           frozenset((a.scale, a.index) for a in atoms))
+    cubes = np.concatenate(selected)
+    return CZDecomposition(lam, xs, vals, scaled, d, prefix[n], cubes,
+                           _cover_counts(cubes, n) > 0)
+
+
+def _cover_counts(cubes: np.ndarray, n: int) -> np.ndarray:
+    """How many of the ranges lo..hi-1 in the rows of ``cubes`` hold each of
+    the points 0..n-1: +1 at each start and -1 past each end, summed."""
+    edges = np.zeros(n + 1, dtype=np.int64)
+    np.add.at(edges, cubes[:, 2], 1)
+    np.add.at(edges, cubes[:, 3], -1)
+    return np.cumsum(edges[:n])
 
 
 # ---------------------------------------------------------------------------
@@ -321,10 +372,15 @@ def _exact_mean(total, size: int):
 
 def refine_bad_part(cz: CZDecomposition, s: int, n: int,
                     family: ScaleFamily) -> RefinedBadPart:
-    """Split the scale-s bad part against the support count at family scale n."""
+    """Split the scale-s bad part against the support count at family scale n.
+
+    Big_b and the cube means are written at every point of each cube, so a
+    cube wider than ``signals.MAX_SUPPORT`` is refused before any is built.
+    """
     atoms = cz.atoms_at_scale(s)
     if not atoms:
         raise RangeError(f"no atoms at cube scale {s}")
+    signals._check_size(1 << s, f"bad-part cube width 2^{s}")
     d_n = family.d[family.scale_index(n)]
     thr = cz.height * d_n
 

@@ -2,6 +2,7 @@ import os
 import resource
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,19 @@ def values_at(s, x):
     out = np.zeros(i.shape)
     out[inside] = s.values[i[inside]]
     return float(out) if out.ndim == 0 else out
+
+
+def cz_rows(rng):
+    """16,000 nonnegative exact-rational ``(x, value)`` rows on both sides of
+    0, drawn from the ``random.Random`` ``rng`` as the benchmark's
+    ``averages`` workload draws the rows of its ``cz`` input."""
+    xs = sorted(rng.sample(range(-(1 << 19), 1 << 19), 16000))
+    return [(x, Fraction(rng.randint(1, 60), rng.randint(1, 12))) for x in xs]
+
+
+def cz_csv(rows) -> str:
+    """The ``x,value`` CSV text of ``rows``, as ``cz --input`` reads it."""
+    return "x,value\n" + "".join(f"{x},{v}\n" for x, v in rows)
 
 
 @pytest.fixture(scope="session")

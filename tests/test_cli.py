@@ -1,5 +1,6 @@
 """Command-line behavior: grammar, outputs, determinism, exit codes."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -11,7 +12,8 @@ import numpy as np
 import pytest
 
 import roughmax
-from roughmax import ValidationError, Variant, build_aux_report
+from conftest import cz_csv, cz_rows
+from roughmax import ValidationError, Variant, build_aux_report, cli, maximal
 from roughmax.cli import (
     EXIT_NUMERIC,
     EXIT_VALIDATION,
@@ -347,6 +349,88 @@ def test_cz_table_and_atom_bytes_are_pinned(tmp_path):
     for name in names:
         digest.update(name.encode() + b"\n" + (atoms / name).read_bytes())
     assert (len(names), digest.hexdigest()) == CZ_PINNED_ATOMS
+
+
+# sha256 of the cz table, and the count and sha256 of the --emit-atoms files
+# (each file's name, a newline and its bytes, in name order), at height 3/2
+# on the 16,000-row inputs the benchmark's averages workload writes for seeds
+# 1-3; recorded from the decomposition that built every atom dict in its walk
+CZ_PINNED = {
+    1: ("d9991be8a2b6098f0848360f01c7cd2fe54c4004ecdff18ebddf80d2c5680131", 12769,
+        "ccc31e24e2128f095531644d09c4c9a2517c3924d4426d0df8509eac3c372b2b"),
+    2: ("c472b06218f893b44182e49f6a69799a36f0a2730a7ecdf4c6a94b7789eb5af8", 12760,
+        "125b473a727e5ea62165f784314ec157dd94b0615d2e7b802e00a135c157a342"),
+    3: ("ffdb94b80d199bebdf4aa8c5b39d62c12843775f68f00f2bd3065498b23ca53a", 12764,
+        "b84bfdff0bb4b5efaa7b96caadb7dbea5629bc595d66bc27ef8ff5d3ea21c7c7"),
+}
+
+
+def write_workload_cz_input(seed: int) -> None:
+    """cz-input.csv in the current directory, as the averages workload of
+    the given seed writes it: its two corpus seeds are drawn first."""
+    rng = random.Random(seed)
+    rng.randrange(1 << 31), rng.randrange(1 << 31)
+    Path("cz-input.csv").write_text(cz_csv(cz_rows(rng)), encoding="utf-8")
+
+
+def run_cz(*extra) -> dict:
+    """cz at height 3/2 on cz-input.csv in the current directory; its row."""
+    assert run_cli("cz", "--input", "cz-input.csv", "--height", "3/2",
+                   "--out", "cz.csv", *extra) == 0
+    header, row = Path("cz.csv").read_text().splitlines()[-2:]
+    return dict(zip(header.split(","), row.split(",")))
+
+
+@pytest.mark.parametrize("seed", sorted(CZ_PINNED))
+def test_cz_bytes_on_the_benchmark_inputs_are_pinned(tmp_path, monkeypatch, seed):
+    monkeypatch.chdir(tmp_path)
+    write_workload_cz_input(seed)
+    run_cz("--emit-atoms", "atoms")
+    digest = hashlib.sha256()
+    names = sorted(p.name for p in Path("atoms").iterdir())
+    for name in names:
+        digest.update(name.encode() + b"\n" + (Path("atoms") / name).read_bytes())
+    assert (hashlib.sha256(Path("cz.csv").read_bytes()).hexdigest(), len(names),
+            digest.hexdigest()) == CZ_PINNED[seed]
+
+
+@pytest.mark.parametrize("fault", ["none", "overlap", "missing"])
+def test_cz_reconstruction_reads_0_on_a_broken_split(tmp_path, monkeypatch, fault):
+    monkeypatch.chdir(tmp_path)
+    write_workload_cz_input(1)
+    decompose = cli.cz_decompose
+
+    def broken(values, lam):
+        cz = decompose(values, lam)
+        cubes = cz.cubes.copy()
+        # an atom whose range ends before the last point
+        k = int(np.flatnonzero(cubes[:, 3] < cz.positions.size)[0])
+        if fault == "overlap":
+            cubes[k, 3] += 1                  # it also takes the next point
+        elif fault == "missing":
+            cubes = np.delete(cubes, k, axis=0)  # its points are in no range
+        return dataclasses.replace(cz, cubes=cubes)
+
+    monkeypatch.setattr(cli, "cz_decompose", broken)
+    assert run_cz()["reconstruction_exact"] == ("1" if fault == "none" else "0")
+
+
+def test_cz_builds_no_atom_and_adds_no_fraction_unless_atoms_are_emitted(
+        tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_workload_cz_input(2)
+    built, added = [], []
+    atom = maximal.CZAtom
+    monkeypatch.setattr(maximal, "CZAtom", lambda *a: built.append(a) or atom(*a))
+    for name in ("__add__", "__radd__"):
+        op = getattr(Fraction, name)
+        monkeypatch.setattr(Fraction, name,
+                            lambda a, b, op=op: added.append(b) or op(a, b))
+    row = run_cz()
+    assert (len(built), len(added), row["l1"]) == (0, 0, "1736982959/13860")
+    # the counters see the atoms when they are read
+    assert run_cz("--emit-atoms", "atoms") == row
+    assert (len(built), len(added)) == (int(row["n_atoms"]), 0)
 
 
 def test_cz_refuses_a_position_past_int64(tmp_path, capsys):

@@ -272,6 +272,8 @@ UNREAD_PUBLIC_KEPT = {
     "kernel:autocorrelation": "the full-grid oracle for decomposition_report's "
                               "half-lag sups",
     "cli:parse_meta": "reads a table's header back for the config round-trip test",
+    "maximal:CZDecomposition.index_set": "the selected-cube set the stopping-time "
+                                         "tests compare with the stack reference",
 }
 
 

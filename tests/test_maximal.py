@@ -5,6 +5,8 @@ asserted with equality; the float path is exercised separately at 1e-12.
 """
 
 import math
+import random
+import time
 import tracemalloc
 import weakref
 from fractions import Fraction
@@ -12,8 +14,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import values_at
+from conftest import cz_rows, values_at
 from roughmax import (
+    CZAtom,
     DegenerateError,
     InsufficientDataError,
     Normalization,
@@ -288,9 +291,10 @@ def test_maximal_refuses_a_long_transform(fam102, monkeypatch):
 
 def test_every_size_refusal_names_the_cap_it_checks(fam102, s102_16, phi102,
                                                     monkeypatch):
-    # each of the six size checks, under a cap of 64 that every probe exceeds
+    # each of the seven size checks, under a cap of 64 that every probe exceeds
     monkeypatch.setattr(signals, "MAX_SUPPORT", 64)
     wide, narrow = Signal(0, np.ones(40)), Signal(0, np.ones(17))
+    cz = cz_decompose({0: 1, 100: 1}, Fraction(1, 256))   # one atom, at scale 8
     probes = {
         "convolution output support 79": lambda: convolve(wide, wide),
         "overlap-save transform length 128": lambda: convolve(narrow, narrow, "fast"),
@@ -298,6 +302,7 @@ def test_every_size_refusal_names_the_cap_it_checks(fam102, s102_16, phi102,
         "kernel support": lambda: build_kernel(s102_16, 1 << 10),
         "G_N window": lambda: gn_profile(phi102, 1 << 10),
         "maximal-function support": lambda: maximal_function(fam102, Signal.delta(0)),
+        "bad-part cube width 2\\^8": lambda: refine_bad_part(cz, 8, 8, fam102),
     }
     for lead, probe in probes.items():
         with pytest.raises(SignalSizeError, match=lead) as exc:
@@ -552,6 +557,98 @@ def test_cz_root_scale_above_63():
     assert cz.reconstruction() == f
 
 
+def eager_decomposition(values, lam):
+    """(good, atoms) as the walk once built them: every atom dict made when
+    its cube is selected, the good dict from the mask after the walk.  Kept
+    as the reference for the views of the array-backed decomposition."""
+    keys = sorted(values)
+    n = len(keys)
+    xs = np.array(keys, dtype=np.int64)
+    vals = [values[x] for x in keys]
+    if all(isinstance(v, (int, Fraction)) for v in (lam, *vals)):
+        d = math.lcm(lam.denominator, *{v.denominator for v in vals})
+        scaled = [v.numerator * (d // v.denominator) for v in vals]
+        lam_d = lam.numerator * (d // lam.denominator)
+    else:
+        scaled, lam_d = vals, lam
+    prefix = np.empty(n + 1, dtype=object)
+    prefix[0] = 0
+    np.cumsum(np.array(scaled, dtype=object), out=prefix[1:])
+    s = 0
+    while (prefix[n] > lam_d * (1 << s)
+           or (keys[0] >> s) < -1 or (keys[-1] >> s) > 0):
+        s += 1
+    split = int(np.searchsorted(xs, 0))
+    j, lo, hi = np.array([-1, 0]), np.array([0, split]), np.array([split, n])
+    atoms = []
+    bad = np.zeros(n, dtype=bool)
+    while s > 0 and j.size:
+        s -= 1
+        if s < 63:
+            mid = np.searchsorted(xs, (2 * j + 1) << s)
+        else:
+            mid = np.where(j < 0, lo, hi)
+        j = np.stack((2 * j, 2 * j + 1), axis=1).ravel()
+        lo = np.stack((lo, mid), axis=1).ravel()
+        hi = np.stack((mid, hi), axis=1).ravel()
+        keep = lo < hi
+        j, lo, hi = j[keep], lo[keep], hi[keep]
+        heavy = prefix[hi] - prefix[lo] > lam_d * (1 << s)
+        for c, a, b in zip(j[heavy].tolist(), lo[heavy].tolist(),
+                           hi[heavy].tolist()):
+            atoms.append(CZAtom(s, c, dict(zip(keys[a:b], vals[a:b]))))
+            bad[a:b] = True
+        light = ~heavy
+        j, lo, hi = j[light], lo[light], hi[light]
+    good = {keys[t]: vals[t] for t in np.flatnonzero(~bad).tolist()}
+    return good, tuple(atoms)
+
+
+def views_case(kind):
+    rng = np.random.default_rng(sum(map(ord, kind)))
+    if kind == "fractions":
+        return dict(cz_rows(random.Random(5))), Fraction(3, 2)
+    if kind == "ints":
+        xs = rng.integers(-5000, 5000, 3000)
+        return {int(x): int(rng.integers(1, 6)) for x in xs}, 2
+    if kind == "floats":
+        xs = rng.integers(-5000, 5000, 3000)
+        return {int(x): float(rng.uniform(0.05, 9.0)) for x in xs}, 2.0
+    # clusters just inside +-2^62 and around 0; the heavy point at the low
+    # end makes the negative side one atom of scale 62 or more
+    xs = np.concatenate([(1 << 62) - 1 - rng.integers(0, 1 << 12, 300),
+                         -(1 << 62) + rng.integers(0, 1 << 12, 300),
+                         rng.integers(-300, 300, 100)])
+    f = {int(x): Fraction(int(rng.integers(1, 60)), int(rng.integers(1, 12)))
+         for x in xs}
+    f[min(f)] = 2 ** 70
+    return f, Fraction(3, 2)
+
+
+@pytest.mark.parametrize("kind", ["fractions", "ints", "floats", "near-2^62"])
+def test_cz_views_match_the_eager_decomposition(kind):
+    f, lam = views_case(kind)
+    good, atoms = eager_decomposition(f, lam)
+    cz = cz_decompose(f, lam)
+    assert len(atoms) > 10 and len(good) > 10
+    assert type(cz.atoms) is tuple and cz.atoms == atoms
+    assert all(type(a) is CZAtom and type(a.scale) is int and type(a.index) is int
+               and all(type(x) is int for x in a.values) for a in cz.atoms)
+    assert type(cz.good) is dict and list(cz.good.items()) == list(good.items())
+    assert all(type(x) is int for x in cz.good)
+    # the values are the input's own objects
+    assert all(cz.good[x] is f[x] for x in cz.good)
+    assert type(cz.index_set) is frozenset
+    assert cz.index_set == {(a.scale, a.index) for a in atoms}
+    assert cz.total_cube_size() == sum(1 << a.scale for a in atoms)
+    scales = {a.scale for a in atoms}
+    for s in scales | {min(scales) - 1, max(scales) + 1}:
+        at_s = cz.atoms_at_scale(s)
+        assert type(at_s) is list and at_s == [a for a in atoms if a.scale == s]
+    if kind == "near-2^62":
+        assert max(scales) >= 62
+
+
 # ---------------------------------------------------------------------------
 # refinement
 # ---------------------------------------------------------------------------
@@ -617,6 +714,26 @@ def test_refinement_requires_atoms(fam102):
     cz = cz_decompose({x: 1 for x in range(16)}, 2)
     with pytest.raises(RangeError):
         refine_bad_part(cz, 0, 8, fam102)
+
+
+def test_refinement_refuses_a_cube_past_max_support_at_once(run_limited):
+    # one atom on the cube [0, 2^45): refining it once walked every point of
+    # the cube twice and never returned; it is refused before the walk.  The
+    # child runs under run_limited's timeout, so a regression fails the test
+    code = ("from fractions import Fraction\n"
+            "from roughmax import *\n"
+            "fam = build_scale_family(generate(make_growth('pure', 1.02), 1 << 16), 8, 13)\n"
+            "cz = cz_decompose({0: 1, 2**40: 1}, Fraction(1, 2**45))\n"
+            "assert [(a.scale, a.index) for a in cz.atoms] == [(45, 0)]\n"
+            "try:\n"
+            "    refine_bad_part(cz, 45, 8, fam)\n"
+            "except SignalSizeError as exc:\n"
+            "    print(exc)\n")
+    t0 = time.monotonic()
+    proc = run_limited("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"bad-part cube width 2^45 exceeds MAX_SUPPORT = {1 << 30}\n"
+    assert time.monotonic() - t0 < 30
 
 
 def test_refinement_threshold_and_cube_exponent(fam102):
