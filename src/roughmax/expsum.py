@@ -82,6 +82,25 @@ def _window(n: int, x: int) -> tuple[float, float]:
     return n1, n2
 
 
+def _window_size(n: int, x: int) -> int:
+    """The number of integer points in (N_1, N_2], <= 0 for an empty window,
+    counted in exact integers, so no float is formed from N or x."""
+    return 4 * n - max(x, 0) - (n - 2 * min(x, 0)) // 2
+
+
+def _check_window(n: int, x: int) -> None:
+    """Refuse a window (N_1, N_2] of more than ``signals.MAX_SUPPORT`` points,
+    before any float is formed from a scale that may lie past the float
+    range."""
+    size = _window_size(n, x)
+    if n < 1 << 64:
+        what = f"phase-sum window {size} at N = {n}"
+    else:   # hundreds of digits: their binary orders say as much
+        what = (f"phase-sum window of over 2^{int(size).bit_length() - 1} "
+                f"points at N >= 2^{n.bit_length() - 1}")
+    signals._check_size(size, what)
+
+
 def _window_range(n: int, x: int, n_prime: float | None) -> tuple[int, int, float]:
     """(lo, hi, N'): the integer points lo..hi of (N_1, N'], N' default N_2.
 
@@ -207,8 +226,7 @@ def min_norm_sum(phi: InverseFunction, n: int, x: int, m_terms: int,
         raise ValidationError(f"M = {m_terms} must be >= 2")
     if p not in (0, 1) or q not in (0, 1):
         raise ValidationError("shift selectors p, q must lie in {0, 1}")
-    n1, n2 = _window(n, x)
-    if n1 >= n2:
+    if _window_size(n, x) <= 0:
         return 0.0, _min_norm_bound(phi, n, m_terms)
     ns, _ = _validate_window(n, x, None)
     terms = np.empty_like(ns)
@@ -272,6 +290,10 @@ def ratio_sweep(phi: InverseFunction, mode: str, m: int, k_lo: int, k_hi: int,
     scales = []     # (N, x, phi(N)) per scale, each window checked first
     for k in range(k_lo, k_hi + 1):
         n = 1 << k
+        # counted in integers before phi(N) is formed; x of mode "two" is the
+        # ceiling of a finite float, so under 2^1024, and a window only
+        # shrinks as x grows, so its size at x = 2^1024 is a lower bound
+        _check_window(n, 0 if mode == "single" else 1 << 1024)
         phin = None if mode == "single" else float(phi.value(float(n)))
         x = 0 if phin is None else int(math.ceil(phin ** kappa))
         _window_range(n, x, None)
@@ -295,15 +317,13 @@ def min_norm_sweep(phi: InverseFunction, x: int, m_terms: int | None, k_lo: int,
     """``min_norm_sum`` (p = q = 0) at each dyadic N = 2^k, as (actual, bound).
 
     M is ``m_terms``, or isqrt(N) when it is None, and at least 2.  The
-    scales run as in ``ratio_sweep``: every nonempty window is checked
-    against ``signals.MAX_SUPPORT`` first, then ``util.map_scales`` runs one
+    scales run as in ``ratio_sweep``: every window is checked against
+    ``signals.MAX_SUPPORT`` first, then ``util.map_scales`` runs one
     task per scale on up to ``workers`` threads.
     """
     scales = [1 << k for k in range(k_lo, k_hi + 1)]
     for n in scales:
-        n1, n2 = _window(n, x)
-        if n1 < n2:
-            _window_range(n, x, None)
+        _check_window(n, x)
 
     def task(n):
         m = math.isqrt(n) if m_terms is None else m_terms

@@ -4,7 +4,11 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -103,6 +107,73 @@ def test_seqset_emit_bytes_are_one_join_over_the_set(tmp_path, monkeypatch):
     assert run_cli("seqset", "--h", "powerlog:1.0:1.0:1.0", "--nmax", "15",
                    "--out", str(tmp_path / "counts.csv"), "--emit", str(emit)) == 0
     assert emit.read_bytes() == b"\n"
+
+
+def percent_lines(values) -> bytes:
+    return "".join("%d\n" % v for v in values).encode()
+
+
+def test_decimal_lines_match_a_percent_format():
+    # 10^k - 1, 10^k and 10^k + 1 for every digit count from 1 to 19, then
+    # 2^62 and the largest int64
+    edges = sorted({1, 2, 9, *(10 ** k + d for k in range(1, 19) for d in (-1, 0, 1)),
+                    1 << 62, (1 << 63) - 1})
+    assert sorted({len(str(v)) for v in edges}) == list(range(1, 20))
+    values = np.array(edges, dtype=np.int64)
+    assert cli._decimal_lines(values) == percent_lines(edges)
+    # slices that start and end inside width runs, and one-element slices
+    for lo, hi in ((3, 40), (5, 6), (0, 1), (len(edges) - 1, len(edges))):
+        assert cli._decimal_lines(values[lo:hi]) == percent_lines(edges[lo:hi])
+    # log-uniform, so every width holds many values
+    rng = np.random.default_rng(23)
+    drawn = np.sort((10 ** rng.uniform(0, 18.9, 4000)).astype(np.int64))
+    assert cli._decimal_lines(drawn) == percent_lines(drawn.tolist())
+
+
+def test_seqset_emit_slices_may_end_anywhere(tmp_path, monkeypatch):
+    # slices of 7 elements: most start or end inside a width run, and the
+    # ones at 10, 100, ... hold two widths
+    monkeypatch.setattr(roughmax.cli, "CHUNK", 7)
+    emit = tmp_path / "els.txt"
+    assert run_cli("seqset", "--h", "pure:1.5:1.0", "--nmax", str(1 << 14),
+                   "--out", str(tmp_path / "counts.csv"), "--emit", str(emit)) == 0
+    elements = roughmax.generate(parse_growth_spec("pure:1.5:1.0"), 1 << 14).elements
+    assert elements[-1] > 10_000 and elements.size % 7
+    assert emit.read_bytes() == percent_lines(elements.tolist())
+
+
+def test_seqset_emit_holds_one_slice(tmp_path, monkeypatch):
+    # the command is handed a set it already holds (799,004 elements, 6.1 MiB),
+    # so the peak is what writing it costs: 2.5 MiB measured, for one CHUNK
+    # slice; one % format per slice peaked at 5.6 MiB, and the text of the
+    # whole set would take 6.4 MB more
+    s = roughmax.generate(parse_growth_spec("pure:1.02:1.0"), 1 << 20)
+    monkeypatch.setattr(roughmax.cli, "generate", lambda g, n_max: s)
+    tracemalloc.start()
+    try:
+        assert run_cli("seqset", "--h", "pure:1.02:1.0", "--nmax", str(1 << 20),
+                       "--out", str(tmp_path / "counts.csv"),
+                       "--emit", str(tmp_path / "els.txt")) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, peak
+
+
+def test_seqset_and_growth_table_leave_numpy_ma_unimported(tmp_path):
+    # np.unique imports numpy.ma, 10-14 ms of a 19 ms growth-table run
+    code = ("import sys\nfrom roughmax import cli\n"
+            f"assert cli.main(['seqset', '--h', 'pure:1.5:1.0', '--nmax', '4096', "
+            f"'--out', {str(tmp_path / 's.csv')!r}, "
+            f"'--emit', {str(tmp_path / 'e.txt')!r}]) == 0\n"
+            f"assert cli.main(['growth-table', '--h', 'powerlog:1.3:1.0:1.0', "
+            f"'--kmin', '2', '--kmax', '6', '--out', {str(tmp_path / 'g.csv')!r}]) == 0\n"
+            "print('numpy.ma' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(roughmax.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_byte_identical_reruns_and_worker_independence(tmp_path):
@@ -537,6 +608,18 @@ def test_growth_table_refuses_an_empty_octave_range(tmp_path, capsys, kmax):
     assert "--kmin 5" in err and f"--kmax {kmax}" in err and "Traceback" not in err
 
 
+def test_growth_table_refuses_a_kmax_past_the_float_range(tmp_path, capsys):
+    # the grid ends at 2.0 ** kmax, which overflows from 1024 on: --kmax 1030
+    # died with an OverflowError traceback
+    out = tmp_path / "g.csv"
+    assert run_cli("growth-table", "--h", "pure:1.5:1.0", "--kmin", "1020",
+                   "--kmax", "1030", "--out", str(out)) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "--kmax 1030" in err and "at most 1023" in err and not out.exists()
+    assert run_cli("growth-table", "--h", "pure:1.5:1.0", "--kmin", "1020",
+                   "--kmax", "1023", "--out", str(out)) == 0
+
+
 def test_ergodic_empty_range_writes_the_header_only(tmp_path):
     p = tmp_path / "e.csv"
     assert run_cli("ergodic", "--h", "pure:1.02:1.0", "--system", "shift:7:3",
@@ -602,6 +685,18 @@ def test_expsum_refuses_an_oversized_window(tmp_path, run_limited):
                 run_limited, "expsum", "--h", "pure:1.02:1.0", "--bound", bound,
                 "--kmin", "12", "--kmax", "29", "--workers", workers,
                 "--out", str(tmp_path / f"{bound}-{workers}.csv"))
+
+
+@pytest.mark.parametrize("bound", ["single", "two", "minnorm"])
+def test_expsum_refuses_a_scale_past_the_float_range(tmp_path, capsys, bound):
+    # float(2^1030) overflows: the window is counted in integers and refused
+    # before any float is formed; it died with an OverflowError traceback
+    out = tmp_path / "e.csv"
+    assert run_cli("expsum", "--h", "pure:1.02:1.0", "--bound", bound,
+                   "--kmin", "1030", "--kmax", "1030", "--out", str(out)) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "N >= 2^1030" in err and f"exceeds MAX_SUPPORT = {1 << 30}" in err
+    assert not out.exists()
 
 
 def test_an_allocation_the_memory_limit_refuses_exits_2(tmp_path, run_limited):

@@ -209,6 +209,16 @@ def test_min_norm_reads_the_cutoff_once_per_point_at_x_0(phi105, monkeypatch):
     assert sizes == [window - 3] * 2
 
 
+@pytest.mark.parametrize("x", [-10 ** 400, 10 ** 400, -(7 * 256) // 2, 7 * 256 // 2],
+                         ids=["-1e400", "1e400", "-7N/2", "7N/2"])
+def test_min_norm_sum_of_an_empty_window_forms_no_float_of_x(phi105, x):
+    # x = -(7N/2) and 7N/2 empty the window (N/2 - min(x, 0), 4N - max(x, 0)];
+    # the sign of its size is taken in integers, so an x past the float range
+    # gives the empty sum too, where forming N/2 - x overflowed
+    assert min_norm_sum(phi105, 256, x, 4, 0, 0) == min_norm_sum(phi105, 256, 900, 4, 0, 0)
+    assert min_norm_sum(phi105, 256, x, 4, 0, 0)[0] == 0.0
+
+
 def traced_peak(fn, *args) -> int:
     """Peak bytes that ``fn(*args)`` allocates, by tracemalloc."""
     tracemalloc.start()
