@@ -172,8 +172,10 @@ def _parse_record(text: str) -> dict:
 # commands: each returns (columns, rows, results), and ``run`` writes the table
 # ---------------------------------------------------------------------------
 
-# the largest k with 2.0 ** k a finite float
+# the largest k with 2.0 ** k a finite float, and the smallest k whose
+# octave [2^k, 2^(k+1)] ends above 0 as a float
 _KMAX_FLOAT = sys.float_info.max_exp - 1
+_KMIN_FLOAT = sys.float_info.min_exp - sys.float_info.mant_dig - 1
 
 
 def _cmd_growth_table(args):
@@ -183,6 +185,10 @@ def _cmd_growth_table(args):
         raise ValidationError(f"--kmax {args.kmax} is past the float range: "
                               f"2^{args.kmax} overflows, so --kmax must be at "
                               f"most {_KMAX_FLOAT}")
+    if args.kmin < _KMIN_FLOAT:
+        raise ValidationError(f"--kmin {args.kmin} is past the float range: "
+                              f"2^{args.kmin + 1} underflows to 0, so --kmin must "
+                              f"be at least {_KMIN_FLOAT}")
     g = parse_growth_spec(args.h)
     phi = g.inverse()
     ys = np.sort(np.concatenate([

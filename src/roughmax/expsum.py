@@ -287,6 +287,9 @@ def ratio_sweep(phi: InverseFunction, mode: str, m: int, k_lo: int, k_hi: int,
     """
     if mode not in ("single", "two"):
         raise ValidationError(f"mode {mode!r} not in {{single, two}}")
+    # before x = ceil(phi(N)^kappa) is formed from it
+    if mode == "two" and not (0.0 <= kappa <= 1.0):
+        raise ValidationError(f"kappa = {kappa} outside [0, 1]")
     scales = []     # (N, x, phi(N)) per scale, each window checked first
     for k in range(k_lo, k_hi + 1):
         n = 1 << k

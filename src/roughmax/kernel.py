@@ -100,10 +100,13 @@ class Kernel:
         return self.signal.sum()
 
 
-def build_kernel(s: SequenceSet, n: int,
-                 normalization: Normalization = Normalization.COUNT_EXACT) -> Kernel:
-    """Kernel value eta(m/N)/norm at every set element m with eta(m/N) != 0;
-    norm is the count of elements up to N or ``s.phi`` at N."""
+def _kernel_points(s: SequenceSet, n: int,
+                   normalization: Normalization = Normalization.COUNT_EXACT
+                   ) -> tuple[np.ndarray, np.ndarray, float]:
+    """The kernel at scale N as points: the set elements m in
+    ``_support_window(n)`` (ascending int64), their values eta(m/N)/norm and
+    the norm.  The checks of ``build_kernel`` run here.  eta may underflow
+    to 0 at the window ends, so a value can be 0."""
     n = int(n)
     if 4 * n > s.n_max:
         raise RangeError(f"kernel at N = {n} needs n_max >= 4N, have {s.n_max}")
@@ -122,13 +125,21 @@ def build_kernel(s: SequenceSet, n: int,
         raise DegenerateError(f"no set elements in the support window of N = {n}")
     width = int(els[-1] - els[0] + 1)
     signals._check_size(width, f"kernel support {width} at N = {n}")
-    dense = np.zeros(width)
-    dense[els - els[0]] = vals
-    k = Kernel(n, normalization, norm, Signal._own(int(els[0]), dense), s)
-    total = k.mass()
+    total = float(vals.sum())
     if not (0.0 < total <= 8.0):
         raise DegenerateError(f"kernel mass {total} outside (0, 8]")
-    return k
+    return els, vals, norm
+
+
+def build_kernel(s: SequenceSet, n: int,
+                 normalization: Normalization = Normalization.COUNT_EXACT) -> Kernel:
+    """Kernel value eta(m/N)/norm at every set element m with eta(m/N) != 0;
+    norm is the count of elements up to N or ``s.phi`` at N.  The dense
+    window of ``_kernel_points``."""
+    els, vals, norm = _kernel_points(s, n, normalization)
+    dense = np.zeros(int(els[-1] - els[0] + 1))
+    dense[els - els[0]] = vals
+    return Kernel(int(n), normalization, norm, Signal._own(int(els[0]), dense), s)
 
 
 def autocorrelation(k: Kernel) -> Signal:

@@ -6,11 +6,14 @@ superlevel-set ratios, and structurally through the classical splitting of an
 input into a bounded good part plus atoms on disjoint dyadic cubes, refined
 per scale into an over-threshold piece, a mean-zero piece, and cube means.
 
-M f is one accumulator over supp f plus the scale windows, and each scale's
-kernel is built when its turn comes and folded into it.  Every input goes
-through ``signals._overlap_save``, which transforms f once and streams each
-kernel through in fixed-size batches, so besides the accumulator only the
-transform, one batch and one scale's kernel are held.
+M f is one accumulator over supp f plus the scale windows.  Each scale's
+kernel is read as points (its set elements and their weights, never a dense
+window) when its turn comes, and folded into the accumulator with a running
+max.  Every input goes through ``signals._overlap_save``, which transforms f
+once, fills each batch of segments straight from the points and skips the
+segments that hold none, so besides the accumulator only the transform of f,
+one batch's buffers and one scale's points are held.  The weak-type counts
+sort that accumulator in place.
 
 Decomposition arithmetic runs on whatever number type the input carries:
 exact Fractions (or ints) stay exact end to end, on integers scaled by the
@@ -37,7 +40,12 @@ from .errors import (
     RangeError,
     ValidationError,
 )
-from .kernel import Normalization, _support_window, build_kernel, decomposition_reports
+from .kernel import (
+    Normalization,
+    _kernel_points,
+    _support_window,
+    decomposition_reports,
+)
 from .seqset import SequenceSet, count
 from .signals import Signal
 from .util import log_spaced, loglog_slope
@@ -112,27 +120,35 @@ def build_scale_family(s: SequenceSet, n_lo: int, n_hi: int,
 # the maximal operator
 # ---------------------------------------------------------------------------
 
-def maximal_function(family: ScaleFamily, f: Signal) -> Signal:
-    """Pointwise max over the family scales of |K_n * f|, for nonnegative f.
+def _max_accumulator(family: ScaleFamily, f: Signal) -> tuple[int, np.ndarray]:
+    """(lo, acc): M f on lo, lo + 1, ... for f != 0, in an array the caller
+    owns.
 
     The max runs in one accumulator over supp f plus the scale windows,
-    refused before any kernel is built when wider than ``signals.MAX_SUPPORT``.
-    Cells no kernel output reaches stay zero and are trimmed away.
+    refused before any kernel is read when wider than ``signals.MAX_SUPPORT``.
+    Each scale's kernel is read as points when its turn comes and let go
+    before the next; cells no kernel output reaches stay zero.
     """
-    if f.is_zero:
-        return Signal.zero()
     if np.any(f.values < 0):
         raise ValidationError("the maximal operator is probed on nonnegative input")
     lo = f.offset + _support_window(family.scales[0])[0]
     hi = f.support[1] + _support_window(family.scales[-1])[1]
     signals._check_size(hi - lo + 1, f"maximal-function support {hi - lo + 1}")
     acc = np.zeros(hi - lo + 1)
-    kernels = (build_kernel(family.s, n, family.normalization).signal
+    kernels = (_kernel_points(family.s, n, family.normalization)[:2]
                for n in family.scales)
     for start, block in signals._overlap_save(f, kernels):
         seg = acc[start - lo:start - lo + block.size]
         np.maximum(seg, np.abs(block), out=seg)
-    return Signal._own(lo, acc)
+    return lo, acc
+
+
+def maximal_function(family: ScaleFamily, f: Signal) -> Signal:
+    """Pointwise max over the family scales of |K_n * f|, for nonnegative f:
+    the accumulator of ``_max_accumulator``, trimmed of its zero ends."""
+    if f.is_zero:
+        return Signal.zero()
+    return Signal._own(*_max_accumulator(family, f))
 
 
 def default_lambda_grid(family: ScaleFamily, f: Signal) -> np.ndarray:
@@ -146,7 +162,11 @@ def weak_type_profile(family: ScaleFamily, f: Signal, lambdas) -> list:
     """(height, count of M f > height, height * count / l1) for each height."""
     if f.is_zero:
         raise DegenerateError("weak-type profile needs a nonzero input")
-    mf = np.sort(maximal_function(family, f).values)
+    # the cells of maximal_function, sorted in place in the accumulator
+    acc = _max_accumulator(family, f)[1]
+    a, b = signals._nonzero_ends(acc)
+    mf = acc[a:b]
+    mf.sort()
     lams = np.asarray(lambdas, dtype=float)
     counts = mf.size - np.searchsorted(mf, lams, side="right")
     return list(zip(lams.tolist(), counts.tolist(),

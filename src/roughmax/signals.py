@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import SignalSizeError
 from .util import CHUNK
@@ -101,7 +100,8 @@ class Signal:
 def convolve(a: Signal, b: Signal, method: str = "direct") -> Signal:
     """Discrete convolution; ``direct`` is the multiply-add oracle, ``fast``
     the one-kernel case of ``_overlap_save``, with the narrower signal as f
-    and its blocks concatenated.  The two agree within 1e-9 per coefficient.
+    and the nonzeros of the other as the kernel's points, its blocks written
+    into a zero output.  The two agree within 1e-9 per coefficient.
     """
     if method not in ("direct", "fast"):
         raise ValueError(f"unknown convolution method {method!r}")
@@ -113,58 +113,123 @@ def convolve(a: Signal, b: Signal, method: str = "direct") -> Signal:
         v = np.convolve(a.values, b.values)
     else:
         f, k = sorted((a, b), key=lambda s: s.values.size)
-        v = np.concatenate([block for _, block in _overlap_save(f, (k,))])
+        nz = np.flatnonzero(k.values)
+        v = np.zeros(out_len)
+        origin = a.offset + b.offset
+        for start, block in _overlap_save(f, ((nz + k.offset, k.values[nz]),)):
+            v[start - origin:start - origin + block.size] = block
     return Signal._own(a.offset + b.offset, v)
 
 
-def _overlap_save(f: Signal, kernels: Iterable[Signal]
-                  ) -> Iterator[tuple[int, np.ndarray]]:
-    """f * k for each k in ``kernels``, as ``(position, block)`` pairs; f != 0.
+# Points per overlap-save batch.  Smaller batches hold a few MB less, but
+# then every transform maps pocketfft's scratch afresh: weaktype on pure:1.9
+# 16..24 with random:32:1 took 7.1-7.2 s and 1.0-1.1M minor faults with
+# 2^16- or 2^17-point batches, against 4.9-5.5 s and 26k with 2^18 (2 vCPU).
+BATCH = 1 << 18
 
-    ``block[i]`` is the convolution at ``position + i``; the blocks of one
-    kernel tile its output support left to right.  f is transformed once, at
-    the power of two L >= 4 * width(f).  Each kernel is cut into length-L
-    segments with step B = L - width(f) + 1, whose circular convolutions with
-    f each hold B linear outputs.  Segments go through the transform
-    ``max(1, CHUNK // L)`` at a time, so besides the transform of f only one
-    batch of about max(CHUNK, L) points is held, never a kernel-sized buffer,
-    and each kernel is let go before the next is read.  An L above
-    MAX_SUPPORT is refused before anything is allocated.
+
+def _overlap_save(f: Signal, kernels: Iterable[tuple[np.ndarray, np.ndarray]]
+                  ) -> Iterator[tuple[int, np.ndarray]]:
+    """f * k for each kernel k in ``kernels``, as ``(position, block)`` pairs;
+    f != 0.
+
+    A kernel is given as its points: ascending int64 ``positions`` and their
+    ``values``, zero values at either end dropped.  ``block[i]`` is the
+    convolution at ``position + i``; the blocks of one kernel come left to
+    right, and every output they leave out is exactly 0.  A block may be a
+    view of a buffer that the next batch overwrites.
+
+    f is transformed once, at the power of two L >= 4 * width(f).  The
+    kernel, zero outside its points, is cut into length-L segments with step
+    B = L - width(f) + 1, whose circular convolutions with f each hold B
+    linear outputs.  Segments go through the transform ``max(1, BATCH // L)``
+    at a time, each filled straight from the points that fall in it (found
+    by ``np.searchsorted``), so a segment gets the same array as if the
+    kernel were dense.  A segment that holds no point is skipped: its
+    convolution is 0.  Besides the transform of f, only one batch's segment,
+    spectrum and output buffers are held, allocated once per call, and the
+    caller's points.  An L above MAX_SUPPORT is refused before anything is
+    allocated.
     """
     w = f.values.size
     n = 1 << (4 * w - 1).bit_length()
     _check_size(n, f"overlap-save transform length {n}")
     step = n - w + 1
-    rows = max(1, CHUNK // n)
+    rows = max(1, BATCH // n)
     ff = np.fft.rfft(f.values, n)
-    for k in kernels:
-        kv = k.values
-        out_len = w + kv.size - 1
-        for first in range(0, out_len, rows * step):
-            count = min(rows, -(-(out_len - first) // step))
-            # the segments cover kernel indices [lo, hi), zero outside kv
-            lo = first - (w - 1)
-            hi = lo + (count - 1) * step + n
-            chunk = np.zeros(hi - lo)
-            a, b = max(lo, 0), min(hi, kv.size)
-            chunk[a - lo:b - lo] = kv[a:b]
-            segs = sliding_window_view(chunk, n)[::step]
-            y = np.fft.irfft(np.fft.rfft(segs, axis=1) * ff, n, axis=1)
-            block = y[:, w - 1:].reshape(-1)[:out_len - first]
-            yield f.offset + k.offset + first, block
-        del k, kv  # a lazily built next kernel is never alive beside this one
+    # the transforms write into these with out= (numpy >= 2.0): fresh arrays
+    # per batch are unmapped and faulted in again, batch after batch
+    segs = np.empty((rows, n))
+    spec = np.empty((rows, n // 2 + 1), dtype=complex)
+    outs = np.empty((rows, n))
+    for pos, vals in kernels:
+        a, b = _nonzero_ends(vals)
+        pos, vals = pos[a:b], vals[a:b]
+        # segment r covers the kernel from pos[0] - (w - 1) + r * step on and
+        # holds the outputs from pos[0] + r * step on
+        base = int(pos[0]) - (w - 1)
+        out_len = w + int(pos[-1]) - int(pos[0])
+        total = -(-out_len // step)
+        for r0 in range(0, total, rows):
+            count = min(rows, total - r0)
+            lo = base + r0 * step
+            i, j = np.searchsorted(pos, (lo, lo + (count - 1) * step + n))
+            if i == j:
+                continue
+            q, c = np.divmod(pos[i:j] - lo, step)
+            v = vals[i:j]
+            # a point at column c of row q lies at column c + B of row q - 1
+            # too when c < w - 1; q == count only for such a point
+            one = q < count
+            two = (c < w - 1) & (q > 0)
+            q1, q2 = q[one], q[two] - 1
+            held = np.zeros(count, dtype=bool)
+            held[q1] = True
+            held[q2] = True
+            rows_held = np.flatnonzero(held)
+            h = rows_held.size
+            slot = np.empty(count, dtype=np.intp)
+            slot[rows_held] = np.arange(h)
+            segs[:h] = 0.0
+            segs[slot[q1], c[one]] = v[one]
+            segs[slot[q2], c[two] + step] = v[two]
+            np.fft.rfft(segs[:h], axis=1, out=spec[:h])
+            np.multiply(spec[:h], ff, out=spec[:h])
+            np.fft.irfft(spec[:h], n, axis=1, out=outs[:h])
+            # one block per run of consecutive held rows
+            breaks = np.flatnonzero(np.diff(rows_held) != 1) + 1
+            for s, e in zip([0, *breaks.tolist()], [*breaks.tolist(), h]):
+                first = (r0 + int(rows_held[s])) * step
+                block = outs[s:e, w - 1:].reshape(-1)[:out_len - first]
+                yield int(pos[0]) + f.offset + first, block
+        # the first batch holds pos[0], so v is bound; with it let go, a
+        # lazily built next kernel is never alive beside this one
+        del pos, vals, v
 
 
 def _last_nonzero(v: np.ndarray) -> int:
-    """Index of the last nonzero entry of a nonempty v; -1 if there is none."""
-    i = v.size - 1 - int(np.argmax(v[::-1] != 0))
-    return i if v[i] != 0 else -1
+    """Index of the last nonzero entry of a nonempty v; -1 if there is none.
+
+    Searched in CHUNK blocks from the end, so no temporary outgrows a block."""
+    for hi in range(v.size, 0, -CHUNK):
+        nz = v[max(hi - CHUNK, 0):hi][::-1] != 0
+        i = int(np.argmax(nz))
+        if nz[i]:
+            return hi - 1 - i
+    return -1
 
 
 def _nonzero_ends(v: np.ndarray) -> tuple[int, int]:
-    """(first nonzero index, last nonzero index + 1) of v; (0, 0) if none."""
+    """(first nonzero index, last nonzero index + 1) of v; (0, 0) if none.
+
+    Searched in CHUNK blocks from each end, as ``_last_nonzero``."""
     hi = _last_nonzero(v) + 1 if v.size else 0
-    return (int(np.argmax(v != 0)) if hi else 0), hi
+    for lo in range(0, hi, CHUNK):
+        nz = v[lo:lo + CHUNK] != 0
+        i = int(np.argmax(nz))
+        if nz[i]:
+            return lo + i, hi
+    return 0, 0
 
 
 def _even_autocorrelation(v: np.ndarray, method: str = "fast", mass: bool = False):

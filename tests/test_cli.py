@@ -246,6 +246,48 @@ def test_weaktype_tables_are_pinned(tmp_path, config):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == WEAKTYPE_PINNED[config]
 
 
+def test_weaktype_never_builds_a_dense_kernel(tmp_path, monkeypatch):
+    # the maximal operator reads each kernel as points: with every binding of
+    # build_kernel made to raise, the pinned tables come out unchanged
+    def refuse(*args, **kwargs):
+        raise AssertionError("weaktype built a dense kernel window")
+
+    for mod in [m for name, m in sys.modules.items()
+                if name == "roughmax" or name.startswith("roughmax.")]:
+        if hasattr(mod, "build_kernel"):
+            monkeypatch.setattr(mod, "build_kernel", refuse)
+    for config in sorted(WEAKTYPE_PINNED):
+        test_weaktype_tables_are_pinned(tmp_path, config)
+
+
+def test_weaktype_transforms_only_the_segments_that_hold_a_point(tmp_path,
+                                                                 monkeypatch):
+    # on the sparse pure:1.9 a one-site corpus cuts each kernel into segments
+    # of 4 cells, and most hold no set element: those are skipped, and the
+    # table keeps its pinned bytes
+    rows = []
+    rfft = np.fft.rfft
+
+    def counting(a, *args, **kwargs):
+        if np.ndim(a) == 2:
+            rows.append(len(a))
+        return rfft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counting)
+    config = ("pure:1.9:1.0", "10", "16", "delta")
+    test_weaktype_tables_are_pinned(tmp_path, config)
+    s = roughmax.generate(parse_growth_spec(config[0]), 4 << 16)
+    fam = roughmax.build_scale_family(s, 10, 16)
+    step = 4                                  # L = 4 and a width-1 corpus
+    total = 0
+    for n in fam.scales:
+        pos, vals, _ = roughmax.kernel._kernel_points(s, n, fam.normalization)
+        pos = pos[vals != 0]
+        total += -(-int(pos[-1] - pos[0] + 1) // step)
+    # 1,413 of 111,811 segments measured
+    assert 0 < sum(rows) < total / 20, (sum(rows), total)
+
+
 # sha256 of growth-table tables over octaves 4..24: the benchmark's powerlog
 # spec, its c = 1 twin (which adds the sigma, tau and varrho columns), and the
 # other three shapes
@@ -591,6 +633,20 @@ def test_expsum_refuses_a_params_key_its_bound_does_not_read(tmp_path, capsys,
     assert "Traceback" not in err and not out.exists()
 
 
+@pytest.mark.parametrize("kappa", ["5", "-0.5", "nan"])
+def test_expsum_two_refuses_a_kappa_outside_the_unit_interval(tmp_path, capsys,
+                                                              kappa):
+    # x = ceil(phi(N)^kappa) was formed first, so kappa = 5 exited 2 with
+    # "window (128.0, -293636039058.0] is empty", which names no kappa
+    out = tmp_path / "r.csv"
+    assert run_cli("expsum", "--h", "pure:1.05:1.0", "--bound", "two",
+                   "--params", f"m=1,kappa={kappa}",
+                   "--kmin", "8", "--kmax", "8", "--out", str(out)) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"kappa = {float(kappa)} outside [0, 1]" in err
+    assert "window" not in err and "Traceback" not in err and not out.exists()
+
+
 def test_growth_table_c1_extra_columns(tmp_path):
     p = tmp_path / "g.csv"
     code = run_cli("growth-table", "--h", "powerlog:1.0:1.0:1.0",
@@ -618,6 +674,19 @@ def test_growth_table_refuses_a_kmax_past_the_float_range(tmp_path, capsys):
     assert "--kmax 1030" in err and "at most 1023" in err and not out.exists()
     assert run_cli("growth-table", "--h", "pure:1.5:1.0", "--kmin", "1020",
                    "--kmax", "1023", "--out", str(out)) == 0
+
+
+def test_growth_table_refuses_a_kmin_past_the_float_range(tmp_path, capsys):
+    # the octave of kmin ends at 2.0 ** (kmin + 1), which underflows to 0 from
+    # kmin = -1076 on: --kmin -1100 exited 2 with a bare "math domain error"
+    out = tmp_path / "g.csv"
+    assert run_cli("growth-table", "--h", "pure:1.5:1.0", "--kmin", "-1100",
+                   "--kmax", "-1090", "--out", str(out)) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "--kmin -1100" in err and "at least -1075" in err and not out.exists()
+    assert "math domain error" not in err
+    assert run_cli("growth-table", "--h", "pure:1.5:1.0", "--kmin", "-1075",
+                   "--kmax", "-1070", "--out", str(out)) == 0
 
 
 def test_ergodic_empty_range_writes_the_header_only(tmp_path):
@@ -662,6 +731,21 @@ def test_seqset_fits_a_quarter_of_the_cap_limit(tmp_path, run_limited):
                        "--nmax", str(1 << 24), "--out", str(out), limit=640 << 20)
     assert proc.returncode == 0, proc.stderr
     assert out.read_text().splitlines()[-1].startswith(f"{1 << 24},")
+
+
+def test_weaktype_holds_one_accumulator_under_an_address_space_limit(
+        tmp_path, run_limited):
+    # the accumulator of pure:1.9 16..22 is 128 MiB; the run takes about
+    # 245 MiB of address space in all.  With a dense top kernel (112 MiB)
+    # and a sorted copy of the accumulator beside it, it needed about
+    # 365 MiB and exited 2 with a MemoryError under this limit
+    out = tmp_path / "w.csv"
+    proc = run_limited("-m", "roughmax.cli", "weaktype", "--h", "pure:1.9:1.0",
+                       "--nlo", "16", "--nhi", "22", "--corpus", "delta",
+                       "--out", str(out), limit=300 << 20)
+    assert proc.returncode == 0, proc.stderr
+    assert len([l for l in out.read_text().splitlines()
+                if not l.startswith("#")]) == 65
 
 
 def test_kernel_decomp_refuses_an_oversized_kernel(tmp_path, run_limited):

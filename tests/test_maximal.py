@@ -195,6 +195,22 @@ def test_weak_type_rows_carry_the_superlevel_count(fam102):
         assert ratio == lam * cnt / f.l1()
 
 
+def test_weak_type_counts_match_a_sorted_copy(fam102, rng):
+    # the profile sorts the accumulator in place; the oracle sorts a copy of
+    # maximal_function's values, at heights that equal cells, lie between
+    # them, and lie below and above every cell
+    f = _sites_signal(rng, 0, 3000, 40)
+    mf = np.sort(maximal_function(fam102, f).values)
+    cells = mf[rng.integers(0, mf.size, 16)]
+    lams = np.concatenate((cells, np.nextafter(cells, np.inf), [-1.0, 0.0],
+                           [mf[0], mf[-1], 2 * mf[-1]],
+                           default_lambda_grid(fam102, f)))
+    rows = weak_type_profile(fam102, f, lams)
+    assert [c for _, c, _ in rows] == (
+        mf.size - np.searchsorted(mf, lams, side="right")).tolist()
+    assert rows[32][1] == mf.size and rows[35][1] == 0   # heights -1 and max
+
+
 def test_weak_type_quasi_additivity(fam102, rng):
     single = max(r for _, _, r in weak_type_profile(
         fam102, Signal.delta(0), default_lambda_grid(fam102, Signal.delta(0))))
@@ -235,6 +251,8 @@ def _direct_maximal(family, f, lo, hi):
 ])
 def test_transform_path_matches_direct_oracle(s102_16, rng, monkeypatch,
                                               lo, hi, nnz):
+    # 2^16-point batches, so the top kernel's output spans several of them
+    monkeypatch.setattr(signals, "BATCH", 1 << 16)
     fam = build_scale_family(s102_16, 8, 14)
     f = _sites_signal(rng, lo, hi, nnz)
     assert np.count_nonzero(f.values) == nnz and f.support == (lo, hi - 1)
@@ -320,39 +338,59 @@ def test_maximal_function_memory_is_a_few_accumulators():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the accumulator, the dense kernel of the largest scale and a few
-    # transients: 2.08 accumulators measured (2.83 when Signal copied the
-    # accumulator and each kernel again)
+    # the accumulator and one batch's buffers: 1.61 accumulators measured
+    # (2.08 with a dense window of the largest scale's kernel beside it, 2.83
+    # when Signal copied the accumulator and each kernel again)
     lo, hi = window_bounds(fam, f)
     assert peak <= 2.2 * 8 * (hi - lo + 1), peak / (8 * (hi - lo + 1))
+
+
+def test_weak_type_profile_holds_one_accumulator():
+    # the counts sort the accumulator in place; a sorted copy of it made the
+    # peak 2.0 accumulators, and each scale's dense kernel window 2.08
+    g = make_growth("pure", 1.5)
+    fam = build_scale_family(generate(g, 4 << 19), 8, 19)
+    f = _parse_corpus("random:2048:7")
+    lams = default_lambda_grid(fam, f)
+    tracemalloc.start()
+    try:
+        weak_type_profile(fam, f, lams)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # beyond the accumulator: one batch's segment, spectrum and output
+    # buffers (2 MiB each at 2^18 points), the block and its absolute values
+    # (1.5 MiB each) and the transform of f; 9.8 MiB measured
+    lo, hi = window_bounds(fam, f)
+    assert peak <= 8 * (hi - lo + 1) + 12 * 2 ** 20, (peak, 8 * (hi - lo + 1))
 
 
 def test_the_family_builds_no_kernel(s102_16, monkeypatch):
     def refuse(*args):
         raise AssertionError("build_scale_family built a kernel")
 
-    monkeypatch.setattr(maximal, "build_kernel", refuse)
+    monkeypatch.setattr(maximal, "_kernel_points", refuse)
     fam = build_scale_family(s102_16, 8, 13)
     assert fam.scales == tuple(1 << n for n in range(8, 14))
 
 
 def test_maximal_function_holds_one_kernel_at_a_time(fam102, monkeypatch):
-    # a kernel counts as live until its values array is freed
+    # a kernel counts as live until the array of its point values is freed
     live, most = [0], [0]
-    real = maximal.build_kernel
+    real = maximal._kernel_points
 
     def counting(*args):
-        k = real(*args)
+        points = real(*args)
         live[0] += 1
         most[0] = max(most[0], live[0])
-        weakref.finalize(k.signal.values, lambda: live.__setitem__(0, live[0] - 1))
-        return k
+        weakref.finalize(points[1], lambda: live.__setitem__(0, live[0] - 1))
+        return points
 
-    monkeypatch.setattr(maximal, "build_kernel", counting)
+    monkeypatch.setattr(maximal, "_kernel_points", counting)
     f = Signal.from_dict({0: 1.0, 37: 2.0, 5000: 1.0})
     mf = maximal_function(fam102, f)
     assert most[0] == 1 and live[0] == 0
-    monkeypatch.setattr(maximal, "build_kernel", real)
+    monkeypatch.setattr(maximal, "_kernel_points", real)
     assert same_signal(maximal_function(fam102, f), mf)
 
 
