@@ -293,8 +293,19 @@ def _cmd_expsum(args):
             raise ValidationError(
                 f"--params key {k!r} is not read by --bound {args.bound}, "
                 f"which reads {', '.join(reads)}")
-    m = int(params.get("m", 1))
-    kappa = float(params.get("kappa", 1.0))
+
+    def number(key, kind, default):
+        if key not in params:
+            return default
+        try:
+            return kind(params[key])
+        except ValueError:
+            what = "an integer" if kind is int else "a number"
+            raise ValidationError(
+                f"--params {key} is not {what}: {params[key]!r}") from None
+
+    m = number("m", int, 1)
+    kappa = number("kappa", float, 1.0)
     rows = []
     if args.bound in ("single", "two"):
         for r in ratio_sweep(phi, args.bound, m, args.kmin, args.kmax, kappa,
@@ -302,9 +313,12 @@ def _cmd_expsum(args):
             rows.append([int(math.log2(r.params["N"])), r.params["N"],
                          r.actual_abs, r.bound, r.ratio])
     else:
+        # M = max(2, isqrt(N)) by default; an explicit trunc is M itself
         trunc = params.get("trunc", "sqrt")
-        fixed_terms = None if trunc == "sqrt" else int(trunc)
-        x = int(params.get("x", 0))
+        fixed_terms = None if trunc == "sqrt" else number("trunc", int, None)
+        if fixed_terms is not None and fixed_terms < 2:
+            raise ValidationError(f"--params trunc = {fixed_terms} must be >= 2")
+        x = number("x", int, 0)
         sums = min_norm_sweep(phi, x, fixed_terms, args.kmin, args.kmax, args.workers)
         for k, (actual, bound) in zip(range(args.kmin, args.kmax + 1), sums):
             rows.append([k, 1 << k, actual, bound, actual / bound])

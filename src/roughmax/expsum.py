@@ -2,7 +2,9 @@
 
 Every operation returns both the exactly computed sum and the bound the
 van der Corput machinery predicts for it, so sweeps over dyadic scales can
-check that the ratio stays trend-bounded.  A phase's phi terms are built once
+check that the ratio stays trend-bounded.  Every sum runs over the integer
+points of the cutoff window (N/2 - min(x, 0), 4N - max(x, 0)], which
+``_window`` counts in exact integers.  A phase's phi terms are built once
 per window, and every alpha probe sums those.  The slowly varying factor of
 the c = 1 regime is constantly 1 for c > 1, the only regime wired into the
 bounds here.
@@ -42,22 +44,20 @@ def sawtooth(t: float) -> float:
 # summation by parts
 # ---------------------------------------------------------------------------
 
-def abel_sum(u, g: Callable[[int], complex], a: int = 0) -> complex:
-    """sum u(n) g(n) over n = a+1..b via partial sums of u.
+def abel_sum(u, g: Callable[[int], complex]) -> complex:
+    """sum u(n) g(n) over n = 1..b, b = len(u), via partial sums of u.
 
-    Evaluates U(b) g(b) - sum_{n=a+1}^{b-1} U(n) (g(n+1) - g(n)) with
-    U(t) = sum_{a+1 <= n <= t} u(n); an exact identity, so it matches the
+    Evaluates U(b) g(b) - sum_{n=1}^{b-1} U(n) (g(n+1) - g(n)) with
+    U(t) = sum_{1 <= n <= t} u(n); an exact identity, so it matches the
     direct sum to rounding error on any input.
     """
     u = np.asarray(u)
     if u.size == 0:
         raise EmptyRangeError("summation by parts needs a nonempty range")
-    b = a + u.size
     big_u = np.cumsum(u)
-    ns = np.arange(a + 1, b)
-    gv = np.array([g(int(n)) for n in ns] + [g(int(b))])
+    gv = np.array([g(n) for n in range(1, u.size + 1)])
     total = big_u[-1] * gv[-1]
-    if ns.size:
+    if u.size > 1:
         total = total - chunked_sum(big_u[:-1] * (gv[1:] - gv[:-1]))
     return complex(total) if np.iscomplexobj(u) or np.iscomplexobj(gv) else float(total)
 
@@ -75,85 +75,60 @@ class ExpSumResult:
     params: dict
 
 
-def _window(n: int, x: int) -> tuple[float, float]:
-    """(N_1, N_2): the n-range on which both cutoff factors can be nonzero."""
-    n1 = max(n / 2.0, n / 2.0 - x)
-    n2 = min(4.0 * n, 4.0 * n - x)
-    return n1, n2
+def _window(n: int, x: int) -> tuple[int, int]:
+    """(lo, hi): the integer points lo..hi of the cutoff window
+    (N_1, N_2] = (N/2 - min(x, 0), 4N - max(x, 0)], on which both cutoff
+    factors can be nonzero; hi < lo when it is empty.
 
-
-def _window_size(n: int, x: int) -> int:
-    """The number of integer points in (N_1, N_2], <= 0 for an empty window,
-    counted in exact integers, so no float is formed from N or x."""
-    return 4 * n - max(x, 0) - (n - 2 * min(x, 0)) // 2
-
-
-def _check_window(n: int, x: int) -> None:
-    """Refuse a window (N_1, N_2] of more than ``signals.MAX_SUPPORT`` points,
-    before any float is formed from a scale that may lie past the float
-    range."""
-    size = _window_size(n, x)
+    Counted in exact integers, so no float is formed from N or x, and a
+    window of more than ``signals.MAX_SUPPORT`` points is refused before
+    anything is built from a scale that may lie past the float range.
+    """
+    lo = (n - 2 * min(x, 0)) // 2 + 1
+    hi = 4 * n - max(x, 0)
+    size = max(hi - lo + 1, 0)     # an empty window's x is never formatted
     if n < 1 << 64:
         what = f"phase-sum window {size} at N = {n}"
     else:   # hundreds of digits: their binary orders say as much
         what = (f"phase-sum window of over 2^{int(size).bit_length() - 1} "
                 f"points at N >= 2^{n.bit_length() - 1}")
     signals._check_size(size, what)
+    return lo, hi
 
 
-def _window_range(n: int, x: int, n_prime: float | None) -> tuple[int, int, float]:
-    """(lo, hi, N'): the integer points lo..hi of (N_1, N'], N' default N_2.
-
-    A range wider than ``signals.MAX_SUPPORT`` is refused.
-    """
-    n1, n2 = _window(n, x)
-    if n1 >= n2:
-        raise EmptyRangeError(f"window ({n1}, {n2}] is empty for N={n}, x={x}")
-    if n_prime is None:
-        n_prime = n2
-    if not (n1 < n_prime <= n2):
-        raise ValidationError(f"N' = {n_prime} outside ({n1}, {n2}]")
-    lo = int(math.floor(n1)) + 1
-    hi = int(math.floor(n_prime))
+def _window_points(n: int, x: int) -> np.ndarray:
+    """The points lo..hi of ``_window(n, x)`` as floats; empty is refused."""
+    lo, hi = _window(n, x)
     if hi < lo:
-        raise EmptyRangeError(f"empty summation range ({n1}, {n_prime}]")
-    signals._check_size(hi - lo + 1, f"phase-sum window {hi - lo + 1} at N = {n}")
-    return lo, hi, n_prime
+        raise EmptyRangeError(f"window {lo}..{hi} is empty for N={n}, x={x}")
+    return np.arange(lo, hi + 1, dtype=float)
 
 
-def _validate_window(n: int, x: int, n_prime: float | None) -> tuple[np.ndarray, float]:
-    """The integer points of (N_1, N'] and N' (default N_2), refused before
-    they are built if there are more than ``signals.MAX_SUPPORT``."""
-    lo, hi, n_prime = _window_range(n, x, n_prime)
-    return np.arange(lo, hi + 1, dtype=float), n_prime
-
-
-def _single_setup(phi: InverseFunction, n: int, x: int, m: int, p: int, q: int,
-                  n_prime: float | None) -> tuple:
+def _single_setup(phi: InverseFunction, n: int, x: int, m: int, p: int,
+                  q: int) -> tuple:
     if m == 0:
         raise ValidationError("phase multiplier m must be nonzero")
     if p not in (0, 1) or q not in (0, 1):
         raise ValidationError("shift selectors p, q must lie in {0, 1}")
-    ns, n_prime = _validate_window(n, x, n_prime)
+    ns = _window_points(n, x)
     term = m * np.asarray(phi.value(ns + p * x + q), dtype=float)
     bound = math.sqrt(abs(m)) * n / math.sqrt(float(phi.value(float(n))))
-    return ns, (term,), bound, dict(N=n, x=x, alpha=None, l=None, m=m, p=p, q=q,
-                                    N_prime=n_prime)
+    return ns, (term,), bound, dict(N=n, x=x, alpha=None, m=m, p=p, q=q,
+                                    N_prime=float(ns[-1]))
 
 
-def _two_setup(phi: InverseFunction, n: int, x: int, m1: int, m2: int, kappa: float,
-               n_prime: float | None, phin: float | None = None) -> tuple:
+def _two_setup(phi: InverseFunction, n: int, x: int, m1: int, m2: int,
+               kappa: float) -> tuple:
     if m1 == 0 or m2 == 0:
         raise ValidationError("phase multipliers m1, m2 must be nonzero")
     if not (0.0 <= kappa <= 1.0):
         raise ValidationError(f"kappa = {kappa} outside [0, 1]")
-    if phin is None:    # ratio_sweep passes the phi(N) it already has
-        phin = float(phi.value(float(n)))
+    phin = float(phi.value(float(n)))
     if x < phin ** kappa:
         raise PreconditionError(
             f"separation x = {x} below phi(N)^kappa = {phin ** kappa:.6g}; "
             "the two-point bound does not apply")
-    ns, n_prime = _validate_window(n, x, n_prime)
+    ns = _window_points(n, x)
     if not float(x).is_integer():
         raise ValidationError(f"separation x = {x} must be an integer")
     # ns and ns + x share all but x points: invert their union once
@@ -162,23 +137,21 @@ def _two_setup(phi: InverseFunction, n: int, x: int, m1: int, m2: int, kappa: fl
     terms = (m1 * u[:k], m2 * u[x:x + k])
     m = max(abs(m1), abs(m2))
     bound = m ** (2.0 / 3.0) * n ** (4.0 / 3.0) * phin ** (-(1.0 + kappa) / 3.0)
-    return ns, terms, bound, dict(N=n, x=x, alpha=None, l=None, m1=m1, m2=m2,
-                                  kappa=kappa, N_prime=n_prime)
+    return ns, terms, bound, dict(N=n, x=x, alpha=None, m1=m1, m2=m2,
+                                  kappa=kappa, N_prime=float(ns[-1]))
 
 
-def _phase_sum(setup: tuple, alpha: float, l: int) -> ExpSumResult:
-    """Sum of e^{2 pi i (alpha l n + phi terms)} over a setup (window ns, phi
-    terms, cap, params with alpha and l unset).  The phi terms are added one
-    by one: pre-adding them would change the last bits.  The phase is built
-    in the imaginary half of the one complex buffer that exp then overwrites,
+def _phase_sum(setup: tuple, alpha: float) -> ExpSumResult:
+    """Sum of e^{2 pi i (alpha n + phi terms)} over a setup (window ns, phi
+    terms, cap, params with alpha unset).  The phi terms are added one by
+    one: pre-adding them would change the last bits.  The phase is built in
+    the imaginary half of the one complex buffer that exp then overwrites,
     16 bytes per point; the bits are those of exp(2j * pi * phase).
     """
-    if l < 1:
-        raise ValidationError(f"linear multiplier l = {l} must be >= 1")
     ns, terms, bound, params = setup
     z = np.empty(ns.size, dtype=complex)
     phase = z.imag
-    np.multiply(alpha * l, ns, out=phase)
+    np.multiply(alpha, ns, out=phase)
     for t in terms:
         phase += t
     phase *= 2.0 * np.pi
@@ -186,35 +159,36 @@ def _phase_sum(setup: tuple, alpha: float, l: int) -> ExpSumResult:
     np.exp(z, out=z)
     actual = complex(chunked_sum(z))
     return ExpSumResult(actual, abs(actual), bound, abs(actual) / bound,
-                        dict(params, alpha=alpha, l=l))
+                        dict(params, alpha=alpha))
 
 
 def single_phase_sum(phi: InverseFunction, n: int, x: int, alpha: float,
-                     l: int, m: int, p: int, q: int,
-                     n_prime: float | None = None) -> ExpSumResult:
-    """Sum of e^{2 pi i (alpha l n + m phi(n + p x + q))} over the window.
+                     m: int, p: int, q: int) -> ExpSumResult:
+    """Sum of e^{2 pi i (alpha n + m phi(n + p x + q))} over the window
+    (N/2 - min(x, 0), 4N - max(x, 0)].
 
     The predicted cap is |m|^(1/2) * N / phi(N)^(1/2): one second-derivative
     estimate applied to the phase, whose curvature is controlled by the
     product identity for y^2 phi''(y).
     """
-    return _phase_sum(_single_setup(phi, n, x, m, p, q, n_prime), alpha, l)
+    return _phase_sum(_single_setup(phi, n, x, m, p, q), alpha)
 
 
-def two_phase_sum(phi: InverseFunction, n: int, x: int, alpha: float, l: int,
-                  m1: int, m2: int, kappa: float,
-                  n_prime: float | None = None) -> ExpSumResult:
-    """Sum with the two-point phase m1 phi(n) + m2 phi(n + x).
+def two_phase_sum(phi: InverseFunction, n: int, x: int, alpha: float,
+                  m1: int, m2: int, kappa: float) -> ExpSumResult:
+    """Sum of e^{2 pi i (alpha n + m1 phi(n) + m2 phi(n + x))} over the
+    window (N/2 - min(x, 0), 4N - max(x, 0)].
 
     Requires the separation x >= phi(N)^kappa; the cap is
     m^(2/3) N^(4/3) phi(N)^(-(1+kappa)/3) with m = max(|m1|, |m2|).
     """
-    return _phase_sum(_two_setup(phi, n, x, m1, m2, kappa, n_prime), alpha, l)
+    return _phase_sum(_two_setup(phi, n, x, m1, m2, kappa), alpha)
 
 
-def min_norm_sum(phi: InverseFunction, n: int, x: int, m_terms: int,
-                 p: int, q: int) -> tuple[float, float]:
-    """Sum of min(1, 1/(M ||phi(n + p x + q)||)) across the cutoff window.
+def min_norm_sum(phi: InverseFunction, n: int, x: int,
+                 m_terms: int) -> tuple[float, float]:
+    """Sum of min(1, 1/(M ||phi(n)||)) eta(n/N) eta((n + x)/N) across the
+    window (N/2 - min(x, 0), 4N - max(x, 0)], 0 when it is empty.
 
     Returns (actual, bound) with the cap N log M / M
     + N sqrt(M) log M / sqrt(phi(N)).  The summands are built in
@@ -224,15 +198,14 @@ def min_norm_sum(phi: InverseFunction, n: int, x: int, m_terms: int,
     """
     if m_terms < 2:
         raise ValidationError(f"M = {m_terms} must be >= 2")
-    if p not in (0, 1) or q not in (0, 1):
-        raise ValidationError("shift selectors p, q must lie in {0, 1}")
-    if _window_size(n, x) <= 0:
+    lo, hi = _window(n, x)
+    if hi < lo:
         return 0.0, _min_norm_bound(phi, n, m_terms)
-    ns, _ = _validate_window(n, x, None)
+    ns = np.arange(lo, hi + 1, dtype=float)
     terms = np.empty_like(ns)
     for i in range(0, ns.size, CHUNK):
         b = ns[i:i + CHUNK]
-        norms = dist_to_nearest_int(np.asarray(phi.value(b + p * x + q), dtype=float))
+        norms = dist_to_nearest_int(np.asarray(phi.value(b), dtype=float))
         with np.errstate(divide="ignore"):
             caps = np.minimum(1.0, 1.0 / (m_terms * norms))
         e = np.asarray(eta(b / n), dtype=float)
@@ -283,33 +256,34 @@ def ratio_sweep(phi: InverseFunction, mode: str, m: int, k_lo: int, k_hi: int,
     results are what trend-boundedness assertions run on.  Each scale, its
     setup and its four probes, is one task of ``util.map_scales`` on up to
     ``workers`` threads; every window is checked against
-    ``signals.MAX_SUPPORT`` before any scale runs.
+    ``signals.MAX_SUPPORT`` before any scale runs, and a window that x
+    empties raises ``EmptyRangeError`` from its scale's setup.
     """
     if mode not in ("single", "two"):
         raise ValidationError(f"mode {mode!r} not in {{single, two}}")
     # before x = ceil(phi(N)^kappa) is formed from it
     if mode == "two" and not (0.0 <= kappa <= 1.0):
         raise ValidationError(f"kappa = {kappa} outside [0, 1]")
-    scales = []     # (N, x, phi(N)) per scale, each window checked first
+    scales = []     # (N, x) per scale, each window checked first
     for k in range(k_lo, k_hi + 1):
-        n = 1 << k
-        # counted in integers before phi(N) is formed; x of mode "two" is the
-        # ceiling of a finite float, so under 2^1024, and a window only
-        # shrinks as x grows, so its size at x = 2^1024 is a lower bound
-        _check_window(n, 0 if mode == "single" else 1 << 1024)
-        phin = None if mode == "single" else float(phi.value(float(n)))
-        x = 0 if phin is None else int(math.ceil(phin ** kappa))
-        _window_range(n, x, None)
-        scales.append((n, x, phin))
+        n, x = 1 << k, 0
+        if mode == "two":
+            # counted in integers before phi(N) is formed: x is the ceiling
+            # of a finite float, so under 2^1024, and a window only shrinks
+            # as x grows, so its size at x = 2^1024 is a lower bound
+            _window(n, 1 << 1024)
+            x = int(math.ceil(float(phi.value(float(n))) ** kappa))
+        _window(n, x)
+        scales.append((n, x))
 
     def task(scale):
-        n, x, phin = scale
+        n, x = scale
         if mode == "single":
-            s, slope = _single_setup(phi, n, 0, m, 0, 0, None), m
+            s, slope = _single_setup(phi, n, 0, m, 0, 0), m
         else:
-            s, slope = _two_setup(phi, n, x, m, m, kappa, None, phin), 2 * m
+            s, slope = _two_setup(phi, n, x, m, m, kappa), 2 * m
         # max keeps the first of equal ratios, as a strict > scan does
-        return max((_phase_sum(s, al, 1) for al in _alpha_probes(phi, n, slope)),
+        return max((_phase_sum(s, al) for al in _alpha_probes(phi, n, slope)),
                    key=lambda r: r.ratio)
 
     return map_scales(task, scales, workers)
@@ -317,19 +291,19 @@ def ratio_sweep(phi: InverseFunction, mode: str, m: int, k_lo: int, k_hi: int,
 
 def min_norm_sweep(phi: InverseFunction, x: int, m_terms: int | None, k_lo: int,
                    k_hi: int, workers: int = 1) -> list[tuple[float, float]]:
-    """``min_norm_sum`` (p = q = 0) at each dyadic N = 2^k, as (actual, bound).
+    """``min_norm_sum`` at each dyadic N = 2^k, as (actual, bound).
 
-    M is ``m_terms``, or isqrt(N) when it is None, and at least 2.  The
-    scales run as in ``ratio_sweep``: every window is checked against
-    ``signals.MAX_SUPPORT`` first, then ``util.map_scales`` runs one
+    M is ``m_terms``, which must be at least 2, or max(2, isqrt(N)) when it
+    is None.  The scales run as in ``ratio_sweep``: every window is checked
+    against ``signals.MAX_SUPPORT`` first, then ``util.map_scales`` runs one
     task per scale on up to ``workers`` threads.
     """
     scales = [1 << k for k in range(k_lo, k_hi + 1)]
     for n in scales:
-        _check_window(n, x)
+        _window(n, x)
 
     def task(n):
-        m = math.isqrt(n) if m_terms is None else m_terms
-        return min_norm_sum(phi, n, x, max(2, m), 0, 0)
+        m = max(2, math.isqrt(n)) if m_terms is None else m_terms
+        return min_norm_sum(phi, n, x, m)
 
     return map_scales(task, scales, workers)

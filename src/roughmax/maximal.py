@@ -85,9 +85,9 @@ class ScaleFamily:
         return n - self.n_lo
 
     def s_of_scale(self, n: int) -> int:
-        """Smallest cube exponent s with 2^s >= the support edge at scale n."""
-        d_n = self.big_d[self.scale_index(n)]
-        return int(math.ceil(math.log2(d_n)))
+        """Smallest cube exponent s with 2^s >= the support edge 4 * 2^n."""
+        self.scale_index(n)
+        return n + 2
 
 
 def build_scale_family(s: SequenceSet, n_lo: int, n_hi: int,
@@ -106,8 +106,8 @@ def build_scale_family(s: SequenceSet, n_lo: int, n_hi: int,
     if eps0 >= 1.0:
         raise ValidationError(f"support cardinality not sparse: eps0 = {eps0:.4f}")
     if len(scales) > 1:
-        growth_m = min(min(d[i + 1] / d[i] for i in range(len(d) - 1)),
-                       min(big_d[i + 1] / big_d[i] for i in range(len(d) - 1)))
+        # the edges big_d double from scale to scale
+        growth_m = min(min(d[i + 1] / d[i] for i in range(len(d) - 1)), 2.0)
         if growth_m <= 1.0:
             raise ValidationError(f"scale statistics not growing: M = {growth_m:.4f}")
     else:

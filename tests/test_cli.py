@@ -647,6 +647,39 @@ def test_expsum_two_refuses_a_kappa_outside_the_unit_interval(tmp_path, capsys,
     assert "window" not in err and "Traceback" not in err and not out.exists()
 
 
+@pytest.mark.parametrize("trunc", ["1", "0", "-5"])
+def test_expsum_minnorm_refuses_a_trunc_below_2(tmp_path, capsys, trunc):
+    # M = max(2, trunc) was taken, so each wrote the rows of trunc = 2
+    # under a header that recorded its own trunc
+    out = tmp_path / "r.csv"
+    assert run_cli("expsum", "--h", "pure:1.05:1.0", "--bound", "minnorm",
+                   "--params", f"trunc={trunc}", "--kmin", "8", "--kmax", "9",
+                   "--out", str(out)) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"--params trunc = {trunc} must be >= 2" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.parametrize("bound,params,what", [
+    ("single", "m=abc", "m is not an integer: 'abc'"),
+    ("two", "m=1.5", "m is not an integer: '1.5'"),
+    ("two", "m=1,kappa=abc", "kappa is not a number: 'abc'"),
+    ("minnorm", "trunc=abc", "trunc is not an integer: 'abc'"),
+    ("minnorm", "x=abc", "x is not an integer: 'abc'"),
+], ids=["m-text", "m-float", "kappa-text", "trunc-text", "x-text"])
+def test_expsum_names_a_params_value_that_is_not_a_number(tmp_path, capsys,
+                                                          bound, params, what):
+    # int()/float() failed with "invalid literal for int() with base 10: 'abc'"
+    # or "could not convert string to float", which name no key
+    out = tmp_path / "r.csv"
+    assert run_cli("expsum", "--h", "pure:1.05:1.0", "--bound", bound,
+                   "--params", params, "--kmin", "8", "--kmax", "9",
+                   "--out", str(out)) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"error: --params {what}" in err
+    assert "Traceback" not in err and not out.exists()
+
+
 def test_growth_table_c1_extra_columns(tmp_path):
     p = tmp_path / "g.csv"
     code = run_cli("growth-table", "--h", "powerlog:1.0:1.0:1.0",

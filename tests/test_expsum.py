@@ -4,6 +4,7 @@ import math
 import statistics
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from roughmax import (
     ValidationError,
     abel_sum,
     eta,
+    make_growth,
     min_norm_sum,
     min_norm_sweep,
     ratio_sweep,
@@ -74,48 +76,46 @@ def test_abel_empty_range():
 
 def test_single_phase_identity_collapse(phident):
     # integer phase: every term is 1, so the sum is the term count
-    r = single_phase_sum(phident, 64, 0, 0.0, 1, 1, 0, 0, 256.0)
+    r = single_phase_sum(phident, 64, 0, 0.0, 1, 0, 0)
     assert r.actual == pytest.approx(224.0 + 0.0j, abs=1e-9)
     assert r.actual_abs <= (256 - 32) + 1
 
 
 def test_single_phase_bound_scaling(phi105):
-    r1 = single_phase_sum(phi105, 1 << 12, 0, 0.0, 1, 1, 0, 0)
-    r4 = single_phase_sum(phi105, 1 << 12, 0, 0.0, 1, 4, 0, 0)
+    r1 = single_phase_sum(phi105, 1 << 12, 0, 0.0, 1, 0, 0)
+    r4 = single_phase_sum(phi105, 1 << 12, 0, 0.0, 4, 0, 0)
     assert r4.bound == pytest.approx(2.0 * r1.bound, rel=1e-12)
 
 
 def test_single_phase_conjugation_exact(phi105):
     # negating alpha and m negates every phase, conjugating the sum exactly
-    r_pos = single_phase_sum(phi105, 1 << 10, 3, 0.3, 1, 2, 1, 0)
-    r_neg = single_phase_sum(phi105, 1 << 10, 3, -0.3, 1, -2, 1, 0)
+    r_pos = single_phase_sum(phi105, 1 << 10, 3, 0.3, 2, 1, 0)
+    r_neg = single_phase_sum(phi105, 1 << 10, 3, -0.3, -2, 1, 0)
     assert r_neg.actual == r_pos.actual.conjugate()
 
 
 def test_two_phase_conjugation_exact(phi105):
     n = 1 << 10
     x = int(math.ceil(float(phi105.value(float(n)))))
-    r_pos = two_phase_sum(phi105, n, x, 0.3, 1, 2, 3, 1.0)
-    r_neg = two_phase_sum(phi105, n, x, -0.3, 1, -2, -3, 1.0)
+    r_pos = two_phase_sum(phi105, n, x, 0.3, 2, 3, 1.0)
+    r_neg = two_phase_sum(phi105, n, x, -0.3, -2, -3, 1.0)
     assert r_neg.actual == r_pos.actual.conjugate()
 
 
 def test_single_phase_trivial_bound(phi105):
     for m in (1, 3):
-        r = single_phase_sum(phi105, 1 << 10, 0, 0.37, 1, m, 0, 0)
+        r = single_phase_sum(phi105, 1 << 10, 0, 0.37, m, 0, 0)
         n_terms = (1 << 12) - (1 << 9)
         assert r.actual_abs <= n_terms + 1
 
 
 def test_single_phase_validation(phi105):
     with pytest.raises(ValidationError):
-        single_phase_sum(phi105, 64, 0, 0.0, 1, 0, 0, 0)
+        single_phase_sum(phi105, 64, 0, 0.0, 0, 0, 0)
     with pytest.raises(ValidationError):
-        single_phase_sum(phi105, 64, 0, 0.0, 1, 1, 2, 0)
-    with pytest.raises(ValidationError):
-        single_phase_sum(phi105, 64, 0, 0.0, 1, 1, 0, 0, 10.0)
+        single_phase_sum(phi105, 64, 0, 0.0, 1, 2, 0)
     with pytest.raises(EmptyRangeError):
-        single_phase_sum(phi105, 64, -300, 0.0, 1, 1, 0, 0)
+        single_phase_sum(phi105, 64, -300, 0.0, 1, 0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +125,7 @@ def test_single_phase_validation(phi105):
 def test_two_phase_identity_collapse(phident):
     # phi(n) - phi(n + x) = -x: constant phase of unit modulus
     n, x = 64, 70
-    r = two_phase_sum(phident, n, x, 0.0, 1, 1, -1, 1.0)
+    r = two_phase_sum(phident, n, x, 0.0, 1, -1, 1.0)
     n1 = max(n / 2, n / 2 - x)
     n2 = min(4 * n, 4 * n - x)
     count = math.floor(n2) - math.floor(n1)
@@ -135,33 +135,33 @@ def test_two_phase_identity_collapse(phident):
 def test_two_phase_precondition(phi105):
     n = 1 << 12
     with pytest.raises(PreconditionError):
-        two_phase_sum(phi105, n, 1, 0.0, 1, 1, 1, 1.0)
+        two_phase_sum(phi105, n, 1, 0.0, 1, 1, 1.0)
 
 
 def test_two_phase_terms_are_slices_of_one_inversion(philog):
     n = 1 << 12
     x = int(math.ceil(float(philog.value(float(n)))))
-    ns, (t1, t2), _, _ = _two_setup(philog, n, x, 2, -3, 1.0, None)
+    ns, (t1, t2), _, _ = _two_setup(philog, n, x, 2, -3, 1.0)
     assert np.array_equal(t1, 2 * philog.value(ns))
     assert np.array_equal(t2, -3 * philog.value(ns + x))
     with pytest.raises(ValidationError, match="must be an integer"):
-        two_phase_sum(philog, n, x + 0.5, 0.0, 1, 1, 1, 1.0)
+        two_phase_sum(philog, n, x + 0.5, 0.0, 1, 1, 1.0)
 
 
 def test_two_phase_kappa_bound_factor(phi105):
     n = 1 << 12
     phin = float(phi105.value(float(n)))
     x = int(math.ceil(phin))
-    r0 = two_phase_sum(phi105, n, x, 0.0, 1, 1, 1, 0.0)
-    r1 = two_phase_sum(phi105, n, x, 0.0, 1, 1, 1, 1.0)
+    r0 = two_phase_sum(phi105, n, x, 0.0, 1, 1, 0.0)
+    r1 = two_phase_sum(phi105, n, x, 0.0, 1, 1, 1.0)
     assert r0.bound / r1.bound == pytest.approx(phin ** (1.0 / 3.0), rel=1e-12)
 
 
 def test_two_phase_bound_scaling_in_m(phi105):
     n = 1 << 12
     x = int(math.ceil(float(phi105.value(float(n)))))
-    r1 = two_phase_sum(phi105, n, x, 0.0, 1, 1, 1, 1.0)
-    r4 = two_phase_sum(phi105, n, x, 0.0, 1, 4, 4, 1.0)
+    r1 = two_phase_sum(phi105, n, x, 0.0, 1, 1, 1.0)
+    r4 = two_phase_sum(phi105, n, x, 0.0, 4, 4, 1.0)
     assert r4.bound / r1.bound == pytest.approx(4.0 ** (2.0 / 3.0), rel=1e-12)
 
 
@@ -171,7 +171,7 @@ def test_two_phase_bound_scaling_in_m(phi105):
 
 def test_min_norm_identity_saturates(phident):
     n = 256
-    actual, bound = min_norm_sum(phident, n, 0, 100, 0, 0)
+    actual, bound = min_norm_sum(phident, n, 0, 100)
     ns = np.arange(n // 2 + 1, 4 * n)
     expect = float((np.asarray(eta(ns / n)) ** 2).sum())
     assert actual == pytest.approx(expect, rel=1e-12)
@@ -179,14 +179,14 @@ def test_min_norm_identity_saturates(phident):
 
 def test_min_norm_monotone_in_truncation(phi105):
     n = 1 << 10
-    vals = [min_norm_sum(phi105, n, 0, m, 0, 0)[0] for m in (4, 16, 64, 256)]
+    vals = [min_norm_sum(phi105, n, 0, m)[0] for m in (4, 16, 64, 256)]
     assert all(a >= b for a, b in zip(vals, vals[1:]))
 
 
 def test_min_norm_within_bound_sweep(phi105):
     for k in (10, 12, 14):
         n = 1 << k
-        actual, bound = min_norm_sum(phi105, n, 0, max(2, int(math.isqrt(n))), 0, 0)
+        actual, bound = min_norm_sum(phi105, n, 0, max(2, int(math.isqrt(n))))
         assert actual <= bound
 
 
@@ -202,11 +202,28 @@ def test_min_norm_reads_the_cutoff_once_per_point_at_x_0(phi105, monkeypatch):
         return real(t)
 
     monkeypatch.setattr(expsum, "eta", counting)
-    min_norm_sum(phi105, n, 0, 32, 0, 0)
+    min_norm_sum(phi105, n, 0, 32)
     assert sizes == [window]
     sizes.clear()
-    min_norm_sum(phi105, n, 3, 32, 0, 0)
+    min_norm_sum(phi105, n, 3, 32)
     assert sizes == [window - 3] * 2
+
+
+@pytest.mark.parametrize("n", [63, 64])
+def test_window_is_the_integer_points_of_the_cutoff_window(n):
+    # lo..hi are floor(N_1) + 1 .. floor(N_2) for (N_1, N_2] =
+    # (max(N/2, N/2 - x), min(4N, 4N - x)], here taken in exact rationals;
+    # |x| >= 7N/2 empties the window on either side
+    empty = 0
+    for x in range(-4 * n - 2, 4 * n + 3):
+        n1 = max(Fraction(n, 2), Fraction(n, 2) - x)
+        n2 = min(4 * n, 4 * n - x)
+        assert expsum._window(n, x) == (math.floor(n1) + 1, math.floor(n2))
+        empty += math.floor(n2) < math.floor(n1) + 1
+    assert empty == 2 * (4 * n + 3 - (7 * n + 1) // 2)
+    for x in (-10 ** 400, 10 ** 400):
+        lo, hi = expsum._window(n, x)
+        assert type(lo) is type(hi) is int and hi < lo
 
 
 @pytest.mark.parametrize("x", [-10 ** 400, 10 ** 400, -(7 * 256) // 2, 7 * 256 // 2],
@@ -215,8 +232,8 @@ def test_min_norm_sum_of_an_empty_window_forms_no_float_of_x(phi105, x):
     # x = -(7N/2) and 7N/2 empty the window (N/2 - min(x, 0), 4N - max(x, 0)];
     # the sign of its size is taken in integers, so an x past the float range
     # gives the empty sum too, where forming N/2 - x overflowed
-    assert min_norm_sum(phi105, 256, x, 4, 0, 0) == min_norm_sum(phi105, 256, 900, 4, 0, 0)
-    assert min_norm_sum(phi105, 256, x, 4, 0, 0)[0] == 0.0
+    assert min_norm_sum(phi105, 256, x, 4) == min_norm_sum(phi105, 256, 900, 4)
+    assert min_norm_sum(phi105, 256, x, 4)[0] == 0.0
 
 
 def traced_peak(fn, *args) -> int:
@@ -236,22 +253,22 @@ def traced_peak(fn, *args) -> int:
 # CHUNK point (72 to 80 B/pt when it worked on whole-window arrays).
 
 def test_phase_sum_holds_one_complex_buffer(phi105):
-    setup = _single_setup(phi105, 1 << 18, 0, 2, 0, 0, None)
+    setup = _single_setup(phi105, 1 << 18, 0, 2, 0, 0)
     points = setup[0].size
-    assert traced_peak(expsum._phase_sum, setup, 0.25, 1) <= 16 * points + CHUNK
+    assert traced_peak(expsum._phase_sum, setup, 0.25) <= 16 * points + CHUNK
 
 
 @pytest.mark.parametrize("x", [0, 3])
 def test_min_norm_sum_holds_two_window_arrays(phi105, x):
     n = 1 << 18
     points = 4 * n - n // 2 - x             # the integers of (N/2, 4N - x]
-    assert traced_peak(min_norm_sum, phi105, n, x, 512, 0, 0) \
+    assert traced_peak(min_norm_sum, phi105, n, x, 512) \
         <= 2 * 8 * points + 128 * CHUNK
 
 
 def test_min_norm_validation(phi105):
     with pytest.raises(ValidationError):
-        min_norm_sum(phi105, 64, 0, 1, 0, 0)
+        min_norm_sum(phi105, 64, 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -278,11 +295,11 @@ def test_ratio_sweep_is_the_best_phase_sum_per_scale(phi105, mode, m):
     for r in res:
         n = r.params["N"]
         if mode == "single":
-            sums = [single_phase_sum(phi105, n, 0, al, 1, m, 0, 0)
+            sums = [single_phase_sum(phi105, n, 0, al, m, 0, 0)
                     for al in _alpha_probes(phi105, n, m)]
         else:
             x = int(math.ceil(float(phi105.value(float(n)))))
-            sums = [two_phase_sum(phi105, n, x, al, 1, m, m, 1.0)
+            sums = [two_phase_sum(phi105, n, x, al, m, m, 1.0)
                     for al in _alpha_probes(phi105, n, 2 * m)]
         best = sums[0]
         for s in sums[1:]:
@@ -290,6 +307,13 @@ def test_ratio_sweep_is_the_best_phase_sum_per_scale(phi105, mode, m):
                 best = s
         assert (r.actual, r.bound, r.ratio) == (best.actual, best.bound, best.ratio)
         assert r.params == best.params
+
+
+def test_a_two_point_sweep_whose_separation_empties_the_window_is_refused():
+    # with C_h = 0.01, x = ceil(phi(N)) = 15788 at N = 256 is past 7N/2
+    phi = make_growth("pure", 1.05, 0.01, x0=200.0).inverse()
+    with pytest.raises(EmptyRangeError, match="is empty for N=256, x=15788"):
+        ratio_sweep(phi, "two", 1, 8, 9)
 
 
 def test_sweeps_do_not_depend_on_workers(phi105):
@@ -304,7 +328,7 @@ def test_sweeps_do_not_depend_on_workers(phi105):
     finally:
         sys.setswitchinterval(interval)
     assert runs[0] == runs[1]
-    assert runs[0][2] == [min_norm_sum(phi105, 1 << k, 3, math.isqrt(1 << k), 0, 0)
+    assert runs[0][2] == [min_norm_sum(phi105, 1 << k, 3, math.isqrt(1 << k))
                           for k in range(8, 13)]
 
 

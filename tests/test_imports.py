@@ -5,9 +5,12 @@ module-level private function is used somewhere outside its own body, every
 public module-level name and every method or property of a package class is
 read by the package, the acceptance criteria or the benchmark's tracer, no
 function takes a set or a kernel beside an inverse that must match it, and
-the benchmark's span tracer still installs on the package."""
+the benchmark's span tracer still installs on the package and counts the
+terms of a phase sum."""
 
 import ast
+import importlib.util
+import math
 import os
 import re
 import subprocess
@@ -16,6 +19,9 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from roughmax import single_phase_sum, two_phase_sum
+from roughmax.expsum import _single_setup, _two_setup
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "roughmax"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -334,3 +340,21 @@ def test_the_benchmark_tracer_installs():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_the_benchmark_phase_counter_counts_the_summed_terms(phi105):
+    # the benchmark's expsum.phase_sum.terms is the number of points each
+    # phase sum adds up, which perfbench/spans.py reads from the result's
+    # params N, x and N_prime (the window's last point)
+    path = PACKAGE.parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    n = 1 << 10
+    x = int(math.ceil(float(phi105.value(float(n)))))
+    for result, setup in (
+            (single_phase_sum(phi105, n, -5, 0.25, 2, 1, 0),
+             _single_setup(phi105, n, -5, 2, 1, 0)),
+            (two_phase_sum(phi105, n, x, 0.25, 1, -1, 1.0),
+             _two_setup(phi105, n, x, 1, -1, 1.0))):
+        assert spans._phase_terms((), {}, result) == setup[0].size

@@ -106,6 +106,19 @@ def test_family_statistics(fam102):
         fam102.scale_index(7)
 
 
+def test_family_closed_forms_are_the_fitted_values(fam102):
+    # the cube exponent of edge 4 * 2^n is n + 2, and the edges double, so
+    # their ratio caps growth_m at exactly 2
+    for n in range(8, 14):
+        assert fam102.s_of_scale(n) == math.ceil(math.log2(4 * (1 << n)))
+    with pytest.raises(RangeError):
+        fam102.s_of_scale(14)
+    d = fam102.d
+    assert fam102.growth_m == min(min(b / a for a, b in zip(d, d[1:])),
+                                  min(b / a for a, b in zip(fam102.big_d,
+                                                            fam102.big_d[1:])))
+
+
 def test_family_range_checks(s102_16):
     with pytest.raises(RangeError):
         build_scale_family(s102_16, 8, 15)
