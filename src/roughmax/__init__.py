@@ -41,7 +41,6 @@ from .signals import Signal, autocorrelation_signal, convolve
 from .kernel import (
     DecompositionReport,
     Kernel,
-    Normalization,
     autocorrelation,
     build_kernel,
     compute_gn,

@@ -26,7 +26,7 @@ from .errors import NUMERIC_ERRORS, RoughMaxError, ValidationError
 from .ergodic import cyclic_shift, ergodic_average, indicator, weighted_average
 from .expsum import min_norm_sweep, ratio_sweep
 from .growth import GrowthFunction, Variant, build_aux_report, make_growth
-from .kernel import Normalization, decomposition_reports
+from .kernel import decomposition_reports
 from .maximal import (
     _cover_counts,
     build_scale_family,
@@ -271,8 +271,7 @@ def _cmd_kernel_decomp(args):
     g = parse_growth_spec(args.h)
     s = generate(g, 4 * (1 << args.kmax))
     ks = range(args.kmin, args.kmax + 1)
-    reports = decomposition_reports(s, [1 << k for k in ks],
-                                    Normalization.PHI_APPROX, args.workers)
+    reports = decomposition_reports(s, [1 << k for k in ks], args.workers)
     rows = [[k, r.scale_n, r.small_x_bound, r.gn_sup, r.en_sup, r.gn_lipschitz,
              r.mass] for k, r in zip(ks, reports)]
     return (["k", "N", "small_x_bound", "gn_sup", "en_sup", "gn_lipschitz", "mass"],
@@ -325,19 +324,32 @@ def _cmd_expsum(args):
     return ["k", "N", "actual_abs", "bound", "ratio"], rows, {}
 
 
+def _spec_int(flag: str, spec: str, name: str, text: str, low=None) -> int:
+    """The integer field ``name`` of the ``flag`` spec, refused below ``low``."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise ValidationError(
+            f"{flag} {spec!r}: {name} = {text!r} is not an integer") from None
+    if low is not None and value < low:
+        raise ValidationError(f"{flag} {spec!r}: {name} = {value} must be >= {low}")
+    return value
+
+
 def _parse_corpus(spec: str) -> Signal:
     if spec == "delta":
         return Signal.delta(0)
     parts = spec.split(":")
     if parts[0] == "random" and len(parts) == 3:
-        k, seed = int(parts[1]), int(parts[2])
+        k = _spec_int("--corpus", spec, "K", parts[1], 1)
+        seed = _spec_int("--corpus", spec, "seed", parts[2], 0)
         rng = np.random.default_rng(seed)
         sites = rng.integers(0, 1 << 14, k)
         d = {}
         for p in sites:
             d[int(p)] = d.get(int(p), 0.0) + 1.0
         return Signal.from_dict(d)
-    raise ValidationError(f"corpus spec {spec!r} is not delta or random:K:seed")
+    raise ValidationError(f"--corpus {spec!r} is not delta or random:K:seed")
 
 
 def _cmd_weaktype(args):
@@ -425,18 +437,19 @@ def _cmd_cz(args):
 def _parse_system(spec: str):
     parts = spec.split(":")
     if parts[0] == "shift" and len(parts) == 3:
-        return cyclic_shift(int(parts[1]), int(parts[2]))
-    raise ValidationError(f"system spec {spec!r} is not shift:m:step")
+        return cyclic_shift(_spec_int("--system", spec, "m", parts[1], 1),
+                            _spec_int("--system", spec, "step", parts[2]))
+    raise ValidationError(f"--system {spec!r} is not shift:m:step")
 
 
 def _parse_observable(spec: str, size: int):
     parts = spec.split(":")
     if parts[0] == "indicator" and len(parts) == 2:
-        state = int(parts[1])
+        state = _spec_int("--f", spec, "k", parts[1])
         if not (0 <= state < size):
-            raise ValidationError(f"indicator state {state} outside 0..{size - 1}")
+            raise ValidationError(f"--f {spec!r}: state {state} outside 0..{size - 1}")
         return indicator(size, state)
-    raise ValidationError(f"observable spec {spec!r} is not indicator:k")
+    raise ValidationError(f"--f {spec!r} is not indicator:k")
 
 
 def _cmd_ergodic(args):
@@ -455,8 +468,7 @@ def _cmd_ergodic(args):
 def _cmd_verify_family(args):
     g = parse_growth_spec(args.h)
     s = generate(g, 4 * (1 << args.nhi))
-    family = build_scale_family(s, args.nlo, args.nhi,
-                                Normalization.PHI_APPROX)
+    family = build_scale_family(s, args.nlo, args.nhi)
     rep = verify_family_hypotheses(family, args.workers)
     rows = []
     for i, sc in enumerate(rep.scales):

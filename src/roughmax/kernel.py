@@ -1,8 +1,9 @@
 """Smoothed averaging kernels on the integer set, and their autocorrelation.
 
 The kernel at scale N places mass eta(n/N)/norm on every set element n, with
-eta a fixed smooth cutoff (1 on [1, 2], supported in (1/2, 4)) and norm either
-the exact element count up to N or the inverse-function value phi(N).
+eta a fixed smooth cutoff (1 on [1, 2], supported in (1/2, 4)).  The maximal
+operator's norm is the exact element count up to N, as in M_h; that of the
+decomposition's kernel (``build_kernel``) is phi(N), as in G_N below.
 
 The autocorrelation splits, away from zero, into a slowly varying profile
 
@@ -14,7 +15,6 @@ and the smoothness of G_N across a dyadic sweep of scales.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 
@@ -35,7 +35,7 @@ from .signals import (
 from .util import CHUNK, loglog_slope, map_scales
 
 __all__ = [
-    "Normalization", "Kernel", "DecompositionReport", "eta",
+    "Kernel", "DecompositionReport", "eta",
     "build_kernel", "autocorrelation", "compute_gn", "gn_profile",
     "decomposition_report", "decomposition_reports", "estimate_chi",
 ]
@@ -71,11 +71,6 @@ def eta(t) -> np.ndarray | float:
     return float(out) if out.ndim == 0 else out
 
 
-class Normalization(enum.Enum):
-    COUNT_EXACT = "count"   # exact |set ∩ [1, N]|
-    PHI_APPROX = "phi"      # phi(N)
-
-
 # ---------------------------------------------------------------------------
 # kernels
 # ---------------------------------------------------------------------------
@@ -87,12 +82,10 @@ def _support_window(n: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class Kernel:
-    """Nonnegative averaging kernel at scale N, built on the set ``s``;
-    immutable."""
+    """Nonnegative averaging kernel at scale N over phi(N), built on the set
+    ``s``; immutable."""
 
     scale_n: int
-    normalization: Normalization
-    norm_value: float
     signal: Signal
     s: SequenceSet = field(compare=False, repr=False)
 
@@ -101,22 +94,19 @@ class Kernel:
 
 
 def _kernel_points(s: SequenceSet, n: int,
-                   normalization: Normalization = Normalization.COUNT_EXACT
-                   ) -> tuple[np.ndarray, np.ndarray, float]:
+                   by_phi: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """The kernel at scale N as points: the set elements m in
-    ``_support_window(n)`` (ascending int64), their values eta(m/N)/norm and
-    the norm.  The checks of ``build_kernel`` run here.  eta may underflow
-    to 0 at the window ends, so a value can be 0."""
+    ``_support_window(n)`` (ascending int64) and their values eta(m/N)/norm,
+    with norm the count of elements up to N, or phi(N) when ``by_phi``.
+    The checks of ``build_kernel`` run here.  eta may underflow to 0 at the
+    window ends, so a value can be 0."""
     n = int(n)
     if 4 * n > s.n_max:
         raise RangeError(f"kernel at N = {n} needs n_max >= 4N, have {s.n_max}")
     cnt = count(s, n)
     if cnt == 0:
         raise DegenerateError(f"no set elements in [1, {n}]")
-    if normalization is Normalization.COUNT_EXACT:
-        norm = float(cnt)
-    else:
-        norm = float(s.phi.value(float(n)))
+    norm = float(s.phi.value(float(n))) if by_phi else float(cnt)
     first, last = _support_window(n)
     els = s.elements[np.searchsorted(s.elements, first, side="left"):
                      np.searchsorted(s.elements, last, side="right")]
@@ -128,18 +118,16 @@ def _kernel_points(s: SequenceSet, n: int,
     total = float(vals.sum())
     if not (0.0 < total <= 8.0):
         raise DegenerateError(f"kernel mass {total} outside (0, 8]")
-    return els, vals, norm
+    return els, vals
 
 
-def build_kernel(s: SequenceSet, n: int,
-                 normalization: Normalization = Normalization.COUNT_EXACT) -> Kernel:
-    """Kernel value eta(m/N)/norm at every set element m with eta(m/N) != 0;
-    norm is the count of elements up to N or ``s.phi`` at N.  The dense
-    window of ``_kernel_points``."""
-    els, vals, norm = _kernel_points(s, n, normalization)
+def build_kernel(s: SequenceSet, n: int) -> Kernel:
+    """Kernel value eta(m/N)/phi(N), phi = ``s.phi``, at every set element m
+    with eta(m/N) != 0: the dense window of ``_kernel_points`` over phi(N)."""
+    els, vals = _kernel_points(s, n, by_phi=True)
     dense = np.zeros(int(els[-1] - els[0] + 1))
     dense[els - els[0]] = vals
-    return Kernel(int(n), normalization, norm, Signal._own(int(els[0]), dense), s)
+    return Kernel(int(n), Signal._own(int(els[0]), dense), s)
 
 
 def autocorrelation(k: Kernel) -> Signal:
@@ -217,8 +205,8 @@ class DecompositionReport:
                    both points beyond phi(N)
     mass           total autocorrelation mass (equals kernel mass squared)
 
-    G_N is put on the kernel's normalization first.  verify_family_hypotheses
-    is a view of these reports, rescaled from N to D_n = 4N.
+    The kernel and G_N are both over phi(N).  verify_family_hypotheses is a
+    view of these reports, rescaled from N to D_n = 4N.
     """
 
     scale_n: int
@@ -255,8 +243,6 @@ def decomposition_report(k: Kernel) -> DecompositionReport:
     cut = int(math.floor(phin))
     a, mass = _even_autocorrelation(k.signal.values, "fast", mass=True)
     g = _gn_lags(phi, n, phin)
-    if k.normalization is not Normalization.PHI_APPROX:
-        g *= (phin / k.norm_value) ** 2
 
     size = max(_last_nonzero(a), _last_nonzero(g), cut + 1) + 1
     a = _on_lags(a, size)
@@ -278,7 +264,6 @@ def decomposition_report(k: Kernel) -> DecompositionReport:
 
 
 def decomposition_reports(s: SequenceSet, scales,
-                          normalization: Normalization = Normalization.COUNT_EXACT,
                           workers: int = 1) -> list[DecompositionReport]:
     """decomposition_report at each scale, in the order given (ascending).
 
@@ -287,14 +272,14 @@ def decomposition_reports(s: SequenceSet, scales,
     so the reports do not depend on the thread count.
     """
     return map_scales(
-        lambda n: decomposition_report(build_kernel(s, n, normalization)),
+        lambda n: decomposition_report(build_kernel(s, n)),
         scales, workers)
 
 
 def estimate_chi(reports: list[DecompositionReport]) -> float:
-    """Error-decay exponent: -(slope of log2 en_sup against log2 N) - 1."""
+    """Error-decay exponent: -(slope of log2 en_sup against log2(4N)) - 1."""
     if len({r.scale_n for r in reports}) < 4:
         raise InsufficientDataError("need reports at >= 4 distinct scales")
-    ns = np.array([r.scale_n for r in reports], dtype=float)
+    big_d = np.array([4 * r.scale_n for r in reports], dtype=float)
     es = np.array([r.en_sup for r in reports], dtype=float)
-    return -loglog_slope(ns, es) - 1.0
+    return -loglog_slope(big_d, es) - 1.0

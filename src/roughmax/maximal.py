@@ -1,10 +1,11 @@
 """Maximal averages over dyadic scales and the stopping-time decomposition.
 
 The maximal operator takes the pointwise sup of |K_n * f| over a family of
-kernels at scales 2^n.  Its weak-type behavior is probed empirically through
-superlevel-set ratios, and structurally through the classical splitting of an
-input into a bounded good part plus atoms on disjoint dyadic cubes, refined
-per scale into an over-threshold piece, a mean-zero piece, and cube means.
+kernels at scales 2^n, each over its count of set elements, as in M_h.  Its
+weak-type behavior is probed empirically through superlevel-set ratios, and
+structurally through the classical splitting of an input into a bounded good
+part plus atoms on disjoint dyadic cubes, refined per scale into an
+over-threshold piece, a mean-zero piece, and cube means.
 
 M f is one accumulator over supp f plus the scale windows.  Each scale's
 kernel is read as points (its set elements and their weights, never a dense
@@ -41,14 +42,14 @@ from .errors import (
     ValidationError,
 )
 from .kernel import (
-    Normalization,
     _kernel_points,
     _support_window,
     decomposition_reports,
+    estimate_chi,
 )
 from .seqset import SequenceSet, count
 from .signals import Signal
-from .util import log_spaced, loglog_slope
+from .util import log_spaced
 
 LAMBDA_GRID_POINTS = 64  # heights in the default weak-type grid
 
@@ -62,18 +63,17 @@ class ScaleFamily:
     """Dyadic scales 2^n for n in [n_lo, n_hi] on a set, with support stats.
 
     It holds what the kernels are built from, the set ``s`` (which carries
-    its inverse as ``s.phi``) and the normalization, never a kernel: each is
-    built where it is read, one scale at a time.  d[i] counts set elements in the
-    support window of scale n_lo + i; big_d[i] = 4 * 2^(n_lo+i) is the right
-    edge of that window.  eps0 is the fitted support-sparsity exponent (must
-    stay below 1) and growth_m the fitted geometric-growth constant (> 1).
+    its inverse as ``s.phi``), never a kernel: each is built where it is
+    read, one scale at a time.  d[i] counts set elements in the support
+    window of scale n_lo + i; big_d[i] = 4 * 2^(n_lo+i) is its right edge.
+    eps0 is the fitted support-sparsity exponent (must stay below 1) and
+    growth_m the fitted geometric-growth constant (> 1).
     """
 
     n_lo: int
     n_hi: int
     scales: tuple
     s: SequenceSet
-    normalization: Normalization
     d: tuple
     big_d: tuple
     eps0: float
@@ -90,9 +90,7 @@ class ScaleFamily:
         return n + 2
 
 
-def build_scale_family(s: SequenceSet, n_lo: int, n_hi: int,
-                       normalization: Normalization = Normalization.COUNT_EXACT,
-                       ) -> ScaleFamily:
+def build_scale_family(s: SequenceSet, n_lo: int, n_hi: int) -> ScaleFamily:
     if n_hi < n_lo:
         raise ValidationError(f"scale range [{n_lo}, {n_hi}] is empty")
     if 4 * (1 << n_hi) > s.n_max:
@@ -112,8 +110,7 @@ def build_scale_family(s: SequenceSet, n_lo: int, n_hi: int,
             raise ValidationError(f"scale statistics not growing: M = {growth_m:.4f}")
     else:
         growth_m = float("inf")
-    return ScaleFamily(n_lo, n_hi, scales, s, normalization, d, big_d,
-                       eps0, growth_m)
+    return ScaleFamily(n_lo, n_hi, scales, s, d, big_d, eps0, growth_m)
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +132,7 @@ def _max_accumulator(family: ScaleFamily, f: Signal) -> tuple[int, np.ndarray]:
     hi = f.support[1] + _support_window(family.scales[-1])[1]
     signals._check_size(hi - lo + 1, f"maximal-function support {hi - lo + 1}")
     acc = np.zeros(hi - lo + 1)
-    kernels = (_kernel_points(family.s, n, family.normalization)[:2]
-               for n in family.scales)
+    kernels = (_kernel_points(family.s, n) for n in family.scales)
     for start, block in signals._overlap_save(f, kernels):
         seg = acc[start - lo:start - lo + block.size]
         np.maximum(seg, np.abs(block), out=seg)
@@ -472,7 +468,8 @@ def verify_family_hypotheses(family: ScaleFamily,
     the scale (where the model is the slowly varying tail), matching the
     separation exponent eps2 = 1 up to the constant absorbed by the fit.
     The scales run through ``decomposition_reports`` on up to ``workers``
-    threads; the report does not depend on the thread count.
+    threads (the report does not depend on the thread count); eps1 is
+    ``estimate_chi`` of their reports.
     """
     c = family.s.growth.c
     if not (1.0 < c < 30.0 / 29.0):
@@ -480,16 +477,12 @@ def verify_family_hypotheses(family: ScaleFamily,
             f"model-family measurements need 1 < c < 30/29, got c = {c}")
     if len(family.scales) < 4:
         raise InsufficientDataError("need >= 4 scales to fit the decay exponent")
-    reps = decomposition_reports(family.s, family.scales,
-                                 family.normalization, workers)
-    res = tuple(r.en_sup for r in reps)
-    eps1 = -loglog_slope(np.array(family.big_d, dtype=float),
-                         np.array(res, dtype=float)) - 1.0
+    reps = decomposition_reports(family.s, family.scales, workers)
     return FamilyHypothesesReport(
         scales=family.scales, d=family.d, big_d=family.big_d,
-        residual_sup=res,
+        residual_sup=tuple(r.en_sup for r in reps),
         f0_d_product=tuple(r.point_mass * d_n for r, d_n in zip(reps, family.d)),
         f_sup_times_d=tuple(4 * max(r.small_x_bound, r.gn_sup) for r in reps),
         lipschitz_ratio=tuple(16 * r.gn_lipschitz for r in reps),
-        eps0=family.eps0, eps1=float(eps1), eps2=1.0,
+        eps0=family.eps0, eps1=estimate_chi(reps), eps2=1.0,
         growth_m=family.growth_m)

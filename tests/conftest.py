@@ -22,6 +22,16 @@ def values_at(s, x):
     return float(out) if out.ndim == 0 else out
 
 
+def count_kernel(s, n):
+    """The maximal operator's kernel at scale N, over the count of set
+    elements up to N: the points of ``kernel._kernel_points`` laid out as a
+    Signal."""
+    pos, vals = roughmax.kernel._kernel_points(s, n)
+    dense = np.zeros(int(pos[-1] - pos[0] + 1))
+    dense[pos - pos[0]] = vals
+    return roughmax.Signal(int(pos[0]), dense)
+
+
 def cz_rows(rng):
     """16,000 nonnegative exact-rational ``(x, value)`` rows on both sides of
     0, drawn from the ``random.Random`` ``rng`` as the benchmark's

@@ -246,6 +246,24 @@ def test_weaktype_tables_are_pinned(tmp_path, config):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == WEAKTYPE_PINNED[config]
 
 
+# sha256 of kernel-decomp and verify-family tables on two non-pure growths;
+# the reference tables above run both commands on pure:1.02 only
+DECOMPOSITION_PINNED = {
+    ("kernel-decomp", "--h", "powerlog:1.05:1.0:1.0", "--kmin", "10", "--kmax", "14"):
+        "c083984379d22c69ea31b705827f223d63ec09a2de0cbfd829a7aeaf41276c81",
+    ("verify-family", "--h", "poweriterlog:1.02:1.0:2", "--nlo", "10", "--nhi", "14"):
+        "ad3fda14f9909c48f8a4d3d5c87fc12c87d6a7a695fcddc420a1479a0550f503",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(DECOMPOSITION_PINNED),
+                         ids=lambda argv: f"{argv[0]}-{argv[2]}")
+def test_decomposition_tables_on_non_pure_growths_are_pinned(tmp_path, argv):
+    out = tmp_path / "d.csv"
+    assert run_cli(*argv, "--out", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DECOMPOSITION_PINNED[argv]
+
+
 def test_weaktype_never_builds_a_dense_kernel(tmp_path, monkeypatch):
     # the maximal operator reads each kernel as points: with every binding of
     # build_kernel made to raise, the pinned tables come out unchanged
@@ -281,7 +299,7 @@ def test_weaktype_transforms_only_the_segments_that_hold_a_point(tmp_path,
     step = 4                                  # L = 4 and a width-1 corpus
     total = 0
     for n in fam.scales:
-        pos, vals, _ = roughmax.kernel._kernel_points(s, n, fam.normalization)
+        pos, vals = roughmax.kernel._kernel_points(s, n)
         pos = pos[vals != 0]
         total += -(-int(pos[-1] - pos[0] + 1) // step)
     # 1,413 of 111,811 segments measured
@@ -720,6 +738,42 @@ def test_growth_table_refuses_a_kmin_past_the_float_range(tmp_path, capsys):
     assert "math domain error" not in err
     assert run_cli("growth-table", "--h", "pure:1.5:1.0", "--kmin", "-1075",
                    "--kmax", "-1070", "--out", str(out)) == 0
+
+
+_WEAKTYPE = ("weaktype", "--h", "pure:1.5:1.0", "--nlo", "4", "--nhi", "6")
+_ERGODIC = ("ergodic", "--h", "pure:1.02:1.0", "--kmin", "4", "--kmax", "6")
+
+
+@pytest.mark.parametrize("argv,what", [
+    (_WEAKTYPE + ("--corpus", "random:abc:1"),
+     "--corpus 'random:abc:1': K = 'abc' is not an integer"),
+    (_WEAKTYPE + ("--corpus", "random:-3:1"),
+     "--corpus 'random:-3:1': K = -3 must be >= 1"),
+    (_WEAKTYPE + ("--corpus", "random:0:1"),
+     "--corpus 'random:0:1': K = 0 must be >= 1"),
+    (_WEAKTYPE + ("--corpus", "random:3:-1"),
+     "--corpus 'random:3:-1': seed = -1 must be >= 0"),
+    (_WEAKTYPE + ("--corpus", "random:3"),
+     "--corpus 'random:3' is not delta or random:K:seed"),
+    (_ERGODIC + ("--system", "shift:abc:5", "--f", "indicator:3"),
+     "--system 'shift:abc:5': m = 'abc' is not an integer"),
+    (_ERGODIC + ("--system", "shift:0:5", "--f", "indicator:0"),
+     "--system 'shift:0:5': m = 0 must be >= 1"),
+    (_ERGODIC + ("--system", "shift:7:x", "--f", "indicator:3"),
+     "--system 'shift:7:x': step = 'x' is not an integer"),
+    (_ERGODIC + ("--system", "shift:7:3", "--f", "indicator:x"),
+     "--f 'indicator:x': k = 'x' is not an integer"),
+    (_ERGODIC + ("--system", "shift:7:3", "--f", "indicator:7"),
+     "--f 'indicator:7': state 7 outside 0..6"),
+], ids=["corpus-K-text", "corpus-K-negative", "corpus-K-zero",
+        "corpus-seed-negative", "corpus-shape", "system-m-text", "system-m-zero",
+        "system-step-text", "f-k-text", "f-k-range"])
+def test_a_spec_that_does_not_parse_names_its_flag(tmp_path, capsys, argv, what):
+    out = tmp_path / "t.csv"
+    assert run_cli(*argv, "--out", str(out)) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"error: {what}\n" == err
+    assert not out.exists()
 
 
 def test_ergodic_empty_range_writes_the_header_only(tmp_path):

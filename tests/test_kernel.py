@@ -7,13 +7,11 @@ import numpy as np
 import pytest
 
 import roughmax.signals as sig
-from conftest import values_at
+from conftest import count_kernel, values_at
 from roughmax import (
     DegenerateError,
     InsufficientDataError,
-    Normalization,
     RangeError,
-    Signal,
     SignalSizeError,
     autocorrelation,
     build_kernel,
@@ -26,7 +24,7 @@ from roughmax import (
     generate,
     gn_profile,
 )
-from roughmax.kernel import DecompositionReport, _density_window
+from roughmax.kernel import DecompositionReport, _density_window, _kernel_points
 
 
 def gn_direct_oracle(phi, n, x):
@@ -74,34 +72,40 @@ def test_eta_continuity_under_refinement():
 # ---------------------------------------------------------------------------
 
 def test_identity_kernel_values(sident):
-    k = build_kernel(sident, 8, Normalization.COUNT_EXACT)
-    assert k.norm_value == 8.0
-    assert k.signal.support == (5, 31)
+    # the maximal operator's kernel, over the count 8 of [1, 8]
+    k = count_kernel(sident, 8)
+    assert count(sident, 8) == 8
+    assert k.support == (5, 31)
     for n in range(5, 32):
-        assert values_at(k.signal, n) == pytest.approx(float(eta(n / 8.0)) / 8.0, rel=1e-15)
-    assert sum(values_at(k.signal, n) for n in range(8, 17)) == pytest.approx(9.0 / 8.0)
-    assert 0.0 < k.mass() <= 8.0
+        assert values_at(k, n) == pytest.approx(float(eta(n / 8.0)) / 8.0, rel=1e-15)
+    assert sum(values_at(k, n) for n in range(8, 17)) == pytest.approx(9.0 / 8.0)
+    assert 0.0 < k.sum() <= 8.0
 
 
 def test_power_kernel_support_and_values(g15, s15_1m):
-    k = build_kernel(s15_1m, 8, Normalization.COUNT_EXACT)
+    k = count_kernel(s15_1m, 8)
     assert count(s15_1m, 8) == 4      # {1, 2, 5, 8}
     # floors of m^1.5 for m = 3..10: 5.19, 8, 11.18, 14.69, 18.52, 22.62, 27, 31.62
     members = [int(e) for e in s15_1m.elements if 4 < e < 32]
     assert members == [5, 8, 11, 14, 18, 22, 27, 31]
     for n in members:
-        assert values_at(k.signal, n) == pytest.approx(float(eta(n / 8.0)) / 4.0, rel=1e-15)
+        assert values_at(k, n) == pytest.approx(float(eta(n / 8.0)) / 4.0, rel=1e-15)
     off = sorted(set(range(5, 32)) - set(members))
-    assert all(values_at(k.signal, n) == 0.0 for n in off)
+    assert all(values_at(k, n) == 0.0 for n in off)
 
 
-def test_kernel_normalization_modes_proportional(s102_16, phi102):
+def test_each_measurement_has_its_own_norm(s102_16, phi102):
+    # at 2^12 on pure:1.02 the count and phi(N) differ: the maximal
+    # operator's points are over the count, build_kernel's values over phi(N)
     n = 1 << 12
-    k_cnt = build_kernel(s102_16, n, Normalization.COUNT_EXACT)
-    k_phi = build_kernel(s102_16, n, Normalization.PHI_APPROX)
-    ratio = count(s102_16, n) / float(phi102.value(float(n)))
-    assert 0.9 < ratio < 1.1
-    assert k_phi.signal.values == pytest.approx(k_cnt.signal.values * ratio, rel=1e-12)
+    cnt, phin = count(s102_16, n), float(phi102.value(float(n)))
+    assert cnt != phin
+    pos, vals = _kernel_points(s102_16, n)
+    top = np.asarray(eta(pos / float(n)), dtype=float)
+    assert np.array_equal(vals, top / float(cnt))
+    k = build_kernel(s102_16, n)
+    assert np.array_equal(values_at(k.signal, pos), top / phin)
+    assert np.count_nonzero(k.signal.values) == np.count_nonzero(top)
 
 
 def test_kernel_nonnegative_and_support_in_set(s102_16):
@@ -143,7 +147,7 @@ def test_autocorrelation_at_zero_is_squared_norm(sident):
 
 
 def test_autocorrelation_mass_and_evenness(s102_16):
-    k = build_kernel(s102_16, 1 << 12, Normalization.PHI_APPROX)
+    k = build_kernel(s102_16, 1 << 12)
     ac = autocorrelation(k)
     assert ac.sum() == pytest.approx(k.mass() ** 2, rel=1e-9)
     xs = np.arange(1, ac.support[1] + 1)
@@ -151,7 +155,7 @@ def test_autocorrelation_mass_and_evenness(s102_16):
 
 
 def test_autocorrelation_double_sum_oracle(s102_16):
-    k = build_kernel(s102_16, 256, Normalization.PHI_APPROX)
+    k = build_kernel(s102_16, 256)
     ac = autocorrelation(k)
     d = k.signal.to_dict()
     for x in (0, 1, 13, 100, 500, 900):
@@ -201,7 +205,7 @@ def test_gn_bounded_by_inverse_scale(phi102):
 # ---------------------------------------------------------------------------
 
 def test_identity_report_degenerate_sanity(sident):
-    k = build_kernel(sident, 1 << 10, Normalization.PHI_APPROX)
+    k = build_kernel(sident, 1 << 10)
     r = decomposition_report(k)
     assert math.isfinite(r.small_x_bound)
     # with every integer present the autocorrelation IS the profile
@@ -210,7 +214,7 @@ def test_identity_report_degenerate_sanity(sident):
 
 
 def test_report_fields_positive(s102_16):
-    k = build_kernel(s102_16, 1 << 12, Normalization.PHI_APPROX)
+    k = build_kernel(s102_16, 1 << 12)
     r = decomposition_report(k)
     assert r.small_x_bound > 0 and r.gn_sup > 0
     assert r.en_sup > 0 and r.gn_lipschitz > 0
@@ -220,23 +224,9 @@ def test_report_fields_positive(s102_16):
 def test_gn_smoothness_across_scales(s102_16):
     lips = []
     for k_exp in (10, 11, 12):
-        k = build_kernel(s102_16, 1 << k_exp, Normalization.PHI_APPROX)
+        k = build_kernel(s102_16, 1 << k_exp)
         lips.append(decomposition_report(k).gn_lipschitz)
     assert max(lips) / min(lips) < 4.0
-
-
-@pytest.mark.parametrize("k_exp", [10, 12])
-def test_report_puts_gn_on_the_kernel_normalization(s102_16, phi102, k_exp):
-    # a count-normalized kernel is the phi-normalized one times phi(N)/count,
-    # so every autocorrelation sup scales by the square of that ratio
-    n = 1 << k_exp
-    r_cnt = decomposition_report(
-        build_kernel(s102_16, n, Normalization.COUNT_EXACT))
-    r_phi = decomposition_report(
-        build_kernel(s102_16, n, Normalization.PHI_APPROX))
-    scale = (float(phi102.value(float(n))) / count(s102_16, n)) ** 2
-    assert r_cnt.en_sup == pytest.approx(r_phi.en_sup * scale, rel=1e-9)
-    assert r_cnt.gn_sup == pytest.approx(r_phi.gn_sup * scale, rel=1e-9)
 
 
 def test_density_window_blocks_keep_the_bits(phi102):
@@ -282,8 +272,6 @@ def full_grid_split_sups(k, phi):
     cut = int(math.floor(phin))
     acorr = autocorrelation(k)
     gn = gn_profile(phi, n)
-    if k.normalization is not Normalization.PHI_APPROX:
-        gn = Signal(gn.offset, gn.values * (phin / k.norm_value) ** 2)
     xs = np.arange(max(acorr.support[1], gn.support[1], cut + 1) + 1)
     a = values_at(acorr, xs)
     tail = values_at(gn, xs)[cut + 1:]
@@ -296,14 +284,13 @@ def full_grid_split_sups(k, phi):
             float(np.max(np.abs(a[cut + 1:] - tail))), lip, acorr.sum())
 
 
-@pytest.mark.parametrize("norm", list(Normalization), ids=lambda m: m.name)
 def test_split_sups_are_the_full_grid_bits(s102_16, phi102, glog, philog,
-                                           sident, phident, norm):
+                                           sident, phident):
     s_log = generate(glog, 1 << 14)
     cases = [(s102_16, phi102, k) for k in (4, 8, 12, 14)]
     cases += [(s_log, philog, k) for k in (6, 12)] + [(sident, phident, 6)]
     for s, phi, k_exp in cases:
-        k = build_kernel(s, 1 << k_exp, norm)
+        k = build_kernel(s, 1 << k_exp)
         n = k.scale_n
         a0, small, gn_sup, en_sup, lip, mass = full_grid_split_sups(k, phi)
         r = decomposition_report(k)
@@ -316,18 +303,17 @@ def test_decomposition_reports_do_not_depend_on_workers(s102_16, glog):
     # more threads than cores, switching as often as the interpreter allows
     s_log = generate(glog, 1 << 16)
     scales = [1 << k for k in range(10, 15)]
-    cases = ((s102_16, Normalization.PHI_APPROX),
-             (s_log, Normalization.COUNT_EXACT))
+    cases = (s102_16, s_log)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        runs = [[decomposition_reports(s, scales, norm, workers)
-                 for workers in (1, 2, 3)] for s, norm in cases]
+        runs = [[decomposition_reports(s, scales, workers)
+                 for workers in (1, 2, 3)] for s in cases]
     finally:
         sys.setswitchinterval(interval)
-    for (s, norm), reps in zip(cases, runs):
+    for s, reps in zip(cases, runs):
         assert reps[0] == reps[1] == reps[2]
-        assert reps[0] == [decomposition_report(build_kernel(s, n, norm))
+        assert reps[0] == [decomposition_report(build_kernel(s, n))
                            for n in scales]
 
 

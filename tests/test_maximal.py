@@ -14,12 +14,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import cz_rows, values_at
+from conftest import count_kernel, cz_rows, values_at
 from roughmax import (
     CZAtom,
     DegenerateError,
     InsufficientDataError,
-    Normalization,
     RangeError,
     Signal,
     SignalSizeError,
@@ -31,6 +30,7 @@ from roughmax import (
     cz_decompose,
     decomposition_report,
     default_lambda_grid,
+    estimate_chi,
     generate,
     gn_profile,
     make_growth,
@@ -49,8 +49,9 @@ def fam102(s102_16):
 
 
 def family_kernels(fam):
-    """The family's kernels, built here: the family itself holds none."""
-    return [build_kernel(fam.s, n, fam.normalization) for n in fam.scales]
+    """The maximal operator's kernels of the family, over the count of set
+    elements up to each scale, built here: the family itself holds none."""
+    return [count_kernel(fam.s, n) for n in fam.scales]
 
 
 def same_signal(a, b):
@@ -138,10 +139,10 @@ def test_maximal_of_delta_is_kernel_sup(fam102):
     # direct per-scale evaluation oracle
     mf = maximal_function(fam102, Signal.delta(0))
     kernels = family_kernels(fam102)
-    xs = np.arange(0, max(k.signal.support[1] for k in kernels) + 1)
+    xs = np.arange(0, max(k.support[1] for k in kernels) + 1)
     oracle = np.zeros(xs.size)
     for k in kernels:
-        oracle = np.maximum(oracle, np.abs(values_at(k.signal, xs)))
+        oracle = np.maximum(oracle, np.abs(values_at(k, xs)))
     assert np.allclose(values_at(mf, xs), oracle, rtol=0, atol=1e-15)
 
 
@@ -181,7 +182,7 @@ def test_maximal_linf_bound(fam102, rng):
     f = Signal.from_dict({int(p): float(v) for p, v in
                           zip(rng.integers(0, 400, 30), rng.uniform(0, 3, 30))})
     mf = maximal_function(fam102, f)
-    cap = f.linf() * max(k.mass() for k in family_kernels(fam102))
+    cap = f.linf() * max(k.sum() for k in family_kernels(fam102))
     assert mf.linf() <= cap + 1e-12
 
 
@@ -250,7 +251,7 @@ def _direct_maximal(family, f, lo, hi):
     xs = np.arange(lo, hi + 1)
     oracle = np.zeros(xs.size)
     for k in family_kernels(family):
-        oracle = np.maximum(oracle, np.abs(values_at(convolve(f, k.signal, "direct"), xs)))
+        oracle = np.maximum(oracle, np.abs(values_at(convolve(f, k, "direct"), xs)))
     return oracle
 
 
@@ -280,11 +281,11 @@ def test_transform_path_matches_direct_oracle(s102_16, rng, monkeypatch,
     monkeypatch.setattr(signals, "_overlap_save", recording)
     mf = maximal_function(fam, f)
     kernels = family_kernels(fam)
-    top = kernels[-1].signal
+    top = kernels[-1]
     top_blocks = [b for b in blocks if b[0] >= f.offset + top.offset]
     if nnz > 1:                                     # one site: one batch
         assert len(top_blocks) >= 2                 # the top kernel spans blocks
-    assert kernels[0].signal.values.size < max(n for _, n in blocks)
+    assert kernels[0].values.size < max(n for _, n in blocks)
     oracle = _direct_maximal(fam, f, *mf.support)
     assert np.max(np.abs(mf.values - oracle)) <= 1e-12
     lams = default_lambda_grid(fam, f)
@@ -799,7 +800,7 @@ def test_refinement_threshold_and_cube_exponent(fam102):
 # ---------------------------------------------------------------------------
 
 def test_family_hypotheses_report(s102_16):
-    fam = build_scale_family(s102_16, 10, 13, Normalization.PHI_APPROX)
+    fam = build_scale_family(s102_16, 10, 13)
     rep = verify_family_hypotheses(fam)
     assert rep.eps1 > 0.0
     assert 0.0 < rep.eps0 < 1.0
@@ -815,12 +816,12 @@ def test_family_hypotheses_report(s102_16):
 
 def test_family_hypotheses_residual_matches_manual(s102_16, phi102):
     from roughmax import autocorrelation, gn_profile
-    fam = build_scale_family(s102_16, 10, 13, Normalization.PHI_APPROX)
+    fam = build_scale_family(s102_16, 10, 13)
     rep = verify_family_hypotheses(fam)
     i = 0
     sc = fam.scales[i]
     cut = int(math.floor(float(phi102.value(float(sc)))))
-    a = autocorrelation(family_kernels(fam)[i])
+    a = autocorrelation(build_kernel(fam.s, sc))
     g = gn_profile(phi102, sc)
     hi = max(a.support[1], g.support[1])
     xs = np.arange(cut + 1, hi + 1)
@@ -830,14 +831,14 @@ def test_family_hypotheses_residual_matches_manual(s102_16, phi102):
     # so the residual is identically zero there and never enters the sup
 
 
-@pytest.mark.parametrize("norm", list(Normalization), ids=lambda m: m.name)
-def test_family_hypotheses_are_decomposition_report_rescaled(s102_16, norm):
+def test_family_hypotheses_are_decomposition_report_rescaled(s102_16):
     # both reports view the same per-scale sups; at power-of-two scales the
     # change from N- to D_n = 4N-scaling is exact
-    fam = build_scale_family(s102_16, 10, 13, norm)
+    fam = build_scale_family(s102_16, 10, 13)
     rep = verify_family_hypotheses(fam)
-    for i, k in enumerate(family_kernels(fam)):
-        r = decomposition_report(k)
+    reps = [decomposition_report(build_kernel(fam.s, n)) for n in fam.scales]
+    assert rep.eps1 == estimate_chi(reps)
+    for i, r in enumerate(reps):
         assert rep.residual_sup[i] == r.en_sup
         assert rep.f0_d_product[i] == r.point_mass * fam.d[i]
         assert rep.lipschitz_ratio[i] == 16 * r.gn_lipschitz
@@ -846,14 +847,13 @@ def test_family_hypotheses_are_decomposition_report_rescaled(s102_16, norm):
 
 def test_family_hypotheses_do_not_depend_on_workers(s102_16, glog):
     s_log = generate(glog, 1 << 16)
-    for s, norm in ((s102_16, Normalization.PHI_APPROX),
-                    (s_log, Normalization.COUNT_EXACT)):
-        fam = build_scale_family(s, 10, 14, norm)
+    for s in (s102_16, s_log):
+        fam = build_scale_family(s, 10, 14)
         reps = [verify_family_hypotheses(fam, workers) for workers in (1, 2, 3)]
         assert reps[0] == reps[1] == reps[2]
 
 
 def test_family_hypotheses_needs_scales(s102_16):
-    fam = build_scale_family(s102_16, 10, 12, Normalization.PHI_APPROX)
+    fam = build_scale_family(s102_16, 10, 12)
     with pytest.raises(InsufficientDataError):
         verify_family_hypotheses(fam)
