@@ -28,7 +28,6 @@ from .expsum import min_norm_sweep, ratio_sweep
 from .growth import GrowthFunction, Variant, build_aux_report, make_growth
 from .kernel import decomposition_reports
 from .maximal import (
-    _cover_counts,
     build_scale_family,
     cz_decompose,
     default_lambda_grid,
@@ -398,20 +397,6 @@ def _read_input_signal(path: str) -> dict:
     return values
 
 
-def _reassembles(cz, values: dict) -> bool:
-    """Whether the good part plus the atoms give back ``values`` exactly.
-
-    Each point's value is added back once for the good mask and once for
-    every atom range that holds it, in the decomposition's scaled units, and
-    must come out as the point's own value; the points and values must be
-    the nonzero entries of ``values`` themselves.
-    """
-    copies = _cover_counts(cz.cubes, cz.positions.size) + ~cz.bad
-    return (np.array_equal(copies * cz.scaled, cz.scaled)
-            and dict(zip(cz.positions.tolist(), cz.values))
-            == {x: v for x, v in values.items() if v})
-
-
 def _cmd_cz(args):
     values = _read_input_signal(args.input)
     try:
@@ -429,7 +414,8 @@ def _cmd_cz(args):
     good = cz.scaled[~cz.bad]
     good_linf = Fraction(max(good) if good.size else 0, cz.denominator)
     rows = [[lam, len(cz.cubes), Fraction(cz.total, cz.denominator),
-             cz.total_cube_size(), good_linf, _reassembles(cz, values)]]
+             cz.total_cube_size(), good_linf,
+             cz.reconstruction() == {x: v for x, v in values.items() if v}]]
     return (["lambda", "n_atoms", "l1", "sum_cube_sizes", "good_linf",
              "reconstruction_exact"], rows, {})
 
@@ -457,6 +443,8 @@ def _cmd_ergodic(args):
     s = generate(g, 1 << args.kmax)
     system = _parse_system(args.system)
     f = _parse_observable(args.f, system.size)
+    if not (0 <= args.x < system.size):
+        raise ValidationError(f"--x {args.x} outside 0..{system.size - 1}")
     ks = range(args.kmin, args.kmax + 1)
     ns = np.array([1 << k for k in ks], dtype=np.int64)
     rows = zip(ks, ns.tolist(),

@@ -2,15 +2,15 @@
 
 Finite uniform-measure systems stand in for general measure-preserving
 dynamics at desk scale: a permutation of {0, ..., m-1} is invertible and
-preserves counting measure, and its cycle structure makes T^n x an O(1)
-lookup for any n after linear preprocessing.
+preserves counting measure, and T^n x for every n of a call is read off the
+orbit of x, which each call walks once.
 """
 
 from __future__ import annotations
 
 import math
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,9 +25,6 @@ class FiniteSystem:
 
     size: int
     mapping: np.ndarray
-    _cycles: tuple = field(repr=False, default=())
-    _cycle_id: np.ndarray = field(repr=False, default=None)
-    _cycle_pos: np.ndarray = field(repr=False, default=None)
 
     @staticmethod
     def from_mapping(mapping) -> "FiniteSystem":
@@ -37,30 +34,19 @@ class FiniteSystem:
             raise ValidationError("a system needs at least one state")
         if not np.array_equal(np.sort(mapping), np.arange(m)):
             raise ValidationError("the map must be a permutation of 0..m-1")
-        cycles = []
-        cid = np.full(m, -1, dtype=np.int64)
-        cpos = np.zeros(m, dtype=np.int64)
-        for start in range(m):
-            if cid[start] >= 0:
-                continue
-            cyc = []
-            x = start
-            while cid[x] < 0:
-                cid[x] = len(cycles)
-                cpos[x] = len(cyc)
-                cyc.append(x)
-                x = int(mapping[x])
-            cycles.append(np.array(cyc, dtype=np.int64))
-        return FiniteSystem(m, mapping, tuple(cycles), cid, cpos)
+        return FiniteSystem(m, mapping)
 
     def iterate(self, x: int, n) -> np.ndarray | int:
-        """T^n x via the cycle of x; n may be a scalar or an array."""
+        """T^n x via the orbit of x; n may be a scalar or an array."""
         if not (0 <= x < self.size):
             raise RangeError(f"state {x} outside 0..{self.size - 1}")
-        cyc = self._cycles[self._cycle_id[x]]
-        pos = int(self._cycle_pos[x])
+        orbit = [x]
+        y = int(self.mapping[x])
+        while y != x:
+            orbit.append(y)
+            y = int(self.mapping[y])
         n = np.asarray(n, dtype=np.int64)
-        out = cyc[(pos + n) % cyc.size]
+        out = np.array(orbit, dtype=np.int64)[n % len(orbit)]
         return int(out) if out.ndim == 0 else out
 
 

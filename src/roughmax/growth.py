@@ -283,16 +283,6 @@ class GrowthFunction:
         *_, out = self._vartheta_levels(x, self._vartheta_derivs(x, i - 1))
         return float(out) if np.asarray(out).ndim == 0 else out
 
-    def varrho(self, x) -> FloatLike:
-        """vartheta_2 / vartheta, the bounded factor in the c = 1 regime."""
-        if self.c != 1.0:
-            raise ValidationError("varrho is defined only for c = 1")
-        levels = self._vartheta_levels(x, self._vartheta_derivs(x, 1))
-        v1 = next(levels)
-        self._guard(v1, "vartheta")
-        out = next(levels) / v1
-        return float(out) if np.asarray(out).ndim == 0 else out
-
     @staticmethod
     def _guard(den, name: str):
         if np.any(np.abs(den) < DENOM_GUARD):
@@ -618,8 +608,8 @@ def build_aux_report(phi: InverseFunction, grid) -> AuxFunctionReport:
     th = tuple(phi._thetas(u, dv))
     if g.c == 1.0:
         sig = vt[0]     # sigma(y) = vartheta(phi(y), 1)
-        tau = phi._tau(u, dv)
-        rho = np.asarray(g.varrho(u), dtype=float)
+        tau = phi._tau(u, dv)   # refuses a vartheta(phi) below DENOM_GUARD
+        rho = vt[1] / vt[0]     # varrho = vartheta_2 / vartheta
     else:
         sig = np.empty(0)
         tau = np.empty(0)

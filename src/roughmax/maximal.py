@@ -202,7 +202,9 @@ class CZDecomposition:
     holds the points lo..hi-1.  ``bad`` marks the points of selected cubes.
 
     ``atoms``, ``good`` and ``index_set`` are views built from the arrays on
-    first read.  ``good`` lists positions in ascending order.  ``atoms``
+    first read.  ``reconstruction`` and ``refine_bad_part`` read the arrays
+    themselves: the atom dicts are built only by ``atoms`` and
+    ``atoms_at_scale``.  ``good`` lists positions in ascending order.  ``atoms``
     (like the rows of ``cubes``) come in the order the tree walk selects
     them: scale descending, then cube index ascending.
     """
@@ -235,13 +237,12 @@ class CZDecomposition:
         return frozenset(map(tuple, self.cubes[:, :2].tolist()))
 
     def reconstruction(self) -> dict:
-        total = dict(self.good)
-        for atom in self.atoms:
-            for x, v in atom.values.items():
-                # 0 + v would build a new Fraction per point; add on overlaps
-                t = total.get(x)
-                total[x] = v if t is None else t + v
-        return {x: v for x, v in total.items() if v != 0}
+        """Good part plus atoms, point by point: each value times the number
+        of selected ranges that hold it, plus one off the bad mask."""
+        copies = _cover_counts(self.cubes, self.positions.size) + ~self.bad
+        return {x: v if k == 1 else k * v
+                for x, v, k in zip(self.positions.tolist(), self.values,
+                                   copies.tolist()) if k > 0}
 
     def total_cube_size(self) -> int:
         return sum(1 << s for s in self.cubes[:, 0].tolist())
@@ -380,39 +381,38 @@ class RefinedBadPart:
     cubes: tuple
 
 
-def _exact_mean(total, size: int):
-    if isinstance(total, (int, Fraction)):
-        return Fraction(total, size)
-    return total / size
-
-
 def refine_bad_part(cz: CZDecomposition, s: int, n: int,
                     family: ScaleFamily) -> RefinedBadPart:
     """Split the scale-s bad part against the support count at family scale n.
 
-    Big_b and the cube means are written at every point of each cube, so a
-    cube wider than ``signals.MAX_SUPPORT`` is refused before any is built.
+    The split reads the rows of ``cz.cubes`` at scale s and slices the
+    sorted points and values with their ranges; no atom is built.  Big_b
+    and the cube means are written at every point of each cube, so a cube
+    wider than ``signals.MAX_SUPPORT`` is refused before any is built.
     """
-    atoms = cz.atoms_at_scale(s)
-    if not atoms:
+    rows = cz.cubes[cz.cubes[:, 0] == s].tolist()
+    if not rows:
         raise RangeError(f"no atoms at cube scale {s}")
-    signals._check_size(1 << s, f"bad-part cube width 2^{s}")
+    size = 1 << s
+    signals._check_size(size, f"bad-part cube width 2^{s}")
     d_n = family.d[family.scale_index(n)]
     thr = cz.height * d_n
 
+    keys = cz.positions.tolist()
     b_cut: dict = {}
     big_b: dict = {}
     g_part: dict = {}
-    for atom in atoms:
+    for _, j, a, b in rows:
         kept = {}
-        for x, v in atom.values.items():
+        for x, v in zip(keys[a:b], cz.values[a:b]):
             if abs(v) > thr:
                 b_cut[x] = v
             else:
                 kept[x] = v
-        size = 1 << s
-        mean = _exact_mean(sum(kept.values()), size) if kept else _exact_mean(0, size)
-        lo = atom.index << s
+        total = sum(kept.values())
+        mean = (Fraction(total, size) if isinstance(total, (int, Fraction))
+                else total / size)
+        lo = j << s
         if mean != 0:
             for x in range(lo, lo + size):
                 g_part[x] = mean
@@ -422,7 +422,8 @@ def refine_bad_part(cz: CZDecomposition, s: int, n: int,
                 big_b[x] = r
     return RefinedBadPart(n, s, thr, b_cut, big_b, g_part,
                           family.s_of_scale(n),
-                          tuple(sorted(a.cube() for a in atoms)))
+                          tuple(sorted((j << s, ((j + 1) << s) - 1)
+                                       for _, j, _, _ in rows)))
 
 
 # ---------------------------------------------------------------------------

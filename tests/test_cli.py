@@ -776,6 +776,15 @@ def test_a_spec_that_does_not_parse_names_its_flag(tmp_path, capsys, argv, what)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("x", [7, 9, -1])
+def test_ergodic_names_a_start_state_outside_the_system(tmp_path, capsys, x):
+    out = tmp_path / "t.csv"
+    assert run_cli(*_ERGODIC, "--system", "shift:7:3", "--f", "indicator:2",
+                   "--x", str(x), "--out", str(out)) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err == f"error: --x {x} outside 0..6\n" and not out.exists()
+
+
 def test_ergodic_empty_range_writes_the_header_only(tmp_path):
     p = tmp_path / "e.csv"
     assert run_cli("ergodic", "--h", "pure:1.02:1.0", "--system", "shift:7:3",
@@ -920,7 +929,8 @@ def test_growth_table_rows_are_the_aux_report_bits(tmp_path, label):
         expected.update(sigma=rep.sigma_values, tau=rep.tau_values,
                         varrho=rep.varrho_values)
         public.update(sigma=g.vartheta(rep.phi_values, 1),
-                      varrho=g.varrho(rep.phi_values))
+                      varrho=g.vartheta(rep.phi_values, 2)
+                      / g.vartheta(rep.phi_values, 1))
     for name, values in public.items():
         assert np.array_equal(expected[name].view(np.int64),
                               np.asarray(values).view(np.int64)), name

@@ -465,8 +465,7 @@ def test_c1_sigma_tau_factorization():
     assert np.max(np.abs(lhs - rhs) / np.abs(rhs)) < 1e-9
     # tau stays in a fixed negative band; varrho is reported raw
     assert np.all(rep.tau_values < 0)
-    rhos = np.asarray(g.varrho(np.asarray(phi.value(ys))))
-    assert np.all(np.isfinite(rhos))
+    assert np.all(np.isfinite(rep.varrho_values))
 
 
 def test_aux_report_decay(philog):
@@ -501,4 +500,4 @@ def test_singularity_guard():
     # the identity map has vanishing correction, so the c = 1 ratio
     # vartheta_2 / vartheta hits the denominator guard
     with pytest.raises(SingularityError):
-        identity_growth().varrho(5.0)
+        build_aux_report(identity_growth().inverse(), [5.0])

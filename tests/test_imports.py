@@ -5,8 +5,9 @@ module-level private function is used somewhere outside its own body, every
 public module-level name and every method or property of a package class is
 read by the package, the acceptance criteria or the benchmark's tracer, no
 function takes a set or a kernel beside an inverse that must match it, and
-the benchmark's span tracer still installs on the package and counts the
-terms of a phase sum."""
+the CLI takes no private name from another package module, and the
+benchmark's span tracer still installs on the package and counts the terms
+of a phase sum."""
 
 import ast
 import importlib.util
@@ -289,6 +290,50 @@ def test_every_public_name_is_read():
     readers = [(root / "tests" / "test_acceptance.py").read_text(encoding="utf-8")]
     targets = (root / "perfbench" / "spans.py").read_text(encoding="utf-8")
     assert unread_public_names(modules, readers, targets) == sorted(UNREAD_PUBLIC_KEPT)
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def private_imports(source: str) -> list:
+    """``_private`` names that ``source`` takes from another package module,
+    as ``"module:name"``: imported from it (``from .m import _name``), or
+    read off a module imported relatively (``from . import m``, then
+    ``m._name``).  Dunders such as ``__version__`` are public."""
+    tree = ast.parse(source)
+    modules, out = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            for alias in node.names:
+                if node.module is None:
+                    modules.add(alias.asname or alias.name)
+                elif _private(alias.name):
+                    out.add(f"{node.module}:{alias.name}")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and _private(node.attr)):
+            out.add(f"{node.value.id}:{node.attr}")
+    return sorted(out)
+
+
+@pytest.mark.parametrize("source, flagged", [
+    ("from .maximal import _cover_counts, cz_decompose\n"
+     "from . import __version__, signals\n"
+     "def api(cz):\n    return signals._check_size(_cover_counts(cz), 'n')\n",
+     ["maximal:_cover_counts", "signals:_check_size"]),
+    ("from . import __version__, signals\n"
+     "from .maximal import cz_decompose\n"
+     "from numpy import _NoValue\n"
+     "def _own():\n    return signals.MAX_SUPPORT, _NoValue\n"
+     "def api(cz):\n    return cz._atoms(), _own()\n", []),
+], ids=["private-names", "public-surface"])
+def test_guard_flags_a_private_import(source, flagged):
+    assert private_imports(source) == flagged
+
+
+def test_the_cli_reads_only_public_names_of_the_package():
+    assert private_imports((PACKAGE / "cli.py").read_text(encoding="utf-8")) == []
 
 
 def set_and_inverse_params(source: str) -> list:

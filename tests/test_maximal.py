@@ -4,6 +4,7 @@ Decomposition checks run on exact rational inputs where every invariant is
 asserted with equality; the float path is exercised separately at 1e-12.
 """
 
+import hashlib
 import math
 import random
 import time
@@ -793,6 +794,60 @@ def test_refinement_threshold_and_cube_exponent(fam102):
     rb = refine_bad_part(cz, cz.atoms[0].scale, 9, fam102)
     assert rb.threshold == Fraction(1, 3) * fam102.d[fam102.scale_index(9)]
     assert rb.s_of_n == 11
+
+
+def criterion_9_cases():
+    """The 64 exact rational (input, height) cases of acceptance criterion 9,
+    drawn as it draws them."""
+    rng = np.random.default_rng(0x5EED)
+    for _ in range(64):
+        n_spikes = int(rng.integers(1, 40))
+        f = {}
+        for p in rng.integers(-300, 3000, n_spikes):
+            f[int(p)] = f.get(int(p), 0) + Fraction(int(rng.integers(1, 120)),
+                                                    int(rng.integers(1, 24)))
+        yield f, Fraction(int(rng.integers(1, 40)), int(rng.integers(1, 12)))
+
+
+def float_case():
+    """The float input and height of ``test_cz_float_path``."""
+    rng = np.random.default_rng(0xC0FFEE)
+    f = Signal.from_dict({int(p): float(v) for p, v in
+                          zip(rng.integers(0, 1000, 25), rng.uniform(0.1, 9, 25))})
+    return f, 0.75
+
+
+def cz_views(fam):
+    """reconstruction() and every refine_bad_part(cz, s, n, fam), n in
+    {8, 11, 13}, on criterion 9's cases and the float case, each as a repr
+    that shows the type of every value."""
+    for f, lam in [*criterion_9_cases(), float_case()]:
+        cz = cz_decompose(f, lam)
+        yield repr(sorted(cz.reconstruction().items()))
+        for s in sorted(set(cz.cubes[:, 0].tolist())):
+            for n in (8, 11, 13):
+                rb = refine_bad_part(cz, s, n, fam)
+                yield repr((rb.threshold, sorted(rb.b_cut.items()),
+                            sorted(rb.big_b.items()), sorted(rb.g_part.items()),
+                            rb.cubes, rb.s_of_n))
+
+
+CZ_VIEWS_PINNED = "5fb40100aa9f1fe0a574d32938dbce044f826ffe2a9d8381cc61c73787416249"
+
+
+def test_cz_reconstruction_and_refinement_bytes_are_pinned(fam102):
+    digest = hashlib.sha256()
+    for view in cz_views(fam102):
+        digest.update(view.encode() + b"\n")
+    assert digest.hexdigest() == CZ_VIEWS_PINNED
+
+
+def test_cz_reconstruction_and_refinement_build_no_atom(fam102, monkeypatch):
+    built = []
+    atom = maximal.CZAtom
+    monkeypatch.setattr(maximal, "CZAtom", lambda *a: built.append(a) or atom(*a))
+    assert sum(1 for _ in cz_views(fam102)) > 64
+    assert built == []
 
 
 # ---------------------------------------------------------------------------
