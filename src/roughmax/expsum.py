@@ -9,9 +9,14 @@ per window, and every alpha probe sums those.  The slowly varying factor of
 the c = 1 regime is constantly 1 for c > 1, the only regime wired into the
 bounds here.
 
+Every window sum is fed to ``util.streamed_sum`` one leaf of numpy's
+pairwise tree at a time, so it has the bits of ``chunked_sum`` over the
+whole window while only the phi terms (8 B per point) are held at its
+length, beside buffers of at most ``util.CHUNK`` points.
+
 The sweeps run their scales through ``util.map_scales`` on up to ``workers``
 threads.  A task calls only ``phi.value``/``phi.deriv``, ``eta`` and
-``chunked_sum`` (numpy throughout, no mpmath), and every reduction is
+``streamed_sum`` (numpy throughout, no mpmath), and every reduction is
 ordered, so the results do not depend on the thread count.
 """
 
@@ -27,7 +32,7 @@ from . import signals
 from .errors import EmptyRangeError, PreconditionError, ValidationError
 from .growth import InverseFunction
 from .kernel import eta
-from .util import CHUNK, chunked_sum, dist_to_nearest_int, map_scales
+from .util import CHUNK, chunked_sum, dist_to_nearest_int, map_scales, streamed_sum
 
 
 # ---------------------------------------------------------------------------
@@ -96,29 +101,79 @@ def _window(n: int, x: int) -> tuple[int, int]:
     return lo, hi
 
 
-def _window_points(n: int, x: int) -> np.ndarray:
-    """The points lo..hi of ``_window(n, x)`` as floats; empty is refused."""
+def _two_window(n: int, x: int) -> tuple[int, int]:
+    """``_window(n, x)`` for the two-point phase, which inverts the union
+    lo..hi + x of the window and its shift by x (x > 0): that union is
+    checked against ``signals.MAX_SUPPORT`` too, before it is built."""
     lo, hi = _window(n, x)
-    if hi < lo:
-        raise EmptyRangeError(f"window {lo}..{hi} is empty for N={n}, x={x}")
-    return np.arange(lo, hi + 1, dtype=float)
+    if hi >= lo:
+        size = hi + x - lo + 1
+        signals._check_size(size, f"two-point union {size} at N = {n}, x = {x}")
+    return lo, hi
+
+
+# points per call of phi.value and eta, whose float temporaries are then
+# 128 KiB.  Measured on the benchmark's expsum commands and on minnorm 4..19
+# x=5 (2 vCPU): in blocks of 2^15 malloc handed each block's temporaries back
+# to the system and faulted them in afresh (minnorm 4..19 at --workers 1:
+# 83k minor faults and 0.32 s, against 18k and 0.25 s), and blocks of 2^13
+# cost more per call under two threads (0.29 s against 0.23 s).
+BLOCK = 1 << 14
+
+
+def _inverted(phi: InverseFunction, start: int, count: int) -> np.ndarray:
+    """phi at the ``count`` integers from ``start`` on, inverted ``BLOCK``
+    points at a time straight into the one array returned.  The points are
+    integers below 2^53, so each block's float points have the bits of
+    ``np.arange``, and each point follows its own Newton path."""
+    u = np.empty(count)
+    iota = np.arange(min(count, BLOCK), dtype=float)
+    for a in range(0, count, BLOCK):
+        u[a:a + BLOCK] = phi.value(iota[:min(BLOCK, count - a)] + (start + a))
+    return u
+
+
+def _leaf_buffers(size: int) -> tuple:
+    """(iota, complex, real) buffers for the leaves of a window of ``size``
+    points, written with ``out=``: fresh ``CHUNK`` temporaries per leaf would
+    be mapped and faulted in afresh."""
+    m = min(size, CHUNK)
+    return np.arange(m, dtype=float), np.empty(m, dtype=complex), np.empty(m)
+
+
+@dataclass(frozen=True)
+class _Phase:
+    """A phase built once per window for all its alpha probes: the window's
+    first point ``lo`` and size ``k``, the inversion ``u`` that the phi
+    terms read as (multiplier, offset into u), the cap, the params with
+    alpha unset, and the leaf buffers that the probes share."""
+    lo: int
+    k: int
+    u: np.ndarray
+    terms: tuple
+    bound: float
+    params: dict
+    buffers: tuple
 
 
 def _single_setup(phi: InverseFunction, n: int, x: int, m: int, p: int,
-                  q: int) -> tuple:
+                  q: int) -> _Phase:
     if m == 0:
         raise ValidationError("phase multiplier m must be nonzero")
     if p not in (0, 1) or q not in (0, 1):
         raise ValidationError("shift selectors p, q must lie in {0, 1}")
-    ns = _window_points(n, x)
-    term = m * np.asarray(phi.value(ns + p * x + q), dtype=float)
+    lo, hi = _window(n, x)
+    if hi < lo:
+        raise EmptyRangeError(f"window {lo}..{hi} is empty for N={n}, x={x}")
+    k = hi - lo + 1
     bound = math.sqrt(abs(m)) * n / math.sqrt(float(phi.value(float(n))))
-    return ns, (term,), bound, dict(N=n, x=x, alpha=None, m=m, p=p, q=q,
-                                    N_prime=float(ns[-1]))
+    return _Phase(lo, k, _inverted(phi, lo + p * x + q, k), ((m, 0),), bound,
+                  dict(N=n, x=x, alpha=None, m=m, p=p, q=q, N_prime=float(hi)),
+                  _leaf_buffers(k))
 
 
 def _two_setup(phi: InverseFunction, n: int, x: int, m1: int, m2: int,
-               kappa: float) -> tuple:
+               kappa: float) -> _Phase:
     if m1 == 0 or m2 == 0:
         raise ValidationError("phase multipliers m1, m2 must be nonzero")
     if not (0.0 <= kappa <= 1.0):
@@ -128,38 +183,49 @@ def _two_setup(phi: InverseFunction, n: int, x: int, m1: int, m2: int,
         raise PreconditionError(
             f"separation x = {x} below phi(N)^kappa = {phin ** kappa:.6g}; "
             "the two-point bound does not apply")
-    ns = _window_points(n, x)
     if not float(x).is_integer():
         raise ValidationError(f"separation x = {x} must be an integer")
-    # ns and ns + x share all but x points: invert their union once
-    x, k = int(x), ns.size
-    u = np.asarray(phi.value(np.arange(ns[0], ns[-1] + x + 1)), dtype=float)
-    terms = (m1 * u[:k], m2 * u[x:x + k])
+    x = int(x)
+    lo, hi = _two_window(n, x)
+    if hi < lo:
+        raise EmptyRangeError(f"window {lo}..{hi} is empty for N={n}, x={x}")
+    # the window and its shift by x share all but x points: invert their
+    # union once, and read both phi terms off it
+    k = hi - lo + 1
     m = max(abs(m1), abs(m2))
     bound = m ** (2.0 / 3.0) * n ** (4.0 / 3.0) * phin ** (-(1.0 + kappa) / 3.0)
-    return ns, terms, bound, dict(N=n, x=x, alpha=None, m1=m1, m2=m2,
-                                  kappa=kappa, N_prime=float(ns[-1]))
+    return _Phase(lo, k, _inverted(phi, lo, k + x), ((m1, 0), (m2, x)), bound,
+                  dict(N=n, x=x, alpha=None, m1=m1, m2=m2, kappa=kappa,
+                       N_prime=float(hi)),
+                  _leaf_buffers(k))
 
 
-def _phase_sum(setup: tuple, alpha: float) -> ExpSumResult:
-    """Sum of e^{2 pi i (alpha n + phi terms)} over a setup (window ns, phi
-    terms, cap, params with alpha unset).  The phi terms are added one by
-    one: pre-adding them would change the last bits.  The phase is built in
-    the imaginary half of the one complex buffer that exp then overwrites,
-    16 bytes per point; the bits are those of exp(2j * pi * phase).
+def _phase_sum(phase: _Phase, alpha: float) -> ExpSumResult:
+    """Sum of e^{2 pi i (alpha n + phi terms)} over a phase's window, one
+    ``util.streamed_sum`` leaf at a time in the phase's buffers.  The phi
+    terms are added one by one: pre-adding them would change the last bits.
+    The phase is built in the imaginary half of the complex buffer that exp
+    then overwrites.  Every step is per point, so the bits are those of
+    ``chunked_sum(exp(2j * pi * phase))`` over the whole window.
     """
-    ns, terms, bound, params = setup
-    z = np.empty(ns.size, dtype=complex)
-    phase = z.imag
-    np.multiply(alpha, ns, out=phase)
-    for t in terms:
-        phase += t
-    phase *= 2.0 * np.pi
-    z.real = 0.0
-    np.exp(z, out=z)
-    actual = complex(chunked_sum(z))
-    return ExpSumResult(actual, abs(actual), bound, abs(actual) / bound,
-                        dict(params, alpha=alpha))
+    lo, u, terms = phase.lo, phase.u, phase.terms
+    iota, z, tmp = phase.buffers
+
+    def leaf(a, b):
+        zl = z[:b - a]
+        t = zl.imag
+        np.add(iota[:b - a], lo + a, out=t)
+        t *= alpha
+        for mult, off in terms:
+            t += np.multiply(mult, u[off + a:off + b], out=tmp[:b - a])
+        t *= 2.0 * np.pi
+        zl.real = 0.0
+        np.exp(zl, out=zl)
+        return zl.sum()
+
+    actual = streamed_sum(phase.k, leaf, True)
+    return ExpSumResult(actual, abs(actual), phase.bound, abs(actual) / phase.bound,
+                        dict(phase.params, alpha=alpha))
 
 
 def single_phase_sum(phi: InverseFunction, n: int, x: int, alpha: float,
@@ -191,29 +257,33 @@ def min_norm_sum(phi: InverseFunction, n: int, x: int,
     window (N/2 - min(x, 0), 4N - max(x, 0)], 0 when it is empty.
 
     Returns (actual, bound) with the cap N log M / M
-    + N sqrt(M) log M / sqrt(phi(N)).  The summands are built in
-    ``util.CHUNK`` blocks into one array, so the window costs two arrays of
-    its length (points and summands); every step is per point, so the bits
-    are those of one pass over the whole window.
+    + N sqrt(M) log M / sqrt(phi(N)).  The summands are built one
+    ``util.streamed_sum`` leaf at a time, in buffers of at most ``CHUNK``
+    points, so no array of the window's length is held; every step is per
+    point, so the bits are those of ``chunked_sum`` over the whole window.
     """
     if m_terms < 2:
         raise ValidationError(f"M = {m_terms} must be >= 2")
     lo, hi = _window(n, x)
     if hi < lo:
         return 0.0, _min_norm_bound(phi, n, m_terms)
-    ns = np.arange(lo, hi + 1, dtype=float)
-    terms = np.empty_like(ns)
-    for i in range(0, ns.size, CHUNK):
-        b = ns[i:i + CHUNK]
-        norms = dist_to_nearest_int(np.asarray(phi.value(b), dtype=float))
-        with np.errstate(divide="ignore"):
-            caps = np.minimum(1.0, 1.0 / (m_terms * norms))
-        e = np.asarray(eta(b / n), dtype=float)
-        # at x = 0 the shifted cutoff is the same array
-        w = e * (e if x == 0 else np.asarray(eta((b + x) / n), dtype=float))
-        np.multiply(caps, w, out=terms[i:i + CHUNK])
-    actual = float(chunked_sum(terms))
-    return actual, _min_norm_bound(phi, n, m_terms)
+    k = hi - lo + 1
+    iota = np.arange(min(k, BLOCK), dtype=float)
+    out = np.empty(min(k, CHUNK))
+
+    def leaf(a, b):
+        for c in range(a, b, BLOCK):
+            pts = iota[:min(BLOCK, b - c)] + (lo + c)
+            terms = out[c - a:c - a + pts.size]
+            norms = dist_to_nearest_int(np.asarray(phi.value(pts), dtype=float))
+            with np.errstate(divide="ignore"):
+                np.minimum(1.0, 1.0 / (m_terms * norms), out=terms)
+            e = np.asarray(eta(pts / n), dtype=float)
+            # at x = 0 the shifted cutoff is the same array
+            terms *= e * (e if x == 0 else np.asarray(eta((pts + x) / n), dtype=float))
+        return out[:b - a].sum()
+
+    return streamed_sum(k, leaf, False), _min_norm_bound(phi, n, m_terms)
 
 
 def _min_norm_bound(phi: InverseFunction, n: int, m_terms: int) -> float:
@@ -255,9 +325,10 @@ def ratio_sweep(phi: InverseFunction, mode: str, m: int, k_lo: int, k_hi: int,
     slope-cancelling value, 1/4, and the golden ratio); the returned per-scale
     results are what trend-boundedness assertions run on.  Each scale, its
     setup and its four probes, is one task of ``util.map_scales`` on up to
-    ``workers`` threads; every window is checked against
-    ``signals.MAX_SUPPORT`` before any scale runs, and a window that x
-    empties raises ``EmptyRangeError`` from its scale's setup.
+    ``workers`` threads; every window, and every union that a two-point
+    phase inverts, is checked against ``signals.MAX_SUPPORT`` before any
+    scale runs, and a window that x empties raises ``EmptyRangeError`` from
+    its scale's setup.
     """
     if mode not in ("single", "two"):
         raise ValidationError(f"mode {mode!r} not in {{single, two}}")
@@ -273,7 +344,7 @@ def ratio_sweep(phi: InverseFunction, mode: str, m: int, k_lo: int, k_hi: int,
             # as x grows, so its size at x = 2^1024 is a lower bound
             _window(n, 1 << 1024)
             x = int(math.ceil(float(phi.value(float(n))) ** kappa))
-        _window(n, x)
+        (_two_window if mode == "two" else _window)(n, x)
         scales.append((n, x))
 
     def task(scale):

@@ -11,6 +11,12 @@ from .errors import SignalSizeError
 from .util import CHUNK
 
 MAX_SUPPORT = 1 << 30
+# the transform length from which the power spectrum is taken as
+# conj(f) * f rather than f * conj(f).  The two orders round apart in the
+# last bits, and every table was made with ``f * f.conj()``, which numpy's
+# temporary elision computes as conj(f) * f in the conj buffer once that
+# buffer, n/2 + 1 complex values, reaches 256 KiB: from n = 2^15 on
+POWER_ORDER_SWAP = 1 << 15
 
 
 def _check_size(size: int, what: str) -> None:
@@ -253,8 +259,12 @@ def _even_autocorrelation(v: np.ndarray, method: str = "fast", mass: bool = Fals
     else:
         n = 1 << (out_len - 1).bit_length()
         f = np.fft.rfft(v, n)
-        power = f * f.conj()
-        del f
+        c = f.conj()
+        if n < POWER_ORDER_SWAP:
+            power = np.multiply(f, c, out=c)
+        else:
+            power = np.multiply(c, f, out=c)
+        del f, c
         buf = np.fft.irfft(power, n)
         del power
         half[0] = buf[0] + buf[0]

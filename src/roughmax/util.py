@@ -16,20 +16,49 @@ COMPENSATED_THRESHOLD = 1 << 20
 
 
 def chunked_sum(values: np.ndarray) -> complex | float:
-    """Deterministic sum: pairwise per fixed chunk, exact fsum of the chunk totals.
+    """Deterministic sum: numpy's own pairwise sum up to COMPENSATED_THRESHOLD
+    terms, above it the exact fsum of ``CHUNK``-chunk pairwise sums.
 
-    Below COMPENSATED_THRESHOLD terms plain pairwise summation is already
-    accurate to ~1e-13 relative; above it the fsum of chunk totals keeps the
-    accumulated error independent of length.
+    Below the threshold pairwise summation is already accurate to ~1e-13
+    relative; above it the fsum of chunk totals keeps the accumulated error
+    independent of length.  This is the array form of ``streamed_sum``.
     """
     v = np.asarray(values)
-    if v.size <= COMPENSATED_THRESHOLD:
-        return complex(v.sum()) if np.iscomplexobj(v) else float(v.sum())
-    parts = [v[i:i + CHUNK].sum() for i in range(0, v.size, CHUNK)]
-    if np.iscomplexobj(v):
+    return streamed_sum(v.size, lambda a, b: v[a:b].sum(), np.iscomplexobj(v))
+
+
+def streamed_sum(size: int, leaf: Callable, is_complex: bool) -> complex | float:
+    """The bits of ``chunked_sum`` over ``size`` values that ``leaf(a, b)``
+    gives, as ``np.sum`` of the contiguous values a..b-1, one leaf at a time.
+
+    Up to COMPENSATED_THRESHOLD terms the leaves are the nodes of at most
+    ``CHUNK`` values of numpy's pairwise tree, added in tree order, so the
+    total has the bits of ``np.sum`` over all the values; above it they are
+    the ``CHUNK`` chunks whose sums go to ``math.fsum``.  Only a leaf's
+    values need to exist at once.
+    """
+    if size <= COMPENSATED_THRESHOLD:
+        d = 2 if is_complex else 1
+        total = _pairwise(leaf, 0, size * d, d)
+        return complex(total) if is_complex else float(total)
+    parts = [leaf(i, min(i + CHUNK, size)) for i in range(0, size, CHUNK)]
+    if is_complex:
         return complex(math.fsum(p.real for p in parts),
                        math.fsum(p.imag for p in parts))
     return math.fsum(float(p) for p in parts)
+
+
+def _pairwise(leaf: Callable, start: int, n: int, d: int):
+    """The sum of the node of numpy's pairwise tree over the n doubles from
+    double ``start`` on, ``d`` doubles per value.  numpy splits a node of more
+    than 128 doubles at n//2 rounded down to its 8-way unroll, and adds the
+    halves' sums; a node of at most ``CHUNK`` values is that same sum as one
+    ``np.sum``, whose 0.0 start changes at most the sign of a zero total."""
+    if n <= CHUNK * d:
+        return leaf(start // d, (start + n) // d)
+    half = n // 2
+    half -= half % 8
+    return _pairwise(leaf, start, half, d) + _pairwise(leaf, start + half, n - half, d)
 
 
 def map_scales(task: Callable, items: Sequence, workers: int = 1) -> list:

@@ -225,6 +225,26 @@ def test_phase_tables_match_the_reference_bytes(tmp_path, label, workers):
     assert out.read_bytes() == (REFERENCE_DIR / f"{label}.csv").read_bytes()
 
 
+# sha256 of expsum tables whose one window, at N = 2^19, holds 1,835,008
+# points, past the 2^20 terms from which the sums are an fsum of chunks
+EXPSUM_PINNED = {
+    ("single", "m=2"): "74063eddc3df9049872c1b378280dc252bfc8f82c6e99276ce9f5c35d98498d4",
+    ("minnorm", "x=5"): "928d5974ede1c8c16321e8b52ead7935ebe3cd6a442c3a0e862b633c2f09c0a9",
+}
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("config", sorted(EXPSUM_PINNED), ids="-".join)
+def test_expsum_tables_past_the_compensated_threshold_are_pinned(tmp_path, config,
+                                                                 workers):
+    bound, params = config
+    out = tmp_path / "e.csv"
+    assert run_cli("expsum", "--h", "pure:1.05:1.0", "--bound", bound, "--kmin", "19",
+                   "--kmax", "19", "--params", params, "--workers", workers,
+                   "--out", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == EXPSUM_PINNED[config]
+
+
 # sha256 of weaktype tables: a wide corpus of 2048 sites on pure:1.5, a
 # 48-site corpus on the dense pure:1.02, and one site on the sparse pure:1.9
 WEAKTYPE_PINNED = {

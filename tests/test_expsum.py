@@ -12,6 +12,7 @@ import pytest
 from roughmax import (
     EmptyRangeError,
     PreconditionError,
+    SignalSizeError,
     ValidationError,
     abel_sum,
     eta,
@@ -23,7 +24,7 @@ from roughmax import (
     single_phase_sum,
     two_phase_sum,
 )
-from roughmax import expsum
+from roughmax import expsum, signals
 from roughmax.expsum import _alpha_probes, _single_setup, _two_setup
 from roughmax.growth import InverseFunction
 from roughmax.util import CHUNK
@@ -141,11 +142,30 @@ def test_two_phase_precondition(phi105):
 def test_two_phase_terms_are_slices_of_one_inversion(philog):
     n = 1 << 12
     x = int(math.ceil(float(philog.value(float(n)))))
-    ns, (t1, t2), _, _ = _two_setup(philog, n, x, 2, -3, 1.0)
-    assert np.array_equal(t1, 2 * philog.value(ns))
-    assert np.array_equal(t2, -3 * philog.value(ns + x))
+    phase = _two_setup(philog, n, x, 2, -3, 1.0)
+    ns = np.arange(phase.lo, phase.lo + phase.k, dtype=float)
+    # both phi terms read the one inversion u of the union, at offsets 0 and x
+    assert phase.u.size == phase.k + x
+    (m1, o1), (m2, o2) = phase.terms
+    assert np.array_equal(m1 * phase.u[o1:o1 + phase.k], 2 * philog.value(ns))
+    assert np.array_equal(m2 * phase.u[o2:o2 + phase.k], -3 * philog.value(ns + x))
     with pytest.raises(ValidationError, match="must be an integer"):
         two_phase_sum(philog, n, x + 0.5, 0.0, 1, 1, 1.0)
+
+
+def test_two_phase_refuses_a_union_above_the_cap(phi105, monkeypatch):
+    # N = 300, x = 100: the window 151..1100 holds 950 points, under the cap,
+    # but the phase inverts its union with the shift by x, 151..1200, 1050
+    # points; a sweep refuses it before any scale runs
+    monkeypatch.setattr(signals, "MAX_SUPPORT", 1000)
+    assert expsum._window(300, 100) == (151, 1100)
+    with pytest.raises(SignalSizeError, match="two-point union 1050 at N = 300"):
+        two_phase_sum(phi105, 300, 100, 0.0, 1, 1, 0.5)
+    monkeypatch.setattr(signals, "MAX_SUPPORT", 1050)
+    assert two_phase_sum(phi105, 300, 100, 0.0, 1, 1, 0.5).params["N"] == 300
+    monkeypatch.setattr(signals, "MAX_SUPPORT", (7 << 8) // 2 - 1)
+    with pytest.raises(SignalSizeError, match="two-point union 896 at N = 256"):
+        ratio_sweep(phi105, "two", 1, 8, 8, kappa=0.5)
 
 
 def test_two_phase_kappa_bound_factor(phi105):
@@ -246,24 +266,29 @@ def traced_peak(fn, *args) -> int:
         tracemalloc.stop()
 
 
-# The sweeps keep one window per thread live at once, so each window's sum
-# must not grow back the temporaries it shed: at N = 2^18 (917504 points)
-# _phase_sum measured 16.0 B/pt (40.0 with a real phase array and an exp
-# result beside the complex argument) and min_norm_sum 16 B/pt plus 89 B per
-# CHUNK point (72 to 80 B/pt when it worked on whole-window arrays).
+# The sweeps keep one window per thread live at once, so a window's sum must
+# hold nothing of its length beyond the phi terms (8 B per point of what is
+# inverted): at N = 2^18 (917504 points) a phase sum measured 32 CHUNK-point
+# buffers beside them, and min_norm_sum, which inverts nothing ahead, 30.
 
 def test_phase_sum_holds_one_complex_buffer(phi105):
-    setup = _single_setup(phi105, 1 << 18, 0, 2, 0, 0)
-    points = setup[0].size
-    assert traced_peak(expsum._phase_sum, setup, 0.25) <= 16 * points + CHUNK
+    n = 1 << 18
+    points = 4 * n - n // 2                 # the integers of (N/2, 4N]
+    assert traced_peak(single_phase_sum, phi105, n, 0, 0.25, 2, 0, 0) \
+        <= 8 * points + 40 * CHUNK
+    # the two-point phase inverts the window and its shift by x, as one union
+    x = int(math.ceil(float(phi105.value(float(n)))))
+    assert traced_peak(two_phase_sum, phi105, n, x, 0.25, 1, 1, 1.0) \
+        <= 8 * points + 40 * CHUNK
+    # the probes of a scale share the phase's buffers and allocate nothing
+    phase = _single_setup(phi105, n, 0, 2, 0, 0)
+    assert traced_peak(expsum._phase_sum, phase, 0.25) <= 8192
 
 
 @pytest.mark.parametrize("x", [0, 3])
 def test_min_norm_sum_holds_two_window_arrays(phi105, x):
-    n = 1 << 18
-    points = 4 * n - n // 2 - x             # the integers of (N/2, 4N - x]
-    assert traced_peak(min_norm_sum, phi105, n, x, 512) \
-        <= 2 * 8 * points + 128 * CHUNK
+    # the summands live in buffers of at most CHUNK points
+    assert traced_peak(min_norm_sum, phi105, 1 << 18, x, 512) <= 40 * CHUNK
 
 
 def test_min_norm_validation(phi105):

@@ -402,4 +402,4 @@ def test_the_benchmark_phase_counter_counts_the_summed_terms(phi105):
              _single_setup(phi105, n, -5, 2, 1, 0)),
             (two_phase_sum(phi105, n, x, 0.25, 1, -1, 1.0),
              _two_setup(phi105, n, x, 1, -1, 1.0))):
-        assert spans._phase_terms((), {}, result) == setup[0].size
+        assert spans._phase_terms((), {}, result) == setup.k

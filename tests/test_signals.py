@@ -219,3 +219,24 @@ def test_half_lag_autocorrelation_size_cap(monkeypatch):
         assert sig._even_autocorrelation(np.ones(8), method).size == 8
     with pytest.raises(SignalSizeError):
         autocorrelation_signal(Signal(0, np.ones(9)))
+
+
+@pytest.mark.parametrize("size", [8000, 16000])
+def test_the_power_spectrum_order_switches_at_its_length(size):
+    # transform lengths 2^14 and 2^15, on either side of POWER_ORDER_SWAP:
+    # below it the power spectrum is f * conj(f), from it on conj(f) * f, the
+    # bits that f * f.conj() gave under numpy's temporary elision
+    v = np.random.default_rng(size).normal(size=size)
+    n = 1 << (2 * size - 2).bit_length()
+    f = np.fft.rfft(v, n)
+
+    def half(power):
+        buf = np.fft.irfft(power, n)
+        return 0.5 * np.r_[buf[0] + buf[0], buf[1:size] + buf[:n - size:-1]]
+
+    ordered = half(np.multiply(f, np.conj(f)))
+    swapped = half(np.multiply(np.conj(f), f))
+    assert not np.array_equal(ordered, swapped)     # the order shows
+    want = ordered if n < sig.POWER_ORDER_SWAP else swapped
+    assert np.array_equal(sig._even_autocorrelation(v), want)
+    assert (n < sig.POWER_ORDER_SWAP) == (size == 8000)
