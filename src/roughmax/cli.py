@@ -177,6 +177,17 @@ _KMAX_FLOAT = sys.float_info.max_exp - 1
 _KMIN_FLOAT = sys.float_info.min_exp - sys.float_info.mant_dig - 1
 
 
+def _scale_range(args, lo: str, hi: str, lowest: int) -> range:
+    """The scale exponents ``--lo``..``--hi``, refused when the range is empty
+    or starts below ``lowest``."""
+    a, b = getattr(args, lo), getattr(args, hi)
+    if a < lowest:
+        raise ValidationError(f"--{lo} {a} must be at least {lowest}")
+    if a > b:
+        raise ValidationError(f"--{lo} {a} --{hi} {b}: scale range [{a}, {b}] is empty")
+    return range(a, b + 1)
+
+
 def _cmd_growth_table(args):
     if args.kmin >= args.kmax:
         raise ValidationError(f"--kmin {args.kmin} must be below --kmax {args.kmax}")
@@ -267,9 +278,9 @@ def _cmd_seqset(args):
 
 
 def _cmd_kernel_decomp(args):
+    ks = _scale_range(args, "kmin", "kmax", 0)
     g = parse_growth_spec(args.h)
     s = generate(g, 4 * (1 << args.kmax))
-    ks = range(args.kmin, args.kmax + 1)
     reports = decomposition_reports(s, [1 << k for k in ks], args.workers)
     rows = [[k, r.scale_n, r.small_x_bound, r.gn_sup, r.en_sup, r.gn_lipschitz,
              r.mass] for k, r in zip(ks, reports)]
@@ -282,6 +293,7 @@ _BOUND_PARAMS = {"single": ("m",), "two": ("m", "kappa"), "minnorm": ("trunc", "
 
 
 def _cmd_expsum(args):
+    ks = _scale_range(args, "kmin", "kmax", 0)
     g = parse_growth_spec(args.h)
     phi = g.inverse()
     params = _parse_record(args.params)
@@ -318,7 +330,7 @@ def _cmd_expsum(args):
             raise ValidationError(f"--params trunc = {fixed_terms} must be >= 2")
         x = number("x", int, 0)
         sums = min_norm_sweep(phi, x, fixed_terms, args.kmin, args.kmax, args.workers)
-        for k, (actual, bound) in zip(range(args.kmin, args.kmax + 1), sums):
+        for k, (actual, bound) in zip(ks, sums):
             rows.append([k, 1 << k, actual, bound, actual / bound])
     return ["k", "N", "actual_abs", "bound", "ratio"], rows, {}
 
@@ -352,6 +364,7 @@ def _parse_corpus(spec: str) -> Signal:
 
 
 def _cmd_weaktype(args):
+    _scale_range(args, "nlo", "nhi", 1)
     g = parse_growth_spec(args.h)
     s = generate(g, 4 * (1 << args.nhi))
     family = build_scale_family(s, args.nlo, args.nhi)
@@ -439,13 +452,13 @@ def _parse_observable(spec: str, size: int):
 
 
 def _cmd_ergodic(args):
+    ks = _scale_range(args, "kmin", "kmax", 0)
     g = parse_growth_spec(args.h)
     s = generate(g, 1 << args.kmax)
     system = _parse_system(args.system)
     f = _parse_observable(args.f, system.size)
     if not (0 <= args.x < system.size):
         raise ValidationError(f"--x {args.x} outside 0..{system.size - 1}")
-    ks = range(args.kmin, args.kmax + 1)
     ns = np.array([1 << k for k in ks], dtype=np.int64)
     rows = zip(ks, ns.tolist(),
                ergodic_average(system, s, f, args.x, ns).tolist(),
@@ -454,6 +467,7 @@ def _cmd_ergodic(args):
 
 
 def _cmd_verify_family(args):
+    _scale_range(args, "nlo", "nhi", 1)
     g = parse_growth_spec(args.h)
     s = generate(g, 4 * (1 << args.nhi))
     family = build_scale_family(s, args.nlo, args.nhi)

@@ -23,6 +23,15 @@ check in the toolkit:  x h^(i)(x) = h^(i-1)(x) (c - i + 1 + vartheta_i(x)).
 
 Every correction tabulated (vartheta_1..3, varrho, theta_1..3, sigma, tau) is
 a closed form in vartheta, vartheta' and vartheta'', each evaluated once per call.
+
+This module alone evaluates h and decides its floors, which are never trusted
+to plain float arithmetic.  ``GrowthFunction._floors`` settles any h(m) within
+its error bound, 4 (1 + |c log m| + |lam(m)|) ulps, of an integer, and
+``InverseFunction._floor_neg`` any phi(p) within max(10 * INVERSE_TOL *
+|phi(p)|, 8 ulp) of one, by ``GrowthFunction._sign_at``, the sign of h(r) - y
+at the nearest integer r: in exact integers for a pure power whose exponent is
+a rational of small denominator, at MP_DPS digits for every other h; neither
+path has a second stage.
 """
 
 from __future__ import annotations
@@ -38,6 +47,7 @@ import numpy as np
 from .errors import (
     ConvergenceError,
     DomainError,
+    SequenceOverflowError,
     SingularityError,
     ValidationError,
 )
@@ -49,6 +59,7 @@ DENOM_GUARD = 1e-8          # recursion denominators below this raise
 VALIDATION_SPAN = 2 ** 20   # h', h'' sampled on [x0, x0 * VALIDATION_SPAN]
 VALIDATION_POINTS = 64
 MP_DPS = 60                 # working precision of the high-precision path
+MP_ZERO_BAND = mpmath.mpf("1e-40")  # |h(r) - y| <= this * y is a 60-digit zero
 INVERSE_TOL = 1e-12         # phi(y) stops at |h(x) - y| <= INVERSE_TOL * y
 INVERSE_MAX_ITER = 100      # Newton steps before the inversion gives up
 # a pure power h = (a/b) x^(p/q) with q up to this has an exact integer sign
@@ -93,11 +104,12 @@ def _differentiate(terms: Terms) -> Terms:
     return tuple((c, xp, le) for (xp, le), c in out.items() if c != 0.0)
 
 
-def _iterated_logs(x, depth: int):
+def _iterated_logs(x, depth: int, log=np.log):
+    """[log x, log log x, ...], ``depth`` deep, taken by ``log``."""
     logs = []
     v = x
     for _ in range(depth):
-        v = np.log(v)
+        v = log(v)
         logs.append(v)
     return logs
 
@@ -112,7 +124,8 @@ def _check_domain(v, start: float, what: str) -> np.ndarray:
 
 def _eval_terms(terms: Terms, x, logs) -> np.ndarray:
     """The sum of the nonempty ``terms`` at x, from the first term on; a unit
-    exponent is a plain product, with the bits of ``np.power(lv, 1.0)``."""
+    exponent is a plain product, with the bits of ``np.power(lv, 1.0)``.  x and
+    logs may be mpmath numbers, which ``np.power`` raises by their own ``**``."""
     total = None
     for coef, xpow, lexp in terms:
         t = coef * np.power(x, float(xpow)) if xpow != 0 else coef
@@ -184,8 +197,10 @@ class GrowthFunction:
 
     # -- evaluation -----------------------------------------------------------
 
-    def _logs(self, x):
-        return _iterated_logs(x, self._depth)
+    def _chain(self, x):
+        """x checked against the domain, as a float array, and its log chain."""
+        x = _check_domain(x, self.x0, "evaluation at x < x0")
+        return x, _iterated_logs(x, self._depth)
 
     def _lam_value(self, x, logs, k: int):
         """lam^(k)(x) where lam = log l(x); k = 0..3, the scalar 0.0 if lam = 0."""
@@ -201,45 +216,40 @@ class GrowthFunction:
             t = t + _eval_terms(self._lam, x, logs)
         return self.c_h * np.exp(t)
 
+    def _derivs(self, x, order: int) -> list:
+        """[h, h', ..., h^(order)](x), order = 0..3, from one domain check, one
+        log chain and one h: the one evaluator of h and its derivatives.
+
+        With u_k the k-th derivative of log h = log C_h + c log x + lam,
+        h' = h u_1, h'' = h (u_1^2 + u_2) and h^(3) = h (u_1^3 + 3 u_1 u_2 +
+        u_3).  Integer powers are products: a scalar ``**`` is libm ``pow``
+        and an array ``**`` a SIMD loop, so only products give the same bits.
+        """
+        x, logs = self._chain(x)
+        h = self._h(x, logs)
+        out = [h]
+        if order >= 1:
+            u1 = self.c / x + self._lam_value(x, logs, 1)
+            out.append(h * u1)
+        if order >= 2:
+            x2 = x * x
+            u2 = -self.c / x2 + self._lam_value(x, logs, 2)
+            out.append(h * (u1 * u1 + u2))
+        if order >= 3:
+            u3 = 2.0 * self.c / (x2 * x) + self._lam_value(x, logs, 3)
+            out.append(h * (u1 * u1 * u1 + 3.0 * u1 * u2 + u3))
+        return out
+
     def value(self, x) -> FloatLike:
         """h(x) = C_h * exp(c log x + lam(x))."""
-        x = _check_domain(x, self.x0, "evaluation at x < x0")
-        logs = self._logs(x)
-        out = self._h(x, logs)
+        out = self._derivs(x, 0)[0]
         return float(out) if out.ndim == 0 else out
 
-    def _value_deriv(self, x):
-        """(h(x), h'(x)) from one domain check, one log chain and one h, with
-        the bits of ``value(x)`` and ``deriv(x, 1)``: a Newton step's cost."""
-        x = _check_domain(x, self.x0, "evaluation at x < x0")
-        logs = self._logs(x)
-        h = self._h(x, logs)
-        return h, h * (self.c / x + self._lam_value(x, logs, 1))
-
     def deriv(self, x, order: int) -> FloatLike:
-        """h^(order)(x) for order in {0, 1, 2, 3}, in closed form.
-
-        Integer powers are products: a scalar ``**`` is libm ``pow`` and an
-        array ``**`` a SIMD loop, so only products give the same bits."""
+        """h^(order)(x) for order in {0, 1, 2, 3}, in closed form."""
         if order not in (0, 1, 2, 3):
             raise ValidationError(f"derivative order {order} not in 0..3")
-        x = _check_domain(x, self.x0, "evaluation at x < x0")
-        logs = self._logs(x)
-        h = self._h(x, logs)
-        if order == 0:
-            out = h
-        else:
-            u1 = self.c / x + self._lam_value(x, logs, 1)
-            if order == 1:
-                out = h * u1
-            else:
-                x2 = x * x
-                u2 = -self.c / x2 + self._lam_value(x, logs, 2)
-                if order == 2:
-                    out = h * (u1 * u1 + u2)
-                else:
-                    u3 = 2.0 * self.c / (x2 * x) + self._lam_value(x, logs, 3)
-                    out = h * (u1 * u1 * u1 + 3.0 * u1 * u2 + u3)
+        out = self._derivs(x, order)[order]
         return float(out) if out.ndim == 0 else out
 
     def _vartheta_derivs(self, x, k: int) -> list:
@@ -248,8 +258,7 @@ class GrowthFunction:
         vartheta = x h'(x)/h(x) - c = x lam', so vartheta^(j) = j lam^(j)
         + x lam^(j+1); the domain is checked and the log chain built once.
         """
-        x = _check_domain(x, self.x0, "evaluation at x < x0")
-        logs = self._logs(x)
+        x, logs = self._chain(x)
         lam = [self._lam_value(x, logs, j) for j in range(1, k + 2)]
         return [x * lam[0]] + [j * lam[j - 1] + x * lam[j] for j in range(1, k + 1)]
 
@@ -288,28 +297,86 @@ class GrowthFunction:
         if np.any(np.abs(den) < DENOM_GUARD):
             raise SingularityError(f"denominator {name} below {DENOM_GUARD}")
 
-    # -- high-precision path ---------------------------------------------------
+    # -- floors ----------------------------------------------------------------
 
     def value_mp(self, x) -> mpmath.mpf:
-        """h(x) at MP_DPS digits; settles floors near integers for every h
-        but a rational pure power, which ``_exact`` settles in integers."""
+        """h(x) at MP_DPS digits, by the term algebra of ``_h``; settles floors
+        near integers for every h but a rational pure power, which ``_exact``
+        settles in integers."""
         with mpmath.workdps(MP_DPS):
             xv = mpmath.mpf(x)
-            lam = mpmath.mpf(0)
+            logs = _iterated_logs(xv, self._depth, mpmath.log)
+            t = mpmath.mpf(self.c) * mpmath.log(xv)
             if self._lam:
-                logs = []
-                v = xv
-                for _ in range(self._depth):
-                    v = mpmath.log(v)
-                    logs.append(v)
-                for coef, xpow, lexp in self._lam:
-                    t = mpmath.mpf(coef) * (xv ** xpow if xpow else 1)
-                    for lv, e in zip(logs, lexp):
-                        if e != 0:
-                            t *= lv ** mpmath.mpf(e)
-                    lam += t
-            return mpmath.mpf(self.c_h) * mpmath.e ** (
-                mpmath.mpf(self.c) * mpmath.log(xv) + lam)
+                t = t + _eval_terms(self._lam, xv, logs)
+            return mpmath.mpf(self.c_h) * mpmath.e ** t
+
+    def _sign_at(self, r: int, y: int) -> int:
+        """Sign of h(r) - y, for an integer r >= 1 and an integer y >= 0.
+
+        A rational pure power h = (a/b) x^(p/q) is settled exactly, as the sign
+        of a^q r^p - b^q y^q in integers; any other h at MP_DPS digits, with
+        |h(r) - y| below MP_ZERO_BAND * y treated as exact zero.
+        """
+        if self._exact is not None:
+            p, q, aq, bq = self._exact
+            d = aq * r ** p - bq * y ** q
+            return (d > 0) - (d < 0)
+        with mpmath.workdps(MP_DPS):
+            s = self.value_mp(r) - y
+            if abs(s) <= MP_ZERO_BAND * max(1, abs(y)):
+                return 0
+            return 1 if s > 0 else -1
+
+    def _floors(self, m: np.ndarray) -> np.ndarray:
+        """floor(h(m)) for each integer m, with the floor decided, never guessed.
+
+        The float h(m) = C_h exp(c log m + lam(m)) takes these rounding steps.
+        Each product and sum lands within u = 2^-53 of its result, and each
+        libm log, exp and pow within e u, where e is twice its worst error in
+        ulps: e = 1 if correctly rounded, but numpy's reach 0.60, 0.70 and 0.69
+        ulp (e_log = 1.2, e_exp = 1.4, e_pow = 1.4; ``tests/test_seqset.py::
+        test_libm_error_fits_the_floor_band`` measures them on the running
+        machine).  log m and the scale by c put (e_log + 1) u |c log m| into
+        the exponent; lam(m) puts in u (alpha + beta |lam|), with (alpha,
+        beta) = (|a| e_log, e_log + 1) for powerlog, (0, b e_log + e_pow + 1)
+        for powerexplog and (k e_log, e_log) for k nested logs (iterated logs
+        are >= 1 on the domain); the add puts in u (|c log m| + |lam|).  exp
+        turns that absolute error into a relative one and adds e_exp u, and
+        the scale by C_h adds u.  The relative error of h(m) is thus below
+        u ((1 + e_exp + alpha) + (e_log + 2) |c log m| + (beta + 1) |lam|), at
+        most 3.75 u (1 + |c log m| + |lam|) for the measured e on the growths
+        of the test, so below K u (1 + |c log m| + |lam|) with K = 4; and
+        u |h| < spacing(h).  So a float h(m) farther than K (1 + |c log m| +
+        |lam(m)|) ulps from every integer has the exact floor, and one within
+        that band is settled by ``_sign_at`` against the nearest integer.
+        """
+        mf = m.astype(float)
+        v = np.asarray(self.value(mf), dtype=float)
+        # a NaN or an infinity fails the comparison too
+        if not v.max() < float(1 << 62):
+            raise SequenceOverflowError("h(m) exceeds the 64-bit integer range")
+        if self.variant is Variant.PURE_POWER and self.c == 1.0 and self.c_h == 1.0:
+            return m.copy()
+        floors = v.astype(np.int64)     # h > 0, so truncation is the floor
+        r = np.rint(v)
+        dist = v - r
+        np.abs(dist, out=dist)
+        # lam = log(h/C_h) - c log m puts the band below K (1 + 2 |c| log m +
+        # |log(h/C_h)|), whose maximum over the m given is one scalar; only the
+        # values inside that wider band, taken with v 2^-52 >= spacing(v), pay
+        # for the spacing and the per-m logs
+        t_max = np.abs(np.log(np.array([v.min(), v.max()]) / self.c_h)).max()
+        wide = 4.0 * (1.0 + 2.0 * abs(self.c) * math.log(m.max()) + t_max)
+        cand = np.nonzero(dist <= (wide * 2.0 ** -52) * v)[0]
+        c_log_m = self.c * np.log(mf[cand])
+        lam = np.log(v[cand] / self.c_h) - c_log_m
+        band = 4.0 * (1.0 + np.abs(c_log_m) + np.abs(lam)) * np.spacing(v[cand])
+        for j in cand[dist[cand] <= band]:
+            ri = int(r[j])
+            # h(m) >= ri exactly when the sign is >= 0, so the floor is ri
+            floors[j] = ri if self._sign_at(int(m[j]), ri) >= 0 else ri - 1
+        return floors
 
     # -- inverse ---------------------------------------------------------------
 
@@ -335,15 +402,20 @@ def make_growth(variant, c: float, c_h: float = 1.0, *,
                 m: int | None = None, x0: float | None = None) -> GrowthFunction:
     """Build and validate a growth function.
 
-    Rejects exponents outside [1, 2), the pure power at c = 1 (its correction
-    vanishes identically, which the c = 1 regime forbids), and any x0 where
-    sampled h' or h'' fails to be positive on [x0, x0 * 2^20].
+    Rejects a c, C_h, a or b that is not finite, exponents outside [1, 2),
+    the pure power at c = 1 (its correction vanishes identically, which the
+    c = 1 regime forbids), and any x0 where sampled h' or h'' fails to be
+    positive on [x0, x0 * 2^20].
     """
     if isinstance(variant, str):
         try:
             variant = Variant(variant.lower())
         except ValueError:
             raise ValidationError(f"unknown variant {variant!r}") from None
+    for name, v in (("exponent c", c), ("constant C_h", c_h),
+                    ("parameter a", a), ("parameter b", b)):
+        if v is not None and not math.isfinite(v):
+            raise ValidationError(f"{name} = {v} must be finite")
     if not (1.0 <= c < 2.0):
         raise ValidationError(f"exponent c = {c} outside [1, 2)")
     if c_h <= 0:
@@ -487,7 +559,7 @@ class InverseFunction:
                                    bracket=(float(lo.min()), float(hi[below].max())))
 
         for _ in range(INVERSE_MAX_ITER):
-            ha, dha = g._value_deriv(xa)
+            ha, dha = g._derivs(xa, 1)
             fa = ha - ya
             # a bracket collapsed to adjacent floats is the correctly rounded
             # root; stop there even if the residual test still fails
@@ -513,17 +585,29 @@ class InverseFunction:
 
     __call__ = value
 
+    def _floor_neg(self, p: np.ndarray) -> np.ndarray:
+        """floor(-phi(p)) for each integer p, decided, never guessed.
+
+        phi is inverted once; a value x within max(10 * INVERSE_TOL * |x|,
+        8 ulp) of an integer r is settled by the sign of h(r) - p.
+        """
+        x = np.asarray(self.value(p.astype(float)), dtype=float)
+        r = np.rint(x)
+        band = np.maximum(10.0 * INVERSE_TOL * np.abs(x), 8.0 * np.spacing(np.abs(x)))
+        out = -np.ceil(x).astype(np.int64)
+        for j in np.nonzero(np.abs(x - r) <= band)[0]:
+            rj = int(r[j])
+            # h(r) < p puts phi(p) past r, so the ceiling is r + 1; else r
+            out[j] = -(rj + 1) if self.source._sign_at(rj, int(p[j])) < 0 else -rj
+        return out
+
     def deriv(self, y, order: int) -> FloatLike:
         """phi'(y) = 1/h'(phi) or phi''(y) = -h''(phi)/h'(phi)^3."""
         if order not in (1, 2):
             raise ValidationError(f"inverse derivative order {order} not in 1..2")
-        u = self.value(y)
-        h1 = np.asarray(self.source.deriv(u, 1), dtype=float)
-        if order == 1:
-            out = 1.0 / h1
-        else:
-            out = -np.asarray(self.source.deriv(u, 2)) / (h1 * h1 * h1)
-        return float(out) if np.asarray(out).ndim == 0 else out
+        d = self.source._derivs(self.value(y), order)
+        out = 1.0 / d[1] if order == 1 else -d[2] / (d[1] * d[1] * d[1])
+        return float(out) if out.ndim == 0 else out
 
     def theta(self, y, i: int) -> FloatLike:
         """theta_i(y) in the identity y phi^(i) = phi^(i-1) (beta_i + theta_i)."""

@@ -735,6 +735,49 @@ def test_growth_table_refuses_an_empty_octave_range(tmp_path, capsys, kmax):
     assert "--kmin 5" in err and f"--kmax {kmax}" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("spec,field", [
+    ("pure:1.5:inf", "constant C_h = inf"),
+    ("pure:1.5:1e309", "constant C_h = inf"),
+    ("pure:1.5:nan", "constant C_h = nan"),
+    ("powerlog:1.05:inf:1.0", "constant C_h = inf"),
+    ("poweriterlog:1.05:inf:1", "constant C_h = inf"),
+    ("powerlog:1.05:1.0:inf", "parameter a = inf"),
+    ("powerexplog:1.05:1.0:1.0:nan", "parameter b = nan"),
+])
+def test_a_non_finite_growth_constant_is_refused_by_name(tmp_path, capsys, spec, field):
+    # an infinite C_h died in Fraction(float(c_h)) with an OverflowError
+    # traceback, a NaN one with that bare message, and an infinite powerlog a
+    # blamed the domain start x0 = exp(|a| + 1) = inf
+    out = tmp_path / "g.csv"
+    assert run_cli("growth-table", "--h", spec, "--out", str(out)) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"error: {field} must be finite" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.parametrize("argv,lo,hi,lowest", [
+    (("kernel-decomp",), "kmin", "kmax", 0),
+    (("expsum", "--bound", "single"), "kmin", "kmax", 0),
+    (("ergodic", "--system", "shift:7:1", "--f", "indicator:1"), "kmin", "kmax", 0),
+    (("weaktype",), "nlo", "nhi", 1),
+    (("verify-family",), "nlo", "nhi", 1),
+], ids=["kernel-decomp", "expsum", "ergodic", "weaktype", "verify-family"])
+def test_every_scale_range_is_checked_by_name(tmp_path, capsys, argv, lo, hi, lowest):
+    # an empty range (--kmin 9 --kmax 8 on ergodic, say) wrote a header-only
+    # table from kernel-decomp, expsum and ergodic, and a negative exponent
+    # died in 1 << k as "negative shift count"
+    out = tmp_path / "t.csv"
+    for a, b, message in (
+            (12, 10, f"--{lo} 12 --{hi} 10: scale range [12, 10] is empty"),
+            (lowest - 1, 10, f"--{lo} {lowest - 1} must be at least {lowest}"),
+            (-5, -2, f"--{lo} -5 must be at least {lowest}")):
+        assert run_cli(*argv, "--h", "pure:1.02:1.0", f"--{lo}", str(a),
+                       f"--{hi}", str(b), "--out", str(out)) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err, err
+        assert "Traceback" not in err and not out.exists()
+
+
 def test_growth_table_refuses_a_kmax_past_the_float_range(tmp_path, capsys):
     # the grid ends at 2.0 ** kmax, which overflows from 1024 on: --kmax 1030
     # died with an OverflowError traceback
@@ -803,15 +846,6 @@ def test_ergodic_names_a_start_state_outside_the_system(tmp_path, capsys, x):
                    "--x", str(x), "--out", str(out)) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err == f"error: --x {x} outside 0..6\n" and not out.exists()
-
-
-def test_ergodic_empty_range_writes_the_header_only(tmp_path):
-    p = tmp_path / "e.csv"
-    assert run_cli("ergodic", "--h", "pure:1.02:1.0", "--system", "shift:7:3",
-                   "--f", "indicator:2", "--kmin", "9", "--kmax", "8",
-                   "--out", str(p)) == 0
-    body = [l for l in p.read_text().splitlines() if not l.startswith("#")]
-    assert body == ["k,N,average,weighted_average"]
 
 
 @pytest.mark.parametrize("h", ["pure:1.5:2.5", "powerexplog:1.1:1.0:1.0:0.5"])

@@ -115,6 +115,24 @@ def test_rejections(kwargs):
         make_growth(variant, c, 1.0, **kwargs)
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("field,kwargs", [
+    ("exponent c", lambda v: dict(variant="pure", c=v)),
+    ("constant C_h", lambda v: dict(variant="pure", c=1.5, c_h=v)),
+    ("parameter a", lambda v: dict(variant="powerlog", c=1.05, a=v)),
+    ("parameter a", lambda v: dict(variant="powerexplog", c=1.05, a=v, b=0.5)),
+    ("parameter b", lambda v: dict(variant="powerexplog", c=1.05, a=1.0, b=v)),
+], ids=["c", "C_h", "powerlog-a", "powerexplog-a", "b"])
+def test_a_non_finite_constant_is_refused_before_the_build(monkeypatch, field,
+                                                          kwargs, value):
+    def build(*args):
+        raise AssertionError("_build reached")
+
+    monkeypatch.setattr(GrowthFunction, "_build", staticmethod(build))
+    with pytest.raises(ValidationError, match=f"^{field} = {value} must be finite$"):
+        make_growth(**kwargs(value))
+
+
 def test_c1_powerlog_positive_correction_accepted():
     g = make_growth("powerlog", 1.0, 1.0, a=1.0)
     x = np.array([10.0, 100.0, 1e6])
@@ -322,6 +340,52 @@ def test_evaluations_keep_their_pinned_bits(spec):
     assert _evaluation_digests(spec) == EVALUATION_PINNED[spec]
 
 
+# sha256 prefixes of the evaluators that EVALUATION_PINNED leaves out, on a
+# grid from x0 (or y0) to 2^40: h^(0), vartheta_1..3, phi', phi'', theta_1..3,
+# and last the exact mantissas and exponents of value_mp at EVALUATOR_MP_POINTS
+EVALUATOR_PINNED = {
+    "pure:1.5:1.0": (
+        "82defb0093a60f3a", "f29d13100289cc0a", "f29d13100289cc0a",
+        "f29d13100289cc0a", "20bf3812cf60cbb1", "1bb7bffed0f45860",
+        "f29d13100289cc0a", "f29d13100289cc0a", "f29d13100289cc0a",
+        "fb78ffb5dc0171dc"),
+    "powerlog:1.02:1.0:1.0": (
+        "23e5d8830aaf1e87", "baa6cc17ae53d3dd", "c135a1e83e89d5ff",
+        "237b51c3ee544c5f", "e8d7b3fa9d7739d8", "a548f243b880826e",
+        "2887118a4fc60a72", "9398b24c921adb4b", "2eb5c52e49679d74",
+        "4c9ecde33cd5b287"),
+    "powerexplog:1.05:1.0:1.0:0.5": (
+        "624b3ba8eafb1ade", "66137dd626ee678d", "f2afff5b1945f214",
+        "ef89cf6fa4fc5bff", "c4d31bef19bf3f9d", "d9e0b9f91a9663bd",
+        "d49bf158bc9d8d8d", "692200913514b774", "13ba1d6242e34b12",
+        "d68ff47f6c44d8b2"),
+    "poweriterlog:1.02:1.0:2": (
+        "2e2fd6e5b00e0fb0", "2995a8ddfc3c0ad7", "a8f276228e71eca6",
+        "646840d1ee3b4c26", "805907a3939f1d4c", "38969c2feedf961f",
+        "07afc358cc366a3b", "e91fb7e89773739a", "f603b484881ce907",
+        "714ebe0c15656c5f"),
+}
+EVALUATOR_MP_POINTS = (17, 1000, 3 ** 20, 2 ** 40 + 1)
+
+
+def _evaluator_digests(spec):
+    g = parse_growth_spec(spec)
+    phi = g.inverse()
+    x = np.geomspace(g.x0, 2.0 ** 40, 1031)
+    y = np.geomspace(phi.y0, 2.0 ** 40, 1031)
+    arrays = [g.deriv(x, 0)] + [g.vartheta(x, i) for i in (1, 2, 3)]
+    arrays += [phi.deriv(y, k) for k in (1, 2)] + [phi.theta(y, i) for i in (1, 2, 3)]
+    out = [hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
+           for a in arrays]
+    mp = repr([g.value_mp(m)._mpf_ for m in EVALUATOR_MP_POINTS]).encode()
+    return (*out, hashlib.sha256(mp).hexdigest()[:16])
+
+
+@pytest.mark.parametrize("spec", sorted(EVALUATOR_PINNED))
+def test_every_evaluator_keeps_its_pinned_bits(spec):
+    assert _evaluator_digests(spec) == EVALUATOR_PINNED[spec]
+
+
 def test_pure_inverse_takes_one_h_point_per_y(phi15, monkeypatch):
     calls = {"value": 0, "deriv": 0}
     value, deriv = GrowthFunction.value, GrowthFunction.deriv
@@ -343,7 +407,7 @@ def test_pure_inverse_takes_one_h_point_per_y(phi15, monkeypatch):
 
 
 def test_each_newton_step_evaluates_h_once(philog, monkeypatch):
-    calls = {"_h": 0, "value": 0, "deriv": 0, "_value_deriv": 0}
+    calls = {"_h": 0, "value": 0, "deriv": 0, "_derivs": 0}
 
     def counting(name):
         method = getattr(GrowthFunction, name)
@@ -361,8 +425,8 @@ def test_each_newton_step_evaluates_h_once(philog, monkeypatch):
     # the seed and each bracket doubling are one value call, each Newton
     # step one fused h/h' call, and nothing else evaluates h: here no seed
     # falls below its y, and six steps take 7 h evaluations (11 when each
-    # step called value and deriv)
-    assert calls == {"_h": 7, "value": 1, "deriv": 0, "_value_deriv": 6}
+    # step called value and deriv), each through one _derivs call
+    assert calls == {"_h": 7, "value": 1, "deriv": 0, "_derivs": 7}
 
 
 def test_convergence_error_brackets_only_the_unconverged(monkeypatch):

@@ -4,10 +4,10 @@ every exception type the package defines is raised somewhere in it, every
 module-level private function is used somewhere outside its own body, every
 public module-level name and every method or property of a package class is
 read by the package, the acceptance criteria or the benchmark's tracer, no
-function takes a set or a kernel beside an inverse that must match it, and
-the CLI takes no private name from another package module, and the
-benchmark's span tracer still installs on the package and counts the terms
-of a phase sum."""
+function takes a set or a kernel beside an inverse that must match it,
+the CLI takes no private name from another package module, no module but
+``growth`` imports mpmath or reads ``_exact``, and the benchmark's span
+tracer still installs on the package and counts the terms of a phase sum."""
 
 import ast
 import importlib.util
@@ -371,6 +371,46 @@ def test_guard_flags_a_set_beside_its_inverse():
 def test_no_call_takes_a_set_and_its_inverse():
     assert [name for p in MODULES
             for name in set_and_inverse_params(p.read_text(encoding="utf-8"))] == []
+
+
+def precision_leaks(modules: dict) -> list:
+    """``"module:mpmath"`` for each module of ``modules`` (module name ->
+    source) but ``growth`` that imports mpmath, and ``"module:_exact"`` for
+    each that reads an attribute named ``_exact``: the working precision of
+    every floor, and the integers of its exact sign test, stay in ``growth``."""
+    out = set()
+    for module, source in modules.items():
+        if module == "growth":
+            continue
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                names = []
+            if any(n.split(".")[0] == "mpmath" for n in names):
+                out.add(f"{module}:mpmath")
+            if isinstance(node, ast.Attribute) and node.attr == "_exact":
+                out.add(f"{module}:_exact")
+    return sorted(out)
+
+
+def test_guard_flags_precision_outside_growth():
+    modules = {"growth": "import mpmath\ndef sign(g):\n    return g._exact\n",
+               "a": "import numpy as np, mpmath as mp\n",
+               "b": "from mpmath.libmp import mpf_log\n",
+               "c": "def sign(g):\n    return g._exact is not None\n",
+               "d": "from .growth import MP_DPS\n"
+                    "def f(g):\n    return g.exact, g._exact_value, MP_DPS\n"}
+    assert precision_leaks(modules) == ["a:mpmath", "b:mpmath", "c:_exact"]
+    assert precision_leaks({"seqset": modules["growth"]}) == [
+        "seqset:_exact", "seqset:mpmath"]
+
+
+def test_only_growth_holds_the_working_precision():
+    modules = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    assert precision_leaks(modules) == []
 
 
 def test_the_benchmark_tracer_installs():

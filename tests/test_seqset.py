@@ -23,8 +23,8 @@ from roughmax import (
     verify_membership_equivalence,
 )
 from roughmax import seqset
-from roughmax.growth import GrowthFunction
-from roughmax.seqset import MP_ZERO_BAND, P_MIN_WINDOW, _sign_at_integer
+from roughmax.growth import MP_ZERO_BAND, GrowthFunction, InverseFunction
+from roughmax.seqset import P_MIN_WINDOW
 
 
 def enumeration_oracle(c, n_max, m_start=1):
@@ -193,13 +193,13 @@ def test_exact_sign_test_agrees_with_60_digits(monkeypatch, c, c_h):
     g = make_growth("pure", c, c_h)
     assert g._exact is not None
     calls = []
-    sign = seqset._sign_at_integer
+    sign = GrowthFunction._sign_at
 
     def recording(g, r, y):
         calls.append((r, y, sign(g, r, y)))
         return calls[-1][2]
 
-    monkeypatch.setattr(seqset, "_sign_at_integer", recording)
+    monkeypatch.setattr(GrowthFunction, "_sign_at", recording)
     s = generate(g, 1 << 24)
     assert s.p_min < P_MIN_WINDOW and len(calls) > 20
     assert any(e == 0 for *_, e in calls)
@@ -221,10 +221,10 @@ def test_a_rational_pure_power_never_reaches_mpmath(monkeypatch, glog):
     s = generate(make_growth("pure", 1.5), 1 << 20)
     assert np.isin(1 << 15, s.elements) and calls == []
     # a powerlog sign test and the explog band candidates keep the 60 digits
-    assert _sign_at_integer(glog, 10, 24) == mp_sign(glog, 10, 24) == 1
+    assert glog._sign_at(10, 24) == mp_sign(glog, 10, 24) == 1
     assert len(calls) == 2
     g = make_growth("powerexplog", 1.05, 1.0, a=1.0, b=0.5)
-    seqset._floors(g, np.array([m for m, _, _ in EXPLOG_FLOORS], dtype=np.int64))
+    g._floors(np.array([m for m, _, _ in EXPLOG_FLOORS], dtype=np.int64))
     assert len(calls) == 2 + len(EXPLOG_FLOORS)
 
 
@@ -272,14 +272,14 @@ def test_membership_examples(phi15):
     for p, member, floor in ((5, True, -3), (6, False, -4)):
         one = np.array([p], dtype=np.int64)
         assert contains_via_inverse_batch(phi15, one).tolist() == [member]
-        assert seqset._floor_neg_phi_batch(phi15, one).tolist() == [floor]
+        assert phi15._floor_neg(one).tolist() == [floor]
 
 
 def test_membership_exact_integer_inverse(phi15):
     # phi(8) = 4 exactly: the floor is settled by the exact sign test
     for p in (8, 27):
         assert contains_via_inverse_batch(phi15, np.array([p])).tolist() == [True]
-    assert seqset._floor_neg_phi_batch(phi15, np.array([8])).tolist() == [-4]
+    assert phi15._floor_neg(np.array([8])).tolist() == [-4]
 
 
 def test_membership_identity_always_true(phident):
@@ -306,7 +306,7 @@ def test_inverse_floor_matches_integer_oracle(phi15):
         oracle.append(-r)
         cubes += r ** 3 == p * p
     assert cubes == 38
-    assert np.array_equal(seqset._floor_neg_phi_batch(phi15, ps), np.array(oracle))
+    assert np.array_equal(phi15._floor_neg(ps), np.array(oracle))
 
 
 # (m, floor of h(m) by 60-digit arithmetic, floor of the float h(m)) for
@@ -327,7 +327,7 @@ def test_inverse_test_pins_the_explog_floors():
     assert contains_via_inverse_batch(phi, exact).all()
     assert not contains_via_inverse_batch(phi, wrong).any()
     for m, e, _ in EXPLOG_FLOORS:
-        assert seqset._floor_neg_phi_batch(phi, np.array([e])).tolist() == [-m]
+        assert phi._floor_neg(np.array([e])).tolist() == [-m]
 
 
 def test_enumeration_floors_pin_the_explog_floors():
@@ -336,7 +336,7 @@ def test_enumeration_floors_pin_the_explog_floors():
     exact = [e for _, e, _ in EXPLOG_FLOORS]
     wrong = [w for _, _, w in EXPLOG_FLOORS]
     assert np.floor(g.value(m.astype(float))).astype(np.int64).tolist() == wrong
-    assert seqset._floors(g, m).tolist() == exact
+    assert g._floors(m).tolist() == exact
 
 
 def _worst_ulps(got, ref):
@@ -371,7 +371,7 @@ def test_libm_error_fits_the_floor_band():
         c_log_m = np.abs(g.c * np.log(m))
         lam = np.abs(np.log(g.value(m) / g.c_h) - g.c * np.log(m))
         # lam's error u (alpha + beta |lam|) and the K = 4 band, as derived
-        # in the seqset._floors docstring
+        # in the GrowthFunction._floors docstring
         alpha, beta = {"pure": (0.0, 0.0),
                        "powerlog": (abs(kw.get("a", 0.0)) * e_log, e_log + 1.0),
                        "powerexplog": (0.0, kw.get("b", 0.0) * e_log + e_pow + 1.0),
@@ -388,13 +388,13 @@ def test_batch_equivalence_with_scalar(phi15, s15_1m):
 
 def test_a_window_inverts_each_point_once(phi102, monkeypatch):
     received = []
-    floor_neg_phi = seqset._floor_neg_phi_batch
+    floor_neg_phi = InverseFunction._floor_neg
 
     def counting(phi, p):
         received.append(p.size)
         return floor_neg_phi(phi, p)
 
-    monkeypatch.setattr(seqset, "_floor_neg_phi_batch", counting)
+    monkeypatch.setattr(InverseFunction, "_floor_neg", counting)
     window = np.arange(16, P_MIN_WINDOW + 1, dtype=np.int64)
     contains_via_inverse_batch(phi102, window)
     assert sum(received) == window.size + 1
@@ -405,7 +405,7 @@ def test_a_window_inverts_each_point_once(phi102, monkeypatch):
     got = contains_via_inverse_batch(phi102, p)
     assert sum(received) == p.size + 5
     monkeypatch.undo()
-    lo, hi = (seqset._floor_neg_phi_batch(phi102, q) for q in (p, p + 1))
+    lo, hi = (phi102._floor_neg(q) for q in (p, p + 1))
     assert np.array_equal(got, lo - hi == 1)
 
 
