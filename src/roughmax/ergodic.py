@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DegenerateError, RangeError, ValidationError
 from .seqset import SequenceSet, count
-from .util import chunked_sum
+from .util import CHUNK, chunked_sum
 
 
 @dataclass(frozen=True)
@@ -84,17 +84,20 @@ def _set_sums(sys: FiniteSystem, s: SequenceSet, weighted: bool,
     """(sum of f(T^j x) over set elements j <= N, their count), shaped like n.
 
     When ``weighted`` each term is weighted by h'(phi(max(j, y0))), from
-    ``_density_weights``.  The terms are built once, up to the largest N, and
-    each N sums its prefix with ``chunked_sum``: a prefix holds the same
-    values as a fresh array up to N, so every sum has the bits of a one-N
-    call.
+    ``_density_weights``, one ``CHUNK`` of elements at a time.  The terms
+    are built once, up to the largest N, and each N sums its prefix with
+    ``chunked_sum``: a prefix holds the same values as a fresh array up to
+    N, so every sum has the bits of a one-N call.
     """
     cnt = np.asarray(count(s, n))
     fv = _f_values(sys, f)
     els = s.elements[:cnt.max(initial=0)]
     terms = fv[sys.iterate(x, els)]
     if weighted:
-        terms = _density_weights(s, els) * terms
+        # in CHUNK blocks, so no temporary of phi or h' outgrows a block;
+        # both work point by point, so the blocks do not change a bit
+        for i in range(0, els.size, CHUNK):
+            terms[i:i + CHUNK] *= _density_weights(s, els[i:i + CHUNK])
     sums = np.array([chunked_sum(terms[:k]) for k in cnt.ravel()], dtype=float)
     return sums.reshape(cnt.shape), cnt
 

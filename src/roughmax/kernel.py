@@ -32,7 +32,7 @@ from .signals import (
     _nonzero_ends,
     autocorrelation_signal,
 )
-from .util import CHUNK, loglog_slope, map_scales
+from .util import CHUNK, _pairwise, loglog_slope, map_scales
 
 __all__ = [
     "Kernel", "DecompositionReport", "eta",
@@ -93,13 +93,12 @@ class Kernel:
         return self.signal.sum()
 
 
-def _kernel_points(s: SequenceSet, n: int,
-                   by_phi: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """The kernel at scale N as points: the set elements m in
-    ``_support_window(n)`` (ascending int64) and their values eta(m/N)/norm,
-    with norm the count of elements up to N, or phi(N) when ``by_phi``.
-    The checks of ``build_kernel`` run here.  eta may underflow to 0 at the
-    window ends, so a value can be 0."""
+def _kernel_window(s: SequenceSet, n: int,
+                   by_phi: bool = False) -> tuple[np.ndarray, float]:
+    """(els, norm): the set elements m in ``_support_window(n)`` (ascending
+    int64, a view of ``s.elements``) and norm, the count of elements up to N,
+    or phi(N) when ``by_phi``.  The checks of ``build_kernel`` that need no
+    kernel value run here, the mass check (``_check_mass``) after it."""
     n = int(n)
     if 4 * n > s.n_max:
         raise RangeError(f"kernel at N = {n} needs n_max >= 4N, have {s.n_max}")
@@ -110,15 +109,60 @@ def _kernel_points(s: SequenceSet, n: int,
     first, last = _support_window(n)
     els = s.elements[np.searchsorted(s.elements, first, side="left"):
                      np.searchsorted(s.elements, last, side="right")]
-    vals = np.asarray(eta(els / float(n)), dtype=float) / norm
     if els.size == 0:
         raise DegenerateError(f"no set elements in the support window of N = {n}")
     width = int(els[-1] - els[0] + 1)
     signals._check_size(width, f"kernel support {width} at N = {n}")
-    total = float(vals.sum())
+    return els, norm
+
+
+def _kernel_values(els: np.ndarray, n: int, norm: float) -> np.ndarray:
+    """eta(m/N)/norm at each m of ``els``, in CHUNK blocks, so no temporary
+    of eta outgrows a block; eta works point by point, so the value at m has
+    the same bits in a slice of the window as in the whole."""
+    out = np.empty(els.size)
+    for i in range(0, els.size, CHUNK):
+        out[i:i + CHUNK] = eta(els[i:i + CHUNK] / float(n))
+    out /= norm
+    return out
+
+
+def _check_mass(total: float) -> None:
     if not (0.0 < total <= 8.0):
         raise DegenerateError(f"kernel mass {total} outside (0, 8]")
+
+
+def _kernel_points(s: SequenceSet, n: int,
+                   by_phi: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel at scale N as points: the elements of ``_kernel_window``
+    and their values eta(m/N)/norm, after every check of ``build_kernel``.
+    eta may underflow to 0 at the window ends, so a value can be 0."""
+    els, norm = _kernel_window(s, n, by_phi)
+    vals = _kernel_values(els, n, norm)
+    _check_mass(float(vals.sum()))
     return els, vals
+
+
+def _kernel_support(s: SequenceSet, n: int) -> tuple[np.ndarray, float]:
+    """(els, norm) of the maximal operator's kernel at scale N, after every
+    check of ``_kernel_points``, with els trimmed to the elements whose
+    value is not 0; the values are ``_kernel_values(els, n, norm)`` on any
+    slice.  They are built one CHUNK at a time, for the mass (the bits of
+    ``vals.sum()``, added along numpy's pairwise tree) and the trim, and
+    none is kept."""
+    els, norm = _kernel_window(s, n)
+    ends = []
+
+    def leaf(a, b):
+        v = _kernel_values(els[a:b], n, norm)
+        nz = np.flatnonzero(v)
+        if nz.size:
+            ends.append((a + int(nz[0]), a + int(nz[-1]) + 1))
+        return v.sum()
+
+    # the leaves come left to right, so the first and last ends are the trim
+    _check_mass(float(_pairwise(leaf, 0, els.size, 1)))
+    return els[ends[0][0]:ends[-1][1]], norm
 
 
 def build_kernel(s: SequenceSet, n: int) -> Kernel:

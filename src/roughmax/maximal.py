@@ -7,14 +7,20 @@ structurally through the classical splitting of an input into a bounded good
 part plus atoms on disjoint dyadic cubes, refined per scale into an
 over-threshold piece, a mean-zero piece, and cube means.
 
-M f is one accumulator over supp f plus the scale windows.  Each scale's
-kernel is read as points (its set elements and their weights, never a dense
-window) when its turn comes, and folded into the accumulator with a running
-max.  Every input goes through ``signals._overlap_save``, which transforms f
-once, fills each batch of segments straight from the points and skips the
-segments that hold none, so besides the accumulator only the transform of f,
-one batch's buffers and one scale's points are held.  The weak-type counts
-sort that accumulator in place.
+M f is built by ``_max_blocks`` one output block at a time, left to right,
+with the scales inside each block.  f is transformed once, by
+``signals._Segments``, the segment routine that ``signals.convolve`` uses
+too.  Each scale's kernel is held as its set elements (a view of the set)
+and its norm, after its checks, which run once per scale before any block;
+it keeps its own grid of overlap-save segments, skips the segments that hold
+no point, and builds a batch's kernel values from the batch's points.  A
+batch is folded with a running max into the block that holds its first
+output, and its outputs past the block end into the next block, so each
+cell is the max over the same transform outputs that one accumulator over
+the whole support would take.  Only that block and its carry, one batch's
+buffers and the transform of f are held.  The weak-type counts sort each
+block's nonzero cells and search them at every height; ``maximal_function``
+writes the blocks into one array over the support.
 
 Decomposition arithmetic runs on whatever number type the input carries:
 exact Fractions (or ints) stay exact end to end, on integers scaled by the
@@ -29,7 +35,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -42,7 +48,8 @@ from .errors import (
     ValidationError,
 )
 from .kernel import (
-    _kernel_points,
+    _kernel_support,
+    _kernel_values,
     _support_window,
     decomposition_reports,
     estimate_chi,
@@ -117,34 +124,69 @@ def build_scale_family(s: SequenceSet, n_lo: int, n_hi: int) -> ScaleFamily:
 # the maximal operator
 # ---------------------------------------------------------------------------
 
-def _max_accumulator(family: ScaleFamily, f: Signal) -> tuple[int, np.ndarray]:
-    """(lo, acc): M f on lo, lo + 1, ... for f != 0, in an array the caller
-    owns.
+def _max_blocks(family: ScaleFamily, f: Signal
+                ) -> Iterator[tuple[int, np.ndarray]]:
+    """(start, block): M f on start, start + 1, ... for nonnegative f != 0,
+    block after block from left to right.  A block no kernel output reaches
+    is left out, and so are the cells past a block's last write: all are 0.
+    A block is a view of a buffer that the next one overwrites.
 
-    The max runs in one accumulator over supp f plus the scale windows,
-    refused before any kernel is read when wider than ``signals.MAX_SUPPORT``.
-    Each scale's kernel is read as points when its turn comes and let go
-    before the next; cells no kernel output reaches stay zero.
+    Every scale's grid of overlap-save segments is that of
+    ``signals._Segments``, and a batch is folded, with a running max, into
+    the block that holds its first output.  A batch's outputs span at most
+    the block length, max(``signals.BATCH``, L), so the ones past the block
+    end are folded into the next block, which the same buffer holds.  Each
+    scale's kernel is held as its trimmed elements (a view of the set) and
+    its norm; the values are built per batch from the batch's points.
     """
     if np.any(f.values < 0):
         raise ValidationError("the maximal operator is probed on nonnegative input")
-    lo = f.offset + _support_window(family.scales[0])[0]
-    hi = f.support[1] + _support_window(family.scales[-1])[1]
-    signals._check_size(hi - lo + 1, f"maximal-function support {hi - lo + 1}")
-    acc = np.zeros(hi - lo + 1)
-    kernels = (_kernel_points(family.s, n) for n in family.scales)
-    for start, block in signals._overlap_save(f, kernels):
-        seg = acc[start - lo:start - lo + block.size]
-        np.maximum(seg, np.abs(block), out=seg)
-    return lo, acc
+    seg = signals._Segments(f)
+    kernels = [(n, *_kernel_support(family.s, n)) for n in family.scales]
+    size = max(signals.BATCH, seg.n)
+    batches = [seg.batches(els) for _, els, _ in kernels]
+    heads = [next(b, None) for b in batches]
+    # the block in acc[:size], the outputs past it in acc[size:end]
+    acc = np.zeros(2 * size)
+    start, end = min(h[0] for h in heads), 0
+    while True:
+        for k, (n, els, norm) in enumerate(kernels):
+            while heads[k] is not None and heads[k][0] < start + size:
+                values = lambda a, b: _kernel_values(els[a:b], n, norm)
+                for pos, block in seg.outputs(els, heads[k], values):
+                    cells = acc[pos - start:pos - start + block.size]
+                    # the batch's own buffer (or a copy of its rows): the
+                    # sign goes in place
+                    np.maximum(cells, np.abs(block, out=block), out=cells)
+                    end = max(end, pos - start + block.size)
+                del block               # a copy is let go before the next batch
+                heads[k] = next(batches[k], None)
+        yield start, acc[:min(end, size)]
+        carry = max(end - size, 0)
+        acc[:carry] = acc[size:end]
+        acc[carry:end] = 0.0
+        if carry:
+            start, end = start + size, carry
+        elif any(h is not None for h in heads):
+            start, end = min(h[0] for h in heads if h is not None), 0
+        else:
+            return
 
 
 def maximal_function(family: ScaleFamily, f: Signal) -> Signal:
     """Pointwise max over the family scales of |K_n * f|, for nonnegative f:
-    the accumulator of ``_max_accumulator``, trimmed of its zero ends."""
+    the blocks of ``_max_blocks``, written into one array over supp f plus
+    the scale windows, refused before any kernel is read when wider than
+    ``signals.MAX_SUPPORT``, and trimmed of its zero ends."""
     if f.is_zero:
         return Signal.zero()
-    return Signal._own(*_max_accumulator(family, f))
+    lo = f.offset + _support_window(family.scales[0])[0]
+    hi = f.support[1] + _support_window(family.scales[-1])[1]
+    signals._check_size(hi - lo + 1, f"maximal-function support {hi - lo + 1}")
+    mf = np.zeros(hi - lo + 1)
+    for start, block in _max_blocks(family, f):
+        mf[start - lo:start - lo + block.size] = block
+    return Signal._own(lo, mf)
 
 
 def default_lambda_grid(family: ScaleFamily, f: Signal) -> np.ndarray:
@@ -155,16 +197,30 @@ def default_lambda_grid(family: ScaleFamily, f: Signal) -> np.ndarray:
 
 
 def weak_type_profile(family: ScaleFamily, f: Signal, lambdas) -> list:
-    """(height, count of M f > height, height * count / l1) for each height."""
+    """(height, count of M f > height, height * count / l1) for each height.
+
+    The count is over the cells of ``maximal_function``; M f is reduced block
+    by block from ``_max_blocks``, each block's nonzero cells sorted and
+    searched at every height, so no array as long as the support is held."""
     if f.is_zero:
         raise DegenerateError("weak-type profile needs a nonzero input")
-    # the cells of maximal_function, sorted in place in the accumulator
-    acc = _max_accumulator(family, f)[1]
-    a, b = signals._nonzero_ends(acc)
-    mf = acc[a:b]
-    mf.sort()
     lams = np.asarray(lambdas, dtype=float)
-    counts = mf.size - np.searchsorted(mf, lams, side="right")
+    counts = np.zeros(lams.size, dtype=np.int64)
+    # a height below 0 is exceeded by every cell of maximal_function, the
+    # zeros between its first and last nonzero cell too
+    below = lams < 0
+    ends = []
+    for start, block in _max_blocks(family, f):
+        nonzero = block != 0
+        if below.any() and nonzero.any():
+            nz = np.flatnonzero(nonzero)
+            ends += [start + int(nz[0]), start + int(nz[-1]) + 1]
+        cells = block[nonzero]
+        cells.sort()
+        counts += cells.size - np.searchsorted(cells, lams, side="right")
+        # let go before the next block is built
+        del nonzero, cells
+    counts[below] = ends[-1] - ends[0] if ends else 0
     return list(zip(lams.tolist(), counts.tolist(),
                     (lams * counts / f.l1()).tolist()))
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -134,83 +134,123 @@ def convolve(a: Signal, b: Signal, method: str = "direct") -> Signal:
 BATCH = 1 << 18
 
 
-def _overlap_save(f: Signal, kernels: Iterable[tuple[np.ndarray, np.ndarray]]
-                  ) -> Iterator[tuple[int, np.ndarray]]:
-    """f * k for each kernel k in ``kernels``, as ``(position, block)`` pairs;
-    f != 0.
+class _Segments:
+    """The overlap-save segments of f * k, for any kernel k given as points.
 
-    A kernel is given as its points: ascending int64 ``positions`` and their
-    ``values``, zero values at either end dropped.  ``block[i]`` is the
-    convolution at ``position + i``; the blocks of one kernel come left to
-    right, and every output they leave out is exactly 0.  A block may be a
-    view of a buffer that the next batch overwrites.
-
-    f is transformed once, at the power of two L >= 4 * width(f).  The
-    kernel, zero outside its points, is cut into length-L segments with step
-    B = L - width(f) + 1, whose circular convolutions with f each hold B
-    linear outputs.  Segments go through the transform ``max(1, BATCH // L)``
-    at a time, each filled straight from the points that fall in it (found
-    by ``np.searchsorted``), so a segment gets the same array as if the
-    kernel were dense.  A segment that holds no point is skipped: its
-    convolution is 0.  Besides the transform of f, only one batch's segment,
-    spectrum and output buffers are held, allocated once per call, and the
-    caller's points.  An L above MAX_SUPPORT is refused before anything is
-    allocated.
+    A kernel is given as its points: ascending int64 ``pos`` with nonzero
+    values at both ends, and ``values(a, b)``, the values of pos[a:b].  f is
+    transformed once, at the power of two L >= 4 * width(f).  The kernel,
+    zero outside its points, is cut into length-L segments with step
+    B = L - width(f) + 1, anchored at pos[0], whose circular convolutions
+    with f each hold B linear outputs.  Segments go through the transform
+    ``rows = max(1, BATCH // L)`` at a time: a batch is the rows
+    r0..r0+count-1 of that grid, and ``batches`` names the ones that hold a
+    point (found by ``np.searchsorted``) before any is transformed; a
+    segment that holds no point is skipped, as its convolution is 0.
+    ``outputs`` fills a batch's segments straight from its points, CHUNK
+    points at a time, so a segment gets the same array as if the kernel
+    were dense.  Besides the transform of f, only one batch's segment and
+    spectrum buffers are held, allocated once, and one chunk of points.  An
+    L above MAX_SUPPORT is refused before anything is allocated.
     """
-    w = f.values.size
-    n = 1 << (4 * w - 1).bit_length()
-    _check_size(n, f"overlap-save transform length {n}")
-    step = n - w + 1
-    rows = max(1, BATCH // n)
-    ff = np.fft.rfft(f.values, n)
-    # the transforms write into these with out= (numpy >= 2.0): fresh arrays
-    # per batch are unmapped and faulted in again, batch after batch
-    segs = np.empty((rows, n))
-    spec = np.empty((rows, n // 2 + 1), dtype=complex)
-    outs = np.empty((rows, n))
-    for pos, vals in kernels:
-        a, b = _nonzero_ends(vals)
-        pos, vals = pos[a:b], vals[a:b]
+
+    def __init__(self, f: Signal):
+        w = f.values.size
+        n = 1 << (4 * w - 1).bit_length()
+        _check_size(n, f"overlap-save transform length {n}")
+        self.offset, self.w, self.n = f.offset, w, n
+        self.step = n - w + 1
+        self.rows = max(1, BATCH // n)
+        self.ff = np.fft.rfft(f.values, n)
+        # the transforms write into these with out= (numpy >= 2.0): fresh
+        # arrays per batch are unmapped and faulted in again, batch after
+        # batch.  The inverse transform writes back into the segments
+        self.segs = np.empty((self.rows, n))
+        self.spec = np.empty((self.rows, n // 2 + 1), dtype=complex)
+
+    def batches(self, pos: np.ndarray) -> Iterator[tuple[int, int, int, int, int]]:
+        """``(first, r0, count, i, j)`` for each batch that holds a point, left
+        to right: its rows r0..r0+count-1 hold the points pos[i:j], and its
+        outputs lie in [first, first + count * B)."""
+        w, n, step = self.w, self.n, self.step
         # segment r covers the kernel from pos[0] - (w - 1) + r * step on and
         # holds the outputs from pos[0] + r * step on
         base = int(pos[0]) - (w - 1)
-        out_len = w + int(pos[-1]) - int(pos[0])
-        total = -(-out_len // step)
-        for r0 in range(0, total, rows):
-            count = min(rows, total - r0)
+        total = -(-(w + int(pos[-1]) - int(pos[0])) // step)
+        for r0 in range(0, total, self.rows):
+            count = min(self.rows, total - r0)
             lo = base + r0 * step
             i, j = np.searchsorted(pos, (lo, lo + (count - 1) * step + n))
-            if i == j:
-                continue
-            q, c = np.divmod(pos[i:j] - lo, step)
-            v = vals[i:j]
-            # a point at column c of row q lies at column c + B of row q - 1
-            # too when c < w - 1; q == count only for such a point
-            one = q < count
-            two = (c < w - 1) & (q > 0)
-            q1, q2 = q[one], q[two] - 1
-            held = np.zeros(count, dtype=bool)
-            held[q1] = True
-            held[q2] = True
-            rows_held = np.flatnonzero(held)
-            h = rows_held.size
-            slot = np.empty(count, dtype=np.intp)
-            slot[rows_held] = np.arange(h)
-            segs[:h] = 0.0
-            segs[slot[q1], c[one]] = v[one]
-            segs[slot[q2], c[two] + step] = v[two]
-            np.fft.rfft(segs[:h], axis=1, out=spec[:h])
-            np.multiply(spec[:h], ff, out=spec[:h])
-            np.fft.irfft(spec[:h], n, axis=1, out=outs[:h])
-            # one block per run of consecutive held rows
-            breaks = np.flatnonzero(np.diff(rows_held) != 1) + 1
-            for s, e in zip([0, *breaks.tolist()], [*breaks.tolist(), h]):
-                first = (r0 + int(rows_held[s])) * step
-                block = outs[s:e, w - 1:].reshape(-1)[:out_len - first]
-                yield int(pos[0]) + f.offset + first, block
-        # the first batch holds pos[0], so v is bound; with it let go, a
-        # lazily built next kernel is never alive beside this one
-        del pos, vals, v
+            if i < j:
+                yield (int(pos[0]) + self.offset + r0 * step, r0, count,
+                       int(i), int(j))
+
+    def outputs(self, pos: np.ndarray, batch: tuple, values: Callable
+                ) -> Iterator[tuple[int, np.ndarray]]:
+        """f * k on one batch of ``batches(pos)`` as ``(position, block)``
+        pairs: ``block[i]`` is the convolution at ``position + i``, one block
+        per run of consecutive rows that hold a point.  Every output the
+        blocks leave out is exactly 0.  A block is a view of a buffer that
+        the next batch overwrites, and the caller may write into it.
+        """
+        w, n, step = self.w, self.n, self.step
+        _, r0, count, i, j = batch
+        lo = int(pos[0]) - (w - 1) + r0 * step
+        out_len = w + int(pos[-1]) - int(pos[0])
+
+        def placed():
+            # (a, q, c, one, two) for the points pos[a:a + CHUNK]: a point at
+            # column c of row q lies at column c + B of row q - 1 too when
+            # c < w - 1, and q == count only for such a point
+            for a in range(i, j, CHUNK):
+                q, c = np.divmod(pos[a:min(a + CHUNK, j)] - lo, step)
+                yield a, q, c, q < count, (c < w - 1) & (q > 0)
+
+        held = np.zeros(count, dtype=bool)
+        for _, q, _, one, two in placed():
+            held[q[one]] = True
+            held[q[two] - 1] = True
+        del q, one, two             # the last chunk, before the next pass
+        rows_held = np.flatnonzero(held)
+        h = rows_held.size
+        slot = np.empty(count, dtype=np.intp)
+        slot[rows_held] = np.arange(h)
+        segs, spec = self.segs[:h], self.spec[:h]
+        segs[:] = 0.0
+        for a, q, c, one, two in placed():
+            v = values(a, a + q.size)
+            segs[slot[q[one]], c[one]] = v[one]
+            segs[slot[q[two] - 1], c[two] + step] = v[two]
+            del v                   # one chunk's values at a time
+        np.fft.rfft(segs, axis=1, out=spec)
+        np.multiply(spec, self.ff, out=spec)
+        np.fft.irfft(spec, n, axis=1, out=segs)
+        # one block per run of consecutive held rows
+        breaks = np.flatnonzero(np.diff(rows_held) != 1) + 1
+        for s, e in zip([0, *breaks.tolist()], [*breaks.tolist(), h]):
+            first = (r0 + int(rows_held[s])) * step
+            block = segs[s:e, w - 1:].reshape(-1)[:out_len - first]
+            yield int(pos[0]) + self.offset + first, block
+
+
+def _overlap_save(f: Signal, kernels: Iterable[tuple[np.ndarray, np.ndarray]]
+                  ) -> Iterator[tuple[int, np.ndarray]]:
+    """f * k for each kernel k in ``kernels``, as the ``(position, block)``
+    pairs of ``_Segments.outputs``, batch after batch; f != 0.
+
+    A kernel is given as its points: ascending int64 ``positions`` and their
+    ``values``, zero values at either end dropped.  The blocks of one kernel
+    come left to right, and every output they leave out is exactly 0.
+    """
+    seg = _Segments(f)
+    for pos, vals in kernels:
+        a, b = _nonzero_ends(vals)
+        pos, vals = pos[a:b], vals[a:b]
+        for batch in seg.batches(pos):
+            yield from seg.outputs(pos, batch, lambda a, b: vals[a:b])
+        # with pos and vals let go, a lazily built next kernel is never
+        # alive beside this one
+        del pos, vals
 
 
 def _last_nonzero(v: np.ndarray) -> int:

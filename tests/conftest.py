@@ -2,6 +2,7 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -30,6 +31,16 @@ def count_kernel(s, n):
     dense = np.zeros(int(pos[-1] - pos[0] + 1))
     dense[pos - pos[0]] = vals
     return roughmax.Signal(int(pos[0]), dense)
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes that ``fn(*args)`` allocates, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def cz_rows(rng):

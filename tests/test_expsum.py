@@ -3,12 +3,12 @@
 import math
 import statistics
 import sys
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from roughmax import (
     EmptyRangeError,
     PreconditionError,
@@ -254,16 +254,6 @@ def test_min_norm_sum_of_an_empty_window_forms_no_float_of_x(phi105, x):
     # gives the empty sum too, where forming N/2 - x overflowed
     assert min_norm_sum(phi105, 256, x, 4) == min_norm_sum(phi105, 256, 900, 4)
     assert min_norm_sum(phi105, 256, x, 4)[0] == 0.0
-
-
-def traced_peak(fn, *args) -> int:
-    """Peak bytes that ``fn(*args)`` allocates, by tracemalloc."""
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 # The sweeps keep one window per thread live at once, so a window's sum must

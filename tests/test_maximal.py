@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import count_kernel, cz_rows, values_at
+from conftest import count_kernel, cz_rows, traced_peak, values_at
 from roughmax import (
     CZAtom,
     DegenerateError,
@@ -40,7 +40,7 @@ from roughmax import (
     verify_family_hypotheses,
     weak_type_profile,
 )
-from roughmax import maximal, signals
+from roughmax import kernel, maximal, signals
 from roughmax.cli import _parse_corpus, parse_growth_spec
 
 
@@ -272,14 +272,14 @@ def test_transform_path_matches_direct_oracle(s102_16, rng, monkeypatch,
     f = _sites_signal(rng, lo, hi, nnz)
     assert np.count_nonzero(f.values) == nnz and f.support == (lo, hi - 1)
     blocks = []
-    real = signals._overlap_save
+    real = signals._Segments.outputs
 
-    def recording(f, kernels):
-        for start, block in real(f, kernels):
+    def recording(seg, pos, batch, v):
+        for start, block in real(seg, pos, batch, v):
             blocks.append((start, block.size))
             yield start, block
 
-    monkeypatch.setattr(signals, "_overlap_save", recording)
+    monkeypatch.setattr(signals._Segments, "outputs", recording)
     mf = maximal_function(fam, f)
     kernels = family_kernels(fam)
     top = kernels[-1]
@@ -292,6 +292,86 @@ def test_transform_path_matches_direct_oracle(s102_16, rng, monkeypatch,
     lams = default_lambda_grid(fam, f)
     counts = [c for _, c, _ in weak_type_profile(fam, f, lams)]
     assert counts == [int(np.count_nonzero(oracle > lam)) for lam in lams]
+
+
+def _accumulated_maximal(fam, f):
+    """M f the single-array way: one accumulator over supp f plus the scale
+    windows, with each kernel's overlap-save blocks folded in by a running
+    max, one kernel after another."""
+    lo, hi = window_bounds(fam, f)
+    acc = np.zeros(hi - lo + 1)
+    kernels = (kernel._kernel_points(fam.s, n) for n in fam.scales)
+    for start, block in signals._overlap_save(f, kernels):
+        cells = acc[start - lo:start - lo + block.size]
+        np.maximum(cells, np.abs(block), out=cells)
+    return Signal(lo, acc)
+
+
+@pytest.fixture(scope="module")
+def engine_families(s102_16):
+    return {"pure:1.02": build_scale_family(s102_16, 6, 9),
+            "pure:1.9": build_scale_family(
+                generate(make_growth("pure", 1.9), 4 << 12), 6, 12)}
+
+
+@pytest.mark.parametrize("batch", [1, 8, 64])
+@pytest.mark.parametrize("growth,corpus", [
+    ("pure:1.02", "delta"), ("pure:1.02", "random"),
+    ("pure:1.9", "delta"), ("pure:1.9", "random"),
+])
+def test_blocked_engine_matches_one_accumulator(engine_families, rng,
+                                                monkeypatch, batch, growth,
+                                                corpus):
+    # blocks of a few cells: on pure:1.9 batches cross block ends, so
+    # outputs are carried into the next block, and a one-site corpus leaves
+    # stretches that no output reaches, whose blocks are skipped.
+    # Every cell has the bits of one accumulator fed the same batches, and
+    # the counts are those of a brute-force M f
+    monkeypatch.setattr(signals, "BATCH", batch)
+    fam = engine_families[growth]
+    f = Signal.delta(0) if corpus == "delta" else _sites_signal(rng, 0, 40, 6)
+    starts, runs = [], []
+    real_blocks, real_outputs = maximal._max_blocks, signals._Segments.outputs
+
+    def blocks(family, f):
+        for start, block in real_blocks(family, f):
+            starts.append(start)
+            yield start, block
+
+    def outputs(seg, pos, rows, values):
+        for start, block in real_outputs(seg, pos, rows, values):
+            runs.append((start, block.size))
+            yield start, block
+
+    monkeypatch.setattr(maximal, "_max_blocks", blocks)
+    monkeypatch.setattr(signals._Segments, "outputs", outputs)
+    mf = maximal_function(fam, f)
+    assert same_signal(mf, _accumulated_maximal(fam, f))
+    size = max(batch, 1 << (4 * f.values.size - 1).bit_length())
+    block_of = [starts[np.searchsorted(starts, p, side="right") - 1] for p, _ in runs]
+    if growth == "pure:1.9":
+        # on pure:1.02 the windows start at N/2 + 1, so every scale's grid
+        # can share the blocks' phase and no batch need cross a block end
+        assert any(p + n > s + size for (p, n), s in zip(runs, block_of))
+        assert (np.diff(starts) > size).any() == (corpus == "delta")
+    oracle = _direct_maximal(fam, f, *mf.support)
+    assert np.max(np.abs(mf.values - oracle)) <= 1e-12
+    lams = default_lambda_grid(fam, f)
+    counts = [c for _, c, _ in weak_type_profile(fam, f, lams)]
+    assert counts == [int(np.count_nonzero(mf.values > lam)) for lam in lams]
+    assert counts == [int(np.count_nonzero(oracle > lam)) for lam in lams]
+
+
+def test_weak_type_profile_holds_no_array_of_the_support():
+    # M f over pure:1.9 16..22 spans 128 MiB; the counts hold one block and
+    # its carry (4 MiB), one batch's segment and spectrum buffers (5 MiB at
+    # L = 4) and one block's nonzero cells: 9.7 MiB measured
+    fam = build_scale_family(generate(make_growth("pure", 1.9), 4 << 22), 16, 22)
+    f = Signal.delta(0)
+    lo, hi = window_bounds(fam, f)
+    assert 8 * (hi - lo + 1) > 127 << 20
+    peak = traced_peak(weak_type_profile, fam, f, default_lambda_grid(fam, f))
+    assert peak < 8 * (hi - lo + 1) / 10, peak
 
 
 def test_maximal_refuses_a_wide_accumulator(fam102, monkeypatch):
@@ -353,16 +433,18 @@ def test_maximal_function_memory_is_a_few_accumulators():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the accumulator and one batch's buffers: 1.61 accumulators measured
-    # (2.08 with a dense window of the largest scale's kernel beside it, 2.83
-    # when Signal copied the accumulator and each kernel again)
+    # the output array, one block with its carry and one batch's buffers:
+    # 1.63 output arrays measured (2.08 with a dense window of the largest
+    # scale's kernel beside it, 2.83 when Signal copied the output and each
+    # kernel again)
     lo, hi = window_bounds(fam, f)
     assert peak <= 2.2 * 8 * (hi - lo + 1), peak / (8 * (hi - lo + 1))
 
 
 def test_weak_type_profile_holds_one_accumulator():
-    # the counts sort the accumulator in place; a sorted copy of it made the
-    # peak 2.0 accumulators, and each scale's dense kernel window 2.08
+    # the counts are taken block by block; a sorted copy of an accumulator
+    # over the whole support made the peak 2.0 accumulators, and each
+    # scale's dense kernel window 2.08
     g = make_growth("pure", 1.5)
     fam = build_scale_family(generate(g, 4 << 19), 8, 19)
     f = _parse_corpus("random:2048:7")
@@ -373,9 +455,10 @@ def test_weak_type_profile_holds_one_accumulator():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # beyond the accumulator: one batch's segment, spectrum and output
-    # buffers (2 MiB each at 2^18 points), the block and its absolute values
-    # (1.5 MiB each) and the transform of f; 9.8 MiB measured
+    # one block and its carry (4 MiB), one batch's segment and spectrum
+    # buffers (2 MiB each at 2^18 points), a run of its outputs (1.5 MiB),
+    # a block's nonzero cells (2 MiB) and the transform of f: 10.8 MiB
+    # measured, less than the accumulator that this bound allows besides
     lo, hi = window_bounds(fam, f)
     assert peak <= 8 * (hi - lo + 1) + 12 * 2 ** 20, (peak, 8 * (hi - lo + 1))
 
@@ -384,28 +467,30 @@ def test_the_family_builds_no_kernel(s102_16, monkeypatch):
     def refuse(*args):
         raise AssertionError("build_scale_family built a kernel")
 
-    monkeypatch.setattr(maximal, "_kernel_points", refuse)
+    monkeypatch.setattr(maximal, "_kernel_support", refuse)
     fam = build_scale_family(s102_16, 8, 13)
     assert fam.scales == tuple(1 << n for n in range(8, 14))
 
 
 def test_maximal_function_holds_one_kernel_at_a_time(fam102, monkeypatch):
-    # a kernel counts as live until the array of its point values is freed
+    # every scale's kernel is held as a view of the set's elements; its
+    # values are built per batch, and one batch's values count as live until
+    # their array is freed
     live, most = [0], [0]
-    real = maximal._kernel_points
+    real = maximal._kernel_values
 
     def counting(*args):
-        points = real(*args)
+        values = real(*args)
         live[0] += 1
         most[0] = max(most[0], live[0])
-        weakref.finalize(points[1], lambda: live.__setitem__(0, live[0] - 1))
-        return points
+        weakref.finalize(values, lambda: live.__setitem__(0, live[0] - 1))
+        return values
 
-    monkeypatch.setattr(maximal, "_kernel_points", counting)
+    monkeypatch.setattr(maximal, "_kernel_values", counting)
     f = Signal.from_dict({0: 1.0, 37: 2.0, 5000: 1.0})
     mf = maximal_function(fam102, f)
     assert most[0] == 1 and live[0] == 0
-    monkeypatch.setattr(maximal, "_kernel_points", real)
+    monkeypatch.setattr(maximal, "_kernel_values", real)
     assert same_signal(maximal_function(fam102, f), mf)
 
 
