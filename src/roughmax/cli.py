@@ -355,11 +355,7 @@ def _parse_corpus(spec: str) -> Signal:
         k = _spec_int("--corpus", spec, "K", parts[1], 1)
         seed = _spec_int("--corpus", spec, "seed", parts[2], 0)
         rng = np.random.default_rng(seed)
-        sites = rng.integers(0, 1 << 14, k)
-        d = {}
-        for p in sites:
-            d[int(p)] = d.get(int(p), 0.0) + 1.0
-        return Signal.from_dict(d)
+        return Signal(0, np.bincount(rng.integers(0, 1 << 14, k)))
     raise ValidationError(f"--corpus {spec!r} is not delta or random:K:seed")
 
 

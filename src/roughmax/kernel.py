@@ -89,9 +89,6 @@ class Kernel:
     signal: Signal
     s: SequenceSet = field(compare=False, repr=False)
 
-    def mass(self) -> float:
-        return self.signal.sum()
-
 
 def _kernel_window(s: SequenceSet, n: int,
                    by_phi: bool = False) -> tuple[np.ndarray, float]:
@@ -132,20 +129,9 @@ def _check_mass(total: float) -> None:
         raise DegenerateError(f"kernel mass {total} outside (0, 8]")
 
 
-def _kernel_points(s: SequenceSet, n: int,
-                   by_phi: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """The kernel at scale N as points: the elements of ``_kernel_window``
-    and their values eta(m/N)/norm, after every check of ``build_kernel``.
-    eta may underflow to 0 at the window ends, so a value can be 0."""
-    els, norm = _kernel_window(s, n, by_phi)
-    vals = _kernel_values(els, n, norm)
-    _check_mass(float(vals.sum()))
-    return els, vals
-
-
 def _kernel_support(s: SequenceSet, n: int) -> tuple[np.ndarray, float]:
     """(els, norm) of the maximal operator's kernel at scale N, after every
-    check of ``_kernel_points``, with els trimmed to the elements whose
+    check of ``build_kernel``, with els trimmed to the elements whose
     value is not 0; the values are ``_kernel_values(els, n, norm)`` on any
     slice.  They are built one CHUNK at a time, for the mass (the bits of
     ``vals.sum()``, added along numpy's pairwise tree) and the trim, and
@@ -167,8 +153,12 @@ def _kernel_support(s: SequenceSet, n: int) -> tuple[np.ndarray, float]:
 
 def build_kernel(s: SequenceSet, n: int) -> Kernel:
     """Kernel value eta(m/N)/phi(N), phi = ``s.phi``, at every set element m
-    with eta(m/N) != 0: the dense window of ``_kernel_points`` over phi(N)."""
-    els, vals = _kernel_points(s, n, by_phi=True)
+    with eta(m/N) != 0: the values of ``_kernel_window`` over phi(N), laid
+    out densely.  eta may underflow to 0 at the window ends, and the signal
+    trims those zeros."""
+    els, norm = _kernel_window(s, n, by_phi=True)
+    vals = _kernel_values(els, n, norm)
+    _check_mass(float(vals.sum()))
     dense = np.zeros(int(els[-1] - els[0] + 1))
     dense[els - els[0]] = vals
     return Kernel(int(n), Signal._own(int(els[0]), dense), s)

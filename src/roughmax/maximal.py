@@ -56,7 +56,6 @@ from .kernel import (
 )
 from .seqset import SequenceSet, count
 from .signals import Signal
-from .util import log_spaced
 
 LAMBDA_GRID_POINTS = 64  # heights in the default weak-type grid
 
@@ -71,8 +70,9 @@ class ScaleFamily:
 
     It holds what the kernels are built from, the set ``s`` (which carries
     its inverse as ``s.phi``), never a kernel: each is built where it is
-    read, one scale at a time.  d[i] counts set elements in the support
-    window of scale n_lo + i; big_d[i] = 4 * 2^(n_lo+i) is its right edge.
+    read, one scale at a time.  d[i] counts the set elements in (N/2, 4N]
+    for N = 2^(n_lo+i): one more than the kernel window [N/2 + 1, 4N - 1]
+    holds when 4N is in the set.  big_d[i] = 4N is its right edge.
     eps0 is the fitted support-sparsity exponent (must stay below 1) and
     growth_m the fitted geometric-growth constant (> 1).
     """
@@ -190,37 +190,38 @@ def maximal_function(family: ScaleFamily, f: Signal) -> Signal:
 
 
 def default_lambda_grid(family: ScaleFamily, f: Signal) -> np.ndarray:
-    """LAMBDA_GRID_POINTS log-spaced heights spanning [l1 / (4 max D_n), 2 linf]."""
+    """LAMBDA_GRID_POINTS log-spaced heights spanning [l1 / (4 max D_n), 2 linf].
+
+    An input too spread out for that span (l1 / (4 max D_n) above 2 linf)
+    is refused, with both ends named."""
     lo = f.l1() / (4.0 * max(family.big_d))
     hi = 2.0 * f.linf()
-    return log_spaced(lo, hi, LAMBDA_GRID_POINTS)
+    if not 0.0 < lo <= hi:
+        raise ValidationError(
+            f"default heights need 0 < l1 / (4 max D_n) <= 2 linf, "
+            f"got {lo} and {hi}")
+    return np.exp(np.linspace(math.log(lo), math.log(hi), LAMBDA_GRID_POINTS))
 
 
 def weak_type_profile(family: ScaleFamily, f: Signal, lambdas) -> list:
     """(height, count of M f > height, height * count / l1) for each height.
 
-    The count is over the cells of ``maximal_function``; M f is reduced block
-    by block from ``_max_blocks``, each block's nonzero cells sorted and
-    searched at every height, so no array as long as the support is held."""
+    Heights must be >= 0; a negative or NaN height is refused.  The count is
+    over the cells of ``maximal_function``; M f is reduced block by block
+    from ``_max_blocks``, each block's nonzero cells sorted and searched at
+    every height, so no array as long as the support is held."""
     if f.is_zero:
         raise DegenerateError("weak-type profile needs a nonzero input")
     lams = np.asarray(lambdas, dtype=float)
+    refused = lams[~(lams >= 0)]
+    if refused.size:
+        raise ValidationError(f"height {refused[0]} must be >= 0")
     counts = np.zeros(lams.size, dtype=np.int64)
-    # a height below 0 is exceeded by every cell of maximal_function, the
-    # zeros between its first and last nonzero cell too
-    below = lams < 0
-    ends = []
-    for start, block in _max_blocks(family, f):
-        nonzero = block != 0
-        if below.any() and nonzero.any():
-            nz = np.flatnonzero(nonzero)
-            ends += [start + int(nz[0]), start + int(nz[-1]) + 1]
-        cells = block[nonzero]
+    for _, block in _max_blocks(family, f):
+        cells = block[block != 0]
         cells.sort()
         counts += cells.size - np.searchsorted(cells, lams, side="right")
-        # let go before the next block is built
-        del nonzero, cells
-    counts[below] = ends[-1] - ends[0] if ends else 0
+        del cells                       # let go before the next block is built
     return list(zip(lams.tolist(), counts.tolist(),
                     (lams * counts / f.l1()).tolist()))
 
@@ -519,14 +520,14 @@ class FamilyHypothesesReport:
 
 def verify_family_hypotheses(family: ScaleFamily,
                              workers: int = 1) -> FamilyHypothesesReport:
-    """Measure the kernel-family hypotheses across scales and fit exponents.
+    """Measure the kernel-family hypotheses across scales and fit eps1.
 
     The smoothness region is |x|, |x+y| beyond the inverse-function value of
-    the scale (where the model is the slowly varying tail), matching the
-    separation exponent eps2 = 1 up to the constant absorbed by the fit.
-    The scales run through ``decomposition_reports`` on up to ``workers``
-    threads (the report does not depend on the thread count); eps1 is
-    ``estimate_chi`` of their reports.
+    the scale (where the model is the slowly varying tail).  eps2, the
+    separation exponent, is the constant 1.0, not fitted; eps0 and growth_m
+    are the family's own.  The scales run through ``decomposition_reports``
+    on up to ``workers`` threads (the report does not depend on the thread
+    count); eps1 is ``estimate_chi`` of their reports.
     """
     c = family.s.growth.c
     if not (1.0 < c < 30.0 / 29.0):

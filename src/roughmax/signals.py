@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -105,9 +105,9 @@ class Signal:
 
 def convolve(a: Signal, b: Signal, method: str = "direct") -> Signal:
     """Discrete convolution; ``direct`` is the multiply-add oracle, ``fast``
-    the one-kernel case of ``_overlap_save``, with the narrower signal as f
-    and the nonzeros of the other as the kernel's points, its blocks written
-    into a zero output.  The two agree within 1e-9 per coefficient.
+    runs ``_Segments`` on one kernel, with the narrower signal as f and the
+    nonzeros of the other as the kernel's points, its blocks written into a
+    zero output.  The two agree within 1e-9 per coefficient.
     """
     if method not in ("direct", "fast"):
         raise ValueError(f"unknown convolution method {method!r}")
@@ -122,8 +122,11 @@ def convolve(a: Signal, b: Signal, method: str = "direct") -> Signal:
         nz = np.flatnonzero(k.values)
         v = np.zeros(out_len)
         origin = a.offset + b.offset
-        for start, block in _overlap_save(f, ((nz + k.offset, k.values[nz]),)):
-            v[start - origin:start - origin + block.size] = block
+        pos, vals = nz + k.offset, k.values[nz]
+        seg = _Segments(f)
+        for batch in seg.batches(pos):
+            for start, block in seg.outputs(pos, batch, lambda i, j: vals[i:j]):
+                v[start - origin:start - origin + block.size] = block
     return Signal._own(a.offset + b.offset, v)
 
 
@@ -231,26 +234,6 @@ class _Segments:
             first = (r0 + int(rows_held[s])) * step
             block = segs[s:e, w - 1:].reshape(-1)[:out_len - first]
             yield int(pos[0]) + self.offset + first, block
-
-
-def _overlap_save(f: Signal, kernels: Iterable[tuple[np.ndarray, np.ndarray]]
-                  ) -> Iterator[tuple[int, np.ndarray]]:
-    """f * k for each kernel k in ``kernels``, as the ``(position, block)``
-    pairs of ``_Segments.outputs``, batch after batch; f != 0.
-
-    A kernel is given as its points: ascending int64 ``positions`` and their
-    ``values``, zero values at either end dropped.  The blocks of one kernel
-    come left to right, and every output they leave out is exactly 0.
-    """
-    seg = _Segments(f)
-    for pos, vals in kernels:
-        a, b = _nonzero_ends(vals)
-        pos, vals = pos[a:b], vals[a:b]
-        for batch in seg.batches(pos):
-            yield from seg.outputs(pos, batch, lambda a, b: vals[a:b])
-        # with pos and vals let go, a lazily built next kernel is never
-        # alive beside this one
-        del pos, vals
 
 
 def _last_nonzero(v: np.ndarray) -> int:

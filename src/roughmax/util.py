@@ -85,13 +85,6 @@ def map_scales(task: Callable, items: Sequence, workers: int = 1) -> list:
             pool.shutdown(cancel_futures=True)
 
 
-def log_spaced(lo: float, hi: float, n: int) -> np.ndarray:
-    """n log-spaced points in [lo, hi], endpoints included."""
-    if lo <= 0 or hi < lo:
-        raise ValueError(f"log grid needs 0 < lo <= hi, got [{lo}, {hi}]")
-    return np.exp(np.linspace(math.log(lo), math.log(hi), n))
-
-
 def loglog_slope(x: np.ndarray, y: np.ndarray) -> float:
     """Least-squares slope of log2(y) against log2(x)."""
     x = np.asarray(x, dtype=float)

@@ -25,11 +25,11 @@ def values_at(s, x):
 
 def count_kernel(s, n):
     """The maximal operator's kernel at scale N, over the count of set
-    elements up to N: the points of ``kernel._kernel_points`` laid out as a
-    Signal."""
-    pos, vals = roughmax.kernel._kernel_points(s, n)
+    elements up to N: the values of ``kernel._kernel_support`` laid out as
+    a Signal."""
+    pos, norm = roughmax.kernel._kernel_support(s, n)
     dense = np.zeros(int(pos[-1] - pos[0] + 1))
-    dense[pos - pos[0]] = vals
+    dense[pos - pos[0]] = roughmax.kernel._kernel_values(pos, n, norm)
     return roughmax.Signal(int(pos[0]), dense)
 
 

@@ -319,8 +319,7 @@ def test_weaktype_transforms_only_the_segments_that_hold_a_point(tmp_path,
     step = 4                                  # L = 4 and a width-1 corpus
     total = 0
     for n in fam.scales:
-        pos, vals = roughmax.kernel._kernel_points(s, n)
-        pos = pos[vals != 0]
+        pos, _ = roughmax.kernel._kernel_support(s, n)
         total += -(-int(pos[-1] - pos[0] + 1) // step)
     # 1,413 of 111,811 segments measured
     assert 0 < sum(rows) < total / 20, (sum(rows), total)
@@ -836,6 +835,20 @@ def test_a_spec_that_does_not_parse_names_its_flag(tmp_path, capsys, argv, what)
     assert run_cli(*argv, "--out", str(out)) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert f"error: {what}\n" == err
+    assert not out.exists()
+
+
+def test_weaktype_refuses_a_corpus_too_spread_for_the_default_heights(tmp_path,
+                                                                    capsys):
+    # 100,000 sites on 2^14 cells: l1 / (4 max D_n) = 10^5 / 32 lies above
+    # 2 linf = 38, so the log grid of heights would be empty
+    out = tmp_path / "t.csv"
+    assert run_cli("weaktype", "--h", "pure:1.02:1.0", "--nlo", "1", "--nhi", "1",
+                   "--corpus", "random:100000:1",
+                   "--out", str(out)) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err == ("error: default heights need 0 < l1 / (4 max D_n) <= 2 linf, "
+                   "got 3125.0 and 38.0\n")
     assert not out.exists()
 
 

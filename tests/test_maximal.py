@@ -217,13 +217,21 @@ def test_weak_type_counts_match_a_sorted_copy(fam102, rng):
     f = _sites_signal(rng, 0, 3000, 40)
     mf = np.sort(maximal_function(fam102, f).values)
     cells = mf[rng.integers(0, mf.size, 16)]
-    lams = np.concatenate((cells, np.nextafter(cells, np.inf), [-1.0, 0.0],
+    lams = np.concatenate((cells, np.nextafter(cells, np.inf), [0.0],
                            [mf[0], mf[-1], 2 * mf[-1]],
                            default_lambda_grid(fam102, f)))
     rows = weak_type_profile(fam102, f, lams)
     assert [c for _, c, _ in rows] == (
         mf.size - np.searchsorted(mf, lams, side="right")).tolist()
-    assert rows[32][1] == mf.size and rows[35][1] == 0   # heights -1 and max
+    assert rows[34][1] == 0                             # the height max
+
+
+@pytest.mark.parametrize("height", [-1.0, float("nan")])
+def test_weak_type_profile_refuses_a_negative_or_nan_height(engine_families, height):
+    # M f > height would hold at every integer below 0, and at none for NaN
+    f = Signal.from_dict({0: 1.0, 5: 2.0})
+    with pytest.raises(ValidationError, match=f"^height {height} must be >= 0$"):
+        weak_type_profile(engine_families["pure:1.02"], f, [0.5, height])
 
 
 def test_weak_type_quasi_additivity(fam102, rng):
@@ -297,13 +305,17 @@ def test_transform_path_matches_direct_oracle(s102_16, rng, monkeypatch,
 def _accumulated_maximal(fam, f):
     """M f the single-array way: one accumulator over supp f plus the scale
     windows, with each kernel's overlap-save blocks folded in by a running
-    max, one kernel after another."""
+    max, one kernel after another, its values built once for its window."""
     lo, hi = window_bounds(fam, f)
     acc = np.zeros(hi - lo + 1)
-    kernels = (kernel._kernel_points(fam.s, n) for n in fam.scales)
-    for start, block in signals._overlap_save(f, kernels):
-        cells = acc[start - lo:start - lo + block.size]
-        np.maximum(cells, np.abs(block), out=cells)
+    seg = signals._Segments(f)
+    for n in fam.scales:
+        els, norm = kernel._kernel_support(fam.s, n)
+        vals = kernel._kernel_values(els, n, norm)
+        for batch in seg.batches(els):
+            for start, block in seg.outputs(els, batch, lambda a, b: vals[a:b]):
+                cells = acc[start - lo:start - lo + block.size]
+                np.maximum(cells, np.abs(block), out=cells)
     return Signal(lo, acc)
 
 

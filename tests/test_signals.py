@@ -83,42 +83,28 @@ def test_convolution_direct_is_the_oracle_for_fast(rng):
         assert np.allclose(direct, values_at(convolve(b, a, "fast"), xs), rtol=0.0, atol=1e-9)
 
 
-def _overlap_save_dense(f, pos, vals):
-    """The output of ``_overlap_save`` for one kernel, as a dense array from
-    the position of its first block."""
-    blocks = [(start, block.copy()) for start, block in sig._overlap_save(f, ((pos, vals),))]
-    origin = blocks[0][0]
-    out = np.zeros(blocks[-1][0] + blocks[-1][1].size - origin)
-    for start, block in blocks:
-        out[start - origin:start - origin + block.size] = block
-    return origin, out
-
-
 @pytest.mark.parametrize("rows", [1, 2, 3, 64])
 def test_overlap_save_bits_do_not_depend_on_the_batch(rng, monkeypatch, rows):
-    # a sparse kernel of clusters far apart: most segments hold no point and
-    # are skipped, and points near a segment edge lie in two segments.  Every
-    # batch size gives the bits of one batch for the whole kernel, and the
-    # direct convolution within 1e-9
+    # the fast convolution of f with a sparse kernel of clusters far apart:
+    # most segments hold no point and are skipped, and points near a
+    # segment edge lie in two segments.  Every batch size gives the bits of
+    # one batch for the whole kernel, and the direct convolution within 1e-9
     f = random_sparse(rng, n=30, span=60)
     w = f.values.size
     n = 1 << (4 * w - 1).bit_length()
     clusters = rng.integers(-40_000, 40_000, 12)
     pos = np.unique(np.concatenate([c + rng.integers(0, 3 * w, 20) for c in clusters]))
     vals = rng.uniform(0.5, 2.0, pos.size)
-    monkeypatch.setattr(sig, "BATCH", 1 << 20)      # one batch for all
-    whole = _overlap_save_dense(f, pos, vals)
-    monkeypatch.setattr(sig, "BATCH", rows * n)
-    origin, out = _overlap_save_dense(f, pos, vals)
-    assert origin == whole[0] and np.array_equal(out, whole[1])
     k = Signal.from_dict(dict(zip(pos.tolist(), vals.tolist())))
+    assert f.values.size < k.values.size           # f is the transformed one
+    monkeypatch.setattr(sig, "BATCH", 1 << 20)      # one batch for all
+    whole = convolve(f, k, "fast")
+    monkeypatch.setattr(sig, "BATCH", rows * n)
+    out = convolve(f, k, "fast")
+    assert out.offset == whole.offset and np.array_equal(out.values, whole.values)
     direct = convolve(f, k, "direct")
-    assert origin == direct.offset and out.size == direct.values.size
-    assert np.max(np.abs(out - direct.values)) <= 1e-9
-    # zero values at the kernel's ends are dropped, as a dense kernel trims them
-    padded = (np.r_[pos[0] - 7, pos, pos[-1] + 5], np.r_[0.0, vals, 0.0])
-    assert all(np.array_equal(a, b) for a, b in
-               zip(_overlap_save_dense(f, *padded), (origin, out)))
+    assert out.offset == direct.offset and out.values.size == direct.values.size
+    assert np.max(np.abs(out.values - direct.values)) <= 1e-9
 
 
 def test_convolution_method_validation(rng):
