@@ -468,12 +468,12 @@ def _cmd_verify_family(args):
     s = generate(g, 4 * (1 << args.nhi))
     family = build_scale_family(s, args.nlo, args.nhi)
     rep = verify_family_hypotheses(family, args.workers)
-    rows = []
-    for i, sc in enumerate(rep.scales):
-        rows.append([int(math.log2(sc)), sc, rep.d[i], rep.big_d[i],
-                     rep.residual_sup[i], rep.f0_d_product[i],
-                     rep.f_sup_times_d[i], rep.lipschitz_ratio[i]])
-    results = {k: _fmt(getattr(rep, k)) for k in ("eps0", "eps1", "eps2", "growth_m")}
+    rows = list(zip(range(args.nlo, args.nhi + 1), family.scales, family.d,
+                    family.big_d, rep.residual_sup, rep.f0_d_product,
+                    rep.f_sup_times_d, rep.lipschitz_ratio))
+    # eps2, the separation exponent, is the constant 1 written here, not a fit
+    results = {"eps0": _fmt(family.eps0), "eps1": _fmt(rep.eps1), "eps2": "1",
+               "growth_m": _fmt(family.growth_m)}
     return (["n", "N", "d_n", "D_n", "residual_sup", "f0_d_product",
              "f_sup_times_d", "lipschitz_ratio"], rows, results)
 

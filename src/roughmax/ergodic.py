@@ -3,7 +3,7 @@
 Finite uniform-measure systems stand in for general measure-preserving
 dynamics at desk scale: a permutation of {0, ..., m-1} is invertible and
 preserves counting measure, and T^n x for every n of a call is read off the
-orbit of x, which each call walks once.
+orbit of x, which each call walks once, only as far as its n need.
 """
 
 from __future__ import annotations
@@ -19,9 +19,10 @@ from .seqset import SequenceSet, count
 from .util import CHUNK, chunked_sum
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteSystem:
-    """A permutation system: states 0..size-1, uniform measure, map a bijection."""
+    """A permutation system: states 0..size-1, uniform measure, map a bijection;
+    ``iterate`` walks the orbit of x only as far as the request needs."""
 
     size: int
     mapping: np.ndarray
@@ -40,12 +41,15 @@ class FiniteSystem:
         """T^n x via the orbit of x; n may be a scalar or an array."""
         if not (0 <= x < self.size):
             raise RangeError(f"state {x} outside 0..{self.size - 1}")
+        n = np.asarray(n, dtype=np.int64)
+        # the walk stops at the period or past max(n), whichever comes first,
+        # so n % len(orbit) is n in a cut orbit; a negative n needs the period
+        stop = self.size if n.min(initial=0) < 0 else int(n.max(initial=0)) + 1
         orbit = [x]
         y = int(self.mapping[x])
-        while y != x:
+        while y != x and len(orbit) < stop:
             orbit.append(y)
             y = int(self.mapping[y])
-        n = np.asarray(n, dtype=np.int64)
         out = np.array(orbit, dtype=np.int64)[n % len(orbit)]
         return int(out) if out.ndim == 0 else out
 

@@ -141,7 +141,7 @@ def _leaf_buffers(size: int) -> tuple:
     return np.arange(m, dtype=float), np.empty(m, dtype=complex), np.empty(m)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Phase:
     """A phase built once per window for all its alpha probes: the window's
     first point ``lo`` and size ``k``, the inversion ``u`` that the phi

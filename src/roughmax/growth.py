@@ -662,7 +662,7 @@ class InverseFunction:
 # diagnostic report over a grid
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AuxFunctionReport:
     """Correction functions tabulated on a grid, for decay diagnostics.
 

@@ -34,12 +34,6 @@ from .signals import (
 )
 from .util import CHUNK, _pairwise, loglog_slope, map_scales
 
-__all__ = [
-    "Kernel", "DecompositionReport", "eta",
-    "build_kernel", "autocorrelation", "compute_gn", "gn_profile",
-    "decomposition_report", "decomposition_reports", "estimate_chi",
-]
-
 
 # ---------------------------------------------------------------------------
 # the cutoff

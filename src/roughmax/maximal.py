@@ -66,19 +66,18 @@ LAMBDA_GRID_POINTS = 64  # heights in the default weak-type grid
 
 @dataclass(frozen=True)
 class ScaleFamily:
-    """Dyadic scales 2^n for n in [n_lo, n_hi] on a set, with support stats.
+    """Ascending dyadic scales N = 2^n on a set, with support stats.
 
     It holds what the kernels are built from, the set ``s`` (which carries
     its inverse as ``s.phi``), never a kernel: each is built where it is
     read, one scale at a time.  d[i] counts the set elements in (N/2, 4N]
-    for N = 2^(n_lo+i): one more than the kernel window [N/2 + 1, 4N - 1]
-    holds when 4N is in the set.  big_d[i] = 4N is its right edge.
+    for N = scales[i]: one more than the kernel window [N/2 + 1, 4N - 1]
+    holds when 4N is in the set.  big_d[i] = D_n = 4N is its right edge.
     eps0 is the fitted support-sparsity exponent (must stay below 1) and
-    growth_m the fitted geometric-growth constant (> 1).
+    growth_m the fitted geometric-growth constant (> 1); ``verify-family``
+    writes both into its header from here.
     """
 
-    n_lo: int
-    n_hi: int
     scales: tuple
     s: SequenceSet
     d: tuple
@@ -87,9 +86,10 @@ class ScaleFamily:
     growth_m: float
 
     def scale_index(self, n: int) -> int:
-        if not (self.n_lo <= n <= self.n_hi):
-            raise RangeError(f"scale exponent {n} outside [{self.n_lo}, {self.n_hi}]")
-        return n - self.n_lo
+        lo, hi = self.scales[0].bit_length() - 1, self.scales[-1].bit_length() - 1
+        if not (lo <= n <= hi):
+            raise RangeError(f"scale exponent {n} outside [{lo}, {hi}]")
+        return n - lo
 
     def s_of_scale(self, n: int) -> int:
         """Smallest cube exponent s with 2^s >= the support edge 4 * 2^n."""
@@ -117,7 +117,7 @@ def build_scale_family(s: SequenceSet, n_lo: int, n_hi: int) -> ScaleFamily:
             raise ValidationError(f"scale statistics not growing: M = {growth_m:.4f}")
     else:
         growth_m = float("inf")
-    return ScaleFamily(n_lo, n_hi, scales, s, d, big_d, eps0, growth_m)
+    return ScaleFamily(scales, s, d, big_d, eps0, growth_m)
 
 
 # ---------------------------------------------------------------------------
@@ -428,8 +428,6 @@ class RefinedBadPart:
     every cube.
     """
 
-    n: int
-    s: int
     threshold: object
     b_cut: dict
     big_b: dict
@@ -477,8 +475,7 @@ def refine_bad_part(cz: CZDecomposition, s: int, n: int,
             r = kept.get(x, 0) - mean
             if r != 0:
                 big_b[x] = r
-    return RefinedBadPart(n, s, thr, b_cut, big_b, g_part,
-                          family.s_of_scale(n),
+    return RefinedBadPart(thr, b_cut, big_b, g_part, family.s_of_scale(n),
                           tuple(sorted((j << s, ((j + 1) << s) - 1)
                                        for _, j, _, _ in rows)))
 
@@ -502,20 +499,15 @@ class FamilyHypothesesReport:
 
     The columns are the family's decomposition reports rescaled, exactly,
     from N to D_n = 4N: en_sup, point_mass * d_n,
-    4 * max(small_x_bound, gn_sup) and 16 * gn_lipschitz.
+    4 * max(small_x_bound, gn_sup) and 16 * gn_lipschitz.  The scales,
+    d_n, D_n, eps0 and growth_m are the family's, read off it.
     """
 
-    scales: tuple
-    d: tuple
-    big_d: tuple
     residual_sup: tuple
     f0_d_product: tuple
     f_sup_times_d: tuple
     lipschitz_ratio: tuple
-    eps0: float
     eps1: float
-    eps2: float
-    growth_m: float
 
 
 def verify_family_hypotheses(family: ScaleFamily,
@@ -523,11 +515,12 @@ def verify_family_hypotheses(family: ScaleFamily,
     """Measure the kernel-family hypotheses across scales and fit eps1.
 
     The smoothness region is |x|, |x+y| beyond the inverse-function value of
-    the scale (where the model is the slowly varying tail).  eps2, the
-    separation exponent, is the constant 1.0, not fitted; eps0 and growth_m
-    are the family's own.  The scales run through ``decomposition_reports``
-    on up to ``workers`` threads (the report does not depend on the thread
-    count); eps1 is ``estimate_chi`` of their reports.
+    the scale (where the model is the slowly varying tail).  The report
+    holds only what is measured here: eps0 and growth_m are the family's
+    own, and eps2, the separation exponent, is not measured at all.  The
+    scales run through ``decomposition_reports`` on up to ``workers``
+    threads (the report does not depend on the thread count); eps1 is
+    ``estimate_chi`` of their reports.
     """
     c = family.s.growth.c
     if not (1.0 < c < 30.0 / 29.0):
@@ -537,10 +530,8 @@ def verify_family_hypotheses(family: ScaleFamily,
         raise InsufficientDataError("need >= 4 scales to fit the decay exponent")
     reps = decomposition_reports(family.s, family.scales, workers)
     return FamilyHypothesesReport(
-        scales=family.scales, d=family.d, big_d=family.big_d,
         residual_sup=tuple(r.en_sup for r in reps),
         f0_d_product=tuple(r.point_mass * d_n for r, d_n in zip(reps, family.d)),
         f_sup_times_d=tuple(4 * max(r.small_x_bound, r.gn_sup) for r in reps),
         lipschitz_ratio=tuple(16 * r.gn_lipschitz for r in reps),
-        eps0=family.eps0, eps1=estimate_chi(reps), eps2=1.0,
-        growth_m=family.growth_m)
+        eps1=estimate_chi(reps))

@@ -59,7 +59,7 @@ def contains_via_inverse_batch(phi: InverseFunction, p: np.ndarray) -> np.ndarra
 # the set itself
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SequenceSet:
     """Sorted floors of h over the integers, in [1, n_max].
 

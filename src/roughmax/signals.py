@@ -25,12 +25,12 @@ def _check_size(size: int, what: str) -> None:
         raise SignalSizeError(f"{what} exceeds MAX_SUPPORT = {MAX_SUPPORT}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Signal:
     """Dense values over a contiguous index window starting at ``offset``.
 
     Construction trims leading and trailing zeros, so two signals with equal
-    content compare equal.  Immutable.
+    content (offset and values) compare equal.  Immutable; unhashable.
     """
 
     offset: int
@@ -38,6 +38,11 @@ class Signal:
 
     def __post_init__(self):
         self._hold(np.asarray(self.values, dtype=float), copy=True)
+
+    def __eq__(self, other):
+        if not isinstance(other, Signal):
+            return NotImplemented
+        return self.offset == other.offset and np.array_equal(self.values, other.values)
 
     def _hold(self, v: np.ndarray, copy: bool) -> None:
         lo, hi = _nonzero_ends(v)

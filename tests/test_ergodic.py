@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from roughmax import (
     DegenerateError,
     RangeError,
@@ -19,8 +20,10 @@ from roughmax.ergodic import FiniteSystem
 
 
 def naive_iterate(mapping, x, n):
-    for _ in range(n):
-        x = int(mapping[x])
+    """T^n x by |n| steps of the map, or of its inverse when n < 0."""
+    step = mapping if n >= 0 else np.argsort(mapping)
+    for _ in range(abs(n)):
+        x = int(step[x])
     return x
 
 
@@ -50,6 +53,24 @@ def test_iterate_vectorized(rng):
                                         for n in ns]
     with pytest.raises(RangeError):
         sys.iterate(10, 1)
+
+
+def test_iterate_walks_the_orbit_only_as_far_as_the_request(rng):
+    # the whole orbit of a 2M-state shift, as a list of ints, takes ~70 MB;
+    # n <= 1023 reads 1024 states of it
+    big = cyclic_shift(2_000_000)
+    ns = np.arange(1024)
+    assert traced_peak(big.iterate, 5, ns) < 2 ** 18
+    assert big.iterate(5, ns).tolist() == [naive_iterate(big.mapping, 5, n)
+                                           for n in range(1024)]
+    # past the period the walk stops at it; a negative n walks it whole
+    sys = FiniteSystem.from_mapping(np.random.default_rng(7).permutation(23))
+    for x in range(23):
+        for ks in (rng.integers(0, 60, 8), rng.integers(-60, 60, 8)):
+            assert sys.iterate(x, ks).tolist() == [
+                naive_iterate(sys.mapping, x, int(k)) for k in ks]
+        assert sys.iterate(x, -40) == naive_iterate(sys.mapping, x, -40)
+    assert sys.iterate(3, np.zeros(0, dtype=np.int64)).size == 0
 
 
 def test_measure_preservation_exact(rng):

@@ -6,8 +6,9 @@ public module-level name and every method or property of a package class is
 read by the package, the acceptance criteria or the benchmark's tracer, no
 function takes a set or a kernel beside an inverse that must match it,
 the CLI takes no private name from another package module, no module but
-``growth`` imports mpmath or reads ``_exact``, and the benchmark's span
-tracer still installs on the package and counts the terms of a phase sum."""
+``growth`` imports mpmath or reads ``_exact``, no dataclass that holds an
+array takes the generated ``==``, and the benchmark's span tracer still
+installs on the package and counts the terms of a phase sum."""
 
 import ast
 import importlib.util
@@ -281,6 +282,8 @@ UNREAD_PUBLIC_KEPT = {
     "cli:parse_meta": "reads a table's header back for the config round-trip test",
     "maximal:CZDecomposition.index_set": "the selected-cube set the stopping-time "
                                          "tests compare with the stack reference",
+    "signals:Signal.__eq__": "the == of equal-content signals, which names no "
+                             "attribute",
 }
 
 
@@ -411,6 +414,53 @@ def test_guard_flags_precision_outside_growth():
 def test_only_growth_holds_the_working_precision():
     modules = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
     assert precision_leaks(modules) == []
+
+
+def comparable_array_records(source: str) -> list:
+    """Dataclasses with a field annotated ``np.ndarray`` (``| None`` and the
+    like included) that neither pass ``eq=False`` nor define ``__eq__``: the
+    generated ``==`` compares the fields as tuples, which raises on an array
+    of two or more values, and the generated hash raises on any array."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for d in node.decorator_list:
+            call = d if isinstance(d, ast.Call) else None
+            if "dataclass" in _names_read(call.func if call else d):
+                break
+        else:
+            continue
+        eq = {k.arg: k.value for k in call.keywords}.get("eq") if call else None
+        if isinstance(eq, ast.Constant) and eq.value is False:
+            continue
+        if any(isinstance(f, ast.FunctionDef) and f.name == "__eq__" for f in node.body):
+            continue
+        if any(isinstance(f, ast.AnnAssign) and "ndarray" in {
+                   getattr(n, "attr", getattr(n, "id", None))
+                   for n in ast.walk(f.annotation)}
+               for f in node.body):
+            out.append(node.name)
+    return sorted(out)
+
+
+def test_guard_flags_an_array_record_with_the_generated_eq():
+    src = ("@dataclass(frozen=True)\nclass Flagged:\n    v: np.ndarray\n"
+           "@dataclasses.dataclass\nclass Optional:\n    n: int\n"
+           "    v: ndarray | None = None\n"
+           "@dataclass(frozen=True, eq=False)\nclass ByIdentity:\n    v: np.ndarray\n"
+           "@dataclass(frozen=True, eq=False)\nclass OwnEq:\n    v: np.ndarray\n"
+           "    def __eq__(self, other):\n        return True\n"
+           "@dataclass(eq=True)\nclass EqOnly:\n    v: np.ndarray\n"
+           "    def __eq__(self, other):\n        return True\n"
+           "@dataclass(frozen=True)\nclass NoArray:\n    v: tuple\n"
+           "class Plain:\n    v: np.ndarray\n")
+    assert comparable_array_records(src) == ["Flagged", "Optional"]
+
+
+def test_no_array_record_takes_the_generated_eq():
+    assert [name for p in MODULES
+            for name in comparable_array_records(p.read_text(encoding="utf-8"))] == []
 
 
 def test_the_benchmark_tracer_installs():

@@ -955,8 +955,6 @@ def test_family_hypotheses_report(s102_16):
     fam = build_scale_family(s102_16, 10, 13)
     rep = verify_family_hypotheses(fam)
     assert rep.eps1 > 0.0
-    assert 0.0 < rep.eps0 < 1.0
-    assert rep.eps2 == 1.0
     prods = rep.f0_d_product
     assert max(prods) / min(prods) <= 4.0
     assert all(r > 0 for r in rep.residual_sup)

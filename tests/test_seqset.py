@@ -16,6 +16,8 @@ from roughmax import (
     DomainError,
     RangeError,
     ValidationError,
+    build_kernel,
+    build_scale_family,
     contains_via_inverse_batch,
     count,
     generate,
@@ -87,6 +89,16 @@ def test_count_of_an_array_is_the_scalar_counts(s102_16):
     for bad in ([0, 5], [5, s102_16.n_max + 1]):
         with pytest.raises(RangeError, match=f"N = {bad[bad[0] != 0]} outside"):
             count(s102_16, np.array(bad))
+
+
+def test_separately_generated_sets_compare_without_raising(g102):
+    # a set holds an array, so it compares by identity; the records that hold
+    # one compare by their other fields
+    a, b = generate(g102, 1 << 12), generate(g102, 1 << 12)
+    assert a == a and a != b
+    assert build_kernel(a, 256) == build_kernel(b, 256)
+    assert build_scale_family(a, 6, 9) == build_scale_family(a, 6, 9)
+    assert build_scale_family(a, 6, 9) != build_scale_family(b, 6, 9)
 
 
 def test_generate_range_checks(g15):

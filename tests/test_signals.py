@@ -35,6 +35,17 @@ def test_trim_and_zero():
     assert (nonzero_ends.offset, list(nonzero_ends.values)) == (1, [4.0, 0.0, 5.0])
 
 
+def test_signals_with_equal_content_compare_equal():
+    assert Signal(0, [0, 1, 2, 0]) == Signal(1, [1, 2])
+    assert Signal(0, [1, 2]) != Signal(1, [1, 2])
+    assert Signal(0, [1, 2]) != Signal(0, [1, 3])
+    assert Signal(0, [1, 2]) != Signal(0, [1, 2, 3])
+    assert Signal(4, np.zeros(3)) == Signal.zero()
+    assert Signal(0, [1.0]) != {0: 1.0}
+    with pytest.raises(TypeError):
+        hash(Signal(0, [1, 2]))
+
+
 def test_an_owned_array_is_trimmed_by_view_and_frozen():
     v = np.array([0.0, 0.0, 1.0, 2.0, 0.0])
     s = Signal._own(3, v)
