@@ -258,7 +258,8 @@ def _decimal_lines(block: np.ndarray) -> bytes:
 def _cmd_seqset(args):
     g = parse_growth_spec(args.h)
     s = generate(g, args.nmax)
-    phi = s.phi
+    # p_min is measured before --emit, so a refused calibration writes no file
+    p_min, phi = s.p_min, s.phi
     if args.emit:
         # one line per element, written a CHUNK slice at a time as bytes
         # built in numpy (_decimal_lines), so neither the text of the whole
@@ -274,7 +275,7 @@ def _cmd_seqset(args):
     phis = np.full(ns.size, np.nan)
     phis[ns >= phi.y0] = phi.value(ns[ns >= phi.y0].astype(float))
     rows = zip(ns.tolist(), counts.tolist(), phis.tolist(), (counts / phis).tolist())
-    return ["N", "count", "phi_N", "ratio"], list(rows), {"p_min": s.p_min}
+    return ["N", "count", "phi_N", "ratio"], list(rows), {"p_min": p_min}
 
 
 def _cmd_kernel_decomp(args):

@@ -24,8 +24,11 @@ class FiniteSystem:
     """A permutation system: states 0..size-1, uniform measure, map a bijection;
     ``iterate`` walks the orbit of x only as far as the request needs."""
 
-    size: int
     mapping: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return self.mapping.size
 
     @staticmethod
     def from_mapping(mapping) -> "FiniteSystem":
@@ -33,9 +36,14 @@ class FiniteSystem:
         m = mapping.size
         if m == 0:
             raise ValidationError("a system needs at least one state")
-        if not np.array_equal(np.sort(mapping), np.arange(m)):
+        # m entries in 0..m-1 that hit every state are a permutation; one
+        # mark per state takes m bytes and no copy of the map
+        hit = np.zeros(m, dtype=bool)
+        if mapping.min() >= 0 and mapping.max() < m:
+            hit[mapping] = True
+        if not hit.all():
             raise ValidationError("the map must be a permutation of 0..m-1")
-        return FiniteSystem(m, mapping)
+        return FiniteSystem(mapping)
 
     def iterate(self, x: int, n) -> np.ndarray | int:
         """T^n x via the orbit of x; n may be a scalar or an array."""
@@ -55,7 +63,9 @@ class FiniteSystem:
 
 
 def cyclic_shift(m: int, step: int = 1) -> FiniteSystem:
-    return FiniteSystem.from_mapping((np.arange(m) + step) % m)
+    mapping = np.arange(step, m + step, dtype=np.int64)
+    mapping %= m
+    return FiniteSystem.from_mapping(mapping)
 
 
 def _f_values(sys: FiniteSystem, f) -> np.ndarray:
@@ -145,8 +155,10 @@ def oscillation_diagnostic(sys: FiniteSystem, s: SequenceSet, f, x: int,
     converge; this pointwise-at-x version is a weaker proxy for the full
     square-mean statement and is labeled as such wherever it is reported.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValidationError(f"lacunarity eps = {eps} must be positive")
+    if math.isinf(eps):
+        raise ValidationError(f"lacunarity eps = {eps} must be finite")
     bp = [int(b) for b in breakpoints]
     if len(bp) < 2:
         raise ValidationError("need at least two breakpoints")

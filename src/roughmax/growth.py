@@ -454,9 +454,7 @@ def make_growth(variant, c: float, c_h: float = 1.0, *,
     grid = np.exp(np.linspace(math.log(x0), math.log(x0 * VALIDATION_SPAN),
                               VALIDATION_POINTS))
     try:
-        h0 = g.value(grid)
-        h1 = g.deriv(grid, 1)
-        h2 = g.deriv(grid, 2)
+        h0, h1, h2 = g._derivs(grid, 2)
         dv = g._vartheta_derivs(grid, 2)
         for i, vi in enumerate(g._vartheta_levels(grid, dv), 1):
             if not np.all(np.isfinite(vi)):

@@ -333,8 +333,9 @@ def cz_decompose(f, height) -> CZDecomposition:
     every value are ints or Fractions, all of them are first multiplied by D,
     the lcm of their denominators, so prefix sums and thresholds are exact
     Python ints of any size, and the zero and sign checks read those ints.
-    With any float, D = 1 and the prefix sums add the values left to right
-    in their own arithmetic.  Positions must lie in [-2^63, 2^63).
+    With any float, D = 1, a NaN or infinite value is refused, and the
+    prefix sums add the values left to right in their own arithmetic.
+    Positions must lie in [-2^63, 2^63).
 
     A selected cube is kept as its scale, index and range of sorted points;
     no per-atom dict is built until ``atoms`` or ``good`` is read.
@@ -349,6 +350,9 @@ def cz_decompose(f, height) -> CZDecomposition:
         scaled = [p * (d // q) for p, q in ratios]
         lam_d = lam.numerator * (d // lam.denominator)
     else:
+        # ints and Fractions are always finite; a float NaN or inf is not
+        if not all(isinstance(v, (int, Fraction)) or math.isfinite(v) for v in vals):
+            raise ValidationError("decomposition input must be finite")
         d, scaled, lam_d = 1, vals, lam
     if 0 in scaled:
         nonzero = [t for t, v in enumerate(scaled) if v != 0]
@@ -359,7 +363,7 @@ def cz_decompose(f, height) -> CZDecomposition:
         raise DegenerateError("cannot decompose the zero input")
     if any(v < 0 for v in scaled):
         raise ValidationError("decomposition input must be nonnegative")
-    if lam <= 0:
+    if not lam > 0:
         raise ValidationError(f"height {lam} must be positive")
     if keys[0] < -(1 << 63) or keys[-1] >= 1 << 63:
         raise ValidationError(

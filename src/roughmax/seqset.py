@@ -1,7 +1,8 @@
 """The integer set {floor(h(m)) : m integer} with dual membership tests.
 
-This module enumerates, dedups, calibrates, tests membership and counts; it
-does no arithmetic of its own on h.  Every floor it reads is decided in
+This module enumerates and dedups the set, tests membership and counts; a
+set measures its inverse-test threshold ``p_min`` only when that is read.
+It does no arithmetic of its own on h.  Every floor it reads is decided in
 ``growth``, next to the arithmetic it bounds: enumeration takes
 ``GrowthFunction._floors`` and the inverse test ``InverseFunction._floor_neg``.
 """
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -63,20 +65,36 @@ def contains_via_inverse_batch(phi: InverseFunction, p: np.ndarray) -> np.ndarra
 class SequenceSet:
     """Sorted floors of h over the integers, in [1, n_max].
 
-    Membership is ``_member``'s binary search on ``elements``.  Immutable
-    after generation.
+    Membership is ``_member``'s binary search on ``elements``.  The fields
+    are immutable after generation; ``p_min`` is measured on first read.
     """
 
     growth: GrowthFunction
     n_max: int
     elements: np.ndarray       # sorted distinct int64 in [1, n_max]
-    p_min: int                 # inverse-test agreement threshold
 
     @property
     def phi(self) -> InverseFunction:
         """The inverse of ``growth``, derived on each access (one h(x0)), so
         it can never disagree with the set."""
         return self.growth.inverse()
+
+    @cached_property
+    def p_min(self) -> int:
+        """Smallest p >= 16 past which the two membership tests agree up to
+        P_MIN_WINDOW; a ValidationError if they disagree at its end."""
+        phi = self.phi
+        lo = max(16, int(math.ceil(phi.y0 - 1e-9)))
+        hi = min(self.n_max - 1, P_MIN_WINDOW)
+        if hi <= lo:
+            return lo
+        p = np.arange(lo, hi + 1, dtype=np.int64)
+        agree = contains_via_inverse_batch(phi, p) == _member(self.elements, p)
+        if not agree[-1] or not agree[-min(16, agree.size):].all():
+            raise ValidationError(
+                "membership tests disagree through the calibration window")
+        bad = np.nonzero(~agree)[0]
+        return int(p[bad[-1]] + 1) if bad.size else lo
 
 
 def _member(elements: np.ndarray, p):
@@ -96,8 +114,8 @@ def generate(g: GrowthFunction, n_max: int) -> SequenceSet:
     deduplicated floors are compacted to the front of the int64 floors,
     ``util.CHUNK`` at a time, so that array is the only one held at full
     length and its prefix is the elements: the peak is ~8 B per m
-    (tracemalloc, 2^22 values of m on pure:1.02), plus a few MiB for the
-    calibration window.  A ValidationError refuses, before
+    (tracemalloc, 2^22 values of m on pure:1.02), plus about 1 MiB for one
+    block's temporaries.  A ValidationError refuses, before
     any array is built, an n_max above N_MAX_CAP = 2^40 (from 2^53 on a float
     h(m) can lie several integers from its floor, and the error band of
     ``GrowthFunction._floors`` only chooses between the nearest integer and
@@ -108,10 +126,9 @@ def generate(g: GrowthFunction, n_max: int) -> SequenceSet:
     n_max = int(n_max)
     if n_max > N_MAX_CAP:
         raise ValidationError(f"n_max = {n_max} above the 2^40 cap")
-    y0 = float(g.value(g.x0))
-    if n_max < y0:
-        raise RangeError(f"n_max = {n_max} below h(x0) = {y0}")
     phi = g.inverse()
+    if n_max < phi.y0:
+        raise RangeError(f"n_max = {n_max} below h(x0) = {phi.y0}")
     x_end = float(phi.value(float(n_max) + 1.0))
     m_start = int(math.ceil(g.x0 - 1e-12))
     m_end = int(math.floor(x_end)) + 2
@@ -147,25 +164,7 @@ def generate(g: GrowthFunction, n_max: int) -> SequenceSet:
         kept = block[new]
         floors[size:size + kept.size] = kept
         size += kept.size
-    elements = floors[:size]
-
-    p_min = _calibrate_p_min(phi, elements, n_max, y0)
-    return SequenceSet(g, n_max, elements, p_min)
-
-
-def _calibrate_p_min(phi, elements, n_max, y0) -> int:
-    """Smallest p >= 16 past which the two membership tests agree on a window."""
-    lo = max(16, int(math.ceil(y0 - 1e-9)))
-    hi = min(n_max - 1, P_MIN_WINDOW)
-    if hi <= lo:
-        return lo
-    p = np.arange(lo, hi + 1, dtype=np.int64)
-    agree = contains_via_inverse_batch(phi, p) == _member(elements, p)
-    if not agree[-1] or not agree[-min(16, agree.size):].all():
-        raise ValidationError(
-            "membership tests disagree through the calibration window")
-    bad = np.nonzero(~agree)[0]
-    return int(p[bad[-1]] + 1) if bad.size else lo
+    return SequenceSet(g, n_max, floors[:size])
 
 
 def count(s: SequenceSet, n) -> int | np.ndarray:

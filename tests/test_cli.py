@@ -149,6 +149,8 @@ def test_seqset_emit_holds_one_slice(tmp_path, monkeypatch):
     # whole set would take 6.4 MB more
     s = roughmax.generate(parse_growth_spec("pure:1.02:1.0"), 1 << 20)
     monkeypatch.setattr(roughmax.cli, "generate", lambda g, n_max: s)
+    # p_min is measured on first read, and this test bounds the emit alone
+    assert s.p_min == 16
     tracemalloc.start()
     try:
         assert run_cli("seqset", "--h", "pure:1.02:1.0", "--nmax", str(1 << 20),
@@ -158,6 +160,31 @@ def test_seqset_emit_holds_one_slice(tmp_path, monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 4 << 20, peak
+
+
+def test_only_seqset_runs_the_inverse_membership_test(tmp_path, monkeypatch):
+    # generate builds the set alone, so the commands that never print p_min
+    # run without the inverse test; seqset reads p_min before it writes
+    # --emit, so a refused calibration leaves no file
+    def refuse(phi, p):
+        raise ValidationError("inverse membership test called")
+
+    monkeypatch.setattr(roughmax.seqset, "contains_via_inverse_batch", refuse)
+    roughmax.generate(parse_growth_spec("pure:1.02:1.0"), 1 << 16)
+    for argv in (("kernel-decomp", "--kmin", "8", "--kmax", "10"),
+                 ("verify-family", "--nlo", "8", "--nhi", "11"),
+                 ("weaktype", "--nlo", "6", "--nhi", "8", "--corpus", "random:16:3"),
+                 ("ergodic", "--system", "shift:7:3", "--f", "indicator:2",
+                  "--kmin", "6", "--kmax", "8")):
+        assert run_cli(*argv, "--h", "pure:1.02:1.0",
+                       "--out", str(tmp_path / f"{argv[0]}.csv")) == 0, argv[0]
+    emit, out = tmp_path / "els.txt", tmp_path / "s.csv"
+    argv = ("seqset", "--h", "poweriterlog:1.02:1.0:2", "--nmax", str(1 << 17),
+            "--out", str(out), "--emit", str(emit))
+    assert run_cli(*argv) == EXIT_VALIDATION and not emit.exists()
+    monkeypatch.undo()
+    assert run_cli(*argv) == 0 and emit.exists()
+    assert parse_meta(out.read_text())["p_min"] == "17"
 
 
 def test_seqset_and_growth_table_leave_numpy_ma_unimported(tmp_path):

@@ -32,10 +32,18 @@ def naive_iterate(mapping, x, n):
 # ---------------------------------------------------------------------------
 
 def test_mapping_must_be_permutation():
-    with pytest.raises(ValidationError):
-        FiniteSystem.from_mapping([0, 0, 2])
+    for bad in ([0, 0, 2], [1, -1, 0], [0, 1, 3], [2, 1, 0, 4]):
+        with pytest.raises(ValidationError, match="permutation of 0..m-1"):
+            FiniteSystem.from_mapping(bad)
     with pytest.raises(ValidationError):
         FiniteSystem.from_mapping([])
+
+
+def test_the_permutation_check_takes_a_byte_per_state():
+    # one bool mark per state, 2 MB; a sorted copy beside an arange took 32 MB
+    mapping = cyclic_shift(2_000_000).mapping
+    assert traced_peak(FiniteSystem.from_mapping, mapping) < 3 * 2 ** 20
+    assert FiniteSystem.from_mapping(mapping).size == 2_000_000
 
 
 def test_iterate_matches_naive_oracle(rng):
@@ -263,6 +271,11 @@ def test_oscillation_breakpoint_validation(s102_16):
         oscillation_diagnostic(sys, s102_16, f, 0, 0.25, [4, 7])
     with pytest.raises(ValidationError):
         oscillation_diagnostic(sys, s102_16, f, 0, -0.1, [4, 16])
+    # a NaN or infinite eps once reached math.floor and raised there
+    for eps, message in ((float("nan"), "must be positive"),
+                         (float("inf"), "must be finite")):
+        with pytest.raises(ValidationError, match=message):
+            oscillation_diagnostic(sys, s102_16, f, 0, eps, [4, 16])
     with pytest.raises(RangeError):
         oscillation_diagnostic(sys, s102_16, f, 0, 0.25,
                                [4, s102_16.n_max * 2])

@@ -576,6 +576,17 @@ def test_cz_validation():
     for x in (1 << 63, -(1 << 63) - 1):
         with pytest.raises(ValidationError, match="2\\^63"):
             cz_decompose({0: 1, x: 1}, 1)
+    # a NaN height or value once gave a decomposition with no cubes, and an
+    # infinite value grew the root scale until 2^s overflowed a float
+    for f, height, message in (
+            ({0: 1.0, 5: 2.0}, float("nan"), "height nan must be positive"),
+            ({0: 1, 5: 2}, float("nan"), "height nan must be positive"),
+            ({0: 1.0, 5: float("nan")}, 1.0, "input must be finite"),
+            ({0: 1.0, 5: float("inf")}, 1.0, "input must be finite"),
+            ({0: -float("inf"), 5: 1.0}, 1.0, "input must be finite"),
+            ({0: np.float32("nan")}, Fraction(1, 2), "input must be finite")):
+        with pytest.raises(ValidationError, match=message):
+            cz_decompose(f, height)
 
 
 def stack_reference(values, lam):
