@@ -18,6 +18,10 @@ from .errors import DegenerateError, RangeError, ValidationError
 from .seqset import SequenceSet, count
 from .util import CHUNK, chunked_sum
 
+# steps of the lacunary walk (1 + eps)^k up to the last breakpoint that
+# ``oscillation_diagnostic`` takes; each is one Python loop turn
+LACUNARY_STEP_CAP = 1 << 20
+
 
 @dataclass(frozen=True, eq=False)
 class FiniteSystem:
@@ -154,11 +158,15 @@ def oscillation_diagnostic(sys: FiniteSystem, s: SequenceSet, f, x: int,
     The sum divided by the block count trends to zero when the averages
     converge; this pointwise-at-x version is a weaker proxy for the full
     square-mean statement and is labeled as such wherever it is reported.
+    An eps for which 1 + eps rounds to 1, or whose walk up to the last
+    breakpoint takes more than ``LACUNARY_STEP_CAP`` steps, is refused.
     """
     if not eps > 0:
         raise ValidationError(f"lacunarity eps = {eps} must be positive")
     if math.isinf(eps):
         raise ValidationError(f"lacunarity eps = {eps} must be finite")
+    if 1.0 + eps == 1.0:
+        raise ValidationError(f"lacunarity eps = {eps} leaves 1 + eps == 1")
     bp = [int(b) for b in breakpoints]
     if len(bp) < 2:
         raise ValidationError("need at least two breakpoints")
@@ -166,6 +174,12 @@ def oscillation_diagnostic(sys: FiniteSystem, s: SequenceSet, f, x: int,
         if not 2 * a < b:
             raise ValidationError(
                 f"breakpoints must grow rapidly: 2 * {a} >= {b}")
+    # the walk multiplies by the float 1 + eps until it passes bp[-1]
+    steps = math.log(max(bp[-1], 1) + 1) / math.log(1.0 + eps)
+    if steps > LACUNARY_STEP_CAP:
+        raise ValidationError(
+            f"lacunarity eps = {eps} takes about {steps:.3g} steps to reach "
+            f"{bp[-1]}, over LACUNARY_STEP_CAP = {LACUNARY_STEP_CAP}")
 
     # lacunary scale set up to the last breakpoint
     lac = []

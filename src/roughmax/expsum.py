@@ -4,15 +4,17 @@ Every operation returns both the exactly computed sum and the bound the
 van der Corput machinery predicts for it, so sweeps over dyadic scales can
 check that the ratio stays trend-bounded.  Every sum runs over the integer
 points of the cutoff window (N/2 - min(x, 0), 4N - max(x, 0)], which
-``_window`` counts in exact integers.  A phase's phi terms are built once
-per window, and every alpha probe sums those.  The slowly varying factor of
-the c = 1 regime is constantly 1 for c > 1, the only regime wired into the
+``_window`` counts in exact integers.  The slowly varying factor of the
+c = 1 regime is constantly 1 for c > 1, the only regime wired into the
 bounds here.
 
 Every window sum is fed to ``util.streamed_sum`` one leaf of numpy's
 pairwise tree at a time, so it has the bits of ``chunked_sum`` over the
-whole window while only the phi terms (8 B per point) are held at its
-length, beside buffers of at most ``util.CHUNK`` points.
+whole window.  One pass over the leaves serves every alpha probe of a
+phase: each leaf inverts phi at its own points once and returns the sums of
+all the probes, so nothing of the window's length is held, only buffers of
+at most ``util.BLOCK`` points and, for the two-point phase, the x phi values
+that the next leaves read at offset 0.
 
 The sweeps run their scales through ``util.map_scales`` on up to ``workers``
 threads.  A task calls only ``phi.value``/``phi.deriv``, ``eta`` and
@@ -32,7 +34,7 @@ from . import signals
 from .errors import EmptyRangeError, PreconditionError, ValidationError
 from .growth import InverseFunction
 from .kernel import eta
-from .util import CHUNK, chunked_sum, dist_to_nearest_int, map_scales, streamed_sum
+from .util import BLOCK, chunked_sum, dist_to_nearest_int, map_scales, streamed_sum
 
 
 # ---------------------------------------------------------------------------
@@ -112,48 +114,20 @@ def _two_window(n: int, x: int) -> tuple[int, int]:
     return lo, hi
 
 
-# points per call of phi.value and eta, whose float temporaries are then
-# 128 KiB.  Measured on the benchmark's expsum commands and on minnorm 4..19
-# x=5 (2 vCPU): in blocks of 2^15 malloc handed each block's temporaries back
-# to the system and faulted them in afresh (minnorm 4..19 at --workers 1:
-# 83k minor faults and 0.32 s, against 18k and 0.25 s), and blocks of 2^13
-# cost more per call under two threads (0.29 s against 0.23 s).
-BLOCK = 1 << 14
-
-
-def _inverted(phi: InverseFunction, start: int, count: int) -> np.ndarray:
-    """phi at the ``count`` integers from ``start`` on, inverted ``BLOCK``
-    points at a time straight into the one array returned.  The points are
-    integers below 2^53, so each block's float points have the bits of
-    ``np.arange``, and each point follows its own Newton path."""
-    u = np.empty(count)
-    iota = np.arange(min(count, BLOCK), dtype=float)
-    for a in range(0, count, BLOCK):
-        u[a:a + BLOCK] = phi.value(iota[:min(BLOCK, count - a)] + (start + a))
-    return u
-
-
-def _leaf_buffers(size: int) -> tuple:
-    """(iota, complex, real) buffers for the leaves of a window of ``size``
-    points, written with ``out=``: fresh ``CHUNK`` temporaries per leaf would
-    be mapped and faulted in afresh."""
-    m = min(size, CHUNK)
-    return np.arange(m, dtype=float), np.empty(m, dtype=complex), np.empty(m)
-
-
 @dataclass(frozen=True, eq=False)
 class _Phase:
-    """A phase built once per window for all its alpha probes: the window's
-    first point ``lo`` and size ``k``, the inversion ``u`` that the phi
-    terms read as (multiplier, offset into u), the cap, the params with
-    alpha unset, and the leaf buffers that the probes share."""
+    """A phase set up once per window for all its alpha probes: phi, the
+    window's first point ``lo`` and size ``k``, the point ``first`` that the
+    phi terms read at window point ``lo``, the terms as (multiplier, offset
+    from ``first``), the cap, and the params with alpha unset.  No phi value
+    is held: ``_phase_sums`` inverts the points as its leaves reach them."""
+    phi: InverseFunction
     lo: int
     k: int
-    u: np.ndarray
+    first: int
     terms: tuple
     bound: float
     params: dict
-    buffers: tuple
 
 
 def _single_setup(phi: InverseFunction, n: int, x: int, m: int, p: int,
@@ -165,11 +139,9 @@ def _single_setup(phi: InverseFunction, n: int, x: int, m: int, p: int,
     lo, hi = _window(n, x)
     if hi < lo:
         raise EmptyRangeError(f"window {lo}..{hi} is empty for N={n}, x={x}")
-    k = hi - lo + 1
     bound = math.sqrt(abs(m)) * n / math.sqrt(float(phi.value(float(n))))
-    return _Phase(lo, k, _inverted(phi, lo + p * x + q, k), ((m, 0),), bound,
-                  dict(N=n, x=x, alpha=None, m=m, p=p, q=q, N_prime=float(hi)),
-                  _leaf_buffers(k))
+    return _Phase(phi, lo, hi - lo + 1, lo + p * x + q, ((m, 0),), bound,
+                  dict(N=n, x=x, alpha=None, m=m, p=p, q=q, N_prime=float(hi)))
 
 
 def _two_setup(phi: InverseFunction, n: int, x: int, m1: int, m2: int,
@@ -189,43 +161,73 @@ def _two_setup(phi: InverseFunction, n: int, x: int, m1: int, m2: int,
     lo, hi = _two_window(n, x)
     if hi < lo:
         raise EmptyRangeError(f"window {lo}..{hi} is empty for N={n}, x={x}")
-    # the window and its shift by x share all but x points: invert their
-    # union once, and read both phi terms off it
-    k = hi - lo + 1
+    # the window and its shift by x share all but x points: both phi terms
+    # read the one inversion of their union, at offsets 0 and x
     m = max(abs(m1), abs(m2))
     bound = m ** (2.0 / 3.0) * n ** (4.0 / 3.0) * phin ** (-(1.0 + kappa) / 3.0)
-    return _Phase(lo, k, _inverted(phi, lo, k + x), ((m1, 0), (m2, x)), bound,
+    return _Phase(phi, lo, hi - lo + 1, lo, ((m1, 0), (m2, x)), bound,
                   dict(N=n, x=x, alpha=None, m1=m1, m2=m2, kappa=kappa,
-                       N_prime=float(hi)),
-                  _leaf_buffers(k))
+                       N_prime=float(hi)))
 
 
-def _phase_sum(phase: _Phase, alpha: float) -> ExpSumResult:
-    """Sum of e^{2 pi i (alpha n + phi terms)} over a phase's window, one
-    ``util.streamed_sum`` leaf at a time in the phase's buffers.  The phi
-    terms are added one by one: pre-adding them would change the last bits.
-    The phase is built in the imaginary half of the complex buffer that exp
-    then overwrites.  Every step is per point, so the bits are those of
-    ``chunked_sum(exp(2j * pi * phase))`` over the whole window.
+def _phase_sums(phase: _Phase, alphas) -> list[ExpSumResult]:
+    """Sum of e^{2 pi i (alpha n + phi terms)} over a phase's window for each
+    alpha of ``alphas``, from one left-to-right pass over the leaves of
+    ``util.streamed_sum``.
+
+    A leaf inverts phi only at the points it reaches first: the points of
+    the terms at the largest offset (x for the two-point phase).  The x
+    points below them, which the offset-0 term reads next, carry over from
+    the leaves before in a ring of x + ``BLOCK`` values, so every point is
+    inverted once and nothing of the window's length is held.  The terms
+    are formed once per leaf and added one by one to each alpha's linear
+    term, since pre-adding them would change the last bits; the phase is
+    built in the imaginary half of a complex buffer that exp then
+    overwrites.  Every step is per point, so each alpha's sum has the bits
+    of ``chunked_sum(exp(2j * pi * phase))`` over the whole window.
     """
-    lo, u, terms = phase.lo, phase.u, phase.terms
-    iota, z, tmp = phase.buffers
+    phi, lo, first, terms = phase.phi, phase.lo, phase.first, phase.terms
+    reach = max(off for _, off in terms)
+    size = min(phase.k, BLOCK)
+    iota = np.arange(min(phase.k + reach, BLOCK), dtype=float)
+    ring = np.empty(reach + size)      # phi(first + i) at ring[i % ring.size]
+    pts, z = np.empty(size), np.empty(size, dtype=complex)
+    scaled = np.empty((len(terms), size))
+    inverted = 0
 
     def leaf(a, b):
-        zl = z[:b - a]
+        nonlocal inverted
+        w = b - a
+        while inverted < b + reach:
+            v = phi.value(iota[:min(iota.size, b + reach - inverted)]
+                          + (first + inverted))
+            j = inverted % ring.size
+            c = min(v.size, ring.size - j)
+            ring[j:j + c] = v[:c]
+            ring[:v.size - c] = v[c:]
+            inverted += v.size
+        for (mult, off), out in zip(terms, scaled):
+            j = (a + off) % ring.size
+            c = min(w, ring.size - j)
+            np.multiply(mult, ring[j:j + c], out=out[:c])
+            np.multiply(mult, ring[:w - c], out=out[c:w])
+        np.add(iota[:w], lo + a, out=pts[:w])
+        zl = z[:w]
         t = zl.imag
-        np.add(iota[:b - a], lo + a, out=t)
-        t *= alpha
-        for mult, off in terms:
-            t += np.multiply(mult, u[off + a:off + b], out=tmp[:b - a])
-        t *= 2.0 * np.pi
-        zl.real = 0.0
-        np.exp(zl, out=zl)
-        return zl.sum()
+        sums = np.empty(len(alphas), dtype=complex)
+        for i, alpha in enumerate(alphas):
+            np.multiply(pts[:w], alpha, out=t)
+            for out in scaled:
+                t += out[:w]
+            t *= 2.0 * np.pi
+            zl.real = 0.0
+            np.exp(zl, out=zl)
+            sums[i] = zl.sum()
+        return sums
 
-    actual = streamed_sum(phase.k, leaf, True)
-    return ExpSumResult(actual, abs(actual), phase.bound, abs(actual) / phase.bound,
-                        dict(phase.params, alpha=alpha))
+    return [ExpSumResult(s, abs(s), phase.bound, abs(s) / phase.bound,
+                         dict(phase.params, alpha=alpha))
+            for s, alpha in zip(streamed_sum(phase.k, leaf, True), alphas)]
 
 
 def single_phase_sum(phi: InverseFunction, n: int, x: int, alpha: float,
@@ -237,7 +239,7 @@ def single_phase_sum(phi: InverseFunction, n: int, x: int, alpha: float,
     estimate applied to the phase, whose curvature is controlled by the
     product identity for y^2 phi''(y).
     """
-    return _phase_sum(_single_setup(phi, n, x, m, p, q), alpha)
+    return _phase_sums(_single_setup(phi, n, x, m, p, q), (alpha,))[0]
 
 
 def two_phase_sum(phi: InverseFunction, n: int, x: int, alpha: float,
@@ -248,7 +250,7 @@ def two_phase_sum(phi: InverseFunction, n: int, x: int, alpha: float,
     Requires the separation x >= phi(N)^kappa; the cap is
     m^(2/3) N^(4/3) phi(N)^(-(1+kappa)/3) with m = max(|m1|, |m2|).
     """
-    return _phase_sum(_two_setup(phi, n, x, m1, m2, kappa), alpha)
+    return _phase_sums(_two_setup(phi, n, x, m1, m2, kappa), (alpha,))[0]
 
 
 def min_norm_sum(phi: InverseFunction, n: int, x: int,
@@ -258,7 +260,7 @@ def min_norm_sum(phi: InverseFunction, n: int, x: int,
 
     Returns (actual, bound) with the cap N log M / M
     + N sqrt(M) log M / sqrt(phi(N)).  The summands are built one
-    ``util.streamed_sum`` leaf at a time, in buffers of at most ``CHUNK``
+    ``util.streamed_sum`` leaf at a time, in buffers of at most ``BLOCK``
     points, so no array of the window's length is held; every step is per
     point, so the bits are those of ``chunked_sum`` over the whole window.
     """
@@ -269,19 +271,18 @@ def min_norm_sum(phi: InverseFunction, n: int, x: int,
         return 0.0, _min_norm_bound(phi, n, m_terms)
     k = hi - lo + 1
     iota = np.arange(min(k, BLOCK), dtype=float)
-    out = np.empty(min(k, CHUNK))
+    out = np.empty(min(k, BLOCK))
 
     def leaf(a, b):
-        for c in range(a, b, BLOCK):
-            pts = iota[:min(BLOCK, b - c)] + (lo + c)
-            terms = out[c - a:c - a + pts.size]
-            norms = dist_to_nearest_int(np.asarray(phi.value(pts), dtype=float))
-            with np.errstate(divide="ignore"):
-                np.minimum(1.0, 1.0 / (m_terms * norms), out=terms)
-            e = np.asarray(eta(pts / n), dtype=float)
-            # at x = 0 the shifted cutoff is the same array
-            terms *= e * (e if x == 0 else np.asarray(eta((pts + x) / n), dtype=float))
-        return out[:b - a].sum()
+        pts = iota[:b - a] + (lo + a)
+        terms = out[:b - a]
+        norms = dist_to_nearest_int(np.asarray(phi.value(pts), dtype=float))
+        with np.errstate(divide="ignore"):
+            np.minimum(1.0, 1.0 / (m_terms * norms), out=terms)
+        e = np.asarray(eta(pts / n), dtype=float)
+        # at x = 0 the shifted cutoff is the same array
+        terms *= e * (e if x == 0 else np.asarray(eta((pts + x) / n), dtype=float))
+        return terms.sum()
 
     return streamed_sum(k, leaf, False), _min_norm_bound(phi, n, m_terms)
 
@@ -297,6 +298,20 @@ def _min_norm_bound(phi: InverseFunction, n: int, m_terms: int) -> float:
 # ---------------------------------------------------------------------------
 
 ALPHA_GOLDEN = 0.6180339887498949
+
+
+def _keep_temporaries_mapped() -> None:
+    """Free one 8 MiB block that is never written, so it costs no RSS.
+
+    A sweep inverts phi one leaf of at most ``BLOCK`` points at a time, and
+    phi.value makes 1 to 2.5 MB of temporaries per leaf.  glibc hands freed
+    heap memory past its trim threshold (128 KiB at first) back to the
+    system, and the next leaf faults it in again; freeing a mapped block
+    raises that threshold to twice the block's size, for the process.  On
+    the benchmark's expsum commands (2 vCPUs) this took minnorm 12..18 from
+    23k to 0.2k minor faults and 0.097 to 0.058 s.
+    """
+    np.empty(1 << 20)
 
 
 def resonant_alpha(phi: InverseFunction, n: int, slope_mult: float) -> float:
@@ -320,11 +335,13 @@ def ratio_sweep(phi: InverseFunction, mode: str, m: int, k_lo: int, k_hi: int,
     """Worst-ratio-per-scale sweep for the phase-sum bounds.
 
     For each dyadic N = 2^k the phase of ``single_phase_sum`` (x = 0) or
-    ``two_phase_sum`` (x = ceil(phi(N)^kappa)) is built once, and the ratio is
-    maximized over a fixed probe set of linear coefficients alpha (zero, the
-    slope-cancelling value, 1/4, and the golden ratio); the returned per-scale
+    ``two_phase_sum`` (x = ceil(phi(N)^kappa)) is summed in one pass over its
+    window for a fixed probe set of linear coefficients alpha (zero, the
+    slope-cancelling value, 1/4, and the golden ratio), and the ratio is
+    maximized over the probes; each probe's sum has the bits of its own
+    ``single_phase_sum`` or ``two_phase_sum`` call.  The returned per-scale
     results are what trend-boundedness assertions run on.  Each scale, its
-    setup and its four probes, is one task of ``util.map_scales`` on up to
+    setup and its one pass, is one task of ``util.map_scales`` on up to
     ``workers`` threads; every window, and every union that a two-point
     phase inverts, is checked against ``signals.MAX_SUPPORT`` before any
     scale runs, and a window that x empties raises ``EmptyRangeError`` from
@@ -346,6 +363,7 @@ def ratio_sweep(phi: InverseFunction, mode: str, m: int, k_lo: int, k_hi: int,
             x = int(math.ceil(float(phi.value(float(n))) ** kappa))
         (_two_window if mode == "two" else _window)(n, x)
         scales.append((n, x))
+    _keep_temporaries_mapped()
 
     def task(scale):
         n, x = scale
@@ -354,7 +372,7 @@ def ratio_sweep(phi: InverseFunction, mode: str, m: int, k_lo: int, k_hi: int,
         else:
             s, slope = _two_setup(phi, n, x, m, m, kappa), 2 * m
         # max keeps the first of equal ratios, as a strict > scan does
-        return max((_phase_sum(s, al) for al in _alpha_probes(phi, n, slope)),
+        return max(_phase_sums(s, _alpha_probes(phi, n, slope)),
                    key=lambda r: r.ratio)
 
     return map_scales(task, scales, workers)
@@ -372,6 +390,7 @@ def min_norm_sweep(phi: InverseFunction, x: int, m_terms: int | None, k_lo: int,
     scales = [1 << k for k in range(k_lo, k_hi + 1)]
     for n in scales:
         _window(n, x)
+    _keep_temporaries_mapped()
 
     def task(n):
         m = max(2, math.isqrt(n)) if m_terms is None else m_terms

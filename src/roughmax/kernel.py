@@ -127,7 +127,8 @@ def _kernel_support(s: SequenceSet, n: int) -> tuple[np.ndarray, float]:
     """(els, norm) of the maximal operator's kernel at scale N, after every
     check of ``build_kernel``, with els trimmed to the elements whose
     value is not 0; the values are ``_kernel_values(els, n, norm)`` on any
-    slice.  They are built one CHUNK at a time, for the mass (the bits of
+    slice.  They are built one ``util.streamed_sum`` leaf (at most
+    ``util.BLOCK`` values) at a time, for the mass (the bits of
     ``vals.sum()``, added along numpy's pairwise tree) and the trim, and
     none is kept."""
     els, norm = _kernel_window(s, n)

@@ -333,8 +333,9 @@ def cz_decompose(f, height) -> CZDecomposition:
     every value are ints or Fractions, all of them are first multiplied by D,
     the lcm of their denominators, so prefix sums and thresholds are exact
     Python ints of any size, and the zero and sign checks read those ints.
-    With any float, D = 1, a NaN or infinite value is refused, and the
-    prefix sums add the values left to right in their own arithmetic.
+    With any float, D = 1, a NaN or infinite value, or an int or Fraction
+    past the float range, is refused, and the prefix sums add the values
+    left to right in their own arithmetic.
     Positions must lie in [-2^63, 2^63).
 
     A selected cube is kept as its scale, index and range of sorted points;
@@ -353,6 +354,16 @@ def cz_decompose(f, height) -> CZDecomposition:
         # ints and Fractions are always finite; a float NaN or inf is not
         if not all(isinstance(v, (int, Fraction)) or math.isfinite(v) for v in vals):
             raise ValidationError("decomposition input must be finite")
+        # the prefix sums add the ints and Fractions to floats, which
+        # rounds them to floats
+        for v in vals:
+            if isinstance(v, (int, Fraction)):
+                try:
+                    float(v)
+                except OverflowError:
+                    raise ValidationError(
+                        "decomposition input beside a float must lie in the "
+                        "float range") from None
         d, scaled, lam_d = 1, vals, lam
     if 0 in scaled:
         nonzero = [t for t, v in enumerate(scaled) if v != 0]

@@ -14,6 +14,15 @@ from .errors import InsufficientDataError
 CHUNK = 1 << 16
 COMPENSATED_THRESHOLD = 1 << 20
 
+# values per leaf of ``streamed_sum``, and points per call of phi.value and
+# eta in ``expsum``, whose float temporaries are then 128 KiB.  Measured on
+# the benchmark's expsum commands and on minnorm 4..19 x=5 (2 vCPU): in
+# blocks of 2^15 malloc handed each block's temporaries back to the system
+# and faulted them in afresh (minnorm 4..19 at --workers 1: 83k minor faults
+# and 0.32 s, against 18k and 0.25 s), and blocks of 2^13 cost more per call
+# under two threads (0.29 s against 0.23 s).
+BLOCK = 1 << 14
+
 
 def chunked_sum(values: np.ndarray) -> complex | float:
     """Deterministic sum: numpy's own pairwise sum up to COMPENSATED_THRESHOLD
@@ -27,34 +36,44 @@ def chunked_sum(values: np.ndarray) -> complex | float:
     return streamed_sum(v.size, lambda a, b: v[a:b].sum(), np.iscomplexobj(v))
 
 
-def streamed_sum(size: int, leaf: Callable, is_complex: bool) -> complex | float:
+def streamed_sum(size: int, leaf: Callable, is_complex: bool) -> complex | float | list:
     """The bits of ``chunked_sum`` over ``size`` values that ``leaf(a, b)``
     gives, as ``np.sum`` of the contiguous values a..b-1, one leaf at a time.
 
     Up to COMPENSATED_THRESHOLD terms the leaves are the nodes of at most
-    ``CHUNK`` values of numpy's pairwise tree, added in tree order, so the
-    total has the bits of ``np.sum`` over all the values; above it they are
-    the ``CHUNK`` chunks whose sums go to ``math.fsum``.  Only a leaf's
-    values need to exist at once.
+    ``BLOCK`` values of numpy's pairwise tree, added in tree order, so the
+    total has the bits of ``np.sum`` over all the values; above it each
+    ``CHUNK`` chunk is such a tree, and the chunks' sums go to
+    ``math.fsum``.  The leaves come left to right, and only a leaf's values
+    need to exist at once.
+
+    A leaf may instead give a 1-D array, the sums of several sequences of
+    values over a..b-1: the trees add such arrays elementwise, and a list of
+    totals comes back, each with the bits of its own sequence's sum.
     """
+    d = 2 if is_complex else 1
     if size <= COMPENSATED_THRESHOLD:
-        d = 2 if is_complex else 1
         total = _pairwise(leaf, 0, size * d, d)
-        return complex(total) if is_complex else float(total)
-    parts = [leaf(i, min(i + CHUNK, size)) for i in range(0, size, CHUNK)]
-    if is_complex:
-        return complex(math.fsum(p.real for p in parts),
-                       math.fsum(p.imag for p in parts))
-    return math.fsum(float(p) for p in parts)
+        kind = complex if is_complex else float
+        sums = [kind(t) for t in np.atleast_1d(total)]
+        several = np.ndim(total) > 0
+    else:
+        parts = np.array([_pairwise(leaf, i * d, min(CHUNK, size - i) * d, d)
+                          for i in range(0, size, CHUNK)])
+        # one row of chunk sums per sequence
+        sums = [complex(math.fsum(c.real), math.fsum(c.imag)) if is_complex
+                else math.fsum(c) for c in np.atleast_2d(parts.T)]
+        several = parts.ndim > 1
+    return sums if several else sums[0]
 
 
 def _pairwise(leaf: Callable, start: int, n: int, d: int):
     """The sum of the node of numpy's pairwise tree over the n doubles from
     double ``start`` on, ``d`` doubles per value.  numpy splits a node of more
     than 128 doubles at n//2 rounded down to its 8-way unroll, and adds the
-    halves' sums; a node of at most ``CHUNK`` values is that same sum as one
+    halves' sums; a node of at most ``BLOCK`` values is that same sum as one
     ``np.sum``, whose 0.0 start changes at most the sign of a zero total."""
-    if n <= CHUNK * d:
+    if n <= BLOCK * d:
         return leaf(start // d, (start + n) // d)
     half = n // 2
     half -= half % 8

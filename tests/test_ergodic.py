@@ -271,9 +271,13 @@ def test_oscillation_breakpoint_validation(s102_16):
         oscillation_diagnostic(sys, s102_16, f, 0, 0.25, [4, 7])
     with pytest.raises(ValidationError):
         oscillation_diagnostic(sys, s102_16, f, 0, -0.1, [4, 16])
-    # a NaN or infinite eps once reached math.floor and raised there
+    # a NaN or infinite eps once reached math.floor and raised there, and
+    # an eps that 1 + eps rounds away, or one of billions of steps to 16,
+    # once kept the lacunary walk going
     for eps, message in ((float("nan"), "must be positive"),
-                         (float("inf"), "must be finite")):
+                         (float("inf"), "must be finite"),
+                         (1e-17, r"leaves 1 \+ eps == 1"),
+                         (1e-9, "over LACUNARY_STEP_CAP = 1048576")):
         with pytest.raises(ValidationError, match=message):
             oscillation_diagnostic(sys, s102_16, f, 0, eps, [4, 16])
     with pytest.raises(RangeError):

@@ -27,7 +27,12 @@ from roughmax import (
 from roughmax import expsum, signals
 from roughmax.expsum import _alpha_probes, _single_setup, _two_setup
 from roughmax.growth import InverseFunction
-from roughmax.util import CHUNK
+from roughmax.util import BLOCK, COMPENSATED_THRESHOLD, chunked_sum
+
+
+def bits(z) -> list:
+    """The IEEE bits of a complex, as integers."""
+    return np.array([z], dtype=complex).view(np.uint64).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -139,16 +144,36 @@ def test_two_phase_precondition(phi105):
         two_phase_sum(phi105, n, 1, 0.0, 1, 1, 1.0)
 
 
-def test_two_phase_terms_are_slices_of_one_inversion(philog):
+def test_two_phase_terms_are_slices_of_one_inversion(philog, monkeypatch):
     n = 1 << 12
     x = int(math.ceil(float(philog.value(float(n)))))
+    alphas = (0.0, 0.3)
     phase = _two_setup(philog, n, x, 2, -3, 1.0)
-    ns = np.arange(phase.lo, phase.lo + phase.k, dtype=float)
-    # both phi terms read the one inversion u of the union, at offsets 0 and x
-    assert phase.u.size == phase.k + x
-    (m1, o1), (m2, o2) = phase.terms
-    assert np.array_equal(m1 * phase.u[o1:o1 + phase.k], 2 * philog.value(ns))
-    assert np.array_equal(m2 * phase.u[o2:o2 + phase.k], -3 * philog.value(ns + x))
+    # the leaves invert the union lo..hi + x once, left to right, and both phi
+    # terms read it, at offsets 0 and x
+    points = []
+    value = InverseFunction.value
+
+    def recording(self, y):
+        points.append(np.array(y))
+        return value(self, y)
+
+    monkeypatch.setattr(InverseFunction, "value", recording)
+    got = expsum._phase_sums(phase, alphas)
+    monkeypatch.undo()
+    union = np.arange(phase.lo, phase.lo + phase.k + x, dtype=float)
+    assert np.array_equal(np.concatenate(points), union)
+    assert max(p.size for p in points) <= BLOCK
+    ns = union[:phase.k]
+    for r, alpha in zip(got, alphas):
+        t = ns * alpha
+        t += 2 * philog.value(ns)
+        t += -3 * philog.value(ns + x)
+        t *= 2.0 * np.pi
+        z = np.zeros(t.size, dtype=complex)
+        z.imag = t
+        assert bits(r.actual) == bits(chunked_sum(np.exp(z)))
+        assert r.params["alpha"] == alpha
     with pytest.raises(ValidationError, match="must be an integer"):
         two_phase_sum(philog, n, x + 0.5, 0.0, 1, 1, 1.0)
 
@@ -257,28 +282,28 @@ def test_min_norm_sum_of_an_empty_window_forms_no_float_of_x(phi105, x):
 
 
 # The sweeps keep one window per thread live at once, so a window's sum must
-# hold nothing of its length beyond the phi terms (8 B per point of what is
-# inverted): at N = 2^18 (917504 points) a phase sum measured 32 CHUNK-point
-# buffers beside them, and min_norm_sum, which inverts nothing ahead, 30.
+# hold nothing of its length: a phase sum measured 12 BLOCK-point float
+# buffers at N = 2^16 and 2^18 (229376 and 917504 points), phi.value's
+# temporaries included, and the two-point phase 15 beside its x phi values,
+# which the offset-0 term reads after the offset-x term; min_norm_sum 11.
 
 def test_phase_sum_holds_one_complex_buffer(phi105):
-    n = 1 << 18
-    points = 4 * n - n // 2                 # the integers of (N/2, 4N]
-    assert traced_peak(single_phase_sum, phi105, n, 0, 0.25, 2, 0, 0) \
-        <= 8 * points + 40 * CHUNK
-    # the two-point phase inverts the window and its shift by x, as one union
-    x = int(math.ceil(float(phi105.value(float(n)))))
-    assert traced_peak(two_phase_sum, phi105, n, x, 0.25, 1, 1, 1.0) \
-        <= 8 * points + 40 * CHUNK
-    # the probes of a scale share the phase's buffers and allocate nothing
-    phase = _single_setup(phi105, n, 0, 2, 0, 0)
-    assert traced_peak(expsum._phase_sum, phase, 0.25) <= 8192
+    cap = 20 * 8 * BLOCK
+    for n in (1 << 16, 1 << 18):
+        assert traced_peak(single_phase_sum, phi105, n, 0, 0.25, 2, 0, 0) <= cap
+        x = int(math.ceil(float(phi105.value(float(n)))))
+        assert traced_peak(two_phase_sum, phi105, n, x, 0.25, 1, 1, 1.0) \
+            <= 8 * x + cap
+        # four probes cost one pass: the probes share its buffers
+        phase = _single_setup(phi105, n, 0, 2, 0, 0)
+        assert traced_peak(expsum._phase_sums, phase, _alpha_probes(phi105, n, 2)) \
+            <= cap
 
 
 @pytest.mark.parametrize("x", [0, 3])
 def test_min_norm_sum_holds_two_window_arrays(phi105, x):
-    # the summands live in buffers of at most CHUNK points
-    assert traced_peak(min_norm_sum, phi105, 1 << 18, x, 512) <= 40 * CHUNK
+    # the summands live in buffers of at most BLOCK points
+    assert traced_peak(min_norm_sum, phi105, 1 << 18, x, 512) <= 12 * 8 * BLOCK
 
 
 def test_min_norm_validation(phi105):
@@ -345,6 +370,22 @@ def test_sweeps_do_not_depend_on_workers(phi105):
     assert runs[0] == runs[1]
     assert runs[0][2] == [min_norm_sum(phi105, 1 << k, 3, math.isqrt(1 << k))
                           for k in range(8, 13)]
+
+
+def test_a_sweep_past_the_compensated_threshold_is_the_best_phase_sum(phi105):
+    # 1835008 points at N = 2^19: each probe's sum is the fsum of its CHUNK
+    # partial sums, and the one pass gives each the bits of its own call
+    n = 1 << 19
+    assert 4 * n - n // 2 > COMPENSATED_THRESHOLD
+    (r,) = ratio_sweep(phi105, "single", 1, 19, 19)
+    sums = [single_phase_sum(phi105, n, 0, al, 1, 0, 0)
+            for al in _alpha_probes(phi105, n, 1)]
+    best = sums[0]
+    for s in sums[1:]:
+        if s.ratio > best.ratio:
+            best = s
+    assert bits(r.actual) == bits(best.actual)
+    assert (r.bound, r.ratio, r.params) == (best.bound, best.ratio, best.params)
 
 
 def test_each_window_is_inverted_once(phi105, monkeypatch):

@@ -584,7 +584,11 @@ def test_cz_validation():
             ({0: 1.0, 5: float("nan")}, 1.0, "input must be finite"),
             ({0: 1.0, 5: float("inf")}, 1.0, "input must be finite"),
             ({0: -float("inf"), 5: 1.0}, 1.0, "input must be finite"),
-            ({0: np.float32("nan")}, Fraction(1, 2), "input must be finite")):
+            ({0: np.float32("nan")}, Fraction(1, 2), "input must be finite"),
+            # an int past the float range once raised OverflowError when the
+            # prefix sums added it to a float
+            ({0: 10 ** 400, 3: 1.5}, 1.0, "must lie in the float range"),
+            ({0: Fraction(10 ** 400, 3), 3: 1.5}, 1.0, "must lie in the float range")):
         with pytest.raises(ValidationError, match=message):
             cz_decompose(f, height)
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from roughmax.util import CHUNK, COMPENSATED_THRESHOLD, chunked_sum, streamed_sum
+from roughmax.util import BLOCK, CHUNK, COMPENSATED_THRESHOLD, chunked_sum, streamed_sum
 
 
 def bits(z) -> list:
@@ -61,7 +61,7 @@ def test_the_reducer_is_np_sum_then_a_fsum_of_chunks(is_complex):
 @pytest.mark.parametrize("size", [CHUNK - 1, 5 * CHUNK + 3, COMPENSATED_THRESHOLD,
                                   COMPENSATED_THRESHOLD + 1])
 def test_the_leaves_cover_the_terms_once_in_order(size):
-    # only a leaf's values need to exist at once: at most CHUNK of them, each
+    # only a leaf's values need to exist at once: at most BLOCK of them, each
     # asked for once, from the first term to the last
     rng = np.random.default_rng(size)
     v = values(rng, size, True)
@@ -74,4 +74,21 @@ def test_the_leaves_cover_the_terms_once_in_order(size):
     assert bits(streamed_sum(size, leaf, True)) == bits(chunked_sum(v))
     assert [a for a, _ in leaves] == [0] + [b for _, b in leaves[:-1]]
     assert leaves[-1][1] == size
-    assert all(0 < b - a <= CHUNK for a, b in leaves)
+    assert all(0 < b - a <= BLOCK for a, b in leaves)
+
+
+@pytest.mark.parametrize("is_complex", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("size", [BLOCK + 5, COMPENSATED_THRESHOLD,
+                                  COMPENSATED_THRESHOLD + CHUNK + 7])
+def test_a_leaf_of_several_sums_gives_each_its_own_bits(size, is_complex):
+    # one pass over the leaves sums three sequences at once, each with the
+    # bits of its own reduction, on both sides of the threshold
+    rng = np.random.default_rng(size)
+    vs = [values(rng, size, is_complex) for _ in range(3)]
+
+    def leaf(a, b):
+        return np.array([v[a:b].sum() for v in vs])
+
+    got = streamed_sum(size, leaf, is_complex)
+    assert [type(g) for g in got] == [complex if is_complex else float] * 3
+    assert [bits(g) for g in got] == [bits(chunked_sum(v)) for v in vs]
