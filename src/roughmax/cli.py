@@ -35,7 +35,7 @@ from .maximal import (
     weak_type_profile,
 )
 from .seqset import count, generate
-from .signals import Signal
+from .signals import Signal, check_size
 from .util import CHUNK
 
 EXIT_OK = 0
@@ -265,7 +265,11 @@ def _cmd_seqset(args):
         # built in numpy (_decimal_lines), so neither the text of the whole
         # set nor a Python int per element is ever held; an empty set writes
         # one newline
-        with open(args.emit, "wb") as fh:
+        try:
+            fh = open(args.emit, "wb")
+        except OSError as exc:
+            raise ValidationError(f"--emit {args.emit}: {exc.strerror}") from None
+        with fh:
             if s.elements.size == 0:
                 fh.write(b"\n")
             for i in range(0, s.elements.size, CHUNK):
@@ -354,6 +358,7 @@ def _parse_corpus(spec: str) -> Signal:
     parts = spec.split(":")
     if parts[0] == "random" and len(parts) == 3:
         k = _spec_int("--corpus", spec, "K", parts[1], 1)
+        check_size(k, f"--corpus {spec!r}: K = {k}")
         seed = _spec_int("--corpus", spec, "seed", parts[2], 0)
         rng = np.random.default_rng(seed)
         return Signal(0, np.bincount(rng.integers(0, 1 << 14, k)))
@@ -433,8 +438,9 @@ def _cmd_cz(args):
 def _parse_system(spec: str):
     parts = spec.split(":")
     if parts[0] == "shift" and len(parts) == 3:
-        return cyclic_shift(_spec_int("--system", spec, "m", parts[1], 1),
-                            _spec_int("--system", spec, "step", parts[2]))
+        m = _spec_int("--system", spec, "m", parts[1], 1)
+        check_size(m, f"--system {spec!r}: m = {m}")
+        return cyclic_shift(m, _spec_int("--system", spec, "step", parts[2]))
     raise ValidationError(f"--system {spec!r} is not shift:m:step")
 
 

@@ -99,7 +99,7 @@ def _window(n: int, x: int) -> tuple[int, int]:
     else:   # hundreds of digits: their binary orders say as much
         what = (f"phase-sum window of over 2^{int(size).bit_length() - 1} "
                 f"points at N >= 2^{n.bit_length() - 1}")
-    signals._check_size(size, what)
+    signals.check_size(size, what)
     return lo, hi
 
 
@@ -110,7 +110,7 @@ def _two_window(n: int, x: int) -> tuple[int, int]:
     lo, hi = _window(n, x)
     if hi >= lo:
         size = hi + x - lo + 1
-        signals._check_size(size, f"two-point union {size} at N = {n}, x = {x}")
+        signals.check_size(size, f"two-point union {size} at N = {n}, x = {x}")
     return lo, hi
 
 

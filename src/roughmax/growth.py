@@ -22,7 +22,8 @@ and their higher-order analogues vartheta_i / theta_i drive every identity
 check in the toolkit:  x h^(i)(x) = h^(i-1)(x) (c - i + 1 + vartheta_i(x)).
 
 Every correction tabulated (vartheta_1..3, varrho, theta_1..3, sigma, tau) is
-a closed form in vartheta, vartheta' and vartheta'', each evaluated once per call.
+a closed form in s_j = x^j vartheta^(j), j = 0..2, each evaluated once per call
+with no power of x outside its terms, so none leaves the float range early.
 
 This module alone evaluates h and decides its floors, which are never trusted
 to plain float arithmetic.  ``GrowthFunction._floors`` settles any h(m) within
@@ -155,10 +156,11 @@ class GrowthFunction:
     b: float | None
     m: int | None
     x0: float
-    # closed-form data derived once: log-correction lam = log l(x) and its
-    # first three derivatives as term tuples
+    # closed-form data derived once: log-correction lam = log l(x), its
+    # first three derivatives lam^(j) and the scaled x^j lam^(j), as term tuples
     _lam: Terms = field(repr=False, default=())
     _lam_d: tuple = field(repr=False, default=())
+    _lam_s: tuple = field(repr=False, default=())
     _depth: int = field(repr=False, default=0)
     # (p, q, a^q, b^q) for a pure power with c = p/q, q <= EXACT_DENOM_MAX,
     # and C_h = a/b, so h(x) >= y exactly when a^q x^p >= b^q y^q; else None
@@ -176,24 +178,21 @@ class GrowthFunction:
             lam = ((float(a), 0, (float(b),)),)
         else:
             lam = ((1.0, 0, tuple([0.0] * m + [1.0])),)
-        derivs = []
+        derivs = scaled = ()
         t = lam
-        for _ in range(3):
+        for j in range(1, 4):
             t = _differentiate(t)
-            derivs.append(t)
-        depth = 0
-        for ts in (lam, *derivs):
-            for _, _, lexp in ts:
-                for j, e in enumerate(lexp):
-                    if e != 0:
-                        depth = max(depth, j + 1)
+            derivs += (t,)
+            scaled += (tuple((co, xp + j, le) for co, xp, le in t),)
+        # d/dx l_j reads only l_1 .. l_(j-1): no derivative is deeper than lam
+        depth = max((len(le) for _, _, le in lam), default=0)
         exact = None
         cf, hf = Fraction(float(c)), Fraction(float(c_h))
         if variant is Variant.PURE_POWER and cf.denominator <= EXACT_DENOM_MAX:
             q = cf.denominator
             exact = (cf.numerator, q, hf.numerator ** q, hf.denominator ** q)
         return GrowthFunction(variant, float(c), float(c_h), a, b, m,
-                              float(x0), lam, tuple(derivs), depth, exact)
+                              float(x0), lam, derivs, scaled, depth, exact)
 
     # -- evaluation -----------------------------------------------------------
 
@@ -201,11 +200,6 @@ class GrowthFunction:
         """x checked against the domain, as a float array, and its log chain."""
         x = _check_domain(x, self.x0, "evaluation at x < x0")
         return x, _iterated_logs(x, self._depth)
-
-    def _lam_value(self, x, logs, k: int):
-        """lam^(k)(x) where lam = log l(x); k = 0..3, the scalar 0.0 if lam = 0."""
-        terms = self._lam if k == 0 else self._lam_d[k - 1]
-        return _eval_terms(terms, x, logs) if terms else 0.0
 
     def _h(self, x, logs):
         """h(x) = C_h * exp(c log x + lam(x)) at a checked x, with log x taken
@@ -226,17 +220,18 @@ class GrowthFunction:
         and an array ``**`` a SIMD loop, so only products give the same bits.
         """
         x, logs = self._chain(x)
+        lam = [_eval_terms(t, x, logs) if t else 0.0 for t in self._lam_d[:order]]
         h = self._h(x, logs)
         out = [h]
         if order >= 1:
-            u1 = self.c / x + self._lam_value(x, logs, 1)
+            u1 = self.c / x + lam[0]
             out.append(h * u1)
         if order >= 2:
             x2 = x * x
-            u2 = -self.c / x2 + self._lam_value(x, logs, 2)
+            u2 = -self.c / x2 + lam[1]
             out.append(h * (u1 * u1 + u2))
         if order >= 3:
-            u3 = 2.0 * self.c / (x2 * x) + self._lam_value(x, logs, 3)
+            u3 = 2.0 * self.c / (x2 * x) + lam[2]
             out.append(h * (u1 * u1 * u1 + 3.0 * u1 * u2 + u3))
         return out
 
@@ -253,43 +248,42 @@ class GrowthFunction:
         return float(out) if out.ndim == 0 else out
 
     def _vartheta_derivs(self, x, k: int) -> list:
-        """[vartheta, vartheta', vartheta''][:k + 1] at x, k = 0..2.
+        """[s_0, s_1, s_2][:k + 1] at x, k = 0..2, with s_j = x^j vartheta^(j).
 
-        vartheta = x h'(x)/h(x) - c = x lam', so vartheta^(j) = j lam^(j)
-        + x lam^(j+1); the domain is checked and the log chain built once.
+        vartheta = x h'/h - c = x lam', so with L_j = x^j lam^(j) (``_lam_s``)
+        s_0 = L_1, s_1 = L_1 + L_2 and s_2 = 2 L_2 + L_3, on one log chain.
         """
         x, logs = self._chain(x)
-        lam = [self._lam_value(x, logs, j) for j in range(1, k + 2)]
-        return [x * lam[0]] + [j * lam[j - 1] + x * lam[j] for j in range(1, k + 1)]
+        L = [_eval_terms(t, x, logs) if t else 0.0 * x for t in self._lam_s[:k + 1]]
+        return [L[0]] + [j * L[j - 1] + L[j] for j in range(1, k + 1)]
 
-    def _vartheta_levels(self, x, dv):
-        """Yields vartheta_1..vartheta_i at x, from dv = ``_vartheta_derivs(x, i - 1)``.
+    def _vartheta_levels(self, dv):
+        """Yields vartheta_1..vartheta_i from dv = ``_vartheta_derivs(x, i - 1)``.
 
-        vartheta_1 = vartheta; each next level adds x * vartheta'_{prev} over
+        vartheta_1 = vartheta; each next level adds x vartheta'_{prev} over
         the previous denominator alpha_{prev} + vartheta_{prev}, which is
         guarded only once that level is asked for.
         """
         t0 = dv[0]
         yield t0
         if len(dv) > 1:
-            t0p = dv[1]
+            s1 = dv[1]
             den1 = self.c + t0
             self._guard(den1, "alpha_1 + vartheta_1")
-            t1 = t0 + x * t0p / den1
+            t1 = t0 + s1 / den1
             yield t1
         if len(dv) > 2:
-            # d/dx of vartheta_2 = vartheta' + (vartheta' + x vartheta'')/den1
-            #                      - x vartheta'^2 / den1^2
-            t1p = t0p + (t0p + x * dv[2]) / den1 - x * t0p * t0p / (den1 * den1)
+            # x d/dx of vartheta_2 = s_1 + (s_1 + s_2)/den1 - s_1^2/den1^2
+            x_t1p = s1 + (s1 + dv[2]) / den1 - s1 * s1 / (den1 * den1)
             den2 = (self.c - 1.0) + t1
             self._guard(den2, "alpha_2 + vartheta_2")
-            yield t1 + x * t1p / den2
+            yield t1 + x_t1p / den2
 
     def vartheta(self, x, i: int) -> FloatLike:
         """vartheta_i(x) in the identity x h^(i) = h^(i-1) (alpha_i + vartheta_i)."""
         if i not in (1, 2, 3):
             raise ValidationError(f"vartheta level {i} not in 1..3")
-        *_, out = self._vartheta_levels(x, self._vartheta_derivs(x, i - 1))
+        *_, out = self._vartheta_levels(self._vartheta_derivs(x, i - 1))
         return float(out) if np.asarray(out).ndim == 0 else out
 
     @staticmethod
@@ -456,7 +450,7 @@ def make_growth(variant, c: float, c_h: float = 1.0, *,
     try:
         h0, h1, h2 = g._derivs(grid, 2)
         dv = g._vartheta_derivs(grid, 2)
-        for i, vi in enumerate(g._vartheta_levels(grid, dv), 1):
+        for i, vi in enumerate(g._vartheta_levels(dv), 1):
             if not np.all(np.isfinite(vi)):
                 raise ValidationError(
                     f"vartheta_{i} not finite on the validation grid")
@@ -611,49 +605,47 @@ class InverseFunction:
         """theta_i(y) in the identity y phi^(i) = phi^(i-1) (beta_i + theta_i)."""
         if i not in (1, 2, 3):
             raise ValidationError(f"theta level {i} not in 1..3")
-        u = self.value(y)
-        *_, out = self._thetas(u, self.source._vartheta_derivs(u, i - 1))
+        *_, out = self._thetas(self.source._vartheta_derivs(self.value(y), i - 1))
         return float(out) if np.asarray(out).ndim == 0 else out
 
-    def _thetas(self, u, dv) -> list:
-        """[theta_1..theta_i] at y from u = phi(y), dv = ``_vartheta_derivs(u, i - 1)``.
+    def _thetas(self, dv) -> list:
+        """[theta_1..theta_i] at y from dv = ``_vartheta_derivs(phi(y), i - 1)``.
 
-        Closed forms in d = c + vartheta(u), with powers taken as products
-        (see ``GrowthFunction.deriv``), so a scalar u gives the bits of the
-        matching array element; only the levels asked for are guarded:
+        Closed forms in d = c + vartheta and s_j = u^j vartheta^(j) at u = phi(y),
+        powers taken as products (see ``GrowthFunction.deriv``), so a scalar y
+        gives the bits of its array element; only the levels asked for are guarded:
 
             theta_1 = 1/d - gamma
-            theta_2 = theta_1 - vartheta'(u) u / d^2
-            theta_3 = theta_2 - (vartheta'' u^2 + 2 vartheta' u) / (d^2 - d^3 - vartheta' u d)
-                              + 2 vartheta'^2 u^2 / (d^3 - d^4 - vartheta' u d^2)
+            theta_2 = theta_1 - s_1 / d^2
+            theta_3 = theta_2 - (s_2 + 2 s_1) / (d^2 - d^3 - s_1 d)
+                              + 2 s_1^2 / (d^3 - d^4 - s_1 d^2)
         """
         d = self.c + dv[0]
         GrowthFunction._guard(d, "c + vartheta(phi)")
         d2 = d * d
         out = [1.0 / d - self.gamma]
         if len(dv) > 1:
-            vtp = dv[1]
-            out.append(out[0] - vtp * u / d2)
+            s1 = dv[1]
+            out.append(out[0] - s1 / d2)
         if len(dv) > 2:
             d3 = d2 * d
-            den1 = d2 - d3 - vtp * u * d
-            den2 = d3 - d3 * d - vtp * u * d2
+            den1 = d2 - d3 - s1 * d
+            den2 = d3 - d3 * d - s1 * d2
             GrowthFunction._guard(den1, "theta_3 denominator")
             GrowthFunction._guard(den2, "theta_3 denominator")
-            out.append(out[1] - (dv[2] * u * u + 2.0 * vtp * u) / den1
-                       + 2.0 * vtp * vtp * u * u / den2)
+            out.append(out[1] - (dv[2] + 2.0 * s1) / den1 + 2.0 * s1 * s1 / den2)
         return out
 
     # -- c = 1 regime -----------------------------------------------------------
 
-    def _tau(self, u, dv):
-        """tau at y from u = phi(y) and dv = [vartheta(u), vartheta'(u), ...]:
-        -(1/d + vartheta'(u) u / (vartheta(u) d^2)) with d = 1 + vartheta(u)."""
-        vt, vtp = dv[0], dv[1]
+    def _tau(self, dv):
+        """tau at y from dv = [vartheta, u vartheta', ...] at u = phi(y):
+        -(1/d + s_1 / (vartheta d^2)) with d = 1 + vartheta."""
+        vt, s1 = dv[0], dv[1]
         GrowthFunction._guard(vt, "vartheta(phi)")
         d = self.c + vt
         GrowthFunction._guard(d, "1 + vartheta(phi)")
-        return -(1.0 / d + vtp * u / (vt * d * d))
+        return -(1.0 / d + s1 / (vt * d * d))
 
 
 # ---------------------------------------------------------------------------
@@ -686,14 +678,12 @@ def build_aux_report(phi: InverseFunction, grid) -> AuxFunctionReport:
     g = phi.source
     u = np.asarray(phi.value(grid), dtype=float)
     dv = g._vartheta_derivs(u, 2)
-    vt = tuple(g._vartheta_levels(u, dv))
-    th = tuple(phi._thetas(u, dv))
+    vt = tuple(g._vartheta_levels(dv))
+    th = tuple(phi._thetas(dv))
     if g.c == 1.0:
         sig = vt[0]     # sigma(y) = vartheta(phi(y), 1)
-        tau = phi._tau(u, dv)   # refuses a vartheta(phi) below DENOM_GUARD
+        tau = phi._tau(dv)      # refuses a vartheta(phi) below DENOM_GUARD
         rho = vt[1] / vt[0]     # varrho = vartheta_2 / vartheta
     else:
-        sig = np.empty(0)
-        tau = np.empty(0)
-        rho = np.empty(0)
+        sig = tau = rho = np.empty(0)
     return AuxFunctionReport(grid, u, vt, th, sig, tau, rho)

@@ -103,7 +103,7 @@ def _kernel_window(s: SequenceSet, n: int,
     if els.size == 0:
         raise DegenerateError(f"no set elements in the support window of N = {n}")
     width = int(els[-1] - els[0] + 1)
-    signals._check_size(width, f"kernel support {width} at N = {n}")
+    signals.check_size(width, f"kernel support {width} at N = {n}")
     return els, norm
 
 
@@ -174,7 +174,7 @@ def _density_window(phi: InverseFunction, n: int) -> np.ndarray:
     A window wider than ``signals.MAX_SUPPORT`` is refused before it is built.
     """
     lo, hi = _support_window(n)
-    signals._check_size(hi - lo + 1, f"G_N window {hi - lo + 1} at N = {n}")
+    signals.check_size(hi - lo + 1, f"G_N window {hi - lo + 1} at N = {n}")
     w = np.empty(hi - lo + 1)
     # in CHUNK blocks, so only w is held at full length; phi' and eta work
     # point by point, so the blocks do not change a bit

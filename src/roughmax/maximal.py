@@ -182,7 +182,7 @@ def maximal_function(family: ScaleFamily, f: Signal) -> Signal:
         return Signal.zero()
     lo = f.offset + _support_window(family.scales[0])[0]
     hi = f.support[1] + _support_window(family.scales[-1])[1]
-    signals._check_size(hi - lo + 1, f"maximal-function support {hi - lo + 1}")
+    signals.check_size(hi - lo + 1, f"maximal-function support {hi - lo + 1}")
     mf = np.zeros(hi - lo + 1)
     for start, block in _max_blocks(family, f):
         mf[start - lo:start - lo + block.size] = block
@@ -333,9 +333,9 @@ def cz_decompose(f, height) -> CZDecomposition:
     every value are ints or Fractions, all of them are first multiplied by D,
     the lcm of their denominators, so prefix sums and thresholds are exact
     Python ints of any size, and the zero and sign checks read those ints.
-    With any float, D = 1, a NaN or infinite value, or an int or Fraction
-    past the float range, is refused, and the prefix sums add the values
-    left to right in their own arithmetic.
+    With any float, D = 1, a NaN or infinite value, or an int, Fraction or
+    total past the float range, is refused, and the prefix sums add the
+    values left to right in their own arithmetic.
     Positions must lie in [-2^63, 2^63).
 
     A selected cube is kept as its scale, index and range of sorted points;
@@ -345,7 +345,8 @@ def cz_decompose(f, height) -> CZDecomposition:
     lam = height
     keys = sorted(values)
     vals = [values[x] for x in keys]
-    if all(issubclass(t, (int, Fraction)) for t in {type(lam), *map(type, vals)}):
+    exact = all(issubclass(t, (int, Fraction)) for t in {type(lam), *map(type, vals)})
+    if exact:
         ratios = [v.as_integer_ratio() for v in vals]
         d = math.lcm(lam.denominator, *{q for _, q in ratios})
         scaled = [p * (d // q) for p, q in ratios]
@@ -354,16 +355,6 @@ def cz_decompose(f, height) -> CZDecomposition:
         # ints and Fractions are always finite; a float NaN or inf is not
         if not all(isinstance(v, (int, Fraction)) or math.isfinite(v) for v in vals):
             raise ValidationError("decomposition input must be finite")
-        # the prefix sums add the ints and Fractions to floats, which
-        # rounds them to floats
-        for v in vals:
-            if isinstance(v, (int, Fraction)):
-                try:
-                    float(v)
-                except OverflowError:
-                    raise ValidationError(
-                        "decomposition input beside a float must lie in the "
-                        "float range") from None
         d, scaled, lam_d = 1, vals, lam
     if 0 in scaled:
         nonzero = [t for t, v in enumerate(scaled) if v != 0]
@@ -386,13 +377,25 @@ def cz_decompose(f, height) -> CZDecomposition:
     # prefix[i] = D * sum of vals[:i], added left to right
     prefix = np.empty(n + 1, dtype=object)
     prefix[0] = 0
-    np.cumsum(scaled, out=prefix[1:])
+    try:
+        with np.errstate(over="ignore"):    # a float sum past the range is inf
+            np.cumsum(scaled, out=prefix[1:])
+    except OverflowError:   # an int or Fraction past it, rounded to a float
+        prefix[n] = math.inf
+    if not exact and not prefix[n] < 1 << 1024:
+        raise ValidationError("decomposition input beside a float, and its "
+                              "sum, must lie in the float range")
+
+    def threshold(s):   # lam_d 2^s exactly; inf past the float range
+        if isinstance(lam_d, (int, Fraction)):
+            return lam_d * (1 << s)
+        return math.ldexp(lam_d, s) if math.frexp(lam_d)[1] + s <= 1024 else math.inf
 
     # Root cubes: dyadic cubes anchored at 0 never straddle it, so a support
     # touching both sides needs one root per side.  The scale is grown until
     # every root average is at most the height and each side fits one cube.
     s = 0
-    while (prefix[n] > lam_d * (1 << s)
+    while (prefix[n] > threshold(s)
            or (keys[0] >> s) < -1 or (keys[-1] >> s) > 0):
         s += 1
     split = int(np.searchsorted(xs, 0))
@@ -412,7 +415,7 @@ def cz_decompose(f, height) -> CZDecomposition:
         hi = np.stack((mid, hi), axis=1).ravel()
         keep = lo < hi
         j, lo, hi = j[keep], lo[keep], hi[keep]
-        heavy = prefix[hi] - prefix[lo] > lam_d * (1 << s)
+        heavy = prefix[hi] - prefix[lo] > threshold(s)
         selected.append(np.stack((np.full(j.size, s), j, lo, hi), axis=1)[heavy])
         light = ~heavy
         j, lo, hi = j[light], lo[light], hi[light]
@@ -464,7 +467,7 @@ def refine_bad_part(cz: CZDecomposition, s: int, n: int,
     if not rows:
         raise RangeError(f"no atoms at cube scale {s}")
     size = 1 << s
-    signals._check_size(size, f"bad-part cube width 2^{s}")
+    signals.check_size(size, f"bad-part cube width 2^{s}")
     d_n = family.d[family.scale_index(n)]
     thr = cz.height * d_n
 

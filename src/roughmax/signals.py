@@ -19,7 +19,7 @@ MAX_SUPPORT = 1 << 30
 POWER_ORDER_SWAP = 1 << 15
 
 
-def _check_size(size: int, what: str) -> None:
+def check_size(size: int, what: str) -> None:
     """Refuse ``what``, a description that names its size, above MAX_SUPPORT."""
     if size > MAX_SUPPORT:
         raise SignalSizeError(f"{what} exceeds MAX_SUPPORT = {MAX_SUPPORT}")
@@ -119,7 +119,7 @@ def convolve(a: Signal, b: Signal, method: str = "direct") -> Signal:
     if a.is_zero or b.is_zero:
         return Signal.zero()
     out_len = a.values.size + b.values.size - 1
-    _check_size(out_len, f"convolution output support {out_len}")
+    check_size(out_len, f"convolution output support {out_len}")
     if method == "direct":
         v = np.convolve(a.values, b.values)
     else:
@@ -165,7 +165,7 @@ class _Segments:
     def __init__(self, f: Signal):
         w = f.values.size
         n = 1 << (4 * w - 1).bit_length()
-        _check_size(n, f"overlap-save transform length {n}")
+        check_size(n, f"overlap-save transform length {n}")
         self.offset, self.w, self.n = f.offset, w, n
         self.step = n - w + 1
         self.rows = max(1, BATCH // n)
@@ -279,7 +279,7 @@ def _even_autocorrelation(v: np.ndarray, method: str = "fast", mass: bool = Fals
     """
     size = v.size
     out_len = 2 * size - 1
-    _check_size(out_len, f"autocorrelation support {out_len}")
+    check_size(out_len, f"autocorrelation support {out_len}")
     half = np.empty(size)
     if method == "direct":
         buf = np.convolve(v, v[::-1])

@@ -82,6 +82,16 @@ def test_seqset_emits_elements(tmp_path):
     assert lines[0] == "N,count,phi_N,ratio"
 
 
+def test_seqset_emit_into_a_missing_directory_names_the_flag(tmp_path, capsys):
+    # the bare "[Errno 2] No such file or directory: ..." named no flag
+    emit = tmp_path / "missing" / "els.txt"
+    assert run_cli("seqset", "--h", "pure:1.5:1.0", "--nmax", "11",
+                   "--out", str(tmp_path / "counts.csv"),
+                   "--emit", str(emit)) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: --emit {emit}: No such file or directory\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_seqset_emit_file_is_pinned(tmp_path):
     # 104032 elements, so the file is written in two CHUNK slices; the pin
     # is the sha256 of one "\n".join over the whole set
@@ -357,13 +367,13 @@ def test_weaktype_transforms_only_the_segments_that_hold_a_point(tmp_path,
 # other three shapes
 GROWTH_TABLE_PINNED = {
     "powerlog:1.02:1.0:1.0":
-        "c72cd4729384eae16fe79f0d5056587386662a034cefce036f58fc019c5951d5",
+        "d218a2d06755dc866defc33a3a4ac7eee5772123e515ba08cea6a7cb1e514418",
     "powerlog:1.0:1.0:1.0":
-        "3783cf4e07062dddc9ac92f206342c3a91178cb9fdedda3f06abe3e6754cb968",
+        "156717e868ac43ca5b4f020889b424cbb5ebf28e0b1438385ba0d87512815c57",
     "powerexplog:1.05:1.0:1.0:0.5":
-        "3a3de5778340c003607c5084c64a4394774cb97de78c4befaf97342876087c1d",
+        "30c64d5707e631cf5f891335d1c85cdce733766e665d28909d5cd1700d06b024",
     "poweriterlog:1.02:1.0:2":
-        "744bdbe104772cb56ca5d0b933ff57849bf117f17a630988cb269f7c8eb66f25",
+        "fe43e08bb4b3cb271e97360951eaf97b3af2a03b149c38cebd69edab99e42df0",
     "pure:1.5:1.0":
         "5fe4fa16ac171daa693391bde0604306a0165a007e015ba25446561780d5a93b",
 }
@@ -908,6 +918,20 @@ def assert_refused_above_max_support(run_limited, *argv):
     assert proc.returncode == EXIT_VALIDATION, proc.stderr
     assert f"exceeds MAX_SUPPORT = {1 << 30}" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("ergodic", "--h", "pure:1.5:1.0", "--system", "shift:100000000000:1",
+     "--f", "indicator:0", "--kmin", "1", "--kmax", "2"),
+    ("weaktype", "--h", "pure:1.5:1.0", "--nlo", "1", "--nhi", "2",
+     "--corpus", "random:5000000000:1"),
+], ids=["ergodic-system-m", "weaktype-corpus-K"])
+def test_a_spec_size_past_the_cap_is_refused_before_it_is_drawn(
+        tmp_path, run_limited, argv):
+    # shift:m:step built arange(m) and random:K:seed drew K positions with no
+    # check, and died with "Unable to allocate 745. GiB" and "37.3 GiB"
+    assert_refused_above_max_support(run_limited, *argv,
+                                     "--out", str(tmp_path / "t.csv"))
 
 
 def test_seqset_fits_a_quarter_of_the_cap_limit(tmp_path, run_limited):

@@ -588,9 +588,21 @@ def test_cz_validation():
             # an int past the float range once raised OverflowError when the
             # prefix sums added it to a float
             ({0: 10 ** 400, 3: 1.5}, 1.0, "must lie in the float range"),
-            ({0: Fraction(10 ** 400, 3), 3: 1.5}, 1.0, "must lie in the float range")):
+            ({0: Fraction(10 ** 400, 3), 3: 1.5}, 1.0, "must lie in the float range"),
+            # a total past the float range grew the root scale until height
+            # * 2^s raised OverflowError, or forever at an exact height
+            ({0: 1e308, 1: 1e308}, 1.0, "must lie in the float range"),
+            ({0: 10 ** 308, 1: 10 ** 308}, 1.0, "must lie in the float range"),
+            ({0: 1e308, 1: 1e308}, Fraction(1), "must lie in the float range")):
         with pytest.raises(ValidationError, match=message):
             cz_decompose(f, height)
+    # a finite total whose root scale passes 2^1023 once raised OverflowError
+    # too; each is one atom whose average lies in (height, 2 height]
+    for f, height in (({0: 1.5e308}, 1.0), ({0: 1e308}, 1e-300)):
+        cz = cz_decompose(f, height)
+        (atom,) = cz.atoms
+        assert height < math.ldexp(atom.l1(), -atom.scale) <= 2.0 * height
+        assert cz.reconstruction() == f
 
 
 def stack_reference(values, lam):
