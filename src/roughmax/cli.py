@@ -175,17 +175,23 @@ def _parse_record(text: str) -> dict:
 # octave [2^k, 2^(k+1)] ends above 0 as a float
 _KMAX_FLOAT = sys.float_info.max_exp - 1
 _KMIN_FLOAT = sys.float_info.min_exp - sys.float_info.mant_dig - 1
+# the largest --kmax or --nhi: the scales 2^k up to it hold k^2 / 16 bytes
+# (4 MiB), and every command refuses scales far below 2^(2^13)
+_KMAX_SCALE = 1 << 13
 
 
-def _scale_range(args, lo: str, hi: str, lowest: int) -> range:
-    """The scale exponents ``--lo``..``--hi``, refused when the range is empty
-    or starts below ``lowest``."""
+def _scale_range(args, lo: str, hi: str, lowest: int) -> list:
+    """The scales 2^k, k = ``--lo``..``--hi``, refused when the range is
+    empty, starts below ``lowest`` or ends past ``_KMAX_SCALE``: the one place
+    where a scale is a power of two (a table prints k as N.bit_length() - 1)."""
     a, b = getattr(args, lo), getattr(args, hi)
     if a < lowest:
         raise ValidationError(f"--{lo} {a} must be at least {lowest}")
     if a > b:
         raise ValidationError(f"--{lo} {a} --{hi} {b}: scale range [{a}, {b}] is empty")
-    return range(a, b + 1)
+    if b > _KMAX_SCALE:
+        raise ValidationError(f"--{hi} {b} must be at most {_KMAX_SCALE}")
+    return [1 << k for k in range(a, b + 1)]
 
 
 def _cmd_growth_table(args):
@@ -283,12 +289,12 @@ def _cmd_seqset(args):
 
 
 def _cmd_kernel_decomp(args):
-    ks = _scale_range(args, "kmin", "kmax", 0)
+    scales = _scale_range(args, "kmin", "kmax", 0)
     g = parse_growth_spec(args.h)
-    s = generate(g, 4 * (1 << args.kmax))
-    reports = decomposition_reports(s, [1 << k for k in ks], args.workers)
-    rows = [[k, r.scale_n, r.small_x_bound, r.gn_sup, r.en_sup, r.gn_lipschitz,
-             r.mass] for k, r in zip(ks, reports)]
+    s = generate(g, 4 * scales[-1])
+    reports = decomposition_reports(s, scales, args.workers)
+    rows = [[r.scale_n.bit_length() - 1, r.scale_n, r.small_x_bound, r.gn_sup,
+             r.en_sup, r.gn_lipschitz, r.mass] for r in reports]
     return (["k", "N", "small_x_bound", "gn_sup", "en_sup", "gn_lipschitz", "mass"],
             rows, {})
 
@@ -298,7 +304,7 @@ _BOUND_PARAMS = {"single": ("m",), "two": ("m", "kappa"), "minnorm": ("trunc", "
 
 
 def _cmd_expsum(args):
-    ks = _scale_range(args, "kmin", "kmax", 0)
+    scales = _scale_range(args, "kmin", "kmax", 0)
     g = parse_growth_spec(args.h)
     phi = g.inverse()
     params = _parse_record(args.params)
@@ -321,12 +327,9 @@ def _cmd_expsum(args):
 
     m = number("m", int, 1)
     kappa = number("kappa", float, 1.0)
-    rows = []
     if args.bound in ("single", "two"):
-        for r in ratio_sweep(phi, args.bound, m, args.kmin, args.kmax, kappa,
-                             args.workers):
-            rows.append([int(math.log2(r.params["N"])), r.params["N"],
-                         r.actual_abs, r.bound, r.ratio])
+        sums = [(r.actual_abs, r.bound, r.ratio) for r in
+                ratio_sweep(phi, args.bound, m, scales, kappa, args.workers)]
     else:
         # M = max(2, isqrt(N)) by default; an explicit trunc is M itself
         trunc = params.get("trunc", "sqrt")
@@ -334,9 +337,9 @@ def _cmd_expsum(args):
         if fixed_terms is not None and fixed_terms < 2:
             raise ValidationError(f"--params trunc = {fixed_terms} must be >= 2")
         x = number("x", int, 0)
-        sums = min_norm_sweep(phi, x, fixed_terms, args.kmin, args.kmax, args.workers)
-        for k, (actual, bound) in zip(ks, sums):
-            rows.append([k, 1 << k, actual, bound, actual / bound])
+        sums = [(actual, bound, actual / bound) for actual, bound in
+                min_norm_sweep(phi, x, fixed_terms, scales, args.workers)]
+    rows = [[n.bit_length() - 1, n, *v] for n, v in zip(scales, sums)]
     return ["k", "N", "actual_abs", "bound", "ratio"], rows, {}
 
 
@@ -366,10 +369,10 @@ def _parse_corpus(spec: str) -> Signal:
 
 
 def _cmd_weaktype(args):
-    _scale_range(args, "nlo", "nhi", 1)
+    scales = _scale_range(args, "nlo", "nhi", 1)
     g = parse_growth_spec(args.h)
-    s = generate(g, 4 * (1 << args.nhi))
-    family = build_scale_family(s, args.nlo, args.nhi)
+    s = generate(g, 4 * scales[-1])
+    family = build_scale_family(s, scales)
     f = _parse_corpus(args.corpus)
     rows = weak_type_profile(family, f, default_lambda_grid(family, f))
     return ["lambda", "superlevel_count", "ratio"], rows, {}
@@ -455,27 +458,26 @@ def _parse_observable(spec: str, size: int):
 
 
 def _cmd_ergodic(args):
-    ks = _scale_range(args, "kmin", "kmax", 0)
+    scales = _scale_range(args, "kmin", "kmax", 0)
     g = parse_growth_spec(args.h)
-    s = generate(g, 1 << args.kmax)
+    s = generate(g, scales[-1])
     system = _parse_system(args.system)
     f = _parse_observable(args.f, system.size)
     if not (0 <= args.x < system.size):
         raise ValidationError(f"--x {args.x} outside 0..{system.size - 1}")
-    ns = np.array([1 << k for k in ks], dtype=np.int64)
-    rows = zip(ks, ns.tolist(),
-               ergodic_average(system, s, f, args.x, ns).tolist(),
-               weighted_average(system, s, f, args.x, ns).tolist())
+    rows = zip([n.bit_length() - 1 for n in scales], scales,
+               ergodic_average(system, s, f, args.x, scales).tolist(),
+               weighted_average(system, s, f, args.x, scales).tolist())
     return ["k", "N", "average", "weighted_average"], list(rows), {}
 
 
 def _cmd_verify_family(args):
-    _scale_range(args, "nlo", "nhi", 1)
+    scales = _scale_range(args, "nlo", "nhi", 1)
     g = parse_growth_spec(args.h)
-    s = generate(g, 4 * (1 << args.nhi))
-    family = build_scale_family(s, args.nlo, args.nhi)
+    s = generate(g, 4 * scales[-1])
+    family = build_scale_family(s, scales)
     rep = verify_family_hypotheses(family, args.workers)
-    rows = list(zip(range(args.nlo, args.nhi + 1), family.scales, family.d,
+    rows = list(zip([n.bit_length() - 1 for n in scales], scales, family.d,
                     family.big_d, rep.residual_sup, rep.f0_d_product,
                     rep.f_sup_times_d, rep.lipschitz_ratio))
     # eps2, the separation exponent, is the constant 1 written here, not a fit

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import DegenerateError, RangeError, ValidationError
 from .seqset import SequenceSet, count
+from .signals import check_size
 from .util import CHUNK, chunked_sum
 
 # steps of the lacunary walk (1 + eps)^k up to the last breakpoint that
@@ -67,6 +68,7 @@ class FiniteSystem:
 
 
 def cyclic_shift(m: int, step: int = 1) -> FiniteSystem:
+    check_size(m, f"cyclic shift on m = {m} states")
     mapping = np.arange(step, m + step, dtype=np.int64)
     mapping %= m
     return FiniteSystem.from_mapping(mapping)
@@ -80,6 +82,7 @@ def _f_values(sys: FiniteSystem, f) -> np.ndarray:
 
 
 def indicator(sys_size: int, state: int) -> np.ndarray:
+    check_size(sys_size, f"indicator on {sys_size} states")
     v = np.zeros(sys_size)
     v[state] = 1.0
     return v

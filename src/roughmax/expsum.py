@@ -1,8 +1,8 @@
 """Exponential sums over the cutoff window and their second-derivative bounds.
 
 Every operation returns both the exactly computed sum and the bound the
-van der Corput machinery predicts for it, so sweeps over dyadic scales can
-check that the ratio stays trend-bounded.  Every sum runs over the integer
+van der Corput machinery predicts for it, so sweeps over a list of scales
+can check that the ratio stays trend-bounded.  Every sum runs over the integer
 points of the cutoff window (N/2 - min(x, 0), 4N - max(x, 0)], which
 ``_window`` counts in exact integers.  The slowly varying factor of the
 c = 1 regime is constantly 1 for c > 1, the only regime wired into the
@@ -330,31 +330,31 @@ def _alpha_probes(phi: InverseFunction, n: int, slope_mult: float) -> tuple:
     return (0.0, resonant_alpha(phi, n, slope_mult), 0.25, ALPHA_GOLDEN)
 
 
-def ratio_sweep(phi: InverseFunction, mode: str, m: int, k_lo: int, k_hi: int,
+def ratio_sweep(phi: InverseFunction, mode: str, m: int, scales,
                 kappa: float = 1.0, workers: int = 1) -> list[ExpSumResult]:
     """Worst-ratio-per-scale sweep for the phase-sum bounds.
 
-    For each dyadic N = 2^k the phase of ``single_phase_sum`` (x = 0) or
-    ``two_phase_sum`` (x = ceil(phi(N)^kappa)) is summed in one pass over its
-    window for a fixed probe set of linear coefficients alpha (zero, the
-    slope-cancelling value, 1/4, and the golden ratio), and the ratio is
-    maximized over the probes; each probe's sum has the bits of its own
-    ``single_phase_sum`` or ``two_phase_sum`` call.  The returned per-scale
-    results are what trend-boundedness assertions run on.  Each scale, its
-    setup and its one pass, is one task of ``util.map_scales`` on up to
-    ``workers`` threads; every window, and every union that a two-point
-    phase inverts, is checked against ``signals.MAX_SUPPORT`` before any
-    scale runs, and a window that x empties raises ``EmptyRangeError`` from
-    its scale's setup.
+    For each N of ``scales``, ascending integers, the phase of
+    ``single_phase_sum`` (x = 0) or ``two_phase_sum`` (x = ceil(phi(N)^kappa))
+    is summed in one pass over its window for a fixed probe set of linear
+    coefficients alpha (zero, the slope-cancelling value, 1/4, and the
+    golden ratio), and the ratio is maximized over the probes; each probe's
+    sum has the bits of its own ``single_phase_sum`` or ``two_phase_sum``
+    call.  The returned per-scale results are what trend-boundedness
+    assertions run on.  Each scale, its setup and its one pass, is one task
+    of ``util.map_scales`` on up to ``workers`` threads; every window, and
+    every union that a two-point phase inverts, is checked against
+    ``signals.MAX_SUPPORT`` before any scale runs, and a window that x
+    empties raises ``EmptyRangeError`` from its scale's setup.
     """
     if mode not in ("single", "two"):
         raise ValidationError(f"mode {mode!r} not in {{single, two}}")
     # before x = ceil(phi(N)^kappa) is formed from it
     if mode == "two" and not (0.0 <= kappa <= 1.0):
         raise ValidationError(f"kappa = {kappa} outside [0, 1]")
-    scales = []     # (N, x) per scale, each window checked first
-    for k in range(k_lo, k_hi + 1):
-        n, x = 1 << k, 0
+    tasks = []      # (N, x) per scale, each window checked first
+    for n in scales:
+        x = 0
         if mode == "two":
             # counted in integers before phi(N) is formed: x is the ceiling
             # of a finite float, so under 2^1024, and a window only shrinks
@@ -362,7 +362,7 @@ def ratio_sweep(phi: InverseFunction, mode: str, m: int, k_lo: int, k_hi: int,
             _window(n, 1 << 1024)
             x = int(math.ceil(float(phi.value(float(n))) ** kappa))
         (_two_window if mode == "two" else _window)(n, x)
-        scales.append((n, x))
+        tasks.append((n, x))
     _keep_temporaries_mapped()
 
     def task(scale):
@@ -375,19 +375,19 @@ def ratio_sweep(phi: InverseFunction, mode: str, m: int, k_lo: int, k_hi: int,
         return max(_phase_sums(s, _alpha_probes(phi, n, slope)),
                    key=lambda r: r.ratio)
 
-    return map_scales(task, scales, workers)
+    return map_scales(task, tasks, workers)
 
 
-def min_norm_sweep(phi: InverseFunction, x: int, m_terms: int | None, k_lo: int,
-                   k_hi: int, workers: int = 1) -> list[tuple[float, float]]:
-    """``min_norm_sum`` at each dyadic N = 2^k, as (actual, bound).
+def min_norm_sweep(phi: InverseFunction, x: int, m_terms: int | None, scales,
+                   workers: int = 1) -> list[tuple[float, float]]:
+    """``min_norm_sum`` at each N of ``scales``, ascending integers, as
+    (actual, bound).
 
     M is ``m_terms``, which must be at least 2, or max(2, isqrt(N)) when it
     is None.  The scales run as in ``ratio_sweep``: every window is checked
     against ``signals.MAX_SUPPORT`` first, then ``util.map_scales`` runs one
     task per scale on up to ``workers`` threads.
     """
-    scales = [1 << k for k in range(k_lo, k_hi + 1)]
     for n in scales:
         _window(n, x)
     _keep_temporaries_mapped()

@@ -10,7 +10,7 @@ The autocorrelation splits, away from zero, into a slowly varying profile
     G_N(x) = phi(N)^-2 * sum_n phi'(n) phi'(n + |x|) eta(n/N) eta((n+|x|)/N)
 
 plus a small error; the decomposition report measures the size of both pieces
-and the smoothness of G_N across a dyadic sweep of scales.
+and the smoothness of G_N across a sweep of scales N.
 """
 
 from __future__ import annotations

@@ -1,11 +1,12 @@
-"""Maximal averages over dyadic scales and the stopping-time decomposition.
+"""Maximal averages over a list of scales and the stopping-time decomposition.
 
-The maximal operator takes the pointwise sup of |K_n * f| over a family of
-kernels at scales 2^n, each over its count of set elements, as in M_h.  Its
-weak-type behavior is probed empirically through superlevel-set ratios, and
-structurally through the classical splitting of an input into a bounded good
-part plus atoms on disjoint dyadic cubes, refined per scale into an
-over-threshold piece, a mean-zero piece, and cube means.
+The maximal operator takes the pointwise sup of |K_N * f| over a family of
+kernels at any ascending integer scales N, each over its count of set
+elements, as in M_h.  Its weak-type behavior is probed empirically through
+superlevel-set ratios, and structurally through the classical splitting of
+an input into a bounded good part plus atoms on disjoint dyadic cubes,
+refined per scale into an over-threshold piece, a mean-zero piece, and cube
+means.
 
 M f is built by ``_max_blocks`` one output block at a time, left to right,
 with the scales inside each block.  f is transformed once, by
@@ -66,58 +67,58 @@ LAMBDA_GRID_POINTS = 64  # heights in the default weak-type grid
 
 @dataclass(frozen=True)
 class ScaleFamily:
-    """Ascending dyadic scales N = 2^n on a set, with support stats.
+    """Ascending integer scales N on a set, with support stats.
 
     It holds what the kernels are built from, the set ``s`` (which carries
     its inverse as ``s.phi``), never a kernel: each is built where it is
     read, one scale at a time.  d[i] counts the set elements in (N/2, 4N]
     for N = scales[i]: one more than the kernel window [N/2 + 1, 4N - 1]
-    holds when 4N is in the set.  big_d[i] = D_n = 4N is its right edge.
-    eps0 is the fitted support-sparsity exponent (must stay below 1) and
-    growth_m the fitted geometric-growth constant (> 1); ``verify-family``
-    writes both into its header from here.
+    holds when 4N is in the set.  ``big_d`` reads off each N its right edge
+    D_N = 4N.  eps0 is the fitted support-sparsity exponent (must stay
+    below 1) and growth_m the fitted geometric-growth constant (> 1);
+    ``verify-family`` writes both into its header from here.
     """
 
     scales: tuple
     s: SequenceSet
     d: tuple
-    big_d: tuple
     eps0: float
     growth_m: float
 
+    @property
+    def big_d(self) -> tuple:
+        return tuple(4 * n for n in self.scales)
+
     def scale_index(self, n: int) -> int:
-        lo, hi = self.scales[0].bit_length() - 1, self.scales[-1].bit_length() - 1
-        if not (lo <= n <= hi):
-            raise RangeError(f"scale exponent {n} outside [{lo}, {hi}]")
-        return n - lo
+        if n not in self.scales:
+            raise RangeError(f"scale {n} is not one of the family's scales")
+        return self.scales.index(n)
 
     def s_of_scale(self, n: int) -> int:
-        """Smallest cube exponent s with 2^s >= the support edge 4 * 2^n."""
+        """Smallest cube exponent s with 2^s >= the support edge 4N."""
         self.scale_index(n)
-        return n + 2
+        return (4 * n - 1).bit_length()
 
 
-def build_scale_family(s: SequenceSet, n_lo: int, n_hi: int) -> ScaleFamily:
-    if n_hi < n_lo:
-        raise ValidationError(f"scale range [{n_lo}, {n_hi}] is empty")
-    if 4 * (1 << n_hi) > s.n_max:
-        raise RangeError(f"largest kernel needs n_max >= {4 * (1 << n_hi)}")
-    scales = tuple(1 << n for n in range(n_lo, n_hi + 1))
+def build_scale_family(s: SequenceSet, scales) -> ScaleFamily:
+    """The family of ``s`` on ``scales``, ascending integers N >= 1."""
+    if not scales or scales[0] < 1 or any(a >= b for a, b in zip(scales, scales[1:])):
+        raise ValidationError("scales must be ascending integers >= 1")
+    if 4 * scales[-1] > s.n_max:
+        raise RangeError(f"largest kernel needs n_max >= 4N, past the set's {s.n_max}")
     d = tuple(count(s, 4 * sc) - count(s, sc // 2) for sc in scales)
-    big_d = tuple(4 * sc for sc in scales)
     if min(d) < 1:
         raise DegenerateError("a scale window contains no set elements")
-    eps0 = max(math.log(dn) / math.log(dd) for dn, dd in zip(d, big_d))
+    eps0 = max(math.log(dn) / math.log(4 * sc) for dn, sc in zip(d, scales))
     if eps0 >= 1.0:
         raise ValidationError(f"support cardinality not sparse: eps0 = {eps0:.4f}")
-    if len(scales) > 1:
-        # the edges big_d double from scale to scale
-        growth_m = min(min(d[i + 1] / d[i] for i in range(len(d) - 1)), 2.0)
-        if growth_m <= 1.0:
-            raise ValidationError(f"scale statistics not growing: M = {growth_m:.4f}")
-    else:
-        growth_m = float("inf")
-    return ScaleFamily(scales, s, d, big_d, eps0, growth_m)
+    # the least ratio of consecutive d, capped by that of the edges 4N
+    # (N'/N, as the 4 cancels); inf on one scale
+    growth_m = min((b / a for t in (d, scales) for a, b in zip(t, t[1:])),
+                   default=math.inf)
+    if growth_m <= 1.0:
+        raise ValidationError(f"scale statistics not growing: M = {growth_m:.4f}")
+    return ScaleFamily(tuple(scales), s, d, eps0, growth_m)
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +457,7 @@ class RefinedBadPart:
 
 def refine_bad_part(cz: CZDecomposition, s: int, n: int,
                     family: ScaleFamily) -> RefinedBadPart:
-    """Split the scale-s bad part against the support count at family scale n.
+    """Split the scale-s bad part against the support count d_N at scale N = n.
 
     The split reads the rows of ``cz.cubes`` at scale s and slices the
     sorted points and values with their ranges; no atom is built.  Big_b

@@ -125,7 +125,9 @@ def generate(g: GrowthFunction, n_max: int) -> SequenceSet:
     """
     n_max = int(n_max)
     if n_max > N_MAX_CAP:
-        raise ValidationError(f"n_max = {n_max} above the 2^40 cap")
+        # past 2^64, hundreds of digits: its binary order says as much
+        what = f"= {n_max}" if n_max < 1 << 64 else f">= 2^{n_max.bit_length() - 1}"
+        raise ValidationError(f"n_max {what} above the 2^40 cap")
     phi = g.inverse()
     if n_max < phi.y0:
         raise RangeError(f"n_max = {n_max} below h(x0) = {phi.y0}")

@@ -33,6 +33,12 @@ def count_kernel(s, n):
     return roughmax.Signal(int(pos[0]), dense)
 
 
+def dyadic(lo: int, hi: int) -> list:
+    """The scales 2^lo, ..., 2^hi, as the CLI builds them from its exponent
+    flags."""
+    return [1 << n for n in range(lo, hi + 1)]
+
+
 def traced_peak(fn, *args) -> int:
     """Peak bytes that ``fn(*args)`` allocates, by tracemalloc."""
     tracemalloc.start()

@@ -13,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import dyadic
 from roughmax import (
     Signal,
     abel_sum,
@@ -148,8 +149,8 @@ def test_criterion_07_phase_sum_ratios(phi105, rng):
     stats = []
     for mode in ("single", "two"):
         for m in (1, 2, 4):
-            ratios = [r.ratio for r in ratio_sweep(phi105, mode, m, 12, 20,
-                                                   kappa=1.0)]
+            ratios = [r.ratio for r in ratio_sweep(phi105, mode, m,
+                                                   dyadic(12, 20), kappa=1.0)]
             med = statistics.median(ratios)
             stats.append((mode, m, max(ratios), med, max(ratios) <= 2.0 * med))
     sweeps_ok = all(s[4] for s in stats)
@@ -186,7 +187,7 @@ def test_criterion_08_sawtooth_truncation():
 
 def test_criterion_09_decomposition_invariants(s102_16):
     t0 = time.monotonic()
-    fam = build_scale_family(s102_16, 8, 13)
+    fam = build_scale_family(s102_16, dyadic(8, 13))
     rng = np.random.default_rng(0x5EED)
     cases = checked = 0
     for _ in range(64):
@@ -209,7 +210,7 @@ def test_criterion_09_decomposition_invariants(s102_16):
         assert cz.total_cube_size() <= 4 * sum(f.values()) / lam
         cases += 1
         for s in sorted({a.scale for a in cz.atoms}):
-            for n in (8, 11, 13):
+            for n in (1 << 8, 1 << 11, 1 << 13):
                 rb = refine_bad_part(cz, s, n, fam)
                 b_s = {}
                 for a in cz.atoms_at_scale(s):
@@ -228,8 +229,8 @@ def test_criterion_09_decomposition_invariants(s102_16):
 
 def test_criterion_10_weak_type_trend(s102_22):
     t0 = time.monotonic()
-    fam14 = build_scale_family(s102_22, 8, 14)
-    fam18 = build_scale_family(s102_22, 8, 18)
+    fam14 = build_scale_family(s102_22, dyadic(8, 14))
+    fam18 = build_scale_family(s102_22, dyadic(8, 18))
     corpus = [Signal.delta(0)]
     rng = np.random.default_rng(20250808)
     for _ in range(8):
@@ -251,7 +252,7 @@ def test_criterion_10_weak_type_trend(s102_22):
 
 
 def test_criterion_11_family_hypotheses(s102_22):
-    fam = build_scale_family(s102_22, 12, 20)
+    fam = build_scale_family(s102_22, dyadic(12, 20))
     rep = verify_family_hypotheses(fam)
     prods = rep.f0_d_product
     spread = max(prods) / min(prods)

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 import roughmax
-from conftest import cz_csv, cz_rows
+from conftest import cz_csv, cz_rows, dyadic
 from roughmax import ValidationError, Variant, build_aux_report, cli, maximal
 from roughmax.cli import (
     EXIT_NUMERIC,
@@ -352,7 +353,7 @@ def test_weaktype_transforms_only_the_segments_that_hold_a_point(tmp_path,
     config = ("pure:1.9:1.0", "10", "16", "delta")
     test_weaktype_tables_are_pinned(tmp_path, config)
     s = roughmax.generate(parse_growth_spec(config[0]), 4 << 16)
-    fam = roughmax.build_scale_family(s, 10, 16)
+    fam = roughmax.build_scale_family(s, dyadic(10, 16))
     step = 4                                  # L = 4 and a width-1 corpus
     total = 0
     for n in fam.scales:
@@ -812,6 +813,56 @@ def test_every_scale_range_is_checked_by_name(tmp_path, capsys, argv, lo, hi, lo
         err = capsys.readouterr().err
         assert f"error: {message}" in err, err
         assert "Traceback" not in err and not out.exists()
+
+
+# each command with scale-exponent flags: the rest of a small run, its --lo
+# and --hi flags, and the lowest exponent it takes
+_SCALE_FLAGS = {
+    "kernel-decomp": (("--h", "pure:1.5:1.0"), "kmin", "kmax", 0),
+    "expsum": (("--h", "pure:1.05:1.0", "--bound", "single"), "kmin", "kmax", 0),
+    "weaktype": (("--h", "pure:1.5:1.0"), "nlo", "nhi", 1),
+    "verify-family": (("--h", "pure:1.02:1.0"), "nlo", "nhi", 1),
+    "ergodic": (("--h", "pure:1.5:1.0", "--system", "shift:64:1",
+                 "--f", "indicator:0"), "kmin", "kmax", 0),
+}
+
+
+def _scale_flag_cases():
+    """(command, flag, value, lo, hi): each flag at -1, at 0, crossing the
+    other, past the caps of the set and the window (5000) and past the
+    exponent cap of the CLI (10^6); the other flag keeps the range small."""
+    for cmd, (_, lo, hi, lowest) in _SCALE_FLAGS.items():
+        for value in (-1, 0, "crossed", 5000, 10 ** 6):
+            if value == "crossed":
+                yield cmd, lo, value, 4, 3
+                yield cmd, hi, value, 4, 3
+            else:
+                yield cmd, lo, value, value, max(value, lowest + 2)
+                yield cmd, hi, value, lowest, value
+
+
+@pytest.mark.parametrize("cmd,flag,value,lo,hi", list(_scale_flag_cases()),
+                         ids=lambda v: str(v))
+def test_every_scale_flag_edge_exits_cleanly(tmp_path, capsys, cmd, flag,
+                                             value, lo, hi):
+    # --kmax 5000 on kernel-decomp, ergodic, weaktype and verify-family
+    # exited 2 with "error: n_max = 5649868..." and over 1,500 digits
+    base, lo_flag, hi_flag, _ = _SCALE_FLAGS[cmd]
+    out = tmp_path / "t.csv"
+    code = run_cli(cmd, *base, f"--{lo_flag}", str(lo), f"--{hi_flag}", str(hi),
+                   "--out", str(out))
+    err = capsys.readouterr().err
+    assert code in (0, EXIT_VALIDATION), err
+    assert "Traceback" not in err and "Unable to allocate" not in err
+    if code == 0:
+        assert err == "" and out.exists()
+        return
+    (line,) = err.splitlines()
+    assert line.startswith("error: ") and len(line) < 200, line
+    # the flag, its value, or the scale or n_max that the value sets
+    assert (f"--{flag}" in line or str(value) in line
+            or re.search(r"\b(N|n_max)\b", line)), line
+    assert not out.exists()
 
 
 def test_growth_table_refuses_a_kmax_past_the_float_range(tmp_path, capsys):

@@ -46,6 +46,22 @@ def test_the_permutation_check_takes_a_byte_per_state():
     assert FiniteSystem.from_mapping(mapping).size == 2_000_000
 
 
+def test_a_system_past_max_support_is_refused_before_it_is_built(run_limited):
+    # cyclic_shift(10^11) and indicator(10^11, 0) died on numpy's allocator
+    # with "Unable to allocate 745. GiB" under a 3 GiB address-space limit
+    proc = run_limited("-c", "from roughmax import SignalSizeError, cyclic_shift, indicator\n"
+                             "for call in (lambda: cyclic_shift(10 ** 11),\n"
+                             "             lambda: indicator(10 ** 11, 0)):\n"
+                             "    try:\n"
+                             "        call()\n"
+                             "    except SignalSizeError as exc:\n"
+                             "        print(exc)\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        f"cyclic shift on m = {10 ** 11} states exceeds MAX_SUPPORT = {1 << 30}",
+        f"indicator on {10 ** 11} states exceeds MAX_SUPPORT = {1 << 30}"]
+
+
 def test_iterate_matches_naive_oracle(rng):
     sys = FiniteSystem.from_mapping(np.random.default_rng(99).permutation(23))
     for _ in range(40):

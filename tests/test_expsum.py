@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import traced_peak
+from conftest import dyadic, traced_peak
 from roughmax import (
     EmptyRangeError,
     PreconditionError,
@@ -190,7 +190,7 @@ def test_two_phase_refuses_a_union_above_the_cap(phi105, monkeypatch):
     assert two_phase_sum(phi105, 300, 100, 0.0, 1, 1, 0.5).params["N"] == 300
     monkeypatch.setattr(signals, "MAX_SUPPORT", (7 << 8) // 2 - 1)
     with pytest.raises(SignalSizeError, match="two-point union 896 at N = 256"):
-        ratio_sweep(phi105, "two", 1, 8, 8, kappa=0.5)
+        ratio_sweep(phi105, "two", 1, dyadic(8, 8), kappa=0.5)
 
 
 def test_two_phase_kappa_bound_factor(phi105):
@@ -316,7 +316,7 @@ def test_min_norm_validation(phi105):
 # ---------------------------------------------------------------------------
 
 def test_ratio_sweep_smoke(phi105):
-    res = ratio_sweep(phi105, "single", 1, 10, 13)
+    res = ratio_sweep(phi105, "single", 1, dyadic(10, 13))
     assert len(res) == 4
     ratios = [r.ratio for r in res]
     assert max(ratios) <= 2.0 * statistics.median(ratios)
@@ -324,13 +324,13 @@ def test_ratio_sweep_smoke(phi105):
 
 def test_ratio_sweep_validation(phi105):
     with pytest.raises(ValidationError):
-        ratio_sweep(phi105, "triple", 1, 10, 12)
+        ratio_sweep(phi105, "triple", 1, dyadic(10, 12))
 
 
 @pytest.mark.parametrize("mode", ["single", "two"])
 @pytest.mark.parametrize("m", [1, 2])
 def test_ratio_sweep_is_the_best_phase_sum_per_scale(phi105, mode, m):
-    res = ratio_sweep(phi105, mode, m, 10, 12)
+    res = ratio_sweep(phi105, mode, m, dyadic(10, 12))
     assert [r.params["N"] for r in res] == [1 << 10, 1 << 11, 1 << 12]
     for r in res:
         n = r.params["N"]
@@ -353,7 +353,7 @@ def test_a_two_point_sweep_whose_separation_empties_the_window_is_refused():
     # with C_h = 0.01, x = ceil(phi(N)) = 15788 at N = 256 is past 7N/2
     phi = make_growth("pure", 1.05, 0.01, x0=200.0).inverse()
     with pytest.raises(EmptyRangeError, match="is empty for N=256, x=15788"):
-        ratio_sweep(phi, "two", 1, 8, 9)
+        ratio_sweep(phi, "two", 1, dyadic(8, 9))
 
 
 def test_sweeps_do_not_depend_on_workers(phi105):
@@ -361,9 +361,9 @@ def test_sweeps_do_not_depend_on_workers(phi105):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        runs = [(ratio_sweep(phi105, "single", 2, 8, 12, workers=workers),
-                 ratio_sweep(phi105, "two", 1, 8, 12, workers=workers),
-                 min_norm_sweep(phi105, 3, None, 8, 12, workers=workers))
+        runs = [(ratio_sweep(phi105, "single", 2, dyadic(8, 12), workers=workers),
+                 ratio_sweep(phi105, "two", 1, dyadic(8, 12), workers=workers),
+                 min_norm_sweep(phi105, 3, None, dyadic(8, 12), workers=workers))
                 for workers in (1, 3)]
     finally:
         sys.setswitchinterval(interval)
@@ -377,7 +377,7 @@ def test_a_sweep_past_the_compensated_threshold_is_the_best_phase_sum(phi105):
     # partial sums, and the one pass gives each the bits of its own call
     n = 1 << 19
     assert 4 * n - n // 2 > COMPENSATED_THRESHOLD
-    (r,) = ratio_sweep(phi105, "single", 1, 19, 19)
+    (r,) = ratio_sweep(phi105, "single", 1, dyadic(19, 19))
     sums = [single_phase_sum(phi105, n, 0, al, 1, 0, 0)
             for al in _alpha_probes(phi105, n, 1)]
     best = sums[0]
@@ -400,10 +400,10 @@ def test_each_window_is_inverted_once(phi105, monkeypatch):
 
     monkeypatch.setattr(InverseFunction, "value", counting)
     # beyond the window only O(1) scalars: phi(N) and the resonant probe
-    ratio_sweep(phi105, "single", 1, 12, 12)
+    ratio_sweep(phi105, "single", 1, dyadic(12, 12))
     assert single_window <= sum(sizes) <= single_window + 4
     sizes.clear()
     # the two-point phase reads phi on (N/2, 4N - x] and on that shifted by
     # x, whose union is the single window, inverted once
-    ratio_sweep(phi105, "two", 1, 12, 12)
+    ratio_sweep(phi105, "two", 1, dyadic(12, 12))
     assert single_window <= sum(sizes) <= single_window + 4

@@ -4,7 +4,8 @@ every exception type the package defines is raised somewhere in it, every
 module-level private function is used somewhere outside its own body, every
 public module-level name and every method or property of a package class is
 read by the package, the acceptance criteria or the benchmark's tracer, no
-function takes a set or a kernel beside an inverse that must match it,
+function takes a set or a kernel beside an inverse that must match it, no
+public function but the CLI's takes a range of scale exponents,
 the CLI takes no private name from another package module, no module but
 ``growth`` imports mpmath or reads ``_exact``, no dataclass that holds an
 array takes the generated ``==``, and the benchmark's span tracer still
@@ -374,6 +375,39 @@ def test_guard_flags_a_set_beside_its_inverse():
 def test_no_call_takes_a_set_and_its_inverse():
     assert [name for p in MODULES
             for name in set_and_inverse_params(p.read_text(encoding="utf-8"))] == []
+
+
+EXPONENT_RANGE = {"k_lo", "k_hi", "n_lo", "n_hi"}
+
+
+def exponent_range_params(source: str) -> list:
+    """Public functions and methods with a parameter named k_lo, k_hi, n_lo
+    or n_hi: a function that sweeps scales takes the scales N themselves, and
+    only the CLI turns its exponent flags into 2^k."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not _private(node.name)):
+            a = node.args
+            if {arg.arg for arg in a.posonlyargs + a.args + a.kwonlyargs} & EXPONENT_RANGE:
+                out.append(node.name)
+    return sorted(out)
+
+
+def test_guard_flags_an_exponent_range():
+    src = ("def sweep(phi, m: int, k_lo: int, k_hi: int): pass\n"
+           "def family(s, n_lo, n_hi): pass\n"
+           "def keyword(s, *, n_hi=3): pass\n"
+           "def listed(s, scales, workers=1): pass\n"
+           "def _helper(k_lo, k_hi): pass\n"
+           "class F:\n"
+           "    def at(self, k_lo): pass\n")
+    assert exponent_range_params(src) == ["at", "family", "keyword", "sweep"]
+
+
+def test_no_library_function_takes_an_exponent_range():
+    assert [name for p in MODULES if p.stem != "cli"
+            for name in exponent_range_params(p.read_text(encoding="utf-8"))] == []
 
 
 def precision_leaks(modules: dict) -> list:

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import count_kernel, cz_rows, traced_peak, values_at
+from conftest import count_kernel, cz_rows, dyadic, traced_peak, values_at
 from roughmax import (
     CZAtom,
     DegenerateError,
@@ -46,7 +46,7 @@ from roughmax.cli import _parse_corpus, parse_growth_spec
 
 @pytest.fixture(scope="module")
 def fam102(s102_16):
-    return build_scale_family(s102_16, 8, 13)
+    return build_scale_family(s102_16, dyadic(8, 13))
 
 
 def family_kernels(fam):
@@ -103,18 +103,18 @@ def test_family_statistics(fam102):
     assert 0.0 < fam102.eps0 < 1.0
     assert fam102.growth_m > 1.0
     # the support edge is 4 * 2^n, so the cube exponent is n + 2
-    assert fam102.s_of_scale(10) == 12
+    assert fam102.s_of_scale(1 << 10) == 12
     with pytest.raises(RangeError):
-        fam102.scale_index(7)
+        fam102.scale_index(1 << 7)
 
 
 def test_family_closed_forms_are_the_fitted_values(fam102):
     # the cube exponent of edge 4 * 2^n is n + 2, and the edges double, so
     # their ratio caps growth_m at exactly 2
     for n in range(8, 14):
-        assert fam102.s_of_scale(n) == math.ceil(math.log2(4 * (1 << n)))
+        assert fam102.s_of_scale(1 << n) == math.ceil(math.log2(4 * (1 << n)))
     with pytest.raises(RangeError):
-        fam102.s_of_scale(14)
+        fam102.s_of_scale(1 << 14)
     d = fam102.d
     assert fam102.growth_m == min(min(b / a for a, b in zip(d, d[1:])),
                                   min(b / a for a, b in zip(fam102.big_d,
@@ -122,10 +122,51 @@ def test_family_closed_forms_are_the_fitted_values(fam102):
 
 
 def test_family_range_checks(s102_16):
+    # a scale past the set was written out in full: 1,536 characters here
+    for scales in (dyadic(8, 15), [1 << 5000]):
+        with pytest.raises(RangeError, match=f"^largest kernel needs n_max >= 4N, "
+                                             f"past the set's {1 << 16}$"):
+            build_scale_family(s102_16, scales)
+    for scales in (dyadic(10, 9), [1 << 10, 1 << 9], [256, 256], [0, 256]):
+        with pytest.raises(ValidationError, match="ascending integers >= 1"):
+            build_scale_family(s102_16, scales)
+
+
+# four scales per octave: 2^k and three rounded scales between
+QUARTER_OCTAVES = [round(2 ** (k + i / 4)) for k in range(8, 12) for i in range(4)]
+
+
+@pytest.fixture(scope="module")
+def fam_quarter(s102_16):
+    return build_scale_family(s102_16, QUARTER_OCTAVES)
+
+
+def test_family_on_quarter_octaves(fam_quarter, fam102):
+    assert fam_quarter.scales == tuple(QUARTER_OCTAVES)
+    assert fam_quarter.big_d == tuple(4 * n for n in QUARTER_OCTAVES)
+    # both the edges and the counts d grow by about 2^(1/4) a scale
+    d, scales = fam_quarter.d, fam_quarter.scales
+    assert fam_quarter.growth_m == min(min(b / a for a, b in zip(d, d[1:])),
+                                       min(b / a for a, b in zip(scales, scales[1:])))
+    assert 1.0 < fam_quarter.growth_m < 2.0
+    for fam in (fam_quarter, fam102):
+        for i, sc in enumerate(fam.scales):
+            assert fam.scale_index(sc) == i
+            s = fam.s_of_scale(sc)
+            assert 2 ** s >= 4 * sc > 2 ** (s - 1)
     with pytest.raises(RangeError):
-        build_scale_family(s102_16, 8, 15)
-    with pytest.raises(ValidationError):
-        build_scale_family(s102_16, 10, 9)
+        fam_quarter.scale_index(QUARTER_OCTAVES[1] + 1)
+
+
+@pytest.mark.parametrize("corpus", ["delta", "random"])
+def test_maximal_function_on_quarter_octaves_is_the_per_scale_max(
+        fam_quarter, rng, corpus):
+    f = Signal.delta(0) if corpus == "delta" else _sites_signal(rng, -300, 2000, 40)
+    mf = maximal_function(fam_quarter, f)
+    assert same_signal(mf, _accumulated_maximal(fam_quarter, f))
+    lams = default_lambda_grid(fam_quarter, f)
+    counts = [c for _, c, _ in weak_type_profile(fam_quarter, f, lams)]
+    assert counts == [int(np.count_nonzero(mf.values > lam)) for lam in lams]
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +192,7 @@ def test_maximal_identity_closed_form(sident):
     # every integer is in the set, so the sup at x is max over scales of
     # eta(x / 2^n) / count(2^n)
     from roughmax import count, eta
-    fam = build_scale_family(sident, 3, 10)
+    fam = build_scale_family(sident, dyadic(3, 10))
     mf = maximal_function(fam, Signal.delta(0))
     for x in (5, 9, 17, 100, 1000, 4000):
         expect = max(float(eta(x / float(sc))) / count(sident, sc)
@@ -276,7 +317,7 @@ def test_transform_path_matches_direct_oracle(s102_16, rng, monkeypatch,
                                               lo, hi, nnz):
     # 2^16-point batches, so the top kernel's output spans several of them
     monkeypatch.setattr(signals, "BATCH", 1 << 16)
-    fam = build_scale_family(s102_16, 8, 14)
+    fam = build_scale_family(s102_16, dyadic(8, 14))
     f = _sites_signal(rng, lo, hi, nnz)
     assert np.count_nonzero(f.values) == nnz and f.support == (lo, hi - 1)
     blocks = []
@@ -321,9 +362,9 @@ def _accumulated_maximal(fam, f):
 
 @pytest.fixture(scope="module")
 def engine_families(s102_16):
-    return {"pure:1.02": build_scale_family(s102_16, 6, 9),
+    return {"pure:1.02": build_scale_family(s102_16, dyadic(6, 9)),
             "pure:1.9": build_scale_family(
-                generate(make_growth("pure", 1.9), 4 << 12), 6, 12)}
+                generate(make_growth("pure", 1.9), 4 << 12), dyadic(6, 12))}
 
 
 @pytest.mark.parametrize("batch", [1, 8, 64])
@@ -378,7 +419,8 @@ def test_weak_type_profile_holds_no_array_of_the_support():
     # M f over pure:1.9 16..22 spans 128 MiB; the counts hold one block and
     # its carry (4 MiB), one batch's segment and spectrum buffers (5 MiB at
     # L = 4) and one block's nonzero cells: 9.7 MiB measured
-    fam = build_scale_family(generate(make_growth("pure", 1.9), 4 << 22), 16, 22)
+    fam = build_scale_family(generate(make_growth("pure", 1.9), 4 << 22),
+                             dyadic(16, 22))
     f = Signal.delta(0)
     lo, hi = window_bounds(fam, f)
     assert 8 * (hi - lo + 1) > 127 << 20
@@ -427,7 +469,7 @@ def test_every_size_refusal_names_the_cap_it_checks(fam102, s102_16, phi102,
         "kernel support": lambda: build_kernel(s102_16, 1 << 10),
         "G_N window": lambda: gn_profile(phi102, 1 << 10),
         "maximal-function support": lambda: maximal_function(fam102, Signal.delta(0)),
-        "bad-part cube width 2\\^8": lambda: refine_bad_part(cz, 8, 8, fam102),
+        "bad-part cube width 2\\^8": lambda: refine_bad_part(cz, 8, 1 << 8, fam102),
     }
     for lead, probe in probes.items():
         with pytest.raises(SignalSizeError, match=lead) as exc:
@@ -437,7 +479,7 @@ def test_every_size_refusal_names_the_cap_it_checks(fam102, s102_16, phi102,
 
 def test_maximal_function_memory_is_a_few_accumulators():
     g = make_growth("pure", 1.5)
-    fam = build_scale_family(generate(g, 4 << 19), 8, 19)
+    fam = build_scale_family(generate(g, 4 << 19), dyadic(8, 19))
     f = _parse_corpus("random:2048:1")
     tracemalloc.start()
     try:
@@ -458,7 +500,7 @@ def test_weak_type_profile_holds_one_accumulator():
     # over the whole support made the peak 2.0 accumulators, and each
     # scale's dense kernel window 2.08
     g = make_growth("pure", 1.5)
-    fam = build_scale_family(generate(g, 4 << 19), 8, 19)
+    fam = build_scale_family(generate(g, 4 << 19), dyadic(8, 19))
     f = _parse_corpus("random:2048:7")
     lams = default_lambda_grid(fam, f)
     tracemalloc.start()
@@ -480,7 +522,7 @@ def test_the_family_builds_no_kernel(s102_16, monkeypatch):
         raise AssertionError("build_scale_family built a kernel")
 
     monkeypatch.setattr(maximal, "_kernel_support", refuse)
-    fam = build_scale_family(s102_16, 8, 13)
+    fam = build_scale_family(s102_16, dyadic(8, 13))
     assert fam.scales == tuple(1 << n for n in range(8, 14))
 
 
@@ -511,7 +553,7 @@ def test_kernel_errors_come_from_the_first_use_of_the_family():
     # [1, 32] holds nothing, so the family is built and its kernel is not
     g = parse_growth_spec("pure:1.9:64")
     s = generate(g, 128)
-    fam = build_scale_family(s, 5, 5)
+    fam = build_scale_family(s, dyadic(5, 5))
     with pytest.raises(DegenerateError) as direct:
         build_kernel(s, 32)
     with pytest.raises(DegenerateError) as used:
@@ -859,18 +901,18 @@ def test_refinement_below_threshold_is_identity(fam102):
     f = {x: Fraction(3, 2) for x in range(8)}
     cz = cz_decompose(f, Fraction(1))
     s = cz.atoms[0].scale
-    rb = check_refinement(cz, s, 13, fam102)
+    rb = check_refinement(cz, s, 1 << 13, fam102)
     # support count at the top scale dwarfs every value: nothing is cut
     assert rb.b_cut == {}
 
 
 def test_refinement_spike_hand_oracle(fam102):
     # one spike above the cut threshold: it moves wholesale into b_cut
-    d8 = fam102.d[fam102.scale_index(8)]
+    d8 = fam102.d[fam102.scale_index(1 << 8)]
     spike = 2 * d8
     cz = cz_decompose({0: spike}, 1)
     s = cz.atoms[0].scale
-    rb = check_refinement(cz, s, 8, fam102)
+    rb = check_refinement(cz, s, 1 << 8, fam102)
     assert rb.b_cut == {0: spike}
     assert rb.g_part == {} and rb.big_b == {}
 
@@ -883,14 +925,14 @@ def test_refinement_random_corpus(fam102, rng):
         if not cz.atoms:
             continue
         for s in sorted({a.scale for a in cz.atoms}):
-            for n in (8, 10, 13):
+            for n in (1 << 8, 1 << 10, 1 << 13):
                 check_refinement(cz, s, n, fam102)
 
 
 def test_refinement_requires_atoms(fam102):
     cz = cz_decompose({x: 1 for x in range(16)}, 2)
     with pytest.raises(RangeError):
-        refine_bad_part(cz, 0, 8, fam102)
+        refine_bad_part(cz, 0, 1 << 8, fam102)
 
 
 def test_refinement_refuses_a_cube_past_max_support_at_once(run_limited):
@@ -899,11 +941,12 @@ def test_refinement_refuses_a_cube_past_max_support_at_once(run_limited):
     # child runs under run_limited's timeout, so a regression fails the test
     code = ("from fractions import Fraction\n"
             "from roughmax import *\n"
-            "fam = build_scale_family(generate(make_growth('pure', 1.02), 1 << 16), 8, 13)\n"
+            "fam = build_scale_family(generate(make_growth('pure', 1.02), 1 << 16),\n"
+            "                         [1 << n for n in range(8, 14)])\n"
             "cz = cz_decompose({0: 1, 2**40: 1}, Fraction(1, 2**45))\n"
             "assert [(a.scale, a.index) for a in cz.atoms] == [(45, 0)]\n"
             "try:\n"
-            "    refine_bad_part(cz, 45, 8, fam)\n"
+            "    refine_bad_part(cz, 45, 1 << 8, fam)\n"
             "except SignalSizeError as exc:\n"
             "    print(exc)\n")
     t0 = time.monotonic()
@@ -915,8 +958,8 @@ def test_refinement_refuses_a_cube_past_max_support_at_once(run_limited):
 
 def test_refinement_threshold_and_cube_exponent(fam102):
     cz = cz_decompose({0: Fraction(8)}, Fraction(1, 3))
-    rb = refine_bad_part(cz, cz.atoms[0].scale, 9, fam102)
-    assert rb.threshold == Fraction(1, 3) * fam102.d[fam102.scale_index(9)]
+    rb = refine_bad_part(cz, cz.atoms[0].scale, 1 << 9, fam102)
+    assert rb.threshold == Fraction(1, 3) * fam102.d[fam102.scale_index(1 << 9)]
     assert rb.s_of_n == 11
 
 
@@ -942,14 +985,14 @@ def float_case():
 
 
 def cz_views(fam):
-    """reconstruction() and every refine_bad_part(cz, s, n, fam), n in
-    {8, 11, 13}, on criterion 9's cases and the float case, each as a repr
+    """reconstruction() and every refine_bad_part(cz, s, N, fam), N in
+    {2^8, 2^11, 2^13}, on criterion 9's cases and the float case, each as a repr
     that shows the type of every value."""
     for f, lam in [*criterion_9_cases(), float_case()]:
         cz = cz_decompose(f, lam)
         yield repr(sorted(cz.reconstruction().items()))
         for s in sorted(set(cz.cubes[:, 0].tolist())):
-            for n in (8, 11, 13):
+            for n in (1 << 8, 1 << 11, 1 << 13):
                 rb = refine_bad_part(cz, s, n, fam)
                 yield repr((rb.threshold, sorted(rb.b_cut.items()),
                             sorted(rb.big_b.items()), sorted(rb.g_part.items()),
@@ -979,7 +1022,7 @@ def test_cz_reconstruction_and_refinement_build_no_atom(fam102, monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_family_hypotheses_report(s102_16):
-    fam = build_scale_family(s102_16, 10, 13)
+    fam = build_scale_family(s102_16, dyadic(10, 13))
     rep = verify_family_hypotheses(fam)
     assert rep.eps1 > 0.0
     prods = rep.f0_d_product
@@ -993,7 +1036,7 @@ def test_family_hypotheses_report(s102_16):
 
 def test_family_hypotheses_residual_matches_manual(s102_16, phi102):
     from roughmax import autocorrelation, gn_profile
-    fam = build_scale_family(s102_16, 10, 13)
+    fam = build_scale_family(s102_16, dyadic(10, 13))
     rep = verify_family_hypotheses(fam)
     i = 0
     sc = fam.scales[i]
@@ -1011,7 +1054,7 @@ def test_family_hypotheses_residual_matches_manual(s102_16, phi102):
 def test_family_hypotheses_are_decomposition_report_rescaled(s102_16):
     # both reports view the same per-scale sups; at power-of-two scales the
     # change from N- to D_n = 4N-scaling is exact
-    fam = build_scale_family(s102_16, 10, 13)
+    fam = build_scale_family(s102_16, dyadic(10, 13))
     rep = verify_family_hypotheses(fam)
     reps = [decomposition_report(build_kernel(fam.s, n)) for n in fam.scales]
     assert rep.eps1 == estimate_chi(reps)
@@ -1025,12 +1068,12 @@ def test_family_hypotheses_are_decomposition_report_rescaled(s102_16):
 def test_family_hypotheses_do_not_depend_on_workers(s102_16, glog):
     s_log = generate(glog, 1 << 16)
     for s in (s102_16, s_log):
-        fam = build_scale_family(s, 10, 14)
+        fam = build_scale_family(s, dyadic(10, 14))
         reps = [verify_family_hypotheses(fam, workers) for workers in (1, 2, 3)]
         assert reps[0] == reps[1] == reps[2]
 
 
 def test_family_hypotheses_needs_scales(s102_16):
-    fam = build_scale_family(s102_16, 10, 12)
+    fam = build_scale_family(s102_16, dyadic(10, 12))
     with pytest.raises(InsufficientDataError):
         verify_family_hypotheses(fam)

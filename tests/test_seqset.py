@@ -12,6 +12,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from conftest import dyadic
 from roughmax import (
     DomainError,
     RangeError,
@@ -97,8 +98,9 @@ def test_separately_generated_sets_compare_without_raising(g102):
     a, b = generate(g102, 1 << 12), generate(g102, 1 << 12)
     assert a == a and a != b
     assert build_kernel(a, 256) == build_kernel(b, 256)
-    assert build_scale_family(a, 6, 9) == build_scale_family(a, 6, 9)
-    assert build_scale_family(a, 6, 9) != build_scale_family(b, 6, 9)
+    scales = dyadic(6, 9)
+    assert build_scale_family(a, scales) == build_scale_family(a, scales)
+    assert build_scale_family(a, scales) != build_scale_family(b, scales)
 
 
 def test_generate_range_checks(g15):
@@ -116,6 +118,19 @@ def test_generate_caps_the_enumerated_m(g102):
     # refused from the int, before it is turned into a float
     with pytest.raises(ValidationError, match="2\\^40 cap"):
         generate(g102, 10 ** 400)
+
+
+@pytest.mark.parametrize("n_max,named", [
+    ((1 << 64) - 1, f"n_max = {(1 << 64) - 1} "),
+    (1 << 64, "n_max >= 2^64 "),
+    (4 << 5000, "n_max >= 2^5002 "),
+    (10 ** 400, "n_max >= 2^1328 "),
+], ids=["below-2^64", "2^64", "2^5002", "10^400"])
+def test_an_n_max_past_the_cap_is_named_in_one_short_line(g102, n_max, named):
+    # 4 * 2^5000 was written out in full: over 1,500 digits
+    with pytest.raises(ValidationError) as exc:
+        generate(g102, n_max)
+    assert str(exc.value) == named + "above the 2^40 cap"
 
 
 def test_m_count_cap_leaves_out_the_slack(monkeypatch, gident):
