@@ -567,12 +567,26 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _check_out(path: str) -> None:
+    """Refuse an --out path that is a directory or whose directory does not
+    exist, in the words of the write that would fail, before any work."""
+    out = Path(path)
+    if out.is_dir():
+        raise ValidationError(f"--out {path}: Is a directory")
+    if not out.parent.is_dir():
+        raise ValidationError(f"--out {path}: No such file or directory")
+
+
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.workers < 1:
         raise ValidationError(f"--workers {args.workers} must be >= 1")
+    _check_out(args.out)
     columns, rows, results = args.func(args)
-    write_table(args.out, _meta(args, results), columns, rows, args.format)
+    try:
+        write_table(args.out, _meta(args, results), columns, rows, args.format)
+    except OSError as exc:
+        raise ValidationError(f"--out {args.out}: {exc.strerror}") from None
     return EXIT_OK
 
 

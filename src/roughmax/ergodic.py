@@ -69,6 +69,9 @@ class FiniteSystem:
 
 def cyclic_shift(m: int, step: int = 1) -> FiniteSystem:
     check_size(m, f"cyclic shift on m = {m} states")
+    # a shift by step is one by step % m, which fits in int64 whatever step
+    # is; an m below 1 keeps no step and is refused by from_mapping
+    step %= max(m, 1)
     mapping = np.arange(step, m + step, dtype=np.int64)
     mapping %= m
     return FiniteSystem.from_mapping(mapping)

@@ -32,7 +32,7 @@ from .signals import (
     _nonzero_ends,
     autocorrelation_signal,
 )
-from .util import CHUNK, _pairwise, loglog_slope, map_scales
+from .util import BLOCK, _pairwise, loglog_slope, map_scales
 
 
 # ---------------------------------------------------------------------------
@@ -108,12 +108,12 @@ def _kernel_window(s: SequenceSet, n: int,
 
 
 def _kernel_values(els: np.ndarray, n: int, norm: float) -> np.ndarray:
-    """eta(m/N)/norm at each m of ``els``, in CHUNK blocks, so no temporary
-    of eta outgrows a block; eta works point by point, so the value at m has
-    the same bits in a slice of the window as in the whole."""
+    """eta(m/N)/norm at each m of ``els``, in ``BLOCK`` pieces, so no
+    temporary of eta outgrows one; eta works point by point, so the value at
+    m has the same bits in a slice of the window as in the whole."""
     out = np.empty(els.size)
-    for i in range(0, els.size, CHUNK):
-        out[i:i + CHUNK] = eta(els[i:i + CHUNK] / float(n))
+    for i in range(0, els.size, BLOCK):
+        out[i:i + BLOCK] = eta(els[i:i + BLOCK] / float(n))
     out /= norm
     return out
 
@@ -150,13 +150,21 @@ def build_kernel(s: SequenceSet, n: int) -> Kernel:
     """Kernel value eta(m/N)/phi(N), phi = ``s.phi``, at every set element m
     with eta(m/N) != 0: the values of ``_kernel_window`` over phi(N), laid
     out densely.  eta may underflow to 0 at the window ends, and the signal
-    trims those zeros."""
+    trims those zeros.  The values are written one ``_pairwise`` leaf (at
+    most ``util.BLOCK`` values) at a time, which also adds up the mass as
+    ``_kernel_support`` does, so only the dense array is held at full
+    length."""
     els, norm = _kernel_window(s, n, by_phi=True)
-    vals = _kernel_values(els, n, norm)
-    _check_mass(float(vals.sum()))
-    dense = np.zeros(int(els[-1] - els[0] + 1))
-    dense[els - els[0]] = vals
-    return Kernel(int(n), Signal._own(int(els[0]), dense), s)
+    first = int(els[0])
+    dense = np.zeros(int(els[-1]) - first + 1)
+
+    def leaf(a, b):
+        v = _kernel_values(els[a:b], n, norm)
+        dense[els[a:b] - first] = v
+        return v.sum()
+
+    _check_mass(float(_pairwise(leaf, 0, els.size, 1)))
+    return Kernel(int(n), Signal._own(first, dense), s)
 
 
 def autocorrelation(k: Kernel) -> Signal:
@@ -176,12 +184,12 @@ def _density_window(phi: InverseFunction, n: int) -> np.ndarray:
     lo, hi = _support_window(n)
     signals.check_size(hi - lo + 1, f"G_N window {hi - lo + 1} at N = {n}")
     w = np.empty(hi - lo + 1)
-    # in CHUNK blocks, so only w is held at full length; phi' and eta work
-    # point by point, so the blocks do not change a bit
-    for i in range(0, w.size, CHUNK):
-        m = np.arange(lo + i, min(lo + i + CHUNK, hi + 1), dtype=float)
+    # in BLOCK pieces, so only w is held at full length; phi' and eta work
+    # point by point, so the pieces do not change a bit
+    for i in range(0, w.size, BLOCK):
+        m = np.arange(lo + i, min(lo + i + BLOCK, hi + 1), dtype=float)
         np.multiply(np.asarray(phi.deriv(m, 1), dtype=float),
-                    np.asarray(eta(m / n), dtype=float), out=w[i:i + CHUNK])
+                    np.asarray(eta(m / n), dtype=float), out=w[i:i + BLOCK])
     return w
 
 
@@ -199,10 +207,15 @@ def compute_gn(phi: InverseFunction, n: int, x: int) -> float:
 
 def _gn_lags(phi: InverseFunction, n: int, phin: float) -> np.ndarray:
     """G_N at lags 0, 1, ...: the half-lag autocorrelation of the density
-    window, trimmed of the zeros eta leaves at its ends, over phi(N)^2."""
-    w = _density_window(phi, n)
-    lo, hi = _nonzero_ends(w)
-    g = _even_autocorrelation(w[lo:hi], "fast")
+    window, trimmed of the zeros eta leaves at its ends, over phi(N)^2.  The
+    window is built inside the autocorrelation, which frees it after the
+    forward transform."""
+    def window():
+        w = _density_window(phi, n)
+        lo, hi = _nonzero_ends(w)
+        return w[lo:hi]
+
+    g = _even_autocorrelation(window, "fast")
     g *= 1.0 / phin ** 2
     return g
 
@@ -259,18 +272,26 @@ def _on_lags(h: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
-def decomposition_report(k: Kernel) -> DecompositionReport:
-    """The split autocorr = point mass + G_N + E_N at the kernel's scale, with
-    G_N from the inverse ``k.s.phi`` of the kernel's own set.
+def decomposition_report(s: SequenceSet, n: int) -> DecompositionReport:
+    """The split autocorr = point mass + G_N + E_N of ``build_kernel(s, n)``,
+    with G_N from the inverse ``s.phi`` of the same set.
 
     Both profiles are even, so only their half-lag arrays are read: on lags
     0..X, where X is the last nonzero lag of either, or cut + 1 if larger,
     with cut = floor(phi(N)).
+
+    The kernel is built inside its autocorrelation and the density window
+    inside its own, so each is freed once its forward transform has read
+    it.  At either inverse transform, of a power of two T >= 7N, the report
+    holds that transform's spectrum and output (about 2T doubles) and, at the
+    second, the kernel's half-lag profile (3.5N values); pocketfft adds
+    about 2T doubles of scratch.
     """
-    n, phi = k.scale_n, k.s.phi
+    n, phi = int(n), s.phi
+    a, mass = _even_autocorrelation(lambda: build_kernel(s, n).signal.values,
+                                    "fast", mass=True)
     phin = float(phi.value(float(n)))
     cut = int(math.floor(phin))
-    a, mass = _even_autocorrelation(k.signal.values, "fast", mass=True)
     g = _gn_lags(phi, n, phin)
 
     size = max(_last_nonzero(a), _last_nonzero(g), cut + 1) + 1
@@ -300,9 +321,7 @@ def decomposition_reports(s: SequenceSet, scales,
     runs them on up to ``workers`` threads (the transforms release the GIL),
     so the reports do not depend on the thread count.
     """
-    return map_scales(
-        lambda n: decomposition_report(build_kernel(s, n)),
-        scales, workers)
+    return map_scales(lambda n: decomposition_report(s, n), scales, workers)
 
 
 def estimate_chi(reports: list[DecompositionReport]) -> float:

@@ -8,7 +8,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import SignalSizeError
-from .util import CHUNK
+from .util import BLOCK, CHUNK
 
 MAX_SUPPORT = 1 << 30
 # the transform length from which the power spectrum is taken as
@@ -155,11 +155,12 @@ class _Segments:
     r0..r0+count-1 of that grid, and ``batches`` names the ones that hold a
     point (found by ``np.searchsorted``) before any is transformed; a
     segment that holds no point is skipped, as its convolution is 0.
-    ``outputs`` fills a batch's segments straight from its points, CHUNK
-    points at a time, so a segment gets the same array as if the kernel
-    were dense.  Besides the transform of f, only one batch's segment and
-    spectrum buffers are held, allocated once, and one chunk of points.  An
-    L above MAX_SUPPORT is refused before anything is allocated.
+    ``outputs`` fills a batch's segments straight from its points,
+    ``util.BLOCK`` points at a time, so a segment gets the same array as if
+    the kernel were dense.  Besides the transform of f, only one batch's
+    segment and spectrum buffers are held, allocated once, and the arrays of
+    BLOCK points.  An L above MAX_SUPPORT is refused before anything is
+    allocated.
     """
 
     def __init__(self, f: Signal):
@@ -207,18 +208,18 @@ class _Segments:
         out_len = w + int(pos[-1]) - int(pos[0])
 
         def placed():
-            # (a, q, c, one, two) for the points pos[a:a + CHUNK]: a point at
+            # (a, q, c, one, two) for the points pos[a:a + BLOCK]: a point at
             # column c of row q lies at column c + B of row q - 1 too when
             # c < w - 1, and q == count only for such a point
-            for a in range(i, j, CHUNK):
-                q, c = np.divmod(pos[a:min(a + CHUNK, j)] - lo, step)
+            for a in range(i, j, BLOCK):
+                q, c = np.divmod(pos[a:min(a + BLOCK, j)] - lo, step)
                 yield a, q, c, q < count, (c < w - 1) & (q > 0)
 
         held = np.zeros(count, dtype=bool)
         for _, q, _, one, two in placed():
             held[q[one]] = True
             held[q[two] - 1] = True
-        del q, one, two             # the last chunk, before the next pass
+        del q, one, two             # the last BLOCK's, before the next pass
         rows_held = np.flatnonzero(held)
         h = rows_held.size
         slot = np.empty(count, dtype=np.intp)
@@ -229,7 +230,7 @@ class _Segments:
             v = values(a, a + q.size)
             segs[slot[q[one]], c[one]] = v[one]
             segs[slot[q[two] - 1], c[two] + step] = v[two]
-            del v                   # one chunk's values at a time
+            del v                   # one BLOCK's values at a time
         np.fft.rfft(segs, axis=1, out=spec)
         np.multiply(spec, self.ff, out=spec)
         np.fft.irfft(spec, n, axis=1, out=segs)
@@ -266,8 +267,9 @@ def _nonzero_ends(v: np.ndarray) -> tuple[int, int]:
     return 0, 0
 
 
-def _even_autocorrelation(v: np.ndarray, method: str = "fast", mass: bool = False):
-    """The even autocorrelation of v at lags 0..L-1 (L = v.size).
+def _even_autocorrelation(source: Callable[[], np.ndarray], method: str = "fast",
+                          mass: bool = False):
+    """The even autocorrelation of v = ``source()`` at lags 0..L-1 (L = v.size).
 
     With c the correlation of v with its reflection, entry j is
     0.5 * (c[j] + c[-j]): read straight from the inverse-transform buffer
@@ -275,18 +277,28 @@ def _even_autocorrelation(v: np.ndarray, method: str = "fast", mass: bool = Fals
     total over all lags -(L-1)..L-1 comes back as well, as the pairwise sum of
     the zero-trimmed full even array, mirrored in place into that buffer.
     The transform length is the power of two n >= 2L - 1; a length above
-    MAX_SUPPORT is refused before anything is allocated.
+    MAX_SUPPORT is refused before the transform.
+
+    v is dropped once the forward transform (or the convolution) has read
+    it, so an array that ``source`` builds is freed there; an array passed
+    as an argument would stay alive for the whole call, held by the
+    caller's frame.  The half-lag array is allocated after the spectrum is
+    let go, so the inverse transform holds only the spectrum, its output and
+    pocketfft's own scratch (about 2n doubles, unseen by tracemalloc).
     """
+    v = source()
     size = v.size
     out_len = 2 * size - 1
     check_size(out_len, f"autocorrelation support {out_len}")
-    half = np.empty(size)
     if method == "direct":
         buf = np.convolve(v, v[::-1])
+        del v
+        half = np.empty(size)
         np.add(buf[size - 1:], buf[size - 1::-1], out=half)
     else:
         n = 1 << (out_len - 1).bit_length()
         f = np.fft.rfft(v, n)
+        del v
         c = f.conj()
         if n < POWER_ORDER_SWAP:
             power = np.multiply(f, c, out=c)
@@ -295,6 +307,7 @@ def _even_autocorrelation(v: np.ndarray, method: str = "fast", mass: bool = Fals
         del f, c
         buf = np.fft.irfft(power, n)
         del power
+        half = np.empty(size)
         half[0] = buf[0] + buf[0]
         np.add(buf[1:size], buf[:n - size:-1], out=half[1:])
     half *= 0.5
@@ -324,4 +337,4 @@ def autocorrelation_signal(s: Signal, method: str = "fast") -> Signal:
         raise ValueError(f"unknown autocorrelation method {method!r}")
     if s.is_zero:
         return s
-    return _even_signal(_even_autocorrelation(s.values, method))
+    return _even_signal(_even_autocorrelation(lambda: s.values, method))

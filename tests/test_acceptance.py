@@ -17,7 +17,6 @@ from conftest import dyadic
 from roughmax import (
     Signal,
     abel_sum,
-    build_kernel,
     build_scale_family,
     count,
     cyclic_shift,
@@ -66,8 +65,7 @@ def sweep_reports(s102_22):
     t0 = time.monotonic()
     reports = []
     for k in range(12, 21):
-        ker = build_kernel(s102_22, 1 << k)
-        reports.append(decomposition_report(ker))
+        reports.append(decomposition_report(s102_22, 1 << k))
     return reports, time.monotonic() - t0
 
 

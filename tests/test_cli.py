@@ -93,6 +93,39 @@ def test_seqset_emit_into_a_missing_directory_names_the_flag(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+def test_an_unwritable_out_is_refused_by_name_before_the_command_runs(
+        tmp_path, capsys, monkeypatch, where):
+    # a missing directory used to print a bare "[Errno 2] ..." once the whole
+    # command had run, and a directory "[Errno 21] Is a directory"; the
+    # handler raises here, so only a refusal made before it can exit 2
+    def handler(args):
+        raise AssertionError("the handler ran")
+
+    monkeypatch.setattr(cli, "_cmd_kernel_decomp", handler)
+    out, reason = {
+        "missing-directory": (tmp_path / "missing" / "x.csv", "No such file or directory"),
+        "a-directory": (tmp_path, "Is a directory"),
+    }[where]
+    assert run_cli("kernel-decomp", "--h", "pure:1.02:1.0", "--kmin", "4", "--kmax", "5",
+                   "--out", str(out)) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: --out {out}: {reason}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_failed_table_write_names_out(tmp_path, capsys, monkeypatch):
+    # an error of the write itself, after the command ran, names --out too
+    def refuse(path, *args):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(cli, "write_table", refuse)
+    out = tmp_path / "x.csv"
+    assert run_cli("growth-table", "--h", "pure:1.5:1.0", "--kmin", "4", "--kmax", "5",
+                   "--out", str(out)) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: --out {out}: Permission denied\n"
+    assert not out.exists()
+
+
 def test_seqset_emit_file_is_pinned(tmp_path):
     # 104032 elements, so the file is written in two CHUNK slices; the pin
     # is the sha256 of one "\n".join over the whole set
@@ -249,11 +282,14 @@ REFERENCE_TABLES = {
 }
 
 
-# the phase sums again on two threads, which must not move a byte
+# the phase sums again on two threads, and the decomposition tables on one,
+# which must not move a byte
 REFERENCE_RUNS = (
     [pytest.param(label, (), id=label) for label in sorted(REFERENCE_TABLES)]
     + [pytest.param(label, ("--workers", "2"), id=f"{label}-workers-2")
-       for label in sorted(REFERENCE_TABLES) if label.startswith("expsum")])
+       for label in sorted(REFERENCE_TABLES) if label.startswith("expsum")]
+    + [pytest.param(label, ("--workers", "1"), id=f"{label}-workers-1")
+       for label in ("kernel-decomp", "verify-family")])
 
 
 @pytest.mark.parametrize("label,workers", REFERENCE_RUNS)
@@ -960,6 +996,18 @@ def test_ergodic_runs_when_the_first_element_lies_below_y0(tmp_path, h):
     body = [l for l in p.read_text().splitlines() if not l.startswith("#")]
     assert len(body) == 4
     assert all(0.0 < float(row.split(",")[3]) < 1.0 for row in body[1:])
+
+
+def test_ergodic_runs_a_shift_by_a_step_past_int64(tmp_path):
+    # the step used to reach np.arange and exit 1 with an OverflowError
+    outs = []
+    for step in ("99999999999999999999999", str(99999999999999999999999 % 97)):
+        p = tmp_path / f"{step}.csv"
+        assert run_cli("ergodic", "--h", "pure:1.02:1.0", "--system", f"shift:97:{step}",
+                       "--f", "indicator:0", "--kmin", "2", "--kmax", "4",
+                       "--out", str(p)) == 0
+        outs.append([l for l in p.read_text().splitlines() if not l.startswith("#")])
+    assert outs[0] == outs[1]
 
 
 def assert_refused_above_max_support(run_limited, *argv):

@@ -62,6 +62,16 @@ def test_a_system_past_max_support_is_refused_before_it_is_built(run_limited):
         f"indicator on {10 ** 11} states exceeds MAX_SUPPORT = {1 << 30}"]
 
 
+def test_a_shift_by_a_step_past_int64_is_a_shift_by_its_residue():
+    # np.arange(step, m + step) raised OverflowError for a step near 2^63
+    for step in (10 ** 30, -(10 ** 30), 1 << 63, -(1 << 63) - 5, 97, -1):
+        got = cyclic_shift(97, step).mapping
+        assert np.array_equal(got, cyclic_shift(97, step % 97).mapping), step
+    assert np.array_equal(cyclic_shift(5, -1).mapping, [4, 0, 1, 2, 3])
+    with pytest.raises(ValidationError, match="at least one state"):
+        cyclic_shift(0, 10 ** 30)
+
+
 def test_iterate_matches_naive_oracle(rng):
     sys = FiniteSystem.from_mapping(np.random.default_rng(99).permutation(23))
     for _ in range(40):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import roughmax.signals as sig
-from conftest import count_kernel, values_at
+from conftest import count_kernel, traced_peak, values_at
 from roughmax import (
     DegenerateError,
     InsufficientDataError,
@@ -30,6 +30,7 @@ from roughmax.kernel import (
     _kernel_values,
     _kernel_window,
 )
+from roughmax.util import BLOCK
 
 
 def gn_direct_oracle(phi, n, x):
@@ -113,6 +114,28 @@ def test_each_measurement_has_its_own_norm(s102_16, phi102):
     k = build_kernel(s102_16, n)
     assert np.array_equal(values_at(k.signal, pos), top / phin)
     assert np.count_nonzero(k.signal.values) == np.count_nonzero(top)
+
+
+def test_build_kernel_holds_only_its_dense_layout(g102):
+    # at N = 2^17 the values go into the layout one BLOCK leaf at a time,
+    # which peaks at 1.21 times the layout; building the values, their
+    # indices and the layout each at full length peaked at 2.58 times
+    s = generate(g102, 1 << 19)
+    n = 1 << 17
+    width = build_kernel(s, n).signal.values.size
+    assert traced_peak(build_kernel, s, n) <= 1.5 * 8 * width
+
+
+def test_kernel_leaves_keep_the_bits(s102_16):
+    # the window of 2^14 holds 2.8 BLOCK leaves of set elements; eta works
+    # point by point, so the leaves write the one-pass values
+    n = 1 << 14
+    pos, norm = _kernel_window(s102_16, n, by_phi=True)
+    assert pos.size > 2 * BLOCK
+    whole = np.asarray(eta(pos / float(n)), dtype=float) / norm
+    k = build_kernel(s102_16, n)
+    assert np.array_equal(values_at(k.signal, pos), whole)
+    assert k.signal.support == (pos[whole != 0][0], pos[whole != 0][-1])
 
 
 def test_kernel_nonnegative_and_support_in_set(s102_16):
@@ -213,7 +236,7 @@ def test_gn_bounded_by_inverse_scale(phi102):
 
 def test_identity_report_degenerate_sanity(sident):
     k = build_kernel(sident, 1 << 10)
-    r = decomposition_report(k)
+    r = decomposition_report(sident, 1 << 10)
     assert math.isfinite(r.small_x_bound)
     # with every integer present the autocorrelation IS the profile
     assert r.en_sup <= 1e-12
@@ -221,8 +244,7 @@ def test_identity_report_degenerate_sanity(sident):
 
 
 def test_report_fields_positive(s102_16):
-    k = build_kernel(s102_16, 1 << 12)
-    r = decomposition_report(k)
+    r = decomposition_report(s102_16, 1 << 12)
     assert r.small_x_bound > 0 and r.gn_sup > 0
     assert r.en_sup > 0 and r.gn_lipschitz > 0
     assert r.scale_n == 1 << 12
@@ -231,14 +253,13 @@ def test_report_fields_positive(s102_16):
 def test_gn_smoothness_across_scales(s102_16):
     lips = []
     for k_exp in (10, 11, 12):
-        k = build_kernel(s102_16, 1 << k_exp)
-        lips.append(decomposition_report(k).gn_lipschitz)
+        lips.append(decomposition_report(s102_16, 1 << k_exp).gn_lipschitz)
     assert max(lips) / min(lips) < 4.0
 
 
 def test_density_window_blocks_keep_the_bits(phi102):
-    # the window of 2^16 spans 3.5 CHUNK blocks; phi' and eta work point by
-    # point, so the blocked window has the bits of the one-pass product
+    # the window of 2^16 spans 14 BLOCK pieces; phi' and eta work point by
+    # point, so the pieced window has the bits of the one-pass product
     n = 1 << 16
     m = np.arange(n // 2 + 1, 4 * n, dtype=float)
     whole = np.asarray(phi102.deriv(m, 1)) * np.asarray(eta(m / n))
@@ -300,10 +321,24 @@ def test_split_sups_are_the_full_grid_bits(s102_16, phi102, glog, philog,
         k = build_kernel(s, 1 << k_exp)
         n = k.scale_n
         a0, small, gn_sup, en_sup, lip, mass = full_grid_split_sups(k, phi)
-        r = decomposition_report(k)
+        r = decomposition_report(s, 1 << k_exp)
         assert (r.scale_n, r.point_mass, r.small_x_bound, r.gn_sup, r.en_sup,
                 r.gn_lipschitz, r.mass) == (n, a0, n * small, gn_sup * n, en_sup,
                                             n * n * lip, mass), k_exp
+
+
+def test_decomposition_report_holds_one_transform_at_a_time(g102):
+    # at N = 2^16 both autocorrelations are transforms of n = 2^19 points.
+    # The kernel and the density window are freed after their forward
+    # transforms, and each half-lag array is allocated after its spectrum is
+    # let go, so the peak is a spectrum (n + 2 doubles) and the conjugate or
+    # output beside it (n), plus the kernel's half-lag profile (~3.5N =
+    # 0.44n): 2.46n.  Holding the kernel, the window and the half-lag array
+    # through the second transform read 3.77n.  pocketfft's own scratch is
+    # not traced
+    s = generate(g102, 1 << 18)
+    n = 1 << 19
+    assert traced_peak(decomposition_report, s, 1 << 16) <= 2.6 * n * 8
 
 
 def test_decomposition_reports_do_not_depend_on_workers(s102_16, glog):
@@ -320,7 +355,7 @@ def test_decomposition_reports_do_not_depend_on_workers(s102_16, glog):
         sys.setswitchinterval(interval)
     for s, reps in zip(cases, runs):
         assert reps[0] == reps[1] == reps[2]
-        assert reps[0] == [decomposition_report(build_kernel(s, n))
+        assert reps[0] == [decomposition_report(s, n)
                            for n in scales]
 
 

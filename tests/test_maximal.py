@@ -1056,7 +1056,7 @@ def test_family_hypotheses_are_decomposition_report_rescaled(s102_16):
     # change from N- to D_n = 4N-scaling is exact
     fam = build_scale_family(s102_16, dyadic(10, 13))
     rep = verify_family_hypotheses(fam)
-    reps = [decomposition_report(build_kernel(fam.s, n)) for n in fam.scales]
+    reps = [decomposition_report(fam.s, n) for n in fam.scales]
     assert rep.eps1 == estimate_chi(reps)
     for i, r in enumerate(reps):
         assert rep.residual_sup[i] == r.en_sup
