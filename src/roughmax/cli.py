@@ -416,19 +416,29 @@ def _read_input_signal(path: str) -> dict:
 
 
 def _cmd_cz(args):
-    values = _read_input_signal(args.input)
+    try:
+        values = _read_input_signal(args.input)
+    except OSError as exc:
+        raise ValidationError(f"--input {args.input}: {exc.strerror}") from None
     try:
         lam = Fraction(args.height)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"--height {args.height!r}: {exc}") from None
+    # a file in the way is refused before the decomposition, not by mkdir after
+    if args.emit_atoms and Path(args.emit_atoms).is_file():
+        raise ValidationError(f"--emit-atoms {args.emit_atoms}: File exists")
     cz = cz_decompose(values, lam)
     if args.emit_atoms:
         outdir = Path(args.emit_atoms)
-        outdir.mkdir(parents=True, exist_ok=True)
-        for a in sorted(cz.atoms, key=lambda a: (a.scale, a.index)):
-            lines = [f"{x},{v}" for x, v in sorted(a.values.items())]
-            (outdir / f"atom_{a.scale}_{a.index}.csv").write_text(
-                "\n".join(lines) + "\n", encoding="utf-8")
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+            for a in sorted(cz.atoms, key=lambda a: (a.scale, a.index)):
+                lines = [f"{x},{v}" for x, v in sorted(a.values.items())]
+                (outdir / f"atom_{a.scale}_{a.index}.csv").write_text(
+                    "\n".join(lines) + "\n", encoding="utf-8")
+        except OSError as exc:
+            raise ValidationError(
+                f"--emit-atoms {args.emit_atoms}: {exc.strerror}") from None
     good = cz.scaled[~cz.bad]
     good_linf = Fraction(max(good) if good.size else 0, cz.denominator)
     rows = [[lam, len(cz.cubes), Fraction(cz.total, cz.denominator),

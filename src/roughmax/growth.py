@@ -31,8 +31,10 @@ its error bound, 4 (1 + |c log m| + |lam(m)|) ulps, of an integer, and
 ``InverseFunction._floor_neg`` any phi(p) within max(10 * INVERSE_TOL *
 |phi(p)|, 8 ulp) of one, by ``GrowthFunction._sign_at``, the sign of h(r) - y
 at the nearest integer r: in exact integers for a pure power whose exponent is
-a rational of small denominator, at MP_DPS digits for every other h; neither
-path has a second stage.
+a rational of small denominator, in exact rationals for any pure power at
+r = 1 (h(1) = C_h), at MP_DPS digits for every other h; no path has a second
+stage.  Only that last path, and ``GrowthFunction.value_mp``, load mpmath, at
+their first call, so a command that takes no such floor never imports it.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 
 from .errors import (
@@ -60,7 +61,7 @@ DENOM_GUARD = 1e-8          # recursion denominators below this raise
 VALIDATION_SPAN = 2 ** 20   # h', h'' sampled on [x0, x0 * VALIDATION_SPAN]
 VALIDATION_POINTS = 64
 MP_DPS = 60                 # working precision of the high-precision path
-MP_ZERO_BAND = mpmath.mpf("1e-40")  # |h(r) - y| <= this * y is a 60-digit zero
+MP_ZERO_BAND = 1e-40        # |h(r) - y| <= this * y is a 60-digit zero
 INVERSE_TOL = 1e-12         # phi(y) stops at |h(x) - y| <= INVERSE_TOL * y
 INVERSE_MAX_ITER = 100      # Newton steps before the inversion gives up
 # a pure power h = (a/b) x^(p/q) with q up to this has an exact integer sign
@@ -293,10 +294,13 @@ class GrowthFunction:
 
     # -- floors ----------------------------------------------------------------
 
-    def value_mp(self, x) -> mpmath.mpf:
-        """h(x) at MP_DPS digits, by the term algebra of ``_h``; settles floors
-        near integers for every h but a rational pure power, which ``_exact``
-        settles in integers."""
+    def value_mp(self, x):
+        """h(x) as an mpmath mpf at MP_DPS digits, by the term algebra of
+        ``_h``; settles floors near integers for every h but a rational pure
+        power, which ``_exact`` settles in integers, and a pure power at x = 1.
+        Imports mpmath on its first call."""
+        import mpmath
+
         with mpmath.workdps(MP_DPS):
             xv = mpmath.mpf(x)
             logs = _iterated_logs(xv, self._depth, mpmath.log)
@@ -309,18 +313,25 @@ class GrowthFunction:
         """Sign of h(r) - y, for an integer r >= 1 and an integer y >= 0.
 
         A rational pure power h = (a/b) x^(p/q) is settled exactly, as the sign
-        of a^q r^p - b^q y^q in integers; any other h at MP_DPS digits, with
-        |h(r) - y| below MP_ZERO_BAND * y treated as exact zero.
+        of a^q r^p - b^q y^q in integers, and so is any pure power at r = 1,
+        as the sign of C_h - y in rationals, since h(1) = C_h 1^c = C_h.  Any
+        other case is settled at MP_DPS digits, with |h(r) - y| below
+        MP_ZERO_BAND * y treated as exact zero; only that path imports mpmath.
         """
         if self._exact is not None:
             p, q, aq, bq = self._exact
             d = aq * r ** p - bq * y ** q
-            return (d > 0) - (d < 0)
-        with mpmath.workdps(MP_DPS):
-            s = self.value_mp(r) - y
-            if abs(s) <= MP_ZERO_BAND * max(1, abs(y)):
-                return 0
-            return 1 if s > 0 else -1
+        elif r == 1 and self.variant is Variant.PURE_POWER:
+            d = Fraction(self.c_h) - y
+        else:
+            import mpmath
+
+            with mpmath.workdps(MP_DPS):
+                s = self.value_mp(r) - y
+                if abs(s) <= mpmath.mpf(MP_ZERO_BAND) * max(1, abs(y)):
+                    return 0
+                return 1 if s > 0 else -1
+        return (d > 0) - (d < 0)
 
     def _floors(self, m: np.ndarray) -> np.ndarray:
         """floor(h(m)) for each integer m, with the floor decided, never guessed.

@@ -231,20 +231,66 @@ def test_only_seqset_runs_the_inverse_membership_test(tmp_path, monkeypatch):
     assert parse_meta(out.read_text())["p_min"] == "17"
 
 
-def test_seqset_and_growth_table_leave_numpy_ma_unimported(tmp_path):
-    # np.unique imports numpy.ma, 10-14 ms of a 19 ms growth-table run
+def _imported_after(module: str, tmp_path, *argvs) -> bool:
+    """Whether ``module`` is in ``sys.modules`` of a fresh interpreter, run in
+    ``tmp_path``, once ``cli.main`` has returned 0 on each of ``argvs``."""
     code = ("import sys\nfrom roughmax import cli\n"
-            f"assert cli.main(['seqset', '--h', 'pure:1.5:1.0', '--nmax', '4096', "
-            f"'--out', {str(tmp_path / 's.csv')!r}, "
-            f"'--emit', {str(tmp_path / 'e.txt')!r}]) == 0\n"
-            f"assert cli.main(['growth-table', '--h', 'powerlog:1.3:1.0:1.0', "
-            f"'--kmin', '2', '--kmax', '6', '--out', {str(tmp_path / 'g.csv')!r}]) == 0\n"
-            "print('numpy.ma' in sys.modules)\n")
+            + "".join(f"assert cli.main({list(a)!r}) == 0\n" for a in argvs)
+            + f"print({module!r} in sys.modules)\n")
     env = dict(os.environ, PYTHONPATH=str(Path(roughmax.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, timeout=120, env=env)
+                          text=True, timeout=120, env=env, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip() == "True"
+
+
+def test_seqset_and_growth_table_leave_numpy_ma_unimported(tmp_path):
+    # np.unique imports numpy.ma, 10-14 ms of a 19 ms growth-table run
+    assert not _imported_after(
+        "numpy.ma", tmp_path,
+        ("seqset", "--h", "pure:1.5:1.0", "--nmax", "4096", "--out", "s.csv",
+         "--emit", "e.txt"),
+        ("growth-table", "--h", "powerlog:1.3:1.0:1.0", "--kmin", "2", "--kmax", "6",
+         "--out", "g.csv"))
+
+
+# commands whose floors, if any, fall on h(1) of a pure power or on no value
+# near an integer, so no 60-digit sign test runs and mpmath stays unimported
+MPMATH_FREE = (
+    ("expsum", "--h", "pure:1.05:1.0", "--bound", "single", "--kmin", "8",
+     "--kmax", "9", "--params", "m=2"),
+    ("expsum", "--h", "powerlog:1.05:1.0:1.0", "--bound", "two", "--kmin", "8",
+     "--kmax", "9", "--params", "m=2,kappa=1.0"),
+    ("expsum", "--h", "pure:1.05:1.0", "--bound", "minnorm", "--kmin", "8", "--kmax", "9"),
+    ("seqset", "--h", "pure:1.02:1.0", "--nmax", "4096"),
+    ("kernel-decomp", "--h", "pure:1.02:1.0", "--kmin", "6", "--kmax", "8"),
+    ("verify-family", "--h", "pure:1.02:1.0", "--nlo", "6", "--nhi", "9"),
+    ("weaktype", "--h", "pure:1.02:1.0", "--nlo", "6", "--nhi", "8",
+     "--corpus", "random:16:3"),
+    ("ergodic", "--h", "pure:1.02:1.0", "--system", "shift:97:5", "--f",
+     "indicator:3", "--kmin", "6", "--kmax", "8"),
+)
+# sha256 of the table and --emit file of seqset pure:1.9 to 2^34, whose 49
+# band candidates past m = 1 take the 60-digit sign test
+SEQSET_PURE19_PINNED = (
+    "e6c1a37816dcfd26353a0d3658508421d85ea3ca7d817ca62d40e15c46665947",
+    "935181672489a61d900b1f7cca25912c7373caadf752f9bfc9e0754d799a49f8",
+)
+
+
+@pytest.mark.parametrize("argv", MPMATH_FREE,
+                         ids=lambda a: a[4] if a[0] == "expsum" else a[0])
+def test_a_command_without_a_60_digit_sign_test_leaves_mpmath_unimported(tmp_path,
+                                                                           argv):
+    assert not _imported_after("mpmath", tmp_path, (*argv, "--out", "t.csv"))
+
+
+def test_a_60_digit_sign_test_still_loads_mpmath(tmp_path):
+    argv = ("seqset", "--h", "pure:1.9:1.0", "--nmax", str(1 << 34),
+            "--out", "t.csv", "--emit", "e.txt")
+    assert _imported_after("mpmath", tmp_path, argv)
+    assert tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+                 for f in ("t.csv", "e.txt")) == SEQSET_PURE19_PINNED
 
 
 def test_byte_identical_reruns_and_worker_independence(tmp_path):
@@ -544,6 +590,45 @@ def test_cz_command_with_atoms(tmp_path):
     assert row["reconstruction_exact"] == "1"
     assert row["n_atoms"] == "1"
     assert (atoms / "atom_2_0.csv").read_text() == "0,8\n"
+
+
+def test_cz_names_a_missing_input(tmp_path, capsys):
+    # the bare "[Errno 2] No such file or directory: ..." named no flag
+    f = tmp_path / "missing.csv"
+    assert run_cli("cz", "--input", str(f), "--height", "1",
+                   "--out", str(tmp_path / "cz.csv")) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: --input {f}: No such file or directory\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cz_refuses_an_atom_directory_that_is_a_file_before_decomposing(
+        tmp_path, capsys, monkeypatch):
+    # mkdir used to print a bare "[Errno 17] File exists: ..." once the whole
+    # decomposition had run
+    def decompose(*args):
+        raise AssertionError("the decomposition ran")
+
+    monkeypatch.setattr(cli, "cz_decompose", decompose)
+    f = tmp_path / "f.csv"
+    f.write_text("x,value\n0,8\n", encoding="utf-8")
+    atoms = tmp_path / "atoms"
+    atoms.write_text("kept\n", encoding="utf-8")
+    assert run_cli("cz", "--input", str(f), "--height", "1", "--out",
+                   str(tmp_path / "cz.csv"), "--emit-atoms", str(atoms)) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: --emit-atoms {atoms}: File exists\n"
+    assert atoms.read_text() == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["atoms", "f.csv"]
+
+
+def test_cz_names_an_atom_directory_below_a_file(tmp_path, capsys):
+    # mkdir's bare "[Errno 20] Not a directory: ..." named no flag
+    f = tmp_path / "f.csv"
+    f.write_text("x,value\n0,8\n", encoding="utf-8")
+    atoms = f / "atoms"
+    assert run_cli("cz", "--input", str(f), "--height", "1", "--out",
+                   str(tmp_path / "cz.csv"), "--emit-atoms", str(atoms)) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: --emit-atoms {atoms}: Not a directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f.csv"]
 
 
 # a seeded 2,000-row exact-rational input on both sides of 0 at height 3/2;

@@ -257,6 +257,23 @@ def test_a_rational_pure_power_never_reaches_mpmath(monkeypatch, glog):
     assert len(calls) == 2 + len(EXPLOG_FLOORS)
 
 
+@pytest.mark.parametrize("c_h", [1.0, 1.5, 64.0])
+def test_a_pure_power_at_one_never_reaches_mpmath(monkeypatch, c_h):
+    # h(1) = C_h whatever c is, so a float c that has no integer sign test
+    # still settles r = 1 exactly, as the 60-digit test would
+    g = make_growth("pure", 1.02, c_h)
+    assert g._exact is None
+    ys = [math.floor(c_h) + k for k in (-1, 0, 1)]
+    expected = [mp_sign(g, 1, y) for y in ys]
+    assert expected[0] == 1 and expected[2] == -1
+
+    def unreachable(self, x):
+        raise AssertionError(f"value_mp({x}) called")
+
+    monkeypatch.setattr(GrowthFunction, "value_mp", unreachable)
+    assert [g._sign_at(1, y) for y in ys] == expected
+
+
 def assert_membership_matches_dense_mask(s, expected):
     mask = np.zeros(s.n_max + 1, dtype=bool)
     mask[expected] = True
