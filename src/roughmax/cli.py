@@ -162,8 +162,10 @@ def _parse_record(text: str) -> dict:
     for item in text.split(","):
         if "=" not in item:
             raise ValidationError(f"parameter record entry {item!r} is not key=value")
-        k, v = item.split("=", 1)
-        out[k.strip()] = v.strip()
+        k, v = (t.strip() for t in item.split("=", 1))
+        if k in out:
+            raise ValidationError(f"--params key {k!r} is given twice")
+        out[k] = v
     return out
 
 
@@ -326,6 +328,8 @@ def _cmd_expsum(args):
                 f"--params {key} is not {what}: {params[key]!r}") from None
 
     m = number("m", int, 1)
+    if abs(m) > sys.float_info.max:
+        raise ValidationError("--params m is past the float range")
     kappa = number("kappa", float, 1.0)
     if args.bound in ("single", "two"):
         sums = [(r.actual_abs, r.bound, r.ratio) for r in

@@ -25,6 +25,9 @@ Every correction tabulated (vartheta_1..3, varrho, theta_1..3, sigma, tau) is
 a closed form in s_j = x^j vartheta^(j), j = 0..2, each evaluated once per call
 with no power of x outside its terms, so none leaves the float range early.
 
+phi = h^-1 is (y / C_h)^gamma, gamma = 1/c, in closed form for a pure power,
+and Newton's method from that seed for every other h.
+
 This module alone evaluates h and decides its floors, which are never trusted
 to plain float arithmetic.  ``GrowthFunction._floors`` settles any h(m) within
 its error bound, 4 (1 + |c log m| + |lam(m)|) ulps, of an integer, and
@@ -392,8 +395,8 @@ class GrowthFunction:
 def _default_x0(variant: Variant, a, m) -> float:
     if variant is Variant.PURE_POWER:
         return 1.0
-    if variant is Variant.POWER_LOG:
-        return max(3.0, math.exp(abs(a) + 1.0))
+    if variant is Variant.POWER_LOG:     # e^(|a| + 1), inf past the float range
+        return max(3.0, math.exp(abs(a) + 1.0)) if abs(a) < 700.0 else math.inf
     if variant is Variant.POWER_EXP_LOG:
         return 3.0
     tower = math.e
@@ -402,6 +405,8 @@ def _default_x0(variant: Variant, a, m) -> float:
     return max(3.0, tower * 1.0001)
 
 
+# an h past the float range is refused by the finiteness checks, not warned of
+@np.errstate(over="ignore", invalid="ignore")
 def make_growth(variant, c: float, c_h: float = 1.0, *,
                 a: float | None = None, b: float | None = None,
                 m: int | None = None, x0: float | None = None) -> GrowthFunction:
@@ -451,8 +456,8 @@ def make_growth(variant, c: float, c_h: float = 1.0, *,
 
     if x0 is None:
         x0 = _default_x0(variant, a, m)
-    if x0 < 1.0 or not math.isfinite(x0):
-        raise ValidationError(f"domain start x0 = {x0} must be finite and >= 1")
+    if x0 < 1.0 or not math.isfinite(x0 * VALIDATION_SPAN):
+        raise ValidationError(f"domain start x0 = {x0} must be >= 1, with x0 * 2^20 finite")
 
     g = GrowthFunction._build(variant, c, c_h, a, b, m, x0)
 
@@ -502,15 +507,11 @@ def identity_growth(c_h: float = 1.0) -> GrowthFunction:
 class InverseFunction:
     """Numeric inverse phi of a growth function, phi(h(x)) = x.
 
-    Inversion is a safeguarded Newton iteration inside a doubling-expanded
-    bracket, seeded at (y / C_h)^gamma.  Arrays are solved in blocks of
-    ``util.CHUNK`` points; in each block h is evaluated once at the
-    seed, and only the points whose seed fails the residual test go on to
-    the bracket and Newton steps, which touch only the points not yet
-    converged.  Each Newton step is one fused evaluation of h and h' (one
-    domain check, one log chain, one h).  For the pure power the seed is
-    already exact, so one h evaluation per point is the whole cost.
-    Immutable and concurrency-safe like its source.
+    Arrays are solved in blocks of ``util.CHUNK`` points: a pure power by its
+    closed form (y / C_h)^gamma, which takes no h, any other h by safeguarded
+    Newton steps from that seed in a doubling-expanded bracket, each step one
+    fused evaluation of h and h' on the points not yet converged.  Immutable
+    and concurrency-safe like its source.
     """
 
     source: GrowthFunction
@@ -524,8 +525,8 @@ class InverseFunction:
     def value(self, y) -> FloatLike:
         """phi(y): the x >= x0 with |h(x) - y| <= INVERSE_TOL * y.
 
-        Each point follows its own Newton path, so a point's bits do not
-        depend on the array it came in, its position or its block.
+        Each point follows its own closed form or Newton path, so a point's
+        bits do not depend on the array it came in, its position or its block.
         """
         y = _check_domain(y, self.y0, "inversion at y < y0")
         flat = y.ravel()
@@ -534,23 +535,23 @@ class InverseFunction:
             x[i:i + CHUNK] = self._solve(flat[i:i + CHUNK])
         return float(x[0]) if y.ndim == 0 else x.reshape(y.shape)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def _solve(self, y: np.ndarray) -> np.ndarray:
-        """phi on one block: the seed where it passes, Newton elsewhere."""
+        """phi on one block.  For a pure power the seed is the answer: its
+        residual, at most (2.4 c + 4 + 4 c log x) u <= 2845 u, meets the
+        residual test for any finite y / C_h.  Elsewhere the seed's one
+        evaluation starts both the bracket and the first Newton step; an h
+        that overflows to inf is caught by the bracket test and the ``bad``
+        mask, so numpy does not warn of it."""
         g = self.source
         x0 = g.x0
         x = np.maximum((y / g.c_h) ** self.gamma, x0)
-        hx = g.value(x)
-        fx = hx - y
-        pos = np.flatnonzero(~(np.abs(fx) <= INVERSE_TOL * y))
-        if pos.size == 0:
-            return x
-        # the rest start from a bracket [x0, hi] with h(hi) >= y, hi from the
-        # seed by doubling, and take Newton steps from the seed, each step
-        # one fused evaluation of h and h'
-        ya, xa = y[pos], x[pos]
-        lo = np.full_like(ya, x0)
-        hi = xa.copy()
-        below = hx[pos] < ya
+        if not g._lam:
+            return _check_domain(x, x0, "evaluation at x < x0")
+        pos, ya, xa, lo, hi = np.arange(y.size), y, x, np.full_like(y, x0), x.copy()
+        ha, dha = g._derivs(xa, 1)
+        # a seed that meets the residual test needs no bracket
+        below = ha - ya < -INVERSE_TOL * ya
         for _ in range(200):
             j = np.flatnonzero(below)
             if j.size == 0:
@@ -562,7 +563,6 @@ class InverseFunction:
                                    bracket=(float(lo.min()), float(hi[below].max())))
 
         for _ in range(INVERSE_MAX_ITER):
-            ha, dha = g._derivs(xa, 1)
             fa = ha - ya
             # a bracket collapsed to adjacent floats is the correctly rounded
             # root; stop there even if the residual test still fails
@@ -573,18 +573,17 @@ class InverseFunction:
                 pos, ya, xa, fa, dha, lo, hi = (
                     a[keep] for a in (pos, ya, xa, fa, dha, lo, hi))
                 if pos.size == 0:
-                    break
+                    return x
             above = fa > 0
             hi = np.where(above, xa, hi)
             lo = np.where(above, lo, xa)
             xn = xa - fa / dha
             bad = ~np.isfinite(xn) | (xn <= lo) | (xn >= hi)
             xa = np.where(bad, 0.5 * (lo + hi), xn)
-        else:
-            raise ConvergenceError(
-                f"inversion did not converge in {INVERSE_MAX_ITER} iterations",
-                bracket=(float(lo.min()), float(hi.max())))
-        return x
+            ha, dha = g._derivs(xa, 1)
+        raise ConvergenceError(
+            f"inversion did not converge in {INVERSE_MAX_ITER} iterations",
+            bracket=(float(lo.min()), float(hi.max())))
 
     __call__ = value
 

@@ -986,6 +986,149 @@ def test_every_scale_flag_edge_exits_cleanly(tmp_path, capsys, cmd, flag,
     assert not out.exists()
 
 
+# edge values of the flags that set no scale: small runs on which each flag
+# is tried, the flag going last
+_BIG = "1" + "0" * 400
+_ERGODIC = ("ergodic", "--h", "pure:1.5:1.0", "--kmin", "3", "--kmax", "4")
+_EXPSUM = ("expsum", "--h", "pure:1.05:1.0", "--kmin", "4", "--kmax", "5", "--bound")
+_FLAG_RUNS = {
+    "seqset": ("seqset", "--h", "pure:1.5:1.0", "--nmax", "64"),
+    "growth-table": ("growth-table", "--kmin", "4", "--kmax", "6"),
+    "growth-table/far": ("growth-table", "--kmin", "1020", "--kmax", "1023"),
+    "weaktype": ("weaktype", "--h", "pure:1.5:1.0", "--nlo", "3", "--nhi", "4"),
+    "ergodic": _ERGODIC + ("--f", "indicator:0"),
+    "ergodic/system": _ERGODIC + ("--system", "shift:64:1"),
+    "ergodic/x": _ERGODIC + ("--system", "shift:64:1", "--f", "indicator:0"),
+    "single": _EXPSUM + ("single",),
+    "two": _EXPSUM + ("two",),
+    "minnorm": _EXPSUM + ("minnorm",),
+    "cz": ("cz", "--input", "@input"),
+    "kernel-decomp": ("kernel-decomp", "--h", "pure:1.5:1.0", "--kmin", "4", "--kmax", "5"),
+}
+
+
+def _edges(run, flag, *cases):
+    """(run, flag, value, named) for each (value, named) of ``cases``: named
+    is a text the run's error line holds, or None where the run succeeds."""
+    return [(run, flag, value, named) for value, named in cases]
+
+
+_FLAG_EDGES = [
+    *_edges("seqset", "--nmax",
+            ("64", None), ("1", None), ("0", "n_max = 0"), ("-1", "n_max = -1"),
+            ("nan", "--nmax"), ("inf", "--nmax"), ("1e3", "--nmax"), ("1.5", "--nmax"),
+            ("", "--nmax"), (str(1 << 26), None),
+            (str(1 << 40), "n_max = 1099511627776 needs"),
+            (str((1 << 40) + 1), "n_max = 1099511627777 above"),
+            (str(1 << 64), "n_max >= 2^64"), (_BIG, "n_max >= 2^1328")),
+    *_edges("growth-table", "--h",
+            ("pure:1.5:1.0", None), ("PURE:1.999999:1.0", None),
+            ("pure:1.0000001:1.0", None), ("", "growth spec ''"),
+            ("pure", "growth spec 'pure'"), ("pure:1.5:1.0:2", "growth spec"),
+            ("cubic:1.5:1.0", "unknown variant 'cubic'"),
+            ("pure:x:1.0", "exponent c is not a number: 'x'"),
+            ("pure:1.5:y", "constant C_h is not a number: 'y'"),
+            ("pure:nan:1.0", "exponent c = nan"), ("pure:-inf:1.0", "exponent c = -inf"),
+            ("pure:1.0:1.0", "c = 1"), ("pure:2.0:1.0", "exponent c = 2.0"),
+            ("pure:-1.5:1.0", "exponent c = -1.5"), ("pure:1.5:0", "C_h = 0.0"),
+            ("pure:1.5:-1", "C_h = -1.0"), ("pure:1.5:inf", "C_h = inf"),
+            ("pure:1.5:1e300", "h overflows"), ("pure:1.5:1.7e308", "h overflows"),
+            ("pure:1.5:1e-300", "h(x0) = 1e-300"),
+            ("powerlog:1.05:1.0", "growth spec"), ("powerlog:1.05:1.0:nan", "a = nan"),
+            ("powerlog:1.05:1.0:-50", "h(x0) = "), ("powerlog:1.05:1e308:1.0", "h overflows"),
+            ("powerlog:1.0:1.0:-1.0", "alpha_2 + vartheta_2"),
+            ("powerlog:1.05:1.0:700", "x0 = inf"), ("powerlog:1.05:1.0:1e300", "x0 = inf"),
+            ("powerexplog:1.05:1.0:1.0:0", "b = 0.0"), ("powerexplog:1.05:1.0:1.0:1", "b = 1.0"),
+            ("powerexplog:1.05:1.0:1e300:0.5", "vartheta_3"),
+            ("powerexplog:1.05:1.0:-1e300:0.5", "vartheta_3"),
+            ("powerexplog:1.05:1e305:1:0.5", "h overflows"),
+            ("poweriterlog:1.02:1.0:0", "depth m"), ("poweriterlog:1.02:1.0:4", "depth m"),
+            ("poweriterlog:1.02:1.0:1.5", "depth m is not an integer: '1.5'"),
+            ("poweriterlog:1.02:1.0:3", None), ("poweriterlog:1.02:1e300:1", None),
+            ("poweriterlog:1.02:1e302:1", "h overflows")),
+    *_edges("weaktype", "--corpus",
+            ("delta", None), ("random:100:1", None), (f"random:5:{_BIG}", None),
+            ("", "--corpus ''"), ("random", "--corpus 'random'"), ("random:1", "--corpus"),
+            ("random:0:1", "K = 0"), ("random:-1:1", "K = -1"), ("random:x:1", "K = 'x'"),
+            ("random:1e3:1", "K = '1e3'"), ("random:5:-1", "seed = -1"),
+            ("random:5:1.5", "seed = '1.5'"), ("gauss:5:1", "--corpus 'gauss:5:1'"),
+            ("random:5:1:2", "--corpus"), ("random:1073741825:0", "K = 1073741825"),
+            ("random:5000000000:1", "K = 5000000000"), (f"random:{_BIG}:1", "--corpus")),
+    *_edges("ergodic", "--system",
+            ("shift:64:1", None), ("shift:64:0", None), ("shift:64:-1", None),
+            (f"shift:64:{_BIG}", None), ("", "--system ''"), ("shift", "--system 'shift'"),
+            ("shift:0:1", "m = 0"), ("shift:-1:1", "m = -1"), ("shift:x:1", "m = 'x'"),
+            ("shift:64:x", "step = 'x'"), ("shift:1e3:1", "m = '1e3'"),
+            ("rotate:64:1", "--system 'rotate:64:1'"), ("shift:64:1:2", "--system"),
+            ("shift:1073741825:1", "m = 1073741825"),
+            ("shift:100000000000:1", "m = 100000000000"), (f"shift:{_BIG}:1", "--system")),
+    *_edges("ergodic/system", "--f",
+            ("indicator:63", None), ("indicator:64", "state 64"), ("indicator:-1", "state -1"),
+            ("indicator:x", "k = 'x'"), ("indicator:1.5", "k = '1.5'"),
+            ("indicator", "--f 'indicator'"), ("delta:0", "--f 'delta:0'"), ("", "--f ''"),
+            ("indicator:0:1", "--f"), (f"indicator:{_BIG}", "--f")),
+    *_edges("ergodic/x", "--x",
+            ("63", None), ("64", "--x 64"), ("-1", "--x -1"), ("nan", "--x"),
+            ("1.5", "--x"), (_BIG, "--x")),
+    *_edges("single", "--params",
+            ("m=2", None), ("", None), ("m=-1", None), ("m=100000000000000000000", None),
+            ("m", "entry 'm'"), ("m=", "--params m"), ("m=x", "--params m"),
+            ("m=1.5", "--params m"), ("m=nan", "--params m"), ("m=0", "m must be nonzero"),
+            ("m=1,m=2", "--params key 'm'"), (" m=1 , m =2", "--params key 'm'"),
+            ("kappa=1", "--params key 'kappa'"), ("=1", "--params key ''"),
+            ("m=1,,m=2", "entry ''"), (f"m={_BIG}", "--params m"),
+            (f"m=-{_BIG}", "--params m")),
+    *_edges("two", "--params",
+            ("m=1,kappa=0.5", None), ("m=1,kappa=0", None), ("m=1,kappa=nan", "kappa = nan"),
+            ("m=1,kappa=inf", "kappa = inf"), ("m=1,kappa=-1", "kappa = -1.0"),
+            (f"m=1,kappa={_BIG}", "kappa = inf"), ("kappa=1,kappa=2", "--params key 'kappa'"),
+            (f"m={_BIG}", "--params m")),
+    *_edges("minnorm", "--params",
+            ("x=5", None), ("x=-5", None), ("trunc=sqrt", None), ("x=99999999999", None),
+            ("trunc=99999999999", None), (f"x={_BIG}", None), ("trunc=1", "trunc = 1"),
+            ("trunc=0", "trunc = 0"), ("trunc=x", "--params trunc"), ("x=nan", "--params x"),
+            ("trunc=3,trunc=4", "--params key 'trunc'"), ("m=1", "--params key 'm'")),
+    *_edges("cz", "--height",
+            ("1", None), ("1/3", None), ("0.1", None), ("1e400", None), ("1e-400", None),
+            (_BIG, None), (f"1/{_BIG}", None), ("0", "height 0"), ("-1", "height -1"),
+            ("nan", "--height 'nan'"), ("inf", "--height 'inf'"), ("-inf", "--height"),
+            ("1/0", "--height '1/0'"), ("x", "--height 'x'"), ("", "--height ''")),
+    *[edge for run in ("kernel-decomp", "single", "seqset") for edge in _edges(
+        run, "--workers",
+        ("1", None), ("2", None), ("1000000", None), (_BIG, None),
+        ("0", "--workers 0"), ("-1", "--workers -1"), ("x", "--workers"),
+        ("1.5", "--workers"), ("nan", "--workers"))],
+    # numpy warned of the overflow of h on the Newton path before it exited 0
+    ("growth-table/far", "--h", "powerlog:1.05:1.0:1.0", None),
+]
+
+
+@pytest.mark.parametrize("run,flag,value,named", _FLAG_EDGES,
+                         ids=[f"{r}:{f}={v[:24]}" for r, f, v, _ in _FLAG_EDGES])
+def test_every_flag_edge_exits_cleanly(tmp_path, capsys, recwarn, run, flag, value,
+                                       named):
+    # --params m=1,m=2 ran with m = 2 under a header of params=m=1,m=2; numpy
+    # warned of overflows that the checks after them refuse; powerlog with
+    # |A| past 700 and an m past the float range died with an OverflowError
+    out, source = tmp_path / "t.csv", tmp_path / "in.csv"
+    source.write_text("x,value\n0,1\n1,3/2\n5,7\n-4,2\n")
+    argv = [str(source) if a == "@input" else a for a in _FLAG_RUNS[run]]
+    try:
+        code = main([*argv, flag, value, "--out", str(out)])
+    except SystemExit as exc:       # argparse refuses a value of the wrong type
+        code = exc.code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "Unable to allocate" not in err
+    warned = [str(w.message) for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    assert not warned
+    if named is None:
+        assert code == 0 and err == "" and out.exists(), err
+        return
+    assert code == EXIT_VALIDATION and not out.exists(), err
+    (line,) = [l for l in err.splitlines() if "error: " in l]
+    assert named in line, line
+
+
 def test_growth_table_refuses_a_kmax_past_the_float_range(tmp_path, capsys):
     # the grid ends at 2.0 ** kmax, which overflows from 1024 on: --kmax 1030
     # died with an OverflowError traceback

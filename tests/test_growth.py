@@ -405,27 +405,8 @@ def test_every_evaluator_keeps_its_pinned_bits(spec):
     assert _evaluator_digests(spec) == EVALUATOR_PINNED[spec]
 
 
-def test_pure_inverse_takes_one_h_point_per_y(phi15, monkeypatch):
-    calls = {"value": 0, "deriv": 0}
-    value, deriv = GrowthFunction.value, GrowthFunction.deriv
-
-    def counting_value(self, x):
-        calls["value"] += np.size(x)
-        return value(self, x)
-
-    def counting_deriv(self, x, order):
-        calls["deriv"] += 1
-        return deriv(self, x, order)
-
-    monkeypatch.setattr(GrowthFunction, "value", counting_value)
-    monkeypatch.setattr(GrowthFunction, "deriv", counting_deriv)
-    y = np.geomspace(1.0, 2.0 ** 50, CHUNK + 37)
-    phi15.value(y)
-    phi15.value(1.0)
-    assert calls == {"value": y.size + 1, "deriv": 0}
-
-
-def test_each_newton_step_evaluates_h_once(philog, monkeypatch):
+def _count_h_calls(monkeypatch) -> dict:
+    """The calls of each evaluator of h, counted from here on."""
     calls = {"_h": 0, "value": 0, "deriv": 0, "_derivs": 0}
 
     def counting(name):
@@ -438,14 +419,55 @@ def test_each_newton_step_evaluates_h_once(philog, monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(GrowthFunction, name, counting(name))
+    return calls
+
+
+def test_pure_inverse_takes_no_h_point(phi15, monkeypatch):
+    # the seed (y / C_h)^gamma is the answer, for identity_growth too
+    phident3 = identity_growth(3.0).inverse()
+    calls = _count_h_calls(monkeypatch)
+    y = np.geomspace(1.0, 2.0 ** 50, CHUNK + 37)
+    phi15.value(y)
+    phi15.value(1.0)
+    phident3.value(3.0 * y)
+    assert calls == {"_h": 0, "value": 0, "deriv": 0, "_derivs": 0}
+
+
+def test_each_newton_step_evaluates_h_once(philog, monkeypatch):
+    calls = _count_h_calls(monkeypatch)
     # one block, whose seeds miss: h(x) = x^1.02 log x is not a pure power
     y = np.geomspace(philog.y0, 2.0 ** 40, 1000)
     philog.value(y)
-    # the seed and each bracket doubling are one value call, each Newton
-    # step one fused h/h' call, and nothing else evaluates h: here no seed
-    # falls below its y, and six steps take 7 h evaluations (11 when each
-    # step called value and deriv), each through one _derivs call
-    assert calls == {"_h": 7, "value": 1, "deriv": 0, "_derivs": 7}
+    # the seed's one fused h/h' evaluation starts both the bracket and the
+    # first Newton step, each bracket doubling is one value call, and each
+    # further step one fused call: here no seed falls below its y, and six
+    # checks of the Newton path take 6 h evaluations, each one _derivs call
+    assert calls == {"_h": 6, "value": 0, "deriv": 0, "_derivs": 6}
+
+
+@pytest.mark.parametrize("c_h,x0", [(1.0, None), (1.5, None), (64.0, None),
+                                     (1.0, 2.1), (1e-3, 1e3)])
+@pytest.mark.parametrize("c", [1.02, 1.05, 1.5, 1.9, 1.999999])
+def test_a_pure_seed_meets_the_residual_test(c, c_h, x0):
+    # the premise of the closed-form inverse: (y / C_h)^gamma, clamped to x0,
+    # passes |h(x) - y| <= INVERSE_TOL y from just below y0 up to the largest
+    # y with y / C_h finite
+    g = make_growth("pure", c, c_h, x0=x0)
+    phi = g.inverse()
+    top = np.finfo(float).max * min(1.0, c_h)
+    y = np.concatenate([[phi.y0 * (1.0 - 1e-12), phi.y0],
+                        np.geomspace(phi.y0, top / 2.0, 20_000), [top]])
+    x = phi.value(y)
+    assert np.array_equal(x, np.maximum((y / c_h) ** phi.gamma, g.x0))
+    passed = (np.abs(g.value(x) - y) <= INVERSE_TOL * y) | (x == g.x0)
+    assert passed.all(), y[~passed]
+
+
+def test_a_pure_inverse_past_the_float_range_is_refused():
+    # y / C_h overflows to inf, which the closed form refuses as h would
+    phi = make_growth("pure", 1.5, 1e-3, x0=1e3).inverse()
+    with pytest.raises(DomainError, match="evaluation at x < x0"):
+        phi.value(1.7e308)
 
 
 def test_convergence_error_brackets_only_the_unconverged(monkeypatch):
