@@ -2,7 +2,7 @@
 integer sequences: growth functions and their inverses, the generated
 integer sets, smoothed kernels and their autocorrelation decomposition,
 phase-sum bounds, weak-type diagnostics with a dyadic stopping-time
-decomposition, and averages on finite dynamical systems.
+decomposition, and averages under a cyclic shift.
 """
 
 __version__ = "0.1.0"
@@ -76,10 +76,9 @@ from .maximal import (
     weak_type_profile,
 )
 from .ergodic import (
-    FiniteSystem,
+    Shift,
     cyclic_shift,
     ergodic_average,
-    indicator,
     oscillation_diagnostic,
     weighted_average,
 )

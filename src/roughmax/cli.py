@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .errors import NUMERIC_ERRORS, RoughMaxError, ValidationError
-from .ergodic import cyclic_shift, ergodic_average, indicator, weighted_average
+from .ergodic import check_states, cyclic_shift, ergodic_average, weighted_average
 from .expsum import min_norm_sweep, ratio_sweep
 from .growth import GrowthFunction, Variant, build_aux_report, make_growth
 from .kernel import decomposition_reports
@@ -456,18 +456,18 @@ def _parse_system(spec: str):
     parts = spec.split(":")
     if parts[0] == "shift" and len(parts) == 3:
         m = _spec_int("--system", spec, "m", parts[1], 1)
-        check_size(m, f"--system {spec!r}: m = {m}")
+        check_states(m, f"--system {spec!r}: m = {m}")
         return cyclic_shift(m, _spec_int("--system", spec, "step", parts[2]))
     raise ValidationError(f"--system {spec!r} is not shift:m:step")
 
 
-def _parse_observable(spec: str, size: int):
+def _parse_observable(spec: str, size: int) -> int:
     parts = spec.split(":")
     if parts[0] == "indicator" and len(parts) == 2:
         state = _spec_int("--f", spec, "k", parts[1])
         if not (0 <= state < size):
             raise ValidationError(f"--f {spec!r}: state {state} outside 0..{size - 1}")
-        return indicator(size, state)
+        return state
     raise ValidationError(f"--f {spec!r} is not indicator:k")
 
 
@@ -476,12 +476,12 @@ def _cmd_ergodic(args):
     g = parse_growth_spec(args.h)
     s = generate(g, scales[-1])
     system = _parse_system(args.system)
-    f = _parse_observable(args.f, system.size)
-    if not (0 <= args.x < system.size):
-        raise ValidationError(f"--x {args.x} outside 0..{system.size - 1}")
+    k = _parse_observable(args.f, system.m)
+    if not (0 <= args.x < system.m):
+        raise ValidationError(f"--x {args.x} outside 0..{system.m - 1}")
     rows = zip([n.bit_length() - 1 for n in scales], scales,
-               ergodic_average(system, s, f, args.x, scales).tolist(),
-               weighted_average(system, s, f, args.x, scales).tolist())
+               ergodic_average(system, s, k, args.x, scales).tolist(),
+               weighted_average(system, s, k, args.x, scales).tolist())
     return ["k", "N", "average", "weighted_average"], list(rows), {}
 
 
@@ -582,13 +582,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_out(path: str) -> None:
-    """Refuse an --out path that is a directory or whose directory does not
-    exist, in the words of the write that would fail, before any work."""
+    """Refuse an --out path that is a directory, or whose directory is
+    missing or not a directory, in the words of the write that would fail,
+    before any work."""
     out = Path(path)
     if out.is_dir():
         raise ValidationError(f"--out {path}: Is a directory")
     if not out.parent.is_dir():
-        raise ValidationError(f"--out {path}: No such file or directory")
+        # a missing component or a file on the way; stat says which
+        try:
+            out.parent.stat()
+        except OSError as exc:
+            raise ValidationError(f"--out {path}: {exc.strerror}") from None
+        raise ValidationError(f"--out {path}: Not a directory")
 
 
 def run(argv=None) -> int:

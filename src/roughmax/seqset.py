@@ -91,8 +91,15 @@ class SequenceSet:
         p = np.arange(lo, hi + 1, dtype=np.int64)
         agree = contains_via_inverse_batch(phi, p) == _member(self.elements, p)
         if not agree[-1] or not agree[-min(16, agree.size):].all():
+            # where h' < 1 the set holds every integer, and the inverse
+            # test, which needs h' > 1, cannot agree with it
+            slope = float(self.growth.deriv(phi.value(float(hi)), 1))
+            cause = "" if slope >= 1 else (
+                f": h'(phi(p)) = {slope:.3g} < 1 at its end p = {hi}, "
+                + ("so ask for a larger n_max" if hi < P_MIN_WINDOW
+                   else f"and P_MIN_WINDOW = {P_MIN_WINDOW} caps the window"))
             raise ValidationError(
-                "membership tests disagree through the calibration window")
+                "membership tests disagree through the calibration window" + cause)
         bad = np.nonzero(~agree)[0]
         return int(p[bad[-1]] + 1) if bad.size else lo
 

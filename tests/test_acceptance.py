@@ -25,7 +25,6 @@ from roughmax import (
     default_lambda_grid,
     ergodic_average,
     estimate_chi,
-    indicator,
     make_growth,
     oscillation_diagnostic,
     ratio_sweep,
@@ -262,13 +261,12 @@ def test_criterion_11_family_hypotheses(s102_22):
 
 def test_criterion_12_ergodic_convergence(s102_22):
     sys97 = cyclic_shift(97, 5)
-    f = indicator(97, 3)
-    a = ergodic_average(sys97, s102_22, f, 0, 1 << 20)
+    a = ergodic_average(sys97, s102_22, 3, 0, 1 << 20)
     dev = abs(a - 1.0 / 97.0)
     osc = {}
     for j_count in (4, 8):
         bps = [4 ** j for j in range(1, j_count + 2)]
-        osc[j_count] = oscillation_diagnostic(sys97, s102_22, f, 0,
+        osc[j_count] = oscillation_diagnostic(sys97, s102_22, 3, 0,
                                               0.25, bps) / j_count
     ok = dev < 0.05 and osc[8] <= osc[4]
     report("12", ok, f"|average - 1/97| = {dev:.2e} < 0.05 at 2^20; "

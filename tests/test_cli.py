@@ -93,24 +93,48 @@ def test_seqset_emit_into_a_missing_directory_names_the_flag(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+@pytest.mark.parametrize("nmax,cause", [
+    (4096, "h'(phi(p)) = 0.239 < 1 at its end p = 4095, so ask for a larger n_max"),
+    (1 << 20, "h'(phi(p)) = 0.426 < 1 at its end p = 65536, "
+              "and P_MIN_WINDOW = 65536 caps the window"),
+])
+def test_seqset_names_why_the_membership_tests_disagree(tmp_path, capsys, nmax, cause):
+    # where h' < 1 the set holds every integer and the inverse test cannot
+    # agree with it; the refusal named no cause
+    out = tmp_path / "t.csv"
+    assert run_cli("seqset", "--h", "powerlog:1.4119:0.1978:-1.794", "--nmax", str(nmax),
+                   "--out", str(out)) == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        f"error: membership tests disagree through the calibration window: {cause}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "a-directory", "under-a-file"])
 def test_an_unwritable_out_is_refused_by_name_before_the_command_runs(
         tmp_path, capsys, monkeypatch, where):
     # a missing directory used to print a bare "[Errno 2] ..." once the whole
     # command had run, and a directory "[Errno 21] Is a directory"; the
-    # handler raises here, so only a refusal made before it can exit 2
+    # handler raises here, so only a refusal made before it can exit 2.  A
+    # path below a file was refused as "No such file or directory", where
+    # the write says "Not a directory"
     def handler(args):
         raise AssertionError("the handler ran")
 
     monkeypatch.setattr(cli, "_cmd_kernel_decomp", handler)
+    (tmp_path / "F").write_text("kept\n")
     out, reason = {
         "missing-directory": (tmp_path / "missing" / "x.csv", "No such file or directory"),
         "a-directory": (tmp_path, "Is a directory"),
+        "under-a-file": (tmp_path / "F" / "x.csv", "Not a directory"),
     }[where]
     assert run_cli("kernel-decomp", "--h", "pure:1.02:1.0", "--kmin", "4", "--kmax", "5",
                    "--out", str(out)) == EXIT_VALIDATION
     assert capsys.readouterr().err == f"error: --out {out}: {reason}\n"
-    assert list(tmp_path.iterdir()) == []
+    assert [p.name for p in tmp_path.iterdir()] == ["F"]
+    assert (tmp_path / "F").read_text() == "kept\n"
+    with pytest.raises(OSError) as write:
+        out.write_text("")
+    assert write.value.strerror == reason
 
 
 def test_a_failed_table_write_names_out(tmp_path, capsys, monkeypatch):
@@ -1003,6 +1027,7 @@ _FLAG_RUNS = {
     "two": _EXPSUM + ("two",),
     "minnorm": _EXPSUM + ("minnorm",),
     "cz": ("cz", "--input", "@input"),
+    "cz/height": ("cz", "--input", "@input", "--height", "1"),
     "kernel-decomp": ("kernel-decomp", "--h", "pure:1.5:1.0", "--kmin", "4", "--kmax", "5"),
 }
 
@@ -1060,7 +1085,8 @@ _FLAG_EDGES = [
             ("shift:0:1", "m = 0"), ("shift:-1:1", "m = -1"), ("shift:x:1", "m = 'x'"),
             ("shift:64:x", "step = 'x'"), ("shift:1e3:1", "m = '1e3'"),
             ("rotate:64:1", "--system 'rotate:64:1'"), ("shift:64:1:2", "--system"),
-            ("shift:1073741825:1", "m = 1073741825"),
+            ("shift:1073741825:1", None), ("shift:2147483648:1", None),
+            ("shift:2147483649:1", "m = 2147483649 exceeds MAX_STATES = 2147483648"),
             ("shift:100000000000:1", "m = 100000000000"), (f"shift:{_BIG}:1", "--system")),
     *_edges("ergodic/system", "--f",
             ("indicator:63", None), ("indicator:64", "state 64"), ("indicator:-1", "state -1"),
@@ -1100,6 +1126,22 @@ _FLAG_EDGES = [
         ("1.5", "--workers"), ("nan", "--workers"))],
     # numpy warned of the overflow of h on the Newton path before it exited 0
     ("growth-table/far", "--h", "powerlog:1.05:1.0:1.0", None),
+    *_edges("seqset", "--format", ("json", None), ("xml", "--format")),
+    # paths: @missing is a directory that does not exist, @dir an empty one
+    # and @file a regular file; --emit-atoms makes its missing directories
+    *[edge for flag in ("--out", "--emit") for edge in _edges(
+        "seqset", flag,
+        ("@missing/t.csv", f"{flag} @missing/t.csv: No such file or directory"),
+        ("@dir", f"{flag} @dir: Is a directory"),
+        ("@file/t.csv", f"{flag} @file/t.csv: Not a directory"))],
+    *_edges("cz/height", "--input",
+            ("@missing/in.csv", "--input @missing/in.csv: No such file or directory"),
+            ("@dir", "--input @dir: Is a directory"),
+            ("@file/in.csv", "--input @file/in.csv: Not a directory")),
+    *_edges("cz/height", "--emit-atoms",
+            ("@missing/atoms", None), ("@dir", None),
+            ("@file", "--emit-atoms @file: File exists"),
+            ("@file/atoms", "--emit-atoms @file/atoms: Not a directory")),
 ]
 
 
@@ -1109,12 +1151,19 @@ def test_every_flag_edge_exits_cleanly(tmp_path, capsys, recwarn, run, flag, val
                                        named):
     # --params m=1,m=2 ran with m = 2 under a header of params=m=1,m=2; numpy
     # warned of overflows that the checks after them refuse; powerlog with
-    # |A| past 700 and an m past the float range died with an OverflowError
+    # |A| past 700 and an m past the float range died with an OverflowError;
+    # the flag goes after --out, so a row of --out overrides it
     out, source = tmp_path / "t.csv", tmp_path / "in.csv"
     source.write_text("x,value\n0,1\n1,3/2\n5,7\n-4,2\n")
-    argv = [str(source) if a == "@input" else a for a in _FLAG_RUNS[run]]
+    (tmp_path / "dir").mkdir()
+    paths = {"@missing": str(tmp_path / "missing"), "@dir": str(tmp_path / "dir"),
+             "@file": str(source), "@input": str(source)}
+    value, named = (re.sub("@[a-z]+", lambda m: paths[m[0]], t) if t else t
+                    for t in (value, named))
+    before = sorted(tmp_path.rglob("*"))
+    argv = [paths.get(a, a) for a in _FLAG_RUNS[run]]
     try:
-        code = main([*argv, flag, value, "--out", str(out)])
+        code = main([*argv, "--out", str(out), flag, value])
     except SystemExit as exc:       # argparse refuses a value of the wrong type
         code = exc.code
     err = capsys.readouterr().err
@@ -1124,7 +1173,7 @@ def test_every_flag_edge_exits_cleanly(tmp_path, capsys, recwarn, run, flag, val
     if named is None:
         assert code == 0 and err == "" and out.exists(), err
         return
-    assert code == EXIT_VALIDATION and not out.exists(), err
+    assert code == EXIT_VALIDATION and sorted(tmp_path.rglob("*")) == before, err
     (line,) = [l for l in err.splitlines() if "error: " in l]
     assert named in line, line
 
@@ -1238,27 +1287,46 @@ def test_ergodic_runs_a_shift_by_a_step_past_int64(tmp_path):
     assert outs[0] == outs[1]
 
 
-def assert_refused_above_max_support(run_limited, *argv):
+def assert_refused_above_max_support(run_limited, *argv,
+                                     cap=f"MAX_SUPPORT = {1 << 30}"):
     """Run the CLI in a child under a 3 GiB address-space limit and check
-    that it refuses with exit 2 and no traceback."""
+    that it refuses with exit 2, naming ``cap``, and no traceback."""
     proc = run_limited("-m", "roughmax.cli", *argv)
     assert proc.returncode == EXIT_VALIDATION, proc.stderr
-    assert f"exceeds MAX_SUPPORT = {1 << 30}" in proc.stderr
+    assert f"exceeds {cap}" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("argv", [
-    ("ergodic", "--h", "pure:1.5:1.0", "--system", "shift:100000000000:1",
-     "--f", "indicator:0", "--kmin", "1", "--kmax", "2"),
-    ("weaktype", "--h", "pure:1.5:1.0", "--nlo", "1", "--nhi", "2",
-     "--corpus", "random:5000000000:1"),
+@pytest.mark.parametrize("argv,cap", [
+    (("ergodic", "--h", "pure:1.5:1.0", "--system", "shift:100000000000:1",
+      "--f", "indicator:0", "--kmin", "1", "--kmax", "2"),
+     f"MAX_STATES = {1 << 31}"),
+    (("weaktype", "--h", "pure:1.5:1.0", "--nlo", "1", "--nhi", "2",
+      "--corpus", "random:5000000000:1"), f"MAX_SUPPORT = {1 << 30}"),
 ], ids=["ergodic-system-m", "weaktype-corpus-K"])
 def test_a_spec_size_past_the_cap_is_refused_before_it_is_drawn(
-        tmp_path, run_limited, argv):
+        tmp_path, run_limited, argv, cap):
     # shift:m:step built arange(m) and random:K:seed drew K positions with no
-    # check, and died with "Unable to allocate 745. GiB" and "37.3 GiB"
+    # check, and died with "Unable to allocate 745. GiB" and "37.3 GiB"; the
+    # shift allocates nothing of m now, and m is refused where its arithmetic
+    # would leave int64
     assert_refused_above_max_support(run_limited, *argv,
-                                     "--out", str(tmp_path / "t.csv"))
+                                     "--out", str(tmp_path / "t.csv"), cap=cap)
+
+
+def test_ergodic_runs_a_shift_on_2_31_states_under_a_memory_limit(tmp_path,
+                                                                 run_limited):
+    # m = 2^31 was refused above MAX_SUPPORT = 2^30; its map alone took 16 GiB.
+    # A step of m - 1 is a step of -1, so T^j x == x only where m divides j,
+    # which no element up to 2^12 does
+    out = tmp_path / "t.csv"
+    proc = run_limited("-m", "roughmax.cli", "ergodic", "--h", "pure:1.5:1.0",
+                       "--system", "shift:2147483648:2147483647", "--x", "2147483647",
+                       "--f", "indicator:2147483647", "--kmin", "1", "--kmax", "12",
+                       "--out", str(out))
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    rows = [l for l in out.read_text().splitlines() if not l.startswith("#")][1:]
+    assert rows == [f"{k},{1 << k},0,0" for k in range(1, 13)]
 
 
 def test_seqset_fits_a_quarter_of_the_cap_limit(tmp_path, run_limited):
