@@ -14,7 +14,9 @@ whole window.  One pass over the leaves serves every alpha probe of a
 phase: each leaf inverts phi at its own points once and returns the sums of
 all the probes, so nothing of the window's length is held, only buffers of
 at most ``util.BLOCK`` points and, for the two-point phase, the x phi values
-that the next leaves read at offset 0.
+that the next leaves read at offset 0.  A sum owns one stack of float rows
+of a leaf's length, which ``phi.value``, ``eta`` and ``dist_to_nearest_int``
+take as ``out``, so no leaf allocates an array of its own length.
 
 The sweeps run their scales through ``util.map_scales`` on up to ``workers``
 threads.  A task calls only ``phi.value``/``phi.deriv``, ``eta`` and
@@ -33,7 +35,7 @@ import numpy as np
 from . import signals
 from .errors import EmptyRangeError, PreconditionError, ValidationError
 from .growth import InverseFunction
-from .kernel import eta
+from .kernel import ETA_ROWS, eta
 from .util import BLOCK, chunked_sum, dist_to_nearest_int, map_scales, streamed_sum
 
 
@@ -191,16 +193,19 @@ def _phase_sums(phase: _Phase, alphas) -> list[ExpSumResult]:
     size = min(phase.k, BLOCK)
     iota = np.arange(min(phase.k + reach, BLOCK), dtype=float)
     ring = np.empty(reach + size)      # phi(first + i) at ring[i % ring.size]
-    pts, z = np.empty(size), np.empty(size, dtype=complex)
-    scaled = np.empty((len(terms), size))
+    z = np.empty(size, dtype=complex)
+    # the points to invert, then phi.value's stack; once a leaf's points are
+    # in the ring, its window points and scaled terms take the same rows
+    stack = np.empty((1 + max(phi.rows, len(terms)), iota.size))
+    pts, scaled = stack[0], stack[1:1 + len(terms)]
     inverted = 0
 
     def leaf(a, b):
         nonlocal inverted
         w = b - a
         while inverted < b + reach:
-            v = phi.value(iota[:min(iota.size, b + reach - inverted)]
-                          + (first + inverted))
+            y = pts[:min(iota.size, b + reach - inverted)]
+            v = phi.value(np.add(iota[:y.size], first + inverted, out=y), out=stack[1:])
             j = inverted % ring.size
             c = min(v.size, ring.size - j)
             ring[j:j + c] = v[:c]
@@ -271,17 +276,22 @@ def min_norm_sum(phi: InverseFunction, n: int, x: int,
         return 0.0, _min_norm_bound(phi, n, m_terms)
     k = hi - lo + 1
     iota = np.arange(min(k, BLOCK), dtype=float)
-    out = np.empty(min(k, BLOCK))
+    # the points, the summands, then phi.value's stack or the cutoffs'
+    stack = np.empty((2 + max(phi.rows, 2 + ETA_ROWS), iota.size))
 
     def leaf(a, b):
-        pts = iota[:b - a] + (lo + a)
-        terms = out[:b - a]
-        norms = dist_to_nearest_int(np.asarray(phi.value(pts), dtype=float))
+        pts, terms, work = stack[0, :b - a], stack[1, :b - a], stack[2:, :b - a]
+        np.add(iota[:b - a], lo + a, out=pts)
+        dist_to_nearest_int(phi.value(pts, out=work), out=terms)
+        np.multiply(m_terms, terms, out=terms)
         with np.errstate(divide="ignore"):
-            np.minimum(1.0, 1.0 / (m_terms * norms), out=terms)
-        e = np.asarray(eta(pts / n), dtype=float)
+            np.divide(1.0, terms, out=terms)
+        np.minimum(1.0, terms, out=terms)
+        e = eta(np.divide(pts, n, out=work[0]), out=work[1:])
         # at x = 0 the shifted cutoff is the same array
-        terms *= e * (e if x == 0 else np.asarray(eta((pts + x) / n), dtype=float))
+        shifted = e if x == 0 else eta(
+            np.divide(np.add(pts, x, out=work[0]), n, out=work[0]), out=work[2:])
+        terms *= np.multiply(e, shifted, out=work[1])
         return terms.sum()
 
     return streamed_sum(k, leaf, False), _min_norm_bound(phi, n, m_terms)
@@ -298,20 +308,6 @@ def _min_norm_bound(phi: InverseFunction, n: int, m_terms: int) -> float:
 # ---------------------------------------------------------------------------
 
 ALPHA_GOLDEN = 0.6180339887498949
-
-
-def _keep_temporaries_mapped() -> None:
-    """Free one 8 MiB block that is never written, so it costs no RSS.
-
-    A sweep inverts phi one leaf of at most ``BLOCK`` points at a time, and
-    phi.value makes 1 to 2.5 MB of temporaries per leaf.  glibc hands freed
-    heap memory past its trim threshold (128 KiB at first) back to the
-    system, and the next leaf faults it in again; freeing a mapped block
-    raises that threshold to twice the block's size, for the process.  On
-    the benchmark's expsum commands (2 vCPUs) this took minnorm 12..18 from
-    23k to 0.2k minor faults and 0.097 to 0.058 s.
-    """
-    np.empty(1 << 20)
 
 
 def resonant_alpha(phi: InverseFunction, n: int, slope_mult: float) -> float:
@@ -363,7 +359,6 @@ def ratio_sweep(phi: InverseFunction, mode: str, m: int, scales,
             x = int(math.ceil(float(phi.value(float(n))) ** kappa))
         (_two_window if mode == "two" else _window)(n, x)
         tasks.append((n, x))
-    _keep_temporaries_mapped()
 
     def task(scale):
         n, x = scale
@@ -390,7 +385,6 @@ def min_norm_sweep(phi: InverseFunction, x: int, m_terms: int | None, scales,
     """
     for n in scales:
         _window(n, x)
-    _keep_temporaries_mapped()
 
     def task(n):
         m = max(2, math.isqrt(n)) if m_terms is None else m_terms

@@ -56,7 +56,7 @@ from .errors import (
     SingularityError,
     ValidationError,
 )
-from .util import CHUNK
+from .util import BLOCK
 
 FloatLike = float | np.ndarray
 
@@ -109,12 +109,13 @@ def _differentiate(terms: Terms) -> Terms:
     return tuple((c, xp, le) for (xp, le), c in out.items() if c != 0.0)
 
 
-def _iterated_logs(x, depth: int, log=np.log):
-    """[log x, log log x, ...], ``depth`` deep, taken by ``log``."""
+def _iterated_logs(x, depth: int, log=np.log, out=None):
+    """[log x, log log x, ...], ``depth`` deep, taken by ``log``; with ``out``,
+    one float row (or None) per level, np.log writes each level there."""
     logs = []
     v = x
-    for _ in range(depth):
-        v = log(v)
+    for j in range(depth):
+        v = log(v) if out is None else log(v, out=out[j])
         logs.append(v)
     return logs
 
@@ -127,18 +128,34 @@ def _check_domain(v, start: float, what: str) -> np.ndarray:
     return v
 
 
-def _eval_terms(terms: Terms, x, logs) -> np.ndarray:
+def _eval_terms(terms: Terms, x, logs, out=(None, None, None)) -> np.ndarray:
     """The sum of the nonempty ``terms`` at x, from the first term on; a unit
     exponent is a plain product, with the bits of ``np.power(lv, 1.0)``.  x and
-    logs may be mpmath numbers, which ``np.power`` raises by their own ``**``."""
+    logs may be mpmath numbers, which numpy raises, multiplies and adds by
+    their own operators.
+
+    ``out`` holds three float rows of x's shape, or Nones for fresh arrays:
+    the sum lands in the first, the first term is formed there too, every
+    later one in the second, and a power of a log in the third.
+    """
     total = None
     for coef, xpow, lexp in terms:
-        t = coef * np.power(x, float(xpow)) if xpow != 0 else coef
+        dst = out[0] if total is None else out[1]
+        t = coef
+        if xpow != 0:
+            t = np.multiply(coef, np.power(x, float(xpow), out=dst), out=dst)
         for lv, e in zip(logs, lexp):
             if e != 0:
-                t = t * (lv if e == 1 else np.power(lv, float(e)))
-        total = t if total is None else total + t
+                f = lv if e == 1 else np.power(lv, float(e), out=out[2])
+                t = np.multiply(t, f, out=dst)
+        total = t if total is None else np.add(total, t, out=out[0])
     return total
+
+
+def _packed(values: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """``values`` copied to the front of ``row``, as that prefix."""
+    row[:values.size] = values
+    return row[:values.size]
 
 
 # ---------------------------------------------------------------------------
@@ -205,16 +222,18 @@ class GrowthFunction:
         x = _check_domain(x, self.x0, "evaluation at x < x0")
         return x, _iterated_logs(x, self._depth)
 
-    def _h(self, x, logs):
+    def _h(self, x, logs, out=(None,) * 4):
         """h(x) = C_h * exp(c log x + lam(x)) at a checked x, with log x taken
         from the chain when it holds one; a pure power adds no lam, as
-        c log x + 0.0 has the bits of c log x."""
-        t = self.c * (logs[0] if logs else np.log(x))
+        c log x + 0.0 has the bits of c log x.  ``out``: the row of h, then
+        the three rows of ``_eval_terms``, or Nones."""
+        h, *terms = out
+        t = np.multiply(self.c, logs[0] if logs else np.log(x, out=h), out=h)
         if self._lam:
-            t = t + _eval_terms(self._lam, x, logs)
-        return self.c_h * np.exp(t)
+            t = np.add(t, _eval_terms(self._lam, x, logs, terms), out=h)
+        return np.multiply(self.c_h, np.exp(t, out=h), out=h)
 
-    def _derivs(self, x, order: int) -> list:
+    def _derivs(self, x, order: int, out=None) -> list:
         """[h, h', ..., h^(order)](x), order = 0..3, from one domain check, one
         log chain and one h: the one evaluator of h and its derivatives.
 
@@ -222,22 +241,39 @@ class GrowthFunction:
         h' = h u_1, h'' = h (u_1^2 + u_2) and h^(3) = h (u_1^3 + 3 u_1 u_2 +
         u_3).  Integer powers are products: a scalar ``**`` is libm ``pow``
         and an array ``**`` a SIMD loop, so only products give the same bits.
+
+        ``out``, for a 1-D x, is a float stack of at least ``order + 4 +
+        depth`` rows of x.size values.  Up to order 1, h^(j) lands in row j
+        and every step writes into a row, so the call allocates no array of
+        x's size but the domain check's masks; the higher orders, and a call
+        without a stack, make fresh arrays.  The steps are the same either
+        way, and so are the bits.
         """
-        x, logs = self._chain(x)
-        lam = [_eval_terms(t, x, logs) if t else 0.0 for t in self._lam_d[:order]]
-        h = self._h(x, logs)
-        out = [h]
+        x = _check_domain(x, self.x0, "evaluation at x < x0")
+        # the stack's next row at each call, or None without a stack
+        take = iter(out[:, :x.size]).__next__ if out is not None else lambda: None
+        res = [take() for _ in range(order + 1)]
+        logs = _iterated_logs(x, self._depth, out=[take() for _ in range(self._depth)])
+        terms = [take() for _ in range(3)]
+
+        def lam(k):
+            t = self._lam_d[k]
+            return _eval_terms(t, x, logs, terms) if t else 0.0
+
         if order >= 1:
-            u1 = self.c / x + lam[0]
-            out.append(h * u1)
+            u1 = np.add(np.divide(self.c, x, out=res[1]), lam(0), out=res[1])
+        h = self._h(x, logs, [res[0]] + terms)
         if order >= 2:
             x2 = x * x
-            u2 = -self.c / x2 + lam[1]
-            out.append(h * (u1 * u1 + u2))
+            u2 = -self.c / x2 + lam(1)
+            res[2] = h * (u1 * u1 + u2)
         if order >= 3:
-            u3 = 2.0 * self.c / (x2 * x) + lam[2]
-            out.append(h * (u1 * u1 * u1 + 3.0 * u1 * u2 + u3))
-        return out
+            u3 = 2.0 * self.c / (x2 * x) + lam(2)
+            res[3] = h * (u1 * u1 * u1 + 3.0 * u1 * u2 + u3)
+        if order >= 1:      # last, as u_1 shares the row of h'
+            res[1] = np.multiply(h, u1, out=res[1])
+        res[0] = h
+        return res
 
     def value(self, x) -> FloatLike:
         """h(x) = C_h * exp(c log x + lam(x))."""
@@ -507,7 +543,7 @@ def identity_growth(c_h: float = 1.0) -> GrowthFunction:
 class InverseFunction:
     """Numeric inverse phi of a growth function, phi(h(x)) = x.
 
-    Arrays are solved in blocks of ``util.CHUNK`` points: a pure power by its
+    Arrays are solved in blocks of ``util.BLOCK`` points: a pure power by its
     closed form (y / C_h)^gamma, which takes no h, any other h by safeguarded
     Newton steps from that seed in a doubling-expanded bracket, each step one
     fused evaluation of h and h' on the points not yet converged.  Immutable
@@ -522,65 +558,106 @@ class InverseFunction:
     def c(self) -> float:
         return self.source.c
 
-    def value(self, y) -> FloatLike:
+    @property
+    def rows(self) -> int:
+        """Rows of the float stack that ``value`` takes as ``out``: phi, and
+        for a Newton path the h, h', log-chain and term rows of each step
+        (``GrowthFunction._derivs``) and the y, x, lo and hi of the points not
+        yet converged."""
+        g = self.source
+        return 1 + (5 + g._depth + 4 if g._lam else 0)
+
+    def value(self, y, out=None) -> FloatLike:
         """phi(y): the x >= x0 with |h(x) - y| <= INVERSE_TOL * y.
 
-        Each point follows its own closed form or Newton path, so a point's
-        bits do not depend on the array it came in, its position or its block.
+        ``out``, for a 1-D y, is a float stack of at least ``rows`` rows of
+        y.size values: phi lands in its first row and the solve works in the
+        others, so the call allocates nothing of y's size but masks and, once
+        points converge, arrays of the points left.  Without it the call makes
+        the result and one stack of at most ``BLOCK`` columns.  Each point
+        follows its own closed form or Newton path, so a point's bits do not
+        depend on the array it came in, its position, its block or the stack.
         """
         y = _check_domain(y, self.y0, "inversion at y < y0")
         flat = y.ravel()
-        x = np.empty_like(flat)
-        for i in range(0, flat.size, CHUNK):
-            x[i:i + CHUNK] = self._solve(flat[i:i + CHUNK])
+        if out is None:
+            x = np.empty_like(flat)
+            work = np.empty((self.rows - 1, min(flat.size, BLOCK)))
+        else:
+            x, work = out[0, :flat.size], out[1:]
+        for i in range(0, flat.size, BLOCK):
+            block = flat[i:i + BLOCK]
+            self._solve(block, x[i:i + BLOCK], work[:, :block.size])
         return float(x[0]) if y.ndim == 0 else x.reshape(y.shape)
 
     @np.errstate(over="ignore", invalid="ignore")
-    def _solve(self, y: np.ndarray) -> np.ndarray:
-        """phi on one block.  For a pure power the seed is the answer: its
-        residual, at most (2.4 c + 4 + 4 c log x) u <= 2845 u, meets the
-        residual test for any finite y / C_h.  Elsewhere the seed's one
-        evaluation starts both the bracket and the first Newton step; an h
-        that overflows to inf is caught by the bracket test and the ``bad``
-        mask, so numpy does not warn of it."""
+    def _solve(self, y: np.ndarray, x: np.ndarray, work: np.ndarray) -> None:
+        """phi on one block, into x, with the rows of ``work`` as its scratch.
+        For a pure power the seed is the answer: its residual, at most (2.4 c
+        + 4 + 4 c log x) u <= 2845 u, meets the residual test for any finite
+        y / C_h.  Elsewhere the seed's one evaluation starts both the bracket
+        and the first Newton step; an h that overflows to inf is caught by the
+        bracket test and the ``bad`` mask, so numpy does not warn of it.
+
+        The Newton iterates are x itself until a point converges; from then on
+        the points left are packed, with their positions ``pos`` in x, into
+        the front of their rows, and each one goes to x as it converges.  Each
+        step is the one of the whole-array form, so are the bits."""
         g = self.source
         x0 = g.x0
-        x = np.maximum((y / g.c_h) ** self.gamma, x0)
+        np.divide(y, g.c_h, out=x)
+        x **= self.gamma        # in place, with the bits of ``**``
+        np.maximum(x, x0, out=x)
         if not g._lam:
-            return _check_domain(x, x0, "evaluation at x < x0")
-        pos, ya, xa, lo, hi = np.arange(y.size), y, x, np.full_like(y, x0), x.copy()
-        ha, dha = g._derivs(xa, 1)
+            _check_domain(x, x0, "evaluation at x < x0")
+            return
+        nd = 5 + g._depth       # the rows of one _derivs(x, 1)
+        f1, f2 = work[2], work[3]   # scratch between the evaluations
+        ya_row, xa_row, lo, hi = work[nd:nd + 4]
+        lo.fill(x0)
+        np.copyto(hi, x)
+        ha, dha = g._derivs(x, 1, work[:nd])
         # a seed that meets the residual test needs no bracket
-        below = ha - ya < -INVERSE_TOL * ya
+        below = np.subtract(ha, y, out=f1) < np.multiply(-INVERSE_TOL, y, out=f2)
         for _ in range(200):
             j = np.flatnonzero(below)
             if j.size == 0:
                 break
             hi[j] *= 2.0
-            below[j] = g.value(hi[j]) < ya[j]
+            below[j] = g.value(hi[j]) < y[j]
         else:
             raise ConvergenceError("bracket expansion failed",
                                    bracket=(float(lo.min()), float(hi[below].max())))
 
+        pos, ya, xa = None, y, x
         for _ in range(INVERSE_MAX_ITER):
-            fa = ha - ya
+            fa = np.subtract(ha, ya, out=ha)
             # a bracket collapsed to adjacent floats is the correctly rounded
             # root; stop there even if the residual test still fails
-            done = (np.abs(fa) <= INVERSE_TOL * ya) | (hi - lo <= 4.0 * np.spacing(hi))
+            done = np.abs(fa, out=f1) <= np.multiply(INVERSE_TOL, ya, out=f2)
+            done |= np.subtract(hi, lo, out=f1) <= np.multiply(
+                4.0, np.spacing(hi, out=f2), out=f2)
             if done.any():
-                x[pos[done]] = xa[done]
                 keep = ~done
-                pos, ya, xa, fa, dha, lo, hi = (
-                    a[keep] for a in (pos, ya, xa, fa, dha, lo, hi))
+                if pos is None:     # the converged points hold their roots in x
+                    pos = np.flatnonzero(keep)
+                else:
+                    x[pos[done]] = xa[done]
+                    pos = pos[keep]
                 if pos.size == 0:
-                    return x
+                    return
+                rows = (ya_row, xa_row, work[0], work[1], lo, hi)
+                ya, xa, fa, dha, lo, hi = (_packed(a[keep], row) for a, row in
+                                           zip((ya, xa, fa, dha, lo, hi), rows))
+                f1, f2 = work[2, :pos.size], work[3, :pos.size]
             above = fa > 0
-            hi = np.where(above, xa, hi)
-            lo = np.where(above, lo, xa)
-            xn = xa - fa / dha
+            np.copyto(hi, xa, where=above)
+            np.copyto(lo, xa, where=~above)
+            xn = np.subtract(xa, np.divide(fa, dha, out=f1), out=f1)
             bad = ~np.isfinite(xn) | (xn <= lo) | (xn >= hi)
-            xa = np.where(bad, 0.5 * (lo + hi), xn)
-            ha, dha = g._derivs(xa, 1)
+            np.copyto(xa, xn)
+            np.copyto(xa, np.multiply(0.5, np.add(lo, hi, out=f2), out=f2), where=bad)
+            ha, dha = g._derivs(xa, 1, work[:nd])
         raise ConvergenceError(
             f"inversion did not converge in {INVERSE_MAX_ITER} iterations",
             bracket=(float(lo.min()), float(hi.max())))

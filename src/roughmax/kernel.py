@@ -39,30 +39,45 @@ from .util import BLOCK, _pairwise, loglog_slope, map_scales
 # the cutoff
 # ---------------------------------------------------------------------------
 
-def _bump_ratio(u: np.ndarray) -> np.ndarray:
-    """exp(-1/u) / (exp(-1/u) + exp(-1/(1-u))) on (0, 1): a smooth 0 -> 1 step."""
-    u = np.clip(u, 1e-300, 1.0 - 1e-16)
-    a = np.exp(-1.0 / u)
-    b = np.exp(-1.0 / (1.0 - u))
-    return a / (a + b)
+def _bump_ratio(u: np.ndarray, b: np.ndarray, m: np.ndarray) -> None:
+    """exp(-1/u) / (exp(-1/u) + exp(-1/(1-u))) on (0, 1), a smooth 0 -> 1 step,
+    written over u where the mask m holds; b is scratch of u's shape."""
+    np.clip(u, 1e-300, 1.0 - 1e-16, out=u, where=m)
+    np.exp(np.divide(-1.0, np.subtract(1.0, u, out=b, where=m), out=b, where=m),
+           out=b, where=m)
+    np.exp(np.divide(-1.0, u, out=u, where=m), out=u, where=m)
+    np.divide(u, np.add(u, b, out=b, where=m), out=u, where=m)
 
 
-def eta(t) -> np.ndarray | float:
+ETA_ROWS = 3
+
+
+def eta(t, out=None) -> np.ndarray | float:
     """Fixed smooth cutoff: 0 off (1/2, 4), 1 on [1, 2], smooth joins between.
 
     The rise on (1/2, 1) and fall on (2, 4) are the standard exp(-1/t) bump
-    steps, pinned here once so every experiment is reproducible.
+    steps, pinned here once so every experiment is reproducible.  Each step
+    is computed where its mask holds, so every point has the bits it has
+    alone.  ``out`` is a float stack of at least ``ETA_ROWS`` rows of t.size
+    values: the cutoff lands in the first and the steps are worked out in the
+    others, so the call allocates no array of t's size but the masks.
     """
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    out[(t >= 1.0) & (t <= 2.0)] = 1.0
+    shape = np.shape(t)
+    t = np.asarray(t, dtype=float).reshape(-1)
+    v, u, b = (np.empty((ETA_ROWS, t.size)) if out is None else out)[:ETA_ROWS, :t.size]
+    v.fill(0.0)
+    v[(t >= 1.0) & (t <= 2.0)] = 1.0
     m = (t > 0.5) & (t < 1.0)
     if m.any():
-        out[m] = _bump_ratio(2.0 * t[m] - 1.0)
+        np.subtract(np.multiply(2.0, t, out=u, where=m), 1.0, out=u, where=m)
+        _bump_ratio(u, b, m)
+        np.copyto(v, u, where=m)
     m = (t > 2.0) & (t < 4.0)
     if m.any():
-        out[m] = 1.0 - _bump_ratio((t[m] - 2.0) / 2.0)
-    return float(out) if out.ndim == 0 else out
+        np.divide(np.subtract(t, 2.0, out=u, where=m), 2.0, out=u, where=m)
+        _bump_ratio(u, b, m)
+        np.subtract(1.0, u, out=v, where=m)
+    return float(v[0]) if shape == () else v.reshape(shape)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import threading
 from typing import Callable, Sequence
 
 import numpy as np
@@ -15,12 +16,12 @@ CHUNK = 1 << 16
 COMPENSATED_THRESHOLD = 1 << 20
 
 # values per leaf of ``streamed_sum``, and points per call of phi.value and
-# eta in ``expsum``, whose float temporaries are then 128 KiB.  Measured on
-# the benchmark's expsum commands and on minnorm 4..19 x=5 (2 vCPU): in
-# blocks of 2^15 malloc handed each block's temporaries back to the system
-# and faulted them in afresh (minnorm 4..19 at --workers 1: 83k minor faults
-# and 0.32 s, against 18k and 0.25 s), and blocks of 2^13 cost more per call
-# under two threads (0.29 s against 0.23 s).
+# eta in ``expsum``, whose stack rows are then 128 KiB each; phi.value also
+# solves any array BLOCK points at a time.  Measured on minnorm 4..19 x=5
+# (2 vCPU, medians of 6 fresh runs at --workers 1 / 2): blocks of 2^13 took
+# 0.15 / 0.19 s and 0.3k / 0.5k minor faults, 2^14 0.13 / 0.12 s and 0.7k /
+# 1.0k, 2^15 0.12 / 0.10 s and 1.6k / 2.0k; but 2^15 doubles the stack each
+# thread holds, and peak RSS went from 32.1 / 33.4 MB to 32.9 / 35.1 MB.
 BLOCK = 1 << 14
 
 
@@ -87,21 +88,40 @@ def map_scales(task: Callable, items: Sequence, workers: int = 1) -> list:
     scale first, as it costs about as much as the rest; the tasks must spend
     their time in numpy calls that release the GIL.  Results come back in
     scale order and the first failing scale raises, so nothing depends on
-    the thread count.  A task must not touch mpmath, whose working precision
-    is process-global.
+    the thread count: once a scale has failed, the threads take the scales
+    left smallest first, as the loop would, and start none above a failure,
+    whose error could not be the first.  Every thread has ended when the
+    call returns or raises.  A task must not touch mpmath, whose working
+    precision is process-global.
     """
     workers = min(workers, len(items))
     if workers <= 1:
         return [task(i) for i in items]
-    # imported here, so commands that start no pool do not pay for it
-    # (0.5 to 1.4 MB of peak RSS on the commands of the other workloads)
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(workers) as pool:
-        futures = [pool.submit(task, i) for i in reversed(items)][::-1]
-        try:
-            return [f.result() for f in futures]
-        finally:
-            pool.shutdown(cancel_futures=True)
+    results = [None] * len(items)
+    todo = list(range(len(items)))
+    failed = {}         # index -> the error its task raised
+    lock = threading.Lock()
+
+    def run():
+        while True:
+            with lock:
+                if not todo or (failed and todo[0] > min(failed)):
+                    return
+                i = todo.pop(0) if failed else todo.pop()
+            try:
+                results[i] = task(items[i])
+            except BaseException as exc:
+                with lock:
+                    failed[i] = exc
+
+    threads = [threading.Thread(target=run) for _ in range(workers)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    if failed:
+        raise failed[min(failed)]
+    return results
 
 
 def loglog_slope(x: np.ndarray, y: np.ndarray) -> float:
@@ -115,8 +135,10 @@ def loglog_slope(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.polyfit(np.log2(x), np.log2(y), 1)[0])
 
 
-def dist_to_nearest_int(t: np.ndarray | float) -> np.ndarray | float:
-    """Distance to the nearest integer, |t - round(t)| with round-half-even."""
+def dist_to_nearest_int(t: np.ndarray | float, out=None) -> np.ndarray | float:
+    """Distance to the nearest integer, |t - round(t)| with round-half-even,
+    into ``out`` (a float array of t's shape, not t itself) when given."""
     t = np.asarray(t, dtype=float)
-    d = np.abs(t - np.rint(t))
+    d = np.empty_like(t) if out is None else out
+    np.abs(np.subtract(t, np.rint(t, out=d), out=d), out=d)
     return float(d) if d.ndim == 0 else d

@@ -514,17 +514,18 @@ def test_kernel_errors_exit_2_from_the_first_use_of_the_family(tmp_path, capsys,
 
 
 def test_workers_never_start_more_threads_than_scales(tmp_path, monkeypatch):
-    # the pool is sized min(--workers, #scales); the recording executor only
-    # notes the size it is asked for, and at most one thread per task starts
-    import concurrent.futures
+    # min(--workers, #scales) threads start for a command's scales, and none
+    # at --workers 1; every thread start is counted, per run
+    import threading
+    starts = []
+    start = threading.Thread.start
+
+    def counting(thread):
+        starts.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting)
     sizes = []
-
-    class Recording(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, max_workers=None, *args, **kwargs):
-            sizes.append(max_workers)
-            super().__init__(max_workers, *args, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
     for label, argv in (("kernel-decomp", ("kernel-decomp", "--kmin", "8", "--kmax", "11")),
                         ("verify-family", ("verify-family", "--nlo", "8", "--nhi", "11")),
                         ("single", ("expsum", "--bound", "single", "--kmin", "8",
@@ -532,8 +533,11 @@ def test_workers_never_start_more_threads_than_scales(tmp_path, monkeypatch):
                         ("minnorm", ("expsum", "--bound", "minnorm", "--kmin", "8",
                                      "--kmax", "11"))):
         for workers in ("64", "1"):
+            starts.clear()
             assert run_cli(*argv, "--h", "pure:1.02:1.0", "--workers", workers,
                            "--out", str(tmp_path / f"{label}-{workers}.csv")) == 0
+            if starts:
+                sizes.append(len(starts))
         assert (tmp_path / f"{label}-64.csv").read_bytes() \
             == (tmp_path / f"{label}-1.csv").read_bytes()
     assert sizes == [4, 4, 4, 4]

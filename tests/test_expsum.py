@@ -1,9 +1,12 @@
 """Phase sums against their predicted caps; summation identities are exact."""
 
 import math
+import os
 import statistics
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -154,9 +157,9 @@ def test_two_phase_terms_are_slices_of_one_inversion(philog, monkeypatch):
     points = []
     value = InverseFunction.value
 
-    def recording(self, y):
+    def recording(self, y, **kwargs):
         points.append(np.array(y))
-        return value(self, y)
+        return value(self, y, **kwargs)
 
     monkeypatch.setattr(InverseFunction, "value", recording)
     got = expsum._phase_sums(phase, alphas)
@@ -242,9 +245,9 @@ def test_min_norm_reads_the_cutoff_once_per_point_at_x_0(phi105, monkeypatch):
     sizes = []
     real = expsum.eta
 
-    def counting(t):
+    def counting(t, **kwargs):
         sizes.append(np.size(t))
-        return real(t)
+        return real(t, **kwargs)
 
     monkeypatch.setattr(expsum, "eta", counting)
     min_norm_sum(phi105, n, 0, 32)
@@ -282,10 +285,10 @@ def test_min_norm_sum_of_an_empty_window_forms_no_float_of_x(phi105, x):
 
 
 # The sweeps keep one window per thread live at once, so a window's sum must
-# hold nothing of its length: a phase sum measured 12 BLOCK-point float
-# buffers at N = 2^16 and 2^18 (229376 and 917504 points), phi.value's
-# temporaries included, and the two-point phase 15 beside its x phi values,
-# which the offset-0 term reads after the offset-x term; min_norm_sum 11.
+# hold nothing of its length: a phase sum measured 6.2 BLOCK-point float
+# buffers at N = 2^16 and 2^18 (229376 and 917504 points), phi.value's stack
+# included, and the two-point phase 7.2 beside its x phi values, which the
+# offset-0 term reads after the offset-x term; min_norm_sum 8.5.
 
 def test_phase_sum_holds_one_complex_buffer(phi105):
     cap = 20 * 8 * BLOCK
@@ -304,6 +307,50 @@ def test_phase_sum_holds_one_complex_buffer(phi105):
 def test_min_norm_sum_holds_two_window_arrays(phi105, x):
     # the summands live in buffers of at most BLOCK points
     assert traced_peak(min_norm_sum, phi105, 1 << 18, x, 512) <= 12 * 8 * BLOCK
+
+
+# A leaf of a phase sum allocates nothing of its length: phi.value, eta and
+# the distance to the nearest integer write into stacks the sum owns.  Fresh
+# leaf-length temporaries are trimmed by malloc and faulted in again on every
+# leaf: 11.5k and 8.3k minor faults for the two calls below when each leaf
+# made its own.  Each call runs in a fresh interpreter, after one warm-up, so
+# no other call has moved malloc's thresholds; a 2 MiB array that is kept,
+# and so moves none, shows that the faults are counted at all.
+FAULT_PROBE = """
+import math, resource, sys
+import numpy as np
+from roughmax import make_growth, min_norm_sum, two_phase_sum
+
+def faults(call):
+    f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    out = call()
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0, out
+
+touched, kept = faults(lambda: np.ones(1 << 18))
+if sys.argv[1] == "min_norm":
+    phi = make_growth("pure", 1.05, 1.0).inverse()
+    call = lambda: min_norm_sum(phi, 1 << 18, 0, 512)
+else:
+    phi = make_growth("powerlog", 1.05, 1.0, a=1.0).inverse()
+    n = 1 << 16
+    x = math.ceil(float(phi.value(float(n))))
+    call = lambda: two_phase_sum(phi, n, x, 0.25, 2, 2, 1.0)
+call()
+print(touched, faults(call)[0])
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="minor faults are counted on Linux")
+@pytest.mark.parametrize("call", ["min_norm", "two"])
+def test_a_lone_phase_sum_faults_no_leaf_in(call):
+    env = dict(os.environ, PYTHONPATH=str(Path(expsum.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", FAULT_PROBE, call], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    touched, lone = map(int, proc.stdout.split())
+    if touched < 256:
+        pytest.skip(f"ru_minflt counts {touched} faults for 512 fresh pages")
+    assert lone <= 1000
 
 
 def test_min_norm_validation(phi105):
@@ -394,9 +441,9 @@ def test_each_window_is_inverted_once(phi105, monkeypatch):
     sizes = []
     value = InverseFunction.value
 
-    def counting(self, y):
+    def counting(self, y, **kwargs):
         sizes.append(np.size(y))
-        return value(self, y)
+        return value(self, y, **kwargs)
 
     monkeypatch.setattr(InverseFunction, "value", counting)
     # beyond the window only O(1) scalars: phi(N) and the resonant probe

@@ -286,6 +286,10 @@ def test_blocked_inverse_is_bit_identical_per_point(name):
     assert np.array_equal(scalar.view(np.int64), x[idx].view(np.int64))
     assert np.array_equal(phi.value(y.reshape(-1, 1)).ravel().view(np.int64),
                           x.view(np.int64))
+    # in a caller's stack, reused by a second call, as the phase leaves do
+    stack = np.empty((phi.rows, y.size))
+    phi.value(y[::-1], out=stack)
+    assert np.array_equal(phi.value(y, out=stack).view(np.int64), x.view(np.int64))
 
 
 SHAPE_SPECS = ("pure:1.5:1.0", "powerlog:1.02:1.0:1.0", "powerlog:1.0:1.0:1.0",

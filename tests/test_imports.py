@@ -7,7 +7,8 @@ read by the package, the acceptance criteria or the benchmark's tracer, no
 function takes a set or a kernel beside an inverse that must match it, no
 public function but the CLI's takes a range of scale exponents,
 the CLI takes no private name from another package module, no module but
-``growth`` imports mpmath or reads ``_exact``, no dataclass that holds an
+``growth`` imports mpmath or reads ``_exact``, none imports the thread pool
+of ``concurrent.futures``, no dataclass that holds an
 array takes the generated ``==``, and the benchmark's span tracer still
 installs on the package and counts the terms of a phase sum."""
 
@@ -18,6 +19,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
 
@@ -448,6 +450,49 @@ def test_guard_flags_precision_outside_growth():
 def test_only_growth_holds_the_working_precision():
     modules = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
     assert precision_leaks(modules) == []
+
+
+def imports_of(source: str, package: str) -> bool:
+    """Whether ``source`` imports ``package`` or a module under it."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+        else:
+            continue
+        if any(n == package or n.startswith(package + ".") for n in names):
+            return True
+    return False
+
+
+def test_guard_flags_a_thread_pool_import():
+    assert imports_of("import concurrent.futures\n", "concurrent.futures")
+    assert imports_of("def f():\n    from concurrent.futures import ThreadPoolExecutor\n",
+                      "concurrent.futures")
+    assert imports_of("from concurrent import futures\n", "concurrent.futures")
+    assert not imports_of("import threading\nfrom .util import futures\n",
+                          "concurrent.futures")
+
+
+def test_threads_start_without_the_thread_pool_module():
+    # util.map_scales starts plain threads: no module imports the pool, and a
+    # threaded expsum run leaves it unloaded, which saves its ~0.35 MB of RSS
+    assert [p.name for p in (*MODULES, PACKAGE / "__init__.py")
+            if imports_of(p.read_text(encoding="utf-8"), "concurrent.futures")] == []
+    code = ("import sys, threading\nimport roughmax.cli\nstarted = []\n"
+            "start = threading.Thread.start\n"
+            "threading.Thread.start = lambda t: (started.append(t), start(t))\n"
+            "argv = ['expsum', '--h', 'pure:1.05:1.0', '--bound', 'two', '--kmin', '8',\n"
+            "        '--kmax', '10', '--workers', '2', '--out', sys.argv[1]]\n"
+            "assert roughmax.cli.main(argv) == 0\n"
+            "print(len(started), 'concurrent.futures' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    with tempfile.TemporaryDirectory() as tmp:
+        proc = subprocess.run([sys.executable, "-c", code, os.path.join(tmp, "t.csv")],
+                              capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["2", "False"]
 
 
 def comparable_array_records(source: str) -> list:

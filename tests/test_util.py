@@ -1,11 +1,22 @@
-"""The ordered reducer: numpy's own pairwise sum, one leaf at a time."""
+"""The ordered reducer: numpy's own pairwise sum, one leaf at a time; and
+the scale runner, whose results and errors do not depend on its threads."""
 
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
-from roughmax.util import BLOCK, CHUNK, COMPENSATED_THRESHOLD, chunked_sum, streamed_sum
+from roughmax.util import (
+    BLOCK,
+    CHUNK,
+    COMPENSATED_THRESHOLD,
+    chunked_sum,
+    map_scales,
+    streamed_sum,
+)
 
 
 def bits(z) -> list:
@@ -92,3 +103,68 @@ def test_a_leaf_of_several_sums_gives_each_its_own_bits(size, is_complex):
     got = streamed_sum(size, leaf, is_complex)
     assert [type(g) for g in got] == [complex if is_complex else float] * 3
     assert [bits(g) for g in got] == [bits(chunked_sum(v)) for v in vs]
+
+
+# ---------------------------------------------------------------------------
+# the scale runner
+# ---------------------------------------------------------------------------
+
+class ScaleFailed(Exception):
+    pass
+
+
+def scale_task(started, failing):
+    """A task that notes each scale it starts, raises at the scales of
+    ``failing`` at once, and takes (scale + 1) * 20 ms at every other."""
+    def task(scale):
+        started.append(scale)
+        if scale in failing:
+            raise ScaleFailed(f"scale {scale}")
+        time.sleep(0.02 * (scale + 1))
+        return scale * scale
+    return task
+
+
+@pytest.mark.parametrize("workers", [2, 3, 8])
+def test_map_scales_runs_the_largest_first_and_returns_in_scale_order(workers):
+    threads = threading.active_count()
+    started = []
+    assert map_scales(scale_task(started, ()), range(6), workers) == [
+        s * s for s in range(6)]
+    assert threading.active_count() == threads
+    # the first threads take the largest scales, one scale each
+    assert set(started[:min(workers, 6)]) == set(range(6)[-min(workers, 6):])
+    assert sorted(started) == list(range(6))
+
+
+def test_map_scales_runs_each_scale_once_under_switching_threads():
+    # more threads than cores, switching as often as the interpreter allows:
+    # a lost update to the shared scale list would run a scale twice or never
+    threads = threading.active_count()
+    ran = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = map_scales(lambda s: ran.append(s) or -s, range(500), 8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [-s for s in range(500)]
+    assert sorted(ran) == list(range(500))
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_map_scales_raises_the_first_failing_scale_and_starts_none_above_it(workers):
+    # scales 7 and 1 fail.  The loop stops at 1; so do the threads: 7 fails
+    # at once, the scales below it go smallest first, and once 1 has failed
+    # no scale above it starts, so 2..5 never run.  Only 6, which a second
+    # thread may take before 7 fails, runs beside them.
+    threads = threading.active_count()
+    started = []
+    with pytest.raises(ScaleFailed, match="scale 1$"):
+        map_scales(scale_task(started, {7, 1}), range(8), workers)
+    assert threading.active_count() == threads
+    assert {0, 1} <= set(started) <= {0, 1, 6, 7}
+    assert len(started) == len(set(started))
+    if workers == 1:
+        assert started == [0, 1]
